@@ -79,11 +79,16 @@ def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
     return config
 
 
+# smallest accepted value of each integer key; a key the experiment lacks passes
+_INT_MINIMUM = {"seed": 0, "n_events": 1, "dim": 2, "trials": 1,
+                "n_seeds": 1, "n_small": 1, "n_big": 1}
+
+
 def _validate(experiment: str, config: dict) -> None:
-    if not isinstance(config["seed"], int) or config["seed"] < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    if not isinstance(config["n_events"], int) or config["n_events"] < 1:
-        raise ConfigError("n_events must be a positive integer")
+    for key, minimum in _INT_MINIMUM.items():
+        value = config.get(key, minimum)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     if experiment == "two-slit":
         custom = [config["n_sites"], config["slit_a"], config["slit_b"]]
         if any(v is not None for v in custom) and not all(v is not None for v in custom):
@@ -127,12 +132,10 @@ def _run_two_slit(config: dict, out_dir: str) -> dict:
 
 
 def _run_delayed_choice(config: dict, out_dir: str) -> dict:
-    result = experiments.delayed_choice_experiment(
+    result, events = experiments.delayed_choice_experiment(
         config["m4"], n_events=config["n_events"], seed=config["seed"], p=config["p"]
     )
     if config["write_events"]:
-        policy = experiments.make_policy(config["m4"], p=config["p"], seed=config["seed"])
-        events = interferometer.run_events(policy, config["n_events"], config["seed"])
         interferometer.write_events_csv(events, os.path.join(out_dir, "events.csv"))
     return result
 

@@ -108,19 +108,23 @@ def born_distribution(psi: QuantumState, q: Context) -> BranchDistribution:
     return BranchDistribution(context_id=q.id, probs=p / p.sum())
 
 
-def _sample_branch(probs: np.ndarray, rng: np.random.Generator) -> int:
+def inverse_cdf(probs, u):
+    """Index drawn from the non-negative weights `probs` for each uniform in `u`.
+
+    The weights need not sum to one.  When u * total rounds up to the
+    total, the index is clamped to the last branch with positive weight,
+    so a zero-probability branch is never returned.
+    """
+    probs = np.asarray(probs)
     cdf = np.cumsum(probs)
-    i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    i = min(i, len(probs) - 1)
-    while probs[i] == 0.0:  # zero-probability branch must never be reported
-        i -= 1
-    return i
+    idx = np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right")
+    return np.minimum(idx, np.flatnonzero(probs)[-1])
 
 
 def sample_character(psi: QuantumState, q: Context, rng: np.random.Generator) -> Character:
     """Draw one branch of the context by the Born rule."""
     dist = born_distribution(psi, q)
-    return Character(context=q, branch=_sample_branch(dist.probs, rng))
+    return Character(context=q, branch=int(inverse_cdf(dist.probs, rng.random())))
 
 
 def measure(
@@ -182,10 +186,7 @@ def monte_carlo_mean(
         raise IncompatibleObservableError("observable not measurable in this context")
     dist = born_distribution(psi, q)
     values = branch_values(m, q, check=True)
-    cdf = np.cumsum(dist.probs)
-    idx = np.searchsorted(cdf, rng.random(n) * cdf[-1], side="right")
-    idx = np.minimum(idx, len(values) - 1)
-    draws = values[idx]
+    draws = values[inverse_cdf(dist.probs, rng.random(n))]
     estimate = float(draws.mean())
     stderr = float(draws.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return estimate, stderr
@@ -262,10 +263,7 @@ def check_postulate5(
     exact = _distribution_distance(v1, p1, v2, p2)
 
     def default_sampler(ctx, size):
-        dist = born_distribution(psi, ctx)
-        cdf = np.cumsum(dist.probs)
-        idx = np.searchsorted(cdf, rng.random(size) * cdf[-1], side="right")
-        return np.minimum(idx, ctx.n_branches - 1)
+        return inverse_cdf(born_distribution(psi, ctx).probs, rng.random(size))
 
     # snap sampled values onto one merged value grid; without this, float
     # jitter between the two contexts' branch eigenvalues breaks the KS

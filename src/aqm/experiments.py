@@ -1,7 +1,8 @@
 """End-to-end experiment drivers shared by the CLI and the test suite.
 
 Each driver returns a plain dict of summary statistics with a `passed`
-flag, suitable for direct JSON serialization.
+flag, suitable for direct JSON serialization.  The delayed-choice driver
+also returns its photon events, so they are exported without a rerun.
 """
 
 from __future__ import annotations
@@ -237,10 +238,12 @@ def delayed_choice_experiment(
     n_events: int = 100_000,
     seed: int = 0,
     p: float = 0.5,
-) -> dict:
+) -> tuple[dict, interferometer.PhotonEvents]:
+    """Summary dict and the photon events it summarizes, from one run."""
     policy = make_policy(policy_name, p=p, seed=seed)
-    report = interferometer.equivalence_report(policy, n_events, seed)
-    return {
+    events = interferometer.run_events(policy, n_events, seed)
+    report = interferometer.summarize_events(events)
+    result = {
         "policy": policy_name,
         "n_events": n_events,
         "sub_ensembles": [
@@ -260,3 +263,4 @@ def delayed_choice_experiment(
         "max_deviation": report.max_deviation,
         "passed": report.passed,
     }
+    return result, events

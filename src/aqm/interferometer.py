@@ -14,19 +14,19 @@ the configuration at arrival matters.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from aqm.rng import LANE_POLICY, event_stream, event_uniforms
+from aqm.rng import LANE_POLICY, event_uniforms
 
-BEFORE_M1 = "before-m1"
-AFTER_M1 = "after-m1"
+# Codes in PhotonEvents.  They coincide because, with the output mirror
+# absent, path A lands on detector A and path B on detector B.
+PATH_A, PATH_B = 0, 1
+DETECTOR_A, DETECTOR_B = 0, 1
 
-DETECTOR_A = "DA"
-DETECTOR_B = "DB"
+_CSV_CHUNK = 1 << 16  # events formatted per write
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,15 @@ def _steering_prob(transmit: complex, reflect: complex) -> float:
 
 
 class ChoicePolicy:
-    """Rule fixing output-mirror presence per event and phase of flight."""
+    """Rule fixing output-mirror presence per event, decided in flight.
 
-    def decide(self, event_index: int, phase: str) -> bool:
-        raise NotImplementedError
+    Decisions are taken after the photon has passed M1, so nothing a
+    policy decides can influence the kernel's path.
+    """
 
     def decide_batch(self, n: int) -> np.ndarray:
-        """Vectorized after-M1 decisions for events 0..n-1."""
-        return np.array([self.decide(i, AFTER_M1) for i in range(n)], dtype=bool)
+        """Mirror presence at arrival for events 0..n-1, as a bool array."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,6 @@ class Always(ChoicePolicy):
     """Mirror fixed present or absent for every event."""
 
     present: bool
-
-    def decide(self, event_index: int, phase: str) -> bool:
-        return self.present
 
     def decide_batch(self, n: int) -> np.ndarray:
         return np.full(n, self.present, dtype=bool)
@@ -99,15 +97,12 @@ class DelayedRandom(ChoicePolicy):
     """Insert the mirror with probability p, decided per event in flight.
 
     Decisions come from a dedicated counter stream, so they are
-    reproducible and do not disturb the photon's own randomness.
+    reproducible and do not disturb the photon's own randomness.  Event
+    i's decision is the first draw of event_stream(seed, i, LANE_POLICY).
     """
 
     p: float = 0.5
     seed: int = 0
-
-    def decide(self, event_index: int, phase: str) -> bool:
-        u = event_stream(self.seed, event_index, lane=LANE_POLICY).random()
-        return bool(u < self.p)
 
     def decide_batch(self, n: int) -> np.ndarray:
         return event_uniforms(self.seed, n, lane=LANE_POLICY)[:, 0] < self.p
@@ -117,53 +112,48 @@ class DelayedRandom(ChoicePolicy):
 class DelayedAlternating(ChoicePolicy):
     """Mirror present on odd events, absent on even ones, decided in flight."""
 
-    def decide(self, event_index: int, phase: str) -> bool:
-        return event_index % 2 == 1
-
     def decide_batch(self, n: int) -> np.ndarray:
         return np.arange(n) % 2 == 1
 
 
-@dataclass(frozen=True)
-class PhotonEvent:
-    index: int
-    kernel_path: str  # "A" or "B"
-    m4_at_arrival: bool
-    detector: str  # DETECTOR_A or DETECTOR_B
+@dataclass(frozen=True, eq=False)
+class PhotonEvents:
+    """n photon events as parallel arrays; entry i belongs to event i.
+
+    `kernel_path` and `detector` are uint8 codes, `m4_at_arrival` is bool.
+    """
+
+    kernel_path: np.ndarray
+    m4_at_arrival: np.ndarray
+    detector: np.ndarray
     seed: int
+
+    def __len__(self) -> int:
+        return len(self.detector)
 
 
 def particle_run(
-    policy: ChoicePolicy,
-    event_index: int,
+    m4_at_arrival: bool,
     rng: np.random.Generator,
     config: DeviceConfig | None = None,
-    seed: int = 0,
-) -> PhotonEvent:
-    """One photon through the particle model.
+) -> tuple[int, int]:
+    """One photon through the particle model; returns (kernel_path, detector).
 
-    The kernel picks a path at M1 with the splitter's intensity ratio.
-    The policy is consulted only after the photon has passed M1; nothing
-    decided earlier can influence the outcome.  With the mirror present
-    the detector is drawn from the wave distribution regardless of the
-    kernel's path; with it absent, path A lands on detector A and path B
-    on detector B.
+    The scalar reference for run_events.  The kernel picks a path at M1
+    with the splitter's intensity ratio.  The mirror decision arrives
+    after the photon has passed M1; nothing decided earlier can influence
+    the outcome.  With the mirror present the detector is drawn from the
+    wave distribution regardless of the kernel's path; with it absent,
+    path A lands on detector A and path B on detector B.
     """
     base = config or DeviceConfig(m4_present=False)
-    kernel_path = "A" if rng.random() < abs(base.transmit) ** 2 else "B"
-    m4 = bool(policy.decide(event_index, AFTER_M1))
-    if m4:
+    kernel_path = PATH_A if rng.random() < abs(base.transmit) ** 2 else PATH_B
+    if m4_at_arrival:
         p_db = _steering_prob(complex(base.transmit), complex(base.reflect))
         detector = DETECTOR_B if rng.random() < p_db else DETECTOR_A
     else:
-        detector = DETECTOR_A if kernel_path == "A" else DETECTOR_B
-    return PhotonEvent(
-        index=event_index,
-        kernel_path=kernel_path,
-        m4_at_arrival=m4,
-        detector=detector,
-        seed=seed,
-    )
+        detector = DETECTOR_A if kernel_path == PATH_A else DETECTOR_B
+    return kernel_path, detector
 
 
 def run_events(
@@ -171,30 +161,20 @@ def run_events(
     n: int,
     seed: int,
     config: DeviceConfig | None = None,
-) -> list:
+) -> PhotonEvents:
     """n independent photons, one counter-addressed stream per event.
 
     Vectorized over events; bit-identical to calling particle_run with
-    event_stream(seed, i) for each event in turn.
+    the policy's decision and event_stream(seed, i) for each event.
     """
     base = config or DeviceConfig(m4_present=False)
     u = event_uniforms(seed, n)
-    paths = np.where(u[:, 0] < abs(base.transmit) ** 2, "A", "B")
+    paths = (u[:, 0] >= abs(base.transmit) ** 2).astype(np.uint8)
     m4 = policy.decide_batch(n)
     p_db = _steering_prob(complex(base.transmit), complex(base.reflect))
-    steered = np.where(u[:, 1] < p_db, DETECTOR_B, DETECTOR_A)
-    geometric = np.where(paths == "A", DETECTOR_A, DETECTOR_B)
-    detectors = np.where(m4, steered, geometric)
-    return [
-        PhotonEvent(
-            index=i,
-            kernel_path=str(paths[i]),
-            m4_at_arrival=bool(m4[i]),
-            detector=str(detectors[i]),
-            seed=seed,
-        )
-        for i in range(n)
-    ]
+    steered = (u[:, 1] < p_db).astype(np.uint8)
+    detector = np.where(m4, steered, paths)
+    return PhotonEvents(kernel_path=paths, m4_at_arrival=m4, detector=detector, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -223,17 +203,21 @@ def summarize_events(events, config: DeviceConfig | None = None) -> EquivalenceR
     Per mirror sub-ensemble: deviation of the empirical detector
     frequencies from the wave probabilities, passed at a 4-sigma binomial
     tolerance (exact agreement required for deterministic outcomes).
+    Fewer than 1000 events are rejected.
     """
+    if len(events) < 1000:
+        raise ValueError("need at least 1000 events for a meaningful comparison")
     base = config or DeviceConfig(m4_present=False)
+    at_da = events.detector == DETECTOR_A
     stats = []
     for m4 in (False, True):
-        sub = [e for e in events if e.m4_at_arrival == m4]
-        if not sub:
+        sub = events.m4_at_arrival == m4
+        n = int(np.count_nonzero(sub))
+        if not n:
             continue
         cfg = DeviceConfig(m4, base.transmit, base.reflect)
         p_da, p_db = wave_probabilities(cfg)
-        n = len(sub)
-        f_da = sum(e.detector == DETECTOR_A for e in sub) / n
+        f_da = int(np.count_nonzero(at_da & sub)) / n
         f_db = 1.0 - f_da
         dev = max(abs(f_da - p_da), abs(f_db - p_db))
         # floor covers float noise in the wave probabilities when the
@@ -267,15 +251,21 @@ def equivalence_report(
     config: DeviceConfig | None = None,
 ) -> EquivalenceReport:
     """Run n photons under the policy and compare against the wave model."""
-    if n < 1000:
-        raise ValueError("need at least 1000 events for a meaningful comparison")
     return summarize_events(run_events(policy, n, seed, config=config), config=config)
 
 
-def write_events_csv(events, path) -> None:
-    """Export photon events with columns event,seed,kernel_path,m4,detector."""
+def write_events_csv(events: PhotonEvents, path) -> None:
+    """Export photon events with columns event,seed,kernel_path,m4,detector.
+
+    Same bytes as csv.writer.  A row is its event index followed by one of
+    eight suffixes, indexed by the row's (path, m4, detector) codes.
+    """
+    suffixes = [f",{events.seed},{k},{m},{d}\r\n" for k in "AB" for m in "01" for d in ("DA", "DB")]
+    suffix = np.array(suffixes)
+    code = 4 * events.kernel_path + 2 * events.m4_at_arrival + events.detector
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event", "seed", "kernel_path", "m4", "detector"])
-        for e in events:
-            writer.writerow([e.index, e.seed, e.kernel_path, int(e.m4_at_arrival), e.detector])
+        fh.write("event,seed,kernel_path,m4,detector\r\n")
+        for start in range(0, len(events), _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, len(events))
+            index = np.arange(start, stop).astype(str)
+            fh.write("".join(np.strings.add(index, suffix[code[start:stop]]).tolist()))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqm.algebra import as_matrix
-from aqm.ensemble import QuantumState, condition_on_event
+from aqm.ensemble import QuantumState, condition_on_event, inverse_cdf
 from aqm.errors import ImpossibleEventError, ModelViolationError
 from aqm.rng import event_uniforms
 
@@ -230,7 +230,6 @@ def stacked_screens(psi0: QuantumState, geom: SlitGeometry, n_events: int, seed:
     p_a, p_b = slit_projectors(geom)
     psi_ab = prepare_conditioned(psi0, p_a, p_b)
     slit_probs, conds = _conditional_site_distributions(psi_ab, p_a, p_b)
-    cdfs = [np.cumsum(c) for c in conds]
     n = geom.grid_size
     histogram = np.zeros(n, dtype=np.int64)
     u = event_uniforms(seed, n_events)  # per event: (slit draw, site draw, _, _)
@@ -238,8 +237,7 @@ def stacked_screens(psi0: QuantumState, geom: SlitGeometry, n_events: int, seed:
     tally = [int(n_events - slit_b.sum()), int(slit_b.sum())]
     for s in (0, 1):
         mask = slit_b == bool(s)
-        sites = np.searchsorted(cdfs[s], u[mask, 1] * cdfs[s][-1], side="right")
-        histogram += np.bincount(np.minimum(sites, n - 1), minlength=n)
+        histogram += np.bincount(inverse_cdf(conds[s], u[mask, 1]), minlength=n)
     return histogram, (tally[0], tally[1])
 
 

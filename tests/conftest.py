@@ -15,20 +15,3 @@ def sigma_x():
 def sigma_z():
     return SIGMA_Z
 
-
-def random_hermitian(dim, rng, scale=1.0):
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * 0.5 * (m + m.conj().T)
-
-
-def random_unitary(dim, rng):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_density(dim, rng, rank=None):
-    r = rank or dim
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

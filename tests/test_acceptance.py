@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aqm import experiments, two_slit
-from aqm.ensemble import QuantumState
+from aqm.experiments import random_density
 from aqm.interferometer import (
     DETECTOR_B,
     Always,
@@ -18,7 +18,6 @@ from aqm.interferometer import (
     wave_probabilities,
 )
 from aqm.rng import stream
-from conftest import random_density
 
 
 def report(name, passed, detail):
@@ -31,13 +30,14 @@ def test_criterion_1_mirror_present_certain_db():
     p_da, p_db = wave_probabilities(DeviceConfig(m4_present=True))
     wave_ok = abs(p_db - 1.0) <= 1e-12 and abs(p_da) <= 1e-12
     events = run_events(Always(True), 100_000, seed=7)
-    particle_ok = all(e.detector == DETECTOR_B for e in events)
+    at_db = events.detector == DETECTOR_B
+    particle_ok = bool(np.all(at_db))
     elapsed = time.time() - t0
     report(
         "1 delayed-choice position (b)",
         wave_ok and particle_ok and elapsed < 5.0,
         f"wave p_DB={p_db:.15f}, particle D_B frequency "
-        f"{sum(e.detector == DETECTOR_B for e in events) / len(events)}, "
+        f"{np.count_nonzero(at_db) / len(events)}, "
         f"runtime {elapsed:.2f}s",
     )
 
@@ -57,11 +57,12 @@ def test_criterion_2_mirror_absent_even_split():
 
 def test_criterion_3_delayed_random_reproduces_both():
     events = run_events(DelayedRandom(0.5, seed=7), 100_000, seed=7)
-    present = [e for e in events if e.m4_at_arrival]
-    absent = [e for e in events if not e.m4_at_arrival]
-    db_present = sum(e.detector == DETECTOR_B for e in present) / len(present)
-    da_absent = sum(e.detector != DETECTOR_B for e in absent) / len(absent)
-    tol_absent = 4.0 * np.sqrt(0.25 / len(absent))
+    present = events.m4_at_arrival
+    at_db = events.detector == DETECTOR_B
+    n_absent = np.count_nonzero(~present)
+    db_present = np.count_nonzero(at_db & present) / np.count_nonzero(present)
+    da_absent = np.count_nonzero(~at_db & ~present) / n_absent
+    tol_absent = 4.0 * np.sqrt(0.25 / n_absent)
     ok = db_present == 1.0 and abs(da_absent - 0.5) <= tol_absent
     report(
         "3 delayed-choice in one run",
@@ -84,7 +85,7 @@ def test_criterion_4_decomposition_closure():
             n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb])
         )
         p_a, p_b = two_slit.slit_projectors(geom)
-        psi = two_slit.prepare_conditioned(QuantumState(random_density(n, rng)), p_a, p_b)
+        psi = two_slit.prepare_conditioned(random_density(n, rng), p_a, p_b)
         start = int(rng.integers(0, n))
         stop = int(rng.integers(start + 1, n + 1))
         k = two_slit.momentum_projector(two_slit.MomentumBin(start, stop), n)

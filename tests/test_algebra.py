@@ -22,7 +22,8 @@ from aqm.errors import (
     IndeterminateValueError,
     NotHermitianError,
 )
-from conftest import SIGMA_X, SIGMA_Z, random_hermitian, random_unitary
+from aqm.experiments import random_hermitian, random_unitary
+from conftest import SIGMA_X, SIGMA_Z
 
 
 class TestDynamicalVariable:

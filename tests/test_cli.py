@@ -61,6 +61,11 @@ class TestDelayedChoiceCommand:
         assert lines[0] == "event,seed,kernel_path,m4,detector"
         assert len(lines) == 2001
 
+    def test_too_few_events_is_exit_1(self, tmp_path, capsys):
+        code = run_cli("delayed-choice", "--n", "500", "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert "need at least 1000 events" in capsys.readouterr().err
+
 
 class TestTwoSlitCommand:
     def test_replay_is_byte_identical(self, tmp_path):
@@ -119,6 +124,22 @@ class TestKhinchinCommand:
         result = json.loads((out / "result.json").read_text())
         assert "ratio" in result["result"]
         assert code in (0, 2)  # small sizes may sit outside the band
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("postulates", "--dim", "1"), "dim"),
+        (("postulates", "--trials", "0"), "trials"),
+        (("khinchin", "--n-seeds", "0"), "n_seeds"),
+        (("khinchin", "--n-small", "0"), "n_small"),
+        (("khinchin", "--n-big", "0"), "n_big"),
+        (("khinchin", "--dim", "1"), "dim"),
+    ],
+)
+def test_bad_experiment_size_is_config_error(tmp_path, capsys, argv, key):
+    assert run_cli(*argv, "--out", str(tmp_path / "run")) == 1
+    assert f"config error: {key} must be an integer" in capsys.readouterr().err
 
 
 class TestExitCodes:

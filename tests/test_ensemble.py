@@ -9,14 +9,16 @@ from aqm.ensemble import (
     check_postulate5,
     check_postulate6,
     condition_on_event,
+    inverse_cdf,
     measure,
     monte_carlo_mean,
     sample_character,
     write_records_csv,
 )
 from aqm.errors import ImpossibleEventError, IncompatibleObservableError
+from aqm.experiments import random_density, random_hermitian, random_unitary
 from aqm.rng import stream
-from conftest import SIGMA_X, SIGMA_Z, random_density, random_hermitian, random_unitary
+from conftest import SIGMA_X, SIGMA_Z
 
 KET0 = QuantumState.pure([1.0, 0.0])
 PLUS = QuantumState.pure([1.0, 1.0])
@@ -65,6 +67,10 @@ class TestSampleCharacter:
         rng = stream(0)
         for _ in range(50):
             assert sample_character(KET0, Z_CTX, rng).branch == _z_branch(1)
+        # zero-probability branches are never drawn, even when u * total
+        # rounds up to the total (u = 1 here)
+        probs = [0.0, 0.3, 0.0, 0.7, 0.0]
+        assert inverse_cdf(probs, [0.0, 0.29, 0.31, 0.999, 1.0]).tolist() == [1, 1, 3, 3, 3]
 
     def test_symmetric_frequency(self):
         rng = stream(1)
@@ -107,7 +113,7 @@ class TestMeasure:
         q = masa_from(a)
         qp = masa_from(a, refinement=mix)
         rng = np.random.default_rng(9)
-        psi = QuantumState(random_density(4, rng))
+        psi = random_density(4, rng)
         # oracle: Born weight of each eigenprojector of A
         p_plus = np.diag([1.0, 1.0, 0.0, 0.0])
         expected = np.trace(psi.rho @ p_plus).real
@@ -161,7 +167,7 @@ class TestPostulate5:
         q = masa_from(a)
         qp = masa_from(a, refinement=mix)
         rng = np.random.default_rng(4)
-        psi = QuantumState(random_density(4, rng))
+        psi = random_density(4, rng)
         rep = check_postulate5(psi, a, q, qp, 2000, stream(1))
         assert rep.exact_distance <= 1e-10
         assert rep.passed
@@ -196,7 +202,7 @@ class TestPostulate6:
     def test_random_pairs_dim8(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
-            psi = QuantumState(random_density(8, rng))
+            psi = random_density(8, rng)
             assert check_postulate6(psi, random_hermitian(8, rng), random_hermitian(8, rng))
 
 
@@ -223,7 +229,7 @@ class TestConditionOnEvent:
         rng = np.random.default_rng(8)
         for _ in range(20):
             dim = int(rng.integers(2, 9))
-            psi = QuantumState(random_density(dim, rng))
+            psi = random_density(dim, rng)
             u = random_unitary(dim, rng)
             k = int(rng.integers(1, dim))
             e = u[:, :k] @ u[:, :k].conj().T
@@ -236,7 +242,7 @@ class TestFunctionalPositivity:
         rng = np.random.default_rng(10)
         for _ in range(50):
             dim = int(rng.integers(2, 9))
-            psi = QuantumState(random_density(dim, rng))
+            psi = random_density(dim, rng)
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             assert np.trace(psi.rho @ g.conj().T @ g).real >= -1e-10
 

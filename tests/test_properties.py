@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqm.algebra import Character, masa_from, spectral_decompose
-from aqm.ensemble import QuantumState, born_distribution
+from aqm.ensemble import born_distribution
+from aqm.experiments import random_density, random_hermitian
 from aqm.interferometer import DeviceConfig, wave_probabilities
 from aqm.two_slit import MomentumBin, momentum_projector
-from conftest import random_density, random_hermitian
 
 
 @settings(max_examples=40, deadline=None)
@@ -35,7 +35,7 @@ def test_character_homomorphism(seed, dim):
 @given(seed=st.integers(0, 2**31), dim=st.integers(2, 10))
 def test_born_distribution_normalized(seed, dim):
     rng = np.random.default_rng(seed)
-    psi = QuantumState(random_density(dim, rng))
+    psi = random_density(dim, rng)
     ctx = masa_from(random_hermitian(dim, rng))
     probs = born_distribution(psi, ctx).probs
     assert np.all(probs >= 0)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from aqm.rng import LANE_POLICY, event_stream, event_uniforms, stream
+from aqm.rng import LANE_EVENTS, LANE_POLICY, event_stream, event_uniforms, stream
 
 
 def test_streams_replay_exactly():
@@ -26,6 +26,7 @@ def test_lanes_are_independent():
 
 
 def test_event_uniforms_match_event_streams():
-    batch = event_uniforms(99, 50)
-    for i in range(50):
-        assert np.array_equal(batch[i], event_stream(99, i).random(4))
+    for lane in (LANE_EVENTS, LANE_POLICY):
+        batch = event_uniforms(99, 50, lane=lane)
+        for i in range(50):
+            assert np.array_equal(batch[i], event_stream(99, i, lane=lane).random(4))

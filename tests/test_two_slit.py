@@ -3,6 +3,7 @@ import pytest
 
 from aqm.ensemble import QuantumState
 from aqm.errors import ImpossibleEventError
+from aqm.experiments import random_density
 from aqm.rng import stream
 from aqm.two_slit import (
     MomentumBin,
@@ -19,7 +20,6 @@ from aqm.two_slit import (
     uniform_source,
     verify_support_identities,
 )
-from conftest import random_density
 
 
 class TestSlitGeometry:
@@ -169,7 +169,7 @@ class TestDecomposeMean:
             sites = rng.permutation(n)
             geom = SlitGeometry(n, frozenset(sites[:1]), frozenset(sites[1:2]))
             p_a, p_b = slit_projectors(geom)
-            psi = prepare_conditioned(QuantumState(random_density(n, rng)), p_a, p_b)
+            psi = prepare_conditioned(random_density(n, rng), p_a, p_b)
             start = int(rng.integers(0, n))
             stop = int(rng.integers(start + 1, n + 1))
             k = momentum_projector(MomentumBin(start, stop), n)
@@ -216,7 +216,7 @@ class TestPattern:
         rng = np.random.default_rng(21)
         for _ in range(10):
             n = int(rng.integers(4, 65))
-            psi = QuantumState(random_density(n, rng))
+            psi = random_density(n, rng)
             assert pattern(psi, n).sum() == pytest.approx(1.0, abs=1e-9)
 
 
