@@ -7,6 +7,8 @@ also returns its photon events, so they are exported without a rerun.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from aqm import interferometer, two_slit
@@ -182,38 +184,29 @@ def two_slit_experiment(
     seed: int = 0,
 ) -> dict:
     """Ensemble pattern, its three-term decomposition, and the event sampler."""
-    psi0 = two_slit.uniform_source(geom.grid_size)
     p_a, p_b = two_slit.slit_projectors(geom)
-    psi_ab = two_slit.prepare_conditioned(psi0, p_a, p_b)
-    decomposition = two_slit.pattern_decomposed(psi_ab, geom.grid_size, p_a, p_b)
-    probs = np.array([d.total for d in decomposition])
-    histogram, (n_a, n_b) = two_slit.stacked_screens(psi0, geom, n_events, seed)
+    psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), p_a, p_b)
+    split = two_slit.screen_split(psi_ab, p_a, p_b)  # an infeasible split fails here
+    decomposition = two_slit.pattern_decomposed(psi_ab, geom.grid_size, p_a, p_b, split.modes)
+    direct_a, direct_b, cross, probs = split.modes
+    histogram, (n_a, n_b) = two_slit.sample_screens(split, n_events, seed)
     tv = two_slit.total_variation(histogram, probs)
     tv_bound = 2.0 * np.sqrt(geom.grid_size / n_events)
-    closure = max(
-        abs(d.direct_a + d.direct_b + d.interference - d.total) for d in decomposition
-    )
+    closure = np.max(np.abs(direct_a + direct_b + cross - probs))
     return {
         "grid_size": geom.grid_size,
         "slit_a": sorted(geom.slit_a),
         "slit_b": sorted(geom.slit_b),
         "n_events": n_events,
         "pattern": probs.tolist(),
-        "decomposition": [
-            {
-                "direct_a": d.direct_a,
-                "direct_b": d.direct_b,
-                "interference": d.interference,
-                "total": d.total,
-            }
-            for d in decomposition
-        ],
+        "decomposition": [asdict(d) for d in decomposition],
         "histogram": histogram.tolist(),
         "slit_tally": {"a": n_a, "b": n_b},
+        "split_clamp": {"a": split.clamped[0], "b": split.clamped[1], "budget": split.budget},
         "tv_distance": tv,
         "tv_bound": float(tv_bound),
         "max_closure_residual": float(closure),
-        "passed": bool(tv <= tv_bound and closure <= 1e-10),
+        "passed": bool(tv <= tv_bound and closure <= two_slit.CLOSURE_TOL),
     }
 
 

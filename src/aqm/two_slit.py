@@ -8,7 +8,8 @@ cross (interference) term.  The stacked-screens sampler realizes the same
 statistics one event at a time, with each particle localized at exactly
 one slit; the cross term's mass is shared equally between the two slit
 labels, the unique symmetric split consistent with the ensemble
-decomposition.
+decomposition.  The pattern and the split are computed per DFT mode by
+FFT; the dense `momentum_projector` serves arbitrary bins and tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from aqm.rng import event_uniforms
 
 CLOSURE_TOL = 1e-10
 CONDITIONED_TOL = 1e-8
-CLAMP_BUDGET = 1e-6  # per lattice site, see stacked_screens
+CLAMP_BUDGET = 1e-6  # per lattice site, see screen_split
 
 
 @dataclass(frozen=True)
@@ -168,22 +169,60 @@ def decompose_mean(psi_ab: QuantumState, k, p_a, p_b) -> InterferenceDecompositi
     )
 
 
-def pattern_decomposed(psi_ab: QuantumState, n: int, p_a, p_b):
-    """Per-momentum-site decomposition over single-mode bins."""
-    return [
-        decompose_mean(psi_ab, momentum_projector(MomentumBin(k, k + 1), n), p_a, p_b)
-        for k in range(n)
-    ]
+def _mode_diagonal(g: np.ndarray) -> np.ndarray:
+    """diag(F^dagger G F).real over the DFT modes F = dft_basis(N), by two FFTs."""
+    return np.diagonal(np.fft.ifft(np.fft.fft(g, axis=1), axis=0)).real.copy()
+
+
+def _site_mask(p) -> np.ndarray:
+    """Diagonal of a slit projector, which must be diagonal in the site basis."""
+    m = as_matrix(p)
+    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)):
+        raise ValueError("slit projector must be diagonal in the site basis")
+    return np.diagonal(m).real
+
+
+def _mode_statistics(psi_ab: QuantumState, p_a, p_b) -> tuple:
+    """Per-mode (direct_a, direct_b, cross, total) of every single-mode screen.
+
+    Each vector is diag(F^dagger G F) for G = P_a rho P_a, P_b rho P_b,
+    P_a rho P_b + P_b rho P_a and rho; with diagonal slit projectors each
+    G is rho masked elementwise.
+    """
+    a, b = _site_mask(p_a), _site_mask(p_b)
+    rho = psi_ab.rho
+    masks = (np.outer(a, a), np.outer(b, b), np.outer(a, b) + np.outer(b, a), 1.0)
+    return tuple(_mode_diagonal(rho * m) for m in masks)
+
+
+def pattern_decomposed(psi_ab: QuantumState, n: int, p_a, p_b, modes: tuple | None = None):
+    """Per-momentum-site decomposition over single-mode bins, from `ScreenSplit.modes` if given."""
+    if psi_ab.dim != n:
+        raise ValueError(f"state has dimension {psi_ab.dim}, expected N={n}")
+    if modes is None:
+        modes = _mode_statistics(psi_ab, p_a, p_b)
+    return [InterferenceDecomposition(*row) for row in zip(*(m.tolist() for m in modes))]
 
 
 def pattern(psi_ab: QuantumState, n: int) -> np.ndarray:
     """Momentum distribution of the conditioned state over single-mode bins."""
-    f = dft_basis(n)
-    intensity = np.einsum("ik,ij,jk->k", f.conj(), psi_ab.rho, f).real
-    return np.clip(intensity, 0.0, None)
+    if psi_ab.dim != n:
+        raise ValueError(f"state has dimension {psi_ab.dim}, expected N={n}")
+    return np.clip(_mode_diagonal(psi_ab.rho), 0.0, None)
 
 
-def _conditional_site_distributions(psi_ab: QuantumState, p_a, p_b):
+@dataclass(frozen=True, eq=False)
+class ScreenSplit:
+    """Per-event split of a conditioned ensemble between the two slits."""
+
+    modes: tuple  # per-mode (direct_a, direct_b, cross, total) it was built from
+    slit_probs: np.ndarray
+    conds: tuple  # momentum distribution given slit a, given slit b
+    clamped: tuple  # negative mass clamped from each, at most `budget`
+    budget: float
+
+
+def screen_split(psi_ab: QuantumState, p_a, p_b) -> ScreenSplit:
     """Per-slit conditional momentum distributions of the event sampler.
 
     The direct term of a slit goes entirely to that slit's label; the
@@ -192,32 +231,28 @@ def _conditional_site_distributions(psi_ab: QuantumState, p_a, p_b):
     the per-site budget the split rule cannot reproduce the pattern and a
     diagnostic error is raised.
     """
-    ma, mb = as_matrix(p_a), as_matrix(p_b)
-    rho = psi_ab.rho
-    n = rho.shape[0]
-    f = dft_basis(n)
-    slit_probs = np.array([psi_ab.mean(ma), psi_ab.mean(mb)])
-    conds = []
-    for ms, mo in ((ma, mb), (mb, ma)):
-        g = ms @ rho @ ms + 0.5 * (ms @ rho @ mo + mo @ rho @ ms)
-        mass = np.einsum("ik,ij,jk->k", f.conj(), g, f).real
-        clamped = -np.sum(np.minimum(mass, 0.0))
-        if clamped > CLAMP_BUDGET * n:
+    modes = _mode_statistics(psi_ab, p_a, p_b)
+    direct_a, direct_b, cross, _ = modes
+    n = len(cross)
+    budget = CLAMP_BUDGET * n
+    slit_probs = np.array([psi_ab.mean(p_a), psi_ab.mean(p_b)])
+    conds, clamped = [], []
+    for direct in (direct_a, direct_b):
+        mass = direct + 0.5 * cross
+        clamped.append(float(np.sum(np.maximum(-mass, 0.0))))
+        if clamped[-1] > budget:
             raise ModelViolationError(
                 f"per-event split rule produced negative conditional mass "
-                f"{clamped:.3e} (budget {CLAMP_BUDGET * n:.3e}); the kernel "
+                f"{clamped[-1]:.3e} (budget {budget:.3e}); the kernel "
                 f"sampler cannot reproduce the interference pattern here"
             )
         mass = np.clip(mass, 0.0, None)
-        if mass.sum() == 0.0:
-            # slit never hit (zero Born weight); placeholder, never sampled
-            conds.append(np.full(n, 1.0 / n))
-        else:
-            conds.append(mass / mass.sum())
-    return slit_probs / slit_probs.sum(), conds
+        # a slit of zero Born weight is never sampled: a flat placeholder
+        conds.append(mass / mass.sum() if mass.sum() > 0.0 else np.full(n, 1.0 / n))
+    return ScreenSplit(modes, slit_probs / slit_probs.sum(), tuple(conds), tuple(clamped), budget)
 
 
-def stacked_screens(psi0: QuantumState, geom: SlitGeometry, n_events: int, seed: int):
+def sample_screens(split: ScreenSplit, n_events: int, seed: int):
     """Accumulate independent single-particle events into one histogram.
 
     Each event localizes the particle at exactly one slit, then draws a
@@ -227,18 +262,22 @@ def stacked_screens(psi0: QuantumState, geom: SlitGeometry, n_events: int, seed:
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
+    n = len(split.conds[0])
+    u = event_uniforms(seed, n_events)  # per event: (slit draw, site draw, _, _)
+    slit_b = u[:, 0] >= split.slit_probs[0]
+    histogram = sum(
+        np.bincount(inverse_cdf(split.conds[s], u[slit_b == bool(s), 1]), minlength=n)
+        for s in (0, 1)
+    )
+    n_b = int(slit_b.sum())
+    return histogram, (n_events - n_b, n_b)
+
+
+def stacked_screens(psi0: QuantumState, geom: SlitGeometry, n_events: int, seed: int):
+    """`sample_screens` of `psi0` conditioned on the slits of `geom`."""
     p_a, p_b = slit_projectors(geom)
     psi_ab = prepare_conditioned(psi0, p_a, p_b)
-    slit_probs, conds = _conditional_site_distributions(psi_ab, p_a, p_b)
-    n = geom.grid_size
-    histogram = np.zeros(n, dtype=np.int64)
-    u = event_uniforms(seed, n_events)  # per event: (slit draw, site draw, _, _)
-    slit_b = u[:, 0] >= slit_probs[0]
-    tally = [int(n_events - slit_b.sum()), int(slit_b.sum())]
-    for s in (0, 1):
-        mask = slit_b == bool(s)
-        histogram += np.bincount(inverse_cdf(conds[s], u[mask, 1]), minlength=n)
-    return histogram, (tally[0], tally[1])
+    return sample_screens(screen_split(psi_ab, p_a, p_b), n_events, seed)
 
 
 def total_variation(histogram: np.ndarray, probs: np.ndarray) -> float:

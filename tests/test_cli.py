@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import aqm
 from aqm.cli import main, resolve_config
 from aqm.errors import ConfigError
 
@@ -100,6 +104,25 @@ class TestTwoSlitCommand:
         result = json.loads((out / "result.json").read_text())
         entry = result["result"]["decomposition"][0]
         assert set(entry) == {"direct_a", "direct_b", "interference", "total"}
+
+    def test_infeasible_split_is_exit_2_with_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run_cli(
+            "two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20",
+            "--n", "1000", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        result = json.loads((out / "result.json").read_text())
+        assert "negative conditional mass" in result["error"]
+        assert "result" not in result
+        assert "model violation" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_numpy_fft():
+    # numpy.fft is loaded on first use, so it adds nothing to start-up time
+    code = "import sys, aqm.cli; sys.exit('numpy.fft' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestPostulatesCommand:

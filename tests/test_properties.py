@@ -1,12 +1,27 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqm.algebra import Character, masa_from, spectral_decompose
+from aqm import two_slit
 from aqm.ensemble import born_distribution
+from aqm.errors import ModelViolationError
 from aqm.experiments import random_density, random_hermitian
 from aqm.interferometer import DeviceConfig, wave_probabilities
-from aqm.two_slit import MomentumBin, momentum_projector
+from aqm.two_slit import (
+    CLAMP_BUDGET,
+    MomentumBin,
+    SlitGeometry,
+    decompose_mean,
+    dft_basis,
+    momentum_projector,
+    pattern,
+    pattern_decomposed,
+    prepare_conditioned,
+    screen_split,
+    slit_projectors,
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,3 +82,45 @@ def test_wave_model_conserves_probability(theta, phase, present):
     )
     p_da, p_db = wave_probabilities(cfg, phase_a=phase)
     assert abs(p_da + p_db - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), seed=st.integers(0, 2**31), data=st.data())
+def test_fft_mode_statistics_match_the_dense_oracle(n, seed, data):
+    rng = np.random.default_rng(seed)
+    sites = rng.permutation(n).tolist()
+    ka = data.draw(st.integers(1, n - 1))
+    kb = data.draw(st.integers(1, n - ka))
+    geom = SlitGeometry(n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb]))
+    p_a, p_b = slit_projectors(geom)
+    psi = prepare_conditioned(random_density(n, rng), p_a, p_b)
+    rho, f = psi.rho, dft_basis(n)
+
+    # the three-term split of every single-mode screen, bin by bin
+    for k, got in enumerate(pattern_decomposed(psi, n, p_a, p_b)):
+        want = decompose_mean(psi, momentum_projector(MomentumBin(k, k + 1), n), p_a, p_b)
+        for field in ("direct_a", "direct_b", "interference", "total"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+
+    def modes(g):
+        return np.einsum("ik,ij,jk->k", f.conj(), g, f).real
+
+    assert np.max(np.abs(pattern(psi, n) - np.clip(modes(rho), 0.0, None))) <= 1e-12
+
+    # conditional masses of the per-event split: diag(F^dagger g F) per slit
+    direct_a, direct_b, cross, _ = two_slit._mode_statistics(psi, p_a, p_b)
+    masses = []
+    for ms, mo, direct in ((p_a, p_b, direct_a), (p_b, p_a, direct_b)):
+        mass = modes(ms @ rho @ ms + 0.5 * (ms @ rho @ mo + mo @ rho @ ms))
+        assert np.max(np.abs(direct + 0.5 * cross - mass)) <= 1e-12
+        masses.append(mass)
+    clamped = [float(np.sum(np.maximum(-m, 0.0))) for m in masses]
+    if max(clamped) > CLAMP_BUDGET * n:
+        with pytest.raises(ModelViolationError):
+            screen_split(psi, p_a, p_b)
+        return
+    split = screen_split(psi, p_a, p_b)
+    assert np.allclose(split.clamped, clamped, rtol=0.0, atol=1e-12)
+    for cond, mass in zip(split.conds, masses):
+        mass = np.clip(mass, 0.0, None)
+        assert np.max(np.abs(cond - mass / mass.sum())) <= 1e-10

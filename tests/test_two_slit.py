@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from aqm import experiments, two_slit
 from aqm.ensemble import QuantumState
-from aqm.errors import ImpossibleEventError
+from aqm.errors import ImpossibleEventError, ModelViolationError
 from aqm.experiments import random_density
 from aqm.rng import stream
 from aqm.two_slit import (
@@ -14,6 +15,7 @@ from aqm.two_slit import (
     pattern,
     pattern_decomposed,
     prepare_conditioned,
+    screen_split,
     slit_projectors,
     stacked_screens,
     total_variation,
@@ -251,3 +253,57 @@ class TestStackedScreens:
         h1, t1 = stacked_screens(psi0, geom, 5000, seed=11)
         h2, t2 = stacked_screens(psi0, geom, 5000, seed=11)
         assert np.array_equal(h1, h2) and t1 == t2
+
+    def test_infeasible_split_raises(self):
+        # uneven slits: the equal split of the cross term goes negative
+        # beyond its budget, so no event may be drawn
+        geom = SlitGeometry(32, frozenset({4, 5}), frozenset({20}))
+        with pytest.raises(ModelViolationError, match="negative conditional mass"):
+            stacked_screens(uniform_source(32), geom, 1000, seed=1)
+
+    def test_non_diagonal_slit_projector_rejected(self):
+        psi = uniform_source(4)
+        p_a = 0.5 * np.ones((4, 4))
+        with pytest.raises(ValueError, match="diagonal"):
+            pattern_decomposed(psi, 4, p_a, np.diag([0, 0, 0, 1.0]))
+
+    def test_grid_size_must_match_state(self):
+        psi = uniform_source(8)
+        p_a, p_b = slit_projectors(SlitGeometry(8, frozenset({1}), frozenset({5})))
+        with pytest.raises(ValueError, match="N=6"):
+            pattern(psi, 6)
+        with pytest.raises(ValueError, match="N=6"):
+            pattern_decomposed(psi, 6, p_a, p_b)
+
+
+class TestTwoSlitExperiment:
+    def test_conditions_once_and_builds_no_dense_projector(self, monkeypatch):
+        calls = {"prepare_conditioned": 0, "dft_basis": 0, "momentum_projector": 0}
+        for name in calls:
+            original = getattr(two_slit, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(two_slit, name, counted)
+        geom = SlitGeometry(32, frozenset({10, 11}), frozenset({18, 19}))
+        assert experiments.two_slit_experiment(geom, n_events=2000, seed=3)["passed"]
+        assert calls == {"prepare_conditioned": 1, "dft_basis": 0, "momentum_projector": 0}
+
+    def test_split_clamp_reported_below_budget(self):
+        result = experiments.two_slit_experiment(
+            experiments.symmetric64_geometry(), n_events=2000, seed=7
+        )
+        clamp = result["split_clamp"]
+        assert set(clamp) == {"a", "b", "budget"}
+        assert clamp["budget"] == pytest.approx(64e-6)
+        assert 0.0 <= clamp["a"] <= clamp["budget"] and 0.0 <= clamp["b"] <= clamp["budget"]
+
+    def test_result_reports_the_split_clamp(self):
+        # a geometry whose split clamps rounding-level negative mass
+        geom = SlitGeometry(20, frozenset({8, 11}), frozenset({17, 18}))
+        p_a, p_b = slit_projectors(geom)
+        split = screen_split(prepare_conditioned(uniform_source(20), p_a, p_b), p_a, p_b)
+        clamp = experiments.two_slit_experiment(geom, 2000, 1)["split_clamp"]
+        assert (clamp["a"], clamp["b"], clamp["budget"]) == (*split.clamped, split.budget)
