@@ -30,8 +30,6 @@ PROJECTOR_TOL = 1e-10
 
 _context_counter = itertools.count()
 
-MatrixLike = "np.ndarray | DynamicalVariable"
-
 
 def as_matrix(a) -> np.ndarray:
     """Coerce a DynamicalVariable/Observable or array-like to a complex ndarray."""
@@ -53,6 +51,21 @@ def _check_same_dim(*mats: np.ndarray) -> int:
 def is_hermitian(a, tol: float = HERM_TOL) -> bool:
     m = as_matrix(a)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+
+
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix in a (k, d, d) stack."""
+    return np.abs(stack).max(axis=(1, 2))
+
+
+def _clusters(values: np.ndarray, tol: float) -> list:
+    """[start, stop) index ranges of sorted values, split where a gap exceeds tol.
+
+    `values` may be complex (sorted lexicographically); the gap is the
+    modulus of the difference of neighbours.
+    """
+    cuts = (np.flatnonzero(np.abs(np.diff(values)) > tol) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(values)]))
 
 
 @dataclass(frozen=True)
@@ -94,11 +107,9 @@ class DynamicalVariable:
 class Observable(DynamicalVariable):
     """Hermitian dynamical variable."""
 
-    herm_tol: float = HERM_TOL
-
     def __post_init__(self):
         super().__post_init__()
-        if not is_hermitian(self.entries, self.herm_tol):
+        if not is_hermitian(self.entries):
             raise NotHermitianError("observable must be Hermitian within tolerance")
 
 
@@ -106,53 +117,53 @@ class Observable(DynamicalVariable):
 class Context:
     """Complete family of orthogonal projectors; one measurement device type.
 
-    Maximal (a MASA) when every projector has rank one.
+    The projectors are stored as one read-only (k, d, d) array, one
+    projector per branch.  Maximal (a MASA) when every projector has rank one.
     """
 
-    projectors: tuple
+    projectors: np.ndarray
     id: str = field(default="")
-    tol: float = PROJECTOR_TOL
 
     def __post_init__(self):
-        projs = []
-        for p in self.projectors:
-            m = np.array(as_matrix(p), dtype=complex)
-            m.setflags(write=False)
-            projs.append(m)
-        if not projs:
+        mats = [as_matrix(p) for p in self.projectors]
+        if not mats:
             raise ValueError("context needs at least one projector")
-        dim = _check_same_dim(*projs)
-        tol = self.tol
-        for i, p in enumerate(projs):
-            if np.max(np.abs(p - p.conj().T)) > tol:
+        dim = _check_same_dim(*mats)
+        p = np.array(mats, dtype=complex)
+        not_hermitian = _max_abs(p - p.conj().transpose(0, 2, 1)) > PROJECTOR_TOL
+        not_idempotent = _max_abs(p @ p - p) > PROJECTOR_TOL
+        bad = np.flatnonzero(not_hermitian | not_idempotent)
+        if bad.size:
+            i = bad[0]
+            if not_hermitian[i]:
                 raise NotHermitianError(f"projector {i} is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > tol:
-                raise ValueError(f"projector {i} is not idempotent")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if np.max(np.abs(projs[i] @ projs[j])) > tol:
-                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
-        total = sum(projs)
-        if np.max(np.abs(total - np.eye(dim))) > tol:
+            raise ValueError(f"projector {i} is not idempotent")
+        # pairs in batches of k, so the products take no more memory than p
+        rows, cols = np.triu_indices(len(p), 1)
+        for lo in range(0, rows.size, len(p)):
+            i, j = rows[lo:lo + len(p)], cols[lo:lo + len(p)]
+            overlap = np.flatnonzero(_max_abs(p[i] @ p[j]) > PROJECTOR_TOL)
+            if overlap.size:
+                n = overlap[0]
+                raise ValueError(f"projectors {i[n]} and {j[n]} are not orthogonal")
+        if np.max(np.abs(p.sum(axis=0) - np.eye(dim))) > PROJECTOR_TOL:
             raise ValueError("projectors do not sum to the identity")
-        object.__setattr__(self, "projectors", tuple(projs))
+        p.setflags(write=False)
+        object.__setattr__(self, "projectors", p)
         if not self.id:
             object.__setattr__(self, "id", f"ctx{next(_context_counter)}")
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     @property
     def n_branches(self) -> int:
-        return len(self.projectors)
+        return self.projectors.shape[0]
 
     @property
     def is_maximal(self) -> bool:
-        return all(round(np.trace(p).real) == 1 for p in self.projectors)
-
-    def branch_rank(self, i: int) -> int:
-        return round(np.trace(self.projectors[i]).real)
+        return bool(np.all(np.rint(np.trace(self.projectors, axis1=1, axis2=2).real) == 1))
 
 
 @dataclass(frozen=True)
@@ -246,14 +257,10 @@ def spectral_decompose(a, tol: float | None = None):
     if tol is None:
         tol = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
     out = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol:
-            block = v[:, start:i]
-            proj = block @ block.conj().T
-            proj = 0.5 * (proj + proj.conj().T)
-            out.append((float(np.mean(w[start:i])), proj))
-            start = i
+    for start, stop in _clusters(w, tol):
+        block = v[:, start:stop]
+        proj = block @ block.conj().T
+        out.append((float(np.mean(w[start:stop])), 0.5 * (proj + proj.conj().T)))
     return out
 
 
@@ -334,13 +341,10 @@ def masa_from_pair(a, b, context_id: str = "") -> Context:
     diag = diag[order]
     scale = max(np.max(np.abs(diag)), 1e-12)
     projs = []
-    start = 0
-    for i in range(1, len(diag) + 1):
-        if i == len(diag) or abs(diag[i] - diag[i - 1]) > 1e-8 * scale:
-            block = joint[:, start:i]
-            proj = block @ block.conj().T
-            projs.extend(_split_eigenspace(0.5 * (proj + proj.conj().T), np.eye(ma.shape[0], dtype=complex)))
-            start = i
+    for start, stop in _clusters(diag, 1e-8 * scale):
+        block = joint[:, start:stop]
+        proj = block @ block.conj().T
+        projs.extend(_split_eigenspace(0.5 * (proj + proj.conj().T), np.eye(ma.shape[0], dtype=complex)))
     return Context(projectors=tuple(projs), id=context_id)
 
 
@@ -348,28 +352,47 @@ def contains(q: Context, a, tol: float = COMMUTE_TOL) -> bool:
     """True iff the observable commutes with every projector of the context."""
     m = as_matrix(a)
     _check_same_dim(m, q.projectors[0])
-    return all(np.max(np.abs(m @ p - p @ m)) <= tol for p in q.projectors)
+    return bool(np.max(np.abs(m @ q.projectors - q.projectors @ m)) <= tol)
+
+
+def _branch_values(
+    q: Context, a, tol: float = COMMUTE_TOL, const_tol: float = 1e-8, branch=None
+) -> np.ndarray:
+    """Eigenvalue of the observable on each branch of the context.
+
+    Raises IncompatibleObservableError unless the observable commutes with
+    the context within `tol` (max-abs commutator) and is constant, within
+    `const_tol`, on every branch, or on `branch` alone when given: a
+    commuting observable can still vary inside a rank > 1 branch.
+    """
+    m = as_matrix(a)
+    if not contains(q, m, tol):
+        raise IncompatibleObservableError(
+            f"observable is not measurable with a device of type {q.id!r}"
+        )
+    p = q.projectors
+    pm = p @ m
+    values = (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
+    # p m stands in for m p: the commutator check above bounds their difference
+    drift = _max_abs(pm - values[:, None, None] * p)
+    varies = np.flatnonzero(drift > const_tol * np.maximum(1.0, np.abs(values)))
+    if branch is not None:
+        varies = varies[varies == branch]
+    if varies.size:
+        raise IncompatibleObservableError(
+            f"observable is not constant on branch {varies[0]} of context {q.id!r}"
+        )
+    return values
 
 
 def evaluate(chi: Character, a, tol: float = 1e-8) -> float:
     """Eigenvalue of the observable on the character's branch.
 
     Raises IncompatibleObservableError when the observable is not diagonal
-    in the character's context (the value would depend on the device type).
+    in the character's context (the value would depend on the device type),
+    or is not constant on the character's branch.
     """
-    m = as_matrix(a)
-    p = chi.context.projectors[chi.branch]
-    _check_same_dim(m, p)
-    if not contains(chi.context, m, tol=tol):
-        raise IncompatibleObservableError(
-            f"observable is not measurable with a device of type {chi.context_id!r}"
-        )
-    lam = (np.trace(p @ m) / np.trace(p)).real
-    if np.max(np.abs(m @ p - lam * p)) > tol * max(1.0, abs(lam)):
-        raise IncompatibleObservableError(
-            "observable is compatible with the context but not constant on the branch"
-        )
-    return float(lam)
+    return float(_branch_values(chi.context, a, tol, tol, branch=chi.branch)[chi.branch])
 
 
 def is_stable(phi: ElementaryState, a, family: ContextFamily, tol: float = 1e-8) -> bool:

@@ -20,10 +20,10 @@ from aqm import experiments, interferometer, two_slit
 from aqm.errors import ConfigError, ModelViolationError
 from aqm.serialize import write_json_atomic
 
-_COMMON_KEYS = {"experiment", "seed", "n_events", "out"}
+_COMMON_KEYS = {"experiment", "seed", "out"}
 _ALLOWED_KEYS = {
-    "two-slit": _COMMON_KEYS | {"preset", "n_sites", "slit_a", "slit_b"},
-    "delayed-choice": _COMMON_KEYS | {"m4", "p", "write_events"},
+    "two-slit": _COMMON_KEYS | {"n_events", "preset", "n_sites", "slit_a", "slit_b"},
+    "delayed-choice": _COMMON_KEYS | {"n_events", "m4", "p", "write_events"},
     "postulates": _COMMON_KEYS | {"dim", "trials"},
     "khinchin": _COMMON_KEYS | {"n_seeds", "n_small", "n_big", "dim"},
 }
@@ -191,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n", type=int, default=None, dest="n_events")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("two-slit", help="two-slit scattering experiment")
     common(p)
+    p.add_argument("--n", type=int, default=None, dest="n_events")
     p.add_argument("--preset", default=None, choices=["symmetric64"])
     p.add_argument("--n-sites", type=int, default=None, dest="n_sites")
     p.add_argument("--slit-a", default=None, dest="slit_a",
@@ -204,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delayed-choice", help="delayed-choice interferometer")
     common(p)
+    p.add_argument("--n", type=int, default=None, dest="n_events")
     p.add_argument("--m4", default=None,
                    choices=["present", "absent", "delayed-random", "delayed-alternating"])
     p.add_argument("--p", type=float, default=None,

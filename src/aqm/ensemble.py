@@ -19,17 +19,13 @@ import numpy as np
 from aqm.algebra import (
     Character,
     Context,
+    _branch_values,
     _check_same_dim,
+    _clusters,
     as_matrix,
-    contains,
-    evaluate,
     is_hermitian,
 )
-from aqm.errors import (
-    ImpossibleEventError,
-    IncompatibleObservableError,
-    NotHermitianError,
-)
+from aqm.errors import ImpossibleEventError, NotHermitianError
 
 STATE_TOL = 1e-10
 
@@ -103,7 +99,7 @@ class MeasurementRecord:
 def born_distribution(psi: QuantumState, q: Context) -> BranchDistribution:
     """p_i = tr(rho P_i), clamped to [0, 1] and renormalized."""
     _check_same_dim(psi.rho, q.projectors[0])
-    p = np.array([np.trace(psi.rho @ proj).real for proj in q.projectors])
+    p = np.trace(psi.rho @ q.projectors, axis1=1, axis2=2).real
     p = np.clip(p, 0.0, 1.0)
     return BranchDistribution(context_id=q.id, probs=p / p.sum())
 
@@ -136,14 +132,14 @@ def measure(
     trial: int = 0,
     seed: int = 0,
 ):
-    """One projective measurement: sampled value, Lueders post-state, record."""
-    m = as_matrix(a)
-    if not contains(q, m):
-        raise IncompatibleObservableError(
-            f"observable {label!r} is not measurable with a device of type {q.id!r}"
-        )
+    """One projective measurement: sampled value, Lueders post-state, record.
+
+    The observable must commute with the context and be constant on every
+    branch; both are checked before the branch is drawn.
+    """
+    values = _branch_values(q, a)
     chi = sample_character(psi, q, rng)
-    value = evaluate(chi, m)
+    value = float(values[chi.branch])
     proj = q.projectors[chi.branch]
     weight = np.trace(psi.rho @ proj).real
     rho = proj @ psi.rho @ proj / weight
@@ -152,23 +148,6 @@ def measure(
         observable=label, context_id=q.id, value=value, trial=trial, seed=seed
     )
     return value, post, record
-
-
-def branch_values(a, q: Context, check: bool = False, tol: float = 1e-8) -> np.ndarray:
-    """Eigenvalue of the observable on each branch of the context.
-
-    With check=True, verifies the observable is constant on every branch
-    (a commuting observable can still vary inside a rank>1 branch).
-    """
-    m = as_matrix(a)
-    values = np.array([(np.trace(p @ m) / np.trace(p)).real for p in q.projectors])
-    if check:
-        for lam, p in zip(values, q.projectors):
-            if np.max(np.abs(m @ p - lam * p)) > tol * max(1.0, abs(lam)):
-                raise IncompatibleObservableError(
-                    "observable is not constant on every branch of the context"
-                )
-    return values
 
 
 def monte_carlo_mean(
@@ -181,11 +160,8 @@ def monte_carlo_mean(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = as_matrix(a)
-    if not contains(q, m):
-        raise IncompatibleObservableError("observable not measurable in this context")
+    values = _branch_values(q, a)
     dist = born_distribution(psi, q)
-    values = branch_values(m, q, check=True)
     draws = values[inverse_cdf(dist.probs, rng.random(n))]
     estimate = float(draws.mean())
     stderr = float(draws.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -196,19 +172,14 @@ def monte_carlo_mean(
 # Postulate checks
 
 
-def _pushforward(psi: QuantumState, a, q: Context, tol: float = 1e-8):
-    """Exact value distribution of the observable under one context."""
-    dist = born_distribution(psi, q)
-    values = branch_values(a, q, check=True)
+def _pushforward(probs: np.ndarray, values: np.ndarray):
+    """Exact value distribution: branch probabilities summed per distinct value."""
     order = np.argsort(values)
-    out_v, out_p = [], []
-    for i in order:
-        if out_v and values[i] - out_v[-1] <= tol:
-            out_p[-1] += dist.probs[i]
-        else:
-            out_v.append(float(values[i]))
-            out_p.append(float(dist.probs[i]))
-    return np.array(out_v), np.array(out_p)
+    values, probs = values[order], probs[order]
+    bounds = _clusters(values, 1e-8)
+    # cumsum adds each cluster's probabilities in sorted order, one at a time
+    mass = [np.cumsum(probs[start:stop])[-1] for start, stop in bounds]
+    return values[[start for start, _ in bounds]], np.array(mass)
 
 
 def _distribution_distance(v1, p1, v2, p2, tol: float = 1e-8) -> float:
@@ -252,14 +223,10 @@ def check_postulate5(
     context is run as a smoke test at alpha = 0.01.  `sampler` overrides
     the per-context branch sampler (used for negative controls).
     """
-    m = as_matrix(a)
-    for ctx in (q, qp):
-        if not contains(ctx, m):
-            raise IncompatibleObservableError(
-                f"observable not measurable in context {ctx.id!r}"
-            )
-    v1, p1 = _pushforward(psi, m, q)
-    v2, p2 = _pushforward(psi, m, qp)
+    values = _branch_values(q, a)
+    values_p = _branch_values(qp, a)
+    v1, p1 = _pushforward(born_distribution(psi, q).probs, values)
+    v2, p2 = _pushforward(born_distribution(psi, qp).probs, values_p)
     exact = _distribution_distance(v1, p1, v2, p2)
 
     def default_sampler(ctx, size):
@@ -269,8 +236,7 @@ def check_postulate5(
     # jitter between the two contexts' branch eigenvalues breaks the KS
     # statistic for what are physically identical discrete values
     grid = np.sort(np.concatenate([v1, v2]))
-    keep = np.concatenate([[True], np.diff(grid) > 1e-8])
-    grid = grid[keep]
+    grid = grid[[start for start, _ in _clusters(grid, 1e-8)]]
 
     def snap(vals):
         idx = np.clip(np.searchsorted(grid, vals), 0, len(grid) - 1)
@@ -279,8 +245,8 @@ def check_postulate5(
         return grid[np.where(use_left, left, idx)]
 
     draw = sampler or default_sampler
-    x = snap(branch_values(m, q)[draw(q, n)])
-    y = snap(branch_values(m, qp)[draw(qp, n)])
+    x = snap(values[draw(q, n)])
+    y = snap(values_p[draw(qp, n)])
     stat = ks_statistic(x, y)
     critical = 1.6276 * np.sqrt(2.0 / n)  # alpha = 0.01
     passed = exact <= 1e-10 and stat < critical

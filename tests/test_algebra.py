@@ -154,6 +154,36 @@ class TestContextInvariants:
         with pytest.raises(ValueError):
             Context(projectors=(np.diag([1.0, 0.0]),))
 
+    def test_projectors_are_one_read_only_stack(self):
+        ctx = masa_from(np.diag([1.0, 1.0, 2.0]))
+        assert ctx.projectors.shape == (3, 3, 3)
+        assert not ctx.projectors.flags.writeable
+        assert (ctx.dim, ctx.n_branches) == (3, 3)
+
+
+_E = np.eye(3)
+_V = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
+
+
+@pytest.mark.parametrize(
+    "projectors, error, message",
+    [
+        ((), ValueError, "at least one projector"),
+        # an oblique (idempotent, non-Hermitian) projector
+        ((np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 1.0]])), NotHermitianError,
+         "projector 1 is not Hermitian"),
+        ((np.diag([1.0, 0.0]), np.diag([0.0, 2.0])), ValueError, "projector 1 is not idempotent"),
+        # the offending pair (1, 3) lies in the second batch of pairs
+        ((np.diag(_E[0]), np.diag(_E[1]), np.diag(_E[2]), np.outer(_V, _V)), ValueError,
+         "projectors 1 and 3 are not orthogonal"),
+        ((np.diag([1.0, 0.0]),), ValueError, "do not sum to the identity"),
+    ],
+    ids=["empty", "not-hermitian", "not-idempotent", "not-orthogonal", "incomplete"],
+)
+def test_context_rejects_bad_projectors(projectors, error, message):
+    with pytest.raises(error, match=message):
+        Context(projectors=projectors)
+
 
 class TestContains:
     def test_sigma_z_context_examples(self):
@@ -175,6 +205,14 @@ class TestEvaluate:
         chi = Character(masa_from(SIGMA_Z), 0)
         with pytest.raises(IncompatibleObservableError):
             evaluate(chi, SIGMA_X)
+
+    def test_only_the_characters_branch_must_be_constant(self):
+        # diag(1, 2, 3) commutes with the context but varies on its rank-2 branch
+        ctx = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
+        a = np.diag([1.0, 2.0, 3.0])
+        assert evaluate(Character(ctx, 1), a) == 3.0
+        with pytest.raises(IncompatibleObservableError, match="not constant on branch 0"):
+            evaluate(Character(ctx, 0), a)
 
     def test_homomorphism_on_random_context(self):
         rng = np.random.default_rng(11)

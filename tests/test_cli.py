@@ -135,6 +135,21 @@ class TestPostulatesCommand:
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["result"]["passed"]
+        assert "n_events" not in result["config"]
+
+    def test_replay_is_byte_identical(self, tmp_path):
+        args = ["postulates", "--dim", "4", "--trials", "10", "--seed", "3",
+                "--out", str(tmp_path / "run")]
+        assert run_cli(*args) == 0
+        first = (tmp_path / "run" / "result.json").read_bytes()
+        assert run_cli(*args) == 0
+        assert (tmp_path / "run" / "result.json").read_bytes() == first
+
+    def test_event_count_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_events": 1000}))
+        assert run_cli("postulates", "--config", str(cfg), "--out", str(tmp_path / "run")) == 1
+        assert "unknown config keys for postulates: ['n_events']" in capsys.readouterr().err
 
 
 class TestKhinchinCommand:
@@ -147,6 +162,14 @@ class TestKhinchinCommand:
         result = json.loads((out / "result.json").read_text())
         assert "ratio" in result["result"]
         assert code in (0, 2)  # small sizes may sit outside the band
+
+    def test_replay_is_byte_identical(self, tmp_path):
+        args = ["khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000",
+                "--seed", "2", "--out", str(tmp_path / "run")]
+        code = run_cli(*args)
+        first = (tmp_path / "run" / "result.json").read_bytes()
+        assert run_cli(*args) == code
+        assert (tmp_path / "run" / "result.json").read_bytes() == first
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aqm.algebra import Context, masa_from
+from aqm import algebra, ensemble
+from aqm.algebra import Character, Context, evaluate, masa_from
 from aqm.ensemble import (
     MeasurementRecord,
     QuantumState,
@@ -102,6 +103,41 @@ class TestMeasure:
     def test_incompatible_raises(self):
         with pytest.raises(IncompatibleObservableError):
             measure(PLUS, SIGMA_X, Z_CTX, stream(0))
+
+    def test_rejects_observable_varying_inside_a_branch_before_drawing(self):
+        # diag(1, 2, 3) commutes with the context but is not constant on its
+        # rank-2 branch; the state sits on the rank-1 branch, where it is 3
+        ctx = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
+        a = np.diag([1.0, 2.0, 3.0])
+        rng = stream(0)
+        with pytest.raises(IncompatibleObservableError):
+            measure(QuantumState.pure([0.0, 0.0, 1.0]), a, ctx, rng)
+        assert rng.random() == stream(0).random()  # nothing was drawn
+        assert evaluate(Character(ctx, 1), a) == 3.0
+
+    def test_commutator_tolerance_is_tighter_than_evaluate(self):
+        # a commutator of 1e-9 passes evaluate's 1e-8 but not measurement's 1e-10
+        a = SIGMA_Z + 1e-9 * SIGMA_X
+        assert evaluate(Character(Z_CTX, _z_branch(-1)), a) == -1.0
+        with pytest.raises(IncompatibleObservableError):
+            measure(PLUS, a, Z_CTX, stream(0))
+        with pytest.raises(IncompatibleObservableError):
+            monte_carlo_mean(PLUS, a, Z_CTX, 10, stream(0))
+        with pytest.raises(IncompatibleObservableError):
+            check_postulate5(PLUS, a, Z_CTX, Z_CTX, 10, stream(0))
+
+    def test_checks_the_observable_against_the_context_once(self, monkeypatch):
+        calls = []
+        original = algebra.contains
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (algebra, ensemble):  # wherever measure could look it up
+            monkeypatch.setattr(module, "contains", counted, raising=False)
+        measure(PLUS, SIGMA_Z, Z_CTX, stream(0))
+        assert len(calls) == 1
 
     def test_same_distribution_under_two_contexts_dim4(self):
         # A = sigma_z on a doubled register; two refinements of its

@@ -3,11 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqm.algebra import Character, masa_from, spectral_decompose
+from aqm.algebra import Character, evaluate, masa_from, spectral_decompose
 from aqm import two_slit
 from aqm.ensemble import born_distribution
 from aqm.errors import ModelViolationError
-from aqm.experiments import random_density, random_hermitian
+from aqm.experiments import (
+    random_degenerate_observable,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 from aqm.interferometer import DeviceConfig, wave_probabilities
 from aqm.two_slit import (
     CLAMP_BUDGET,
@@ -44,6 +49,19 @@ def test_character_homomorphism(seed, dim):
     b = sum(c * p for c, p in zip(coeffs[1], ctx.projectors))
     assert abs(chi(a @ b) - chi(a) * chi(b)) <= 1e-9
     assert abs(chi(a + b) - chi(a) - chi(b)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 12))
+def test_stacked_context_matches_the_per_projector_loop(seed, dim):
+    rng = np.random.default_rng(seed)
+    a = random_degenerate_observable(dim, rng)
+    ctx = masa_from(a, refinement=random_unitary(dim, rng))
+    psi = random_density(dim, rng)
+    weights = np.clip([np.trace(psi.rho @ p).real for p in ctx.projectors], 0.0, 1.0)
+    assert born_distribution(psi, ctx).probs.tolist() == (weights / weights.sum()).tolist()
+    values = [float((np.trace(p @ a) / np.trace(p)).real) for p in ctx.projectors]
+    assert [evaluate(Character(ctx, i), a) for i in range(ctx.n_branches)] == values
 
 
 @settings(max_examples=40, deadline=None)
