@@ -182,8 +182,15 @@ def run(config: dict) -> int:
     return 0 if result.get("passed", True) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are config errors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aqm", description="Contextual quantum mechanics experiment runner"
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
@@ -237,10 +244,10 @@ def _parse_sites(value):
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    experiment = args.pop("experiment")
-    config_path = args.pop("config", None)
     try:
+        args = vars(build_parser().parse_args(argv))
+        experiment = args.pop("experiment")
+        config_path = args.pop("config", None)
         for key in ("slit_a", "slit_b"):
             if key in args:
                 args[key] = _parse_sites(args[key])

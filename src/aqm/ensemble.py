@@ -135,19 +135,48 @@ def measure(
     """One projective measurement: sampled value, Lueders post-state, record.
 
     The observable must commute with the context and be constant on every
-    branch; both are checked before the branch is drawn.
+    branch; both are checked before the branch is drawn.  This is
+    `measure_many` on one uniform drawn from rng.
     """
     values = _branch_values(q, a)
-    chi = sample_character(psi, q, rng)
-    value = float(values[chi.branch])
-    proj = q.projectors[chi.branch]
-    weight = np.trace(psi.rho @ proj).real
-    rho = proj @ psi.rho @ proj / weight
-    post = QuantumState(0.5 * (rho + rho.conj().T))
+    vals, branches, posts = _measure_checked(psi, values, q, [rng.random()])
+    value = float(vals[0])
     record = MeasurementRecord(
         observable=label, context_id=q.id, value=value, trial=trial, seed=seed
     )
-    return value, post, record
+    return value, posts[int(branches[0])], record
+
+
+def measure_many(psi: QuantumState, a, q: Context, u):
+    """Projective measurements of fresh copies of the state, one per uniform in u.
+
+    Returns (values, branches, posts): the value and the branch drawn for
+    each uniform, and a dict from each drawn branch to its Lueders
+    post-state.  The uniforms give the same draws as that many calls to
+    `measure` on a generator yielding them; the pair is checked once, and
+    a post-state is built only for a branch that was drawn.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all((u >= 0.0) & (u <= 1.0)):
+        raise ValueError("uniforms must lie in [0, 1]")
+    return _measure_checked(psi, _branch_values(q, a), q, u)
+
+
+def _measure_checked(psi: QuantumState, values: np.ndarray, q: Context, u):
+    """measure_many once the branch values of the pair are known."""
+    branches = inverse_cdf(born_distribution(psi, q).probs, u)
+    drawn = np.flatnonzero(np.bincount(branches, minlength=q.n_branches))
+    posts = {}
+    for j in drawn.tolist():
+        proj = q.projectors[j]
+        posts[j] = _lueders(psi, proj, np.trace(psi.rho @ proj).real)
+    return values[branches], branches, posts
+
+
+def _lueders(psi: QuantumState, proj: np.ndarray, weight: float) -> QuantumState:
+    """Lueders post-state P rho P / tr(rho P), symmetrized against rounding."""
+    rho = proj @ psi.rho @ proj / weight
+    return QuantumState(0.5 * (rho + rho.conj().T))
 
 
 def monte_carlo_mean(
@@ -225,12 +254,14 @@ def check_postulate5(
     """
     values = _branch_values(q, a)
     values_p = _branch_values(qp, a)
-    v1, p1 = _pushforward(born_distribution(psi, q).probs, values)
-    v2, p2 = _pushforward(born_distribution(psi, qp).probs, values_p)
+    probs = born_distribution(psi, q).probs
+    probs_p = born_distribution(psi, qp).probs
+    v1, p1 = _pushforward(probs, values)
+    v2, p2 = _pushforward(probs_p, values_p)
     exact = _distribution_distance(v1, p1, v2, p2)
 
-    def default_sampler(ctx, size):
-        return inverse_cdf(born_distribution(psi, ctx).probs, rng.random(size))
+    def draw(ctx, ctx_probs):
+        return sampler(ctx, n) if sampler else inverse_cdf(ctx_probs, rng.random(n))
 
     # snap sampled values onto one merged value grid; without this, float
     # jitter between the two contexts' branch eigenvalues breaks the KS
@@ -244,9 +275,8 @@ def check_postulate5(
         use_left = np.abs(grid[left] - vals) < np.abs(grid[idx] - vals)
         return grid[np.where(use_left, left, idx)]
 
-    draw = sampler or default_sampler
-    x = snap(values[draw(q, n)])
-    y = snap(values_p[draw(qp, n)])
+    x = snap(values[draw(q, probs)])
+    y = snap(values_p[draw(qp, probs_p)])
     stat = ks_statistic(x, y)
     critical = 1.6276 * np.sqrt(2.0 / n)  # alpha = 0.01
     passed = exact <= 1e-10 and stat < critical
@@ -272,8 +302,7 @@ def condition_on_event(psi: QuantumState, event, tol: float = 1e-8) -> QuantumSt
     weight = np.trace(psi.rho @ e).real
     if weight <= 1e-12:
         raise ImpossibleEventError("conditioning on an event of probability zero")
-    rho = e @ psi.rho @ e / weight
-    return QuantumState(0.5 * (rho + rho.conj().T))
+    return _lueders(psi, e, weight)
 
 
 def write_records_csv(records, path) -> None:

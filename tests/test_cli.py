@@ -188,6 +188,29 @@ def test_bad_experiment_size_is_config_error(tmp_path, capsys, argv, key):
     assert f"config error: {key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("postulates", "--n", "5"), "unrecognized arguments: --n 5"),
+        (("delayed-choice", "--m4", "maybe"), "argument --m4: invalid choice: 'maybe'"),
+        (("postulates", "--seed", "abc"), "argument --seed: invalid int value: 'abc'"),
+    ],
+    ids=["unknown-flag", "bad-choice", "bad-int"],
+)
+def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("postulates", "--help")
+    assert exc.value.code == 0
+    assert "--trials" in capsys.readouterr().out
+
+
 class TestExitCodes:
     def test_config_error_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

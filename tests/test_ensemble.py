@@ -12,6 +12,7 @@ from aqm.ensemble import (
     condition_on_event,
     inverse_cdf,
     measure,
+    measure_many,
     monte_carlo_mean,
     sample_character,
     write_records_csv,
@@ -85,6 +86,19 @@ class TestSampleCharacter:
         assert a == b
 
 
+def _count_contains(monkeypatch):
+    calls = []
+    original = algebra.contains
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (algebra, ensemble):  # wherever measure could look it up
+        monkeypatch.setattr(module, "contains", counted, raising=False)
+    return calls
+
+
 class TestMeasure:
     def test_eigenstate(self):
         value, post, record = measure(KET0, SIGMA_Z, Z_CTX, stream(0), label="sz")
@@ -127,15 +141,7 @@ class TestMeasure:
             check_postulate5(PLUS, a, Z_CTX, Z_CTX, 10, stream(0))
 
     def test_checks_the_observable_against_the_context_once(self, monkeypatch):
-        calls = []
-        original = algebra.contains
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        for module in (algebra, ensemble):  # wherever measure could look it up
-            monkeypatch.setattr(module, "contains", counted, raising=False)
+        calls = _count_contains(monkeypatch)
         measure(PLUS, SIGMA_Z, Z_CTX, stream(0))
         assert len(calls) == 1
 
@@ -161,13 +167,37 @@ class TestMeasure:
                 if np.trace(proj @ a).real > 0
             )
             assert weight == pytest.approx(expected, abs=1e-10)
-        draws = stream(3)
+        # the uniforms of stream(3) that 20 000 measure() calls in q and then
+        # 20 000 in qp would draw
         n = 20_000
-        f1 = sum(measure(psi, a, q, draws)[0] > 0 for _ in range(n)) / n
-        f2 = sum(measure(psi, a, qp, draws)[0] > 0 for _ in range(n)) / n
+        u = stream(3).random(2 * n)
+        f1 = np.count_nonzero(measure_many(psi, a, q, u[:n])[0] > 0) / n
+        f2 = np.count_nonzero(measure_many(psi, a, qp, u[n:])[0] > 0) / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert abs(f1 - expected) <= 4 * sigma + 1e-12
         assert abs(f2 - expected) <= 4 * sigma + 1e-12
+
+
+class TestMeasureMany:
+    def test_incompatible_raises(self):
+        with pytest.raises(IncompatibleObservableError):
+            measure_many(PLUS, SIGMA_X, Z_CTX, [0.5])
+
+    def test_rejects_observable_varying_inside_a_branch(self):
+        # the state sits on branch 0; diag(1, 2, 3) varies only on branch 1
+        ctx = Context(projectors=(np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0])))
+        with pytest.raises(IncompatibleObservableError):
+            measure_many(QuantumState.pure([0.0, 0.0, 1.0]), np.diag([1.0, 2.0, 3.0]), ctx, [0.5])
+
+    def test_checks_the_observable_against_the_context_once(self, monkeypatch):
+        calls = _count_contains(monkeypatch)
+        measure_many(PLUS, SIGMA_Z, Z_CTX, stream(0).random(100))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("u", [[-0.1], [1.5], [np.nan]])
+    def test_rejects_uniforms_outside_the_unit_interval(self, u):
+        with pytest.raises(ValueError):
+            measure_many(PLUS, SIGMA_Z, Z_CTX, u)
 
 
 class TestMonteCarloMean:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from aqm.algebra import Character, evaluate, masa_from, spectral_decompose
 from aqm import two_slit
-from aqm.ensemble import born_distribution
+from aqm.ensemble import QuantumState, born_distribution, measure, measure_many, sample_character
 from aqm.errors import ModelViolationError
 from aqm.experiments import (
     random_degenerate_observable,
@@ -14,6 +14,7 @@ from aqm.experiments import (
     random_unitary,
 )
 from aqm.interferometer import DeviceConfig, wave_probabilities
+from aqm.rng import stream
 from aqm.two_slit import (
     CLAMP_BUDGET,
     MomentumBin,
@@ -62,6 +63,38 @@ def test_stacked_context_matches_the_per_projector_loop(seed, dim):
     assert born_distribution(psi, ctx).probs.tolist() == (weights / weights.sum()).tolist()
     values = [float((np.trace(p @ a) / np.trace(p)).real) for p in ctx.projectors]
     assert [evaluate(Character(ctx, i), a) for i in range(ctx.n_branches)] == values
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 8), n=st.integers(1, 300))
+def test_measure_many_is_the_scalar_loop(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    a = random_degenerate_observable(dim, rng)
+    contexts = [masa_from(a, refinement=random_unitary(dim, rng)) for _ in range(2)]
+    psi = random_density(dim, rng)
+    for lane, ctx in enumerate(contexts):
+        scalar, twin = stream(seed, lane), stream(seed, lane)  # twin replays the branches
+        loop = [measure(psi, a, ctx, scalar)[:2] for _ in range(n)]
+        branches = [sample_character(psi, ctx, twin).branch for _ in range(n)]
+
+        batch = stream(seed, lane)
+        got_values, got_branches, posts = measure_many(psi, a, ctx, batch.random(n))
+        assert got_values.tolist() == [value for value, _ in loop]
+        assert got_branches.tolist() == branches
+        assert sorted(posts) == sorted(set(branches))
+        for (_, post), branch in zip(loop, branches):
+            assert np.array_equal(posts[branch].rho, post.rho)
+        assert batch.random() == scalar.random()
+
+
+def test_measure_many_never_draws_a_zero_probability_branch():
+    # the last branch has probability zero; u = 1 must not reach it
+    sz = np.diag([1.0, -1.0])
+    ctx = masa_from(sz)
+    values, branches, posts = measure_many(QuantumState.pure([0.0, 1.0]), sz, ctx, [0.0, 0.5, 1.0])
+    assert branches.tolist() == [0, 0, 0]
+    assert values.tolist() == [-1.0, -1.0, -1.0]
+    assert list(posts) == [0]
 
 
 @settings(max_examples=40, deadline=None)
