@@ -254,10 +254,7 @@ def main(argv=None) -> int:
         file_config = _load_config_file(config_path) if config_path else {}
         config = resolve_config(experiment, file_config, args)
         return run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

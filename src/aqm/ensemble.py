@@ -11,7 +11,6 @@ independence, functional linearity, and reproducibility numerically.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,39 +68,12 @@ class QuantumState:
         return float(np.trace(self.rho @ as_matrix(a)).real)
 
 
-@dataclass(frozen=True)
-class BranchDistribution:
-    """Born probabilities over the branches of one context."""
-
-    context_id: str
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.probs, dtype=float)
-        if np.any(p < -1e-12):
-            raise ValueError("negative branch probability")
-        s = p.sum()
-        if abs(s - 1.0) > STATE_TOL:
-            raise ValueError(f"branch probabilities sum to {s}, expected 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    observable: str
-    context_id: str
-    value: float
-    trial: int
-    seed: int
-
-
-def born_distribution(psi: QuantumState, q: Context) -> BranchDistribution:
-    """p_i = tr(rho P_i), clamped to [0, 1] and renormalized."""
+def born_distribution(psi: QuantumState, q: Context) -> np.ndarray:
+    """Branch probabilities p_i = tr(rho P_i), clamped to [0, 1] and renormalized."""
     _check_same_dim(psi.rho, q.projectors[0])
     p = np.trace(psi.rho @ q.projectors, axis1=1, axis2=2).real
     p = np.clip(p, 0.0, 1.0)
-    return BranchDistribution(context_id=q.id, probs=p / p.sum())
+    return p / p.sum()
 
 
 def inverse_cdf(probs, u):
@@ -119,20 +91,12 @@ def inverse_cdf(probs, u):
 
 def sample_character(psi: QuantumState, q: Context, rng: np.random.Generator) -> Character:
     """Draw one branch of the context by the Born rule."""
-    dist = born_distribution(psi, q)
-    return Character(context=q, branch=int(inverse_cdf(dist.probs, rng.random())))
+    probs = born_distribution(psi, q)
+    return Character(context=q, branch=int(inverse_cdf(probs, rng.random())))
 
 
-def measure(
-    psi: QuantumState,
-    a,
-    q: Context,
-    rng: np.random.Generator,
-    label: str = "A",
-    trial: int = 0,
-    seed: int = 0,
-):
-    """One projective measurement: sampled value, Lueders post-state, record.
+def measure(psi: QuantumState, a, q: Context, rng: np.random.Generator):
+    """One projective measurement: sampled value and Lueders post-state.
 
     The observable must commute with the context and be constant on every
     branch; both are checked before the branch is drawn.  This is
@@ -140,11 +104,7 @@ def measure(
     """
     values = _branch_values(q, a)
     vals, branches, posts = _measure_checked(psi, values, q, [rng.random()])
-    value = float(vals[0])
-    record = MeasurementRecord(
-        observable=label, context_id=q.id, value=value, trial=trial, seed=seed
-    )
-    return value, posts[int(branches[0])], record
+    return float(vals[0]), posts[int(branches[0])]
 
 
 def measure_many(psi: QuantumState, a, q: Context, u):
@@ -164,7 +124,7 @@ def measure_many(psi: QuantumState, a, q: Context, u):
 
 def _measure_checked(psi: QuantumState, values: np.ndarray, q: Context, u):
     """measure_many once the branch values of the pair are known."""
-    branches = inverse_cdf(born_distribution(psi, q).probs, u)
+    branches = inverse_cdf(born_distribution(psi, q), u)
     drawn = np.flatnonzero(np.bincount(branches, minlength=q.n_branches))
     posts = {}
     for j in drawn.tolist():
@@ -190,8 +150,8 @@ def monte_carlo_mean(
     if n < 1:
         raise ValueError("n must be >= 1")
     values = _branch_values(q, a)
-    dist = born_distribution(psi, q)
-    draws = values[inverse_cdf(dist.probs, rng.random(n))]
+    probs = born_distribution(psi, q)
+    draws = values[inverse_cdf(probs, rng.random(n))]
     estimate = float(draws.mean())
     stderr = float(draws.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return estimate, stderr
@@ -254,8 +214,8 @@ def check_postulate5(
     """
     values = _branch_values(q, a)
     values_p = _branch_values(qp, a)
-    probs = born_distribution(psi, q).probs
-    probs_p = born_distribution(psi, qp).probs
+    probs = born_distribution(psi, q)
+    probs_p = born_distribution(psi, qp)
     v1, p1 = _pushforward(probs, values)
     v2, p2 = _pushforward(probs_p, values_p)
     exact = _distribution_distance(v1, p1, v2, p2)
@@ -303,12 +263,3 @@ def condition_on_event(psi: QuantumState, event, tol: float = 1e-8) -> QuantumSt
     if weight <= 1e-12:
         raise ImpossibleEventError("conditioning on an event of probability zero")
     return _lueders(psi, e, weight)
-
-
-def write_records_csv(records, path) -> None:
-    """Export measurement records with columns trial,seed,context,observable,value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "context", "observable", "value"])
-        for r in records:
-            writer.writerow([r.trial, r.seed, r.context_id, r.observable, repr(r.value)])

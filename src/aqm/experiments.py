@@ -29,9 +29,8 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     return scale * 0.5 * (m + m.conj().T)
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> QuantumState:
-    r = rank or dim
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+def random_density(dim: int, rng: np.random.Generator) -> QuantumState:
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return QuantumState(rho / np.trace(rho).real)
 

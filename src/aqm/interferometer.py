@@ -15,7 +15,6 @@ the configuration at arrival matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,10 +63,11 @@ def wave_probabilities(config: DeviceConfig, phase_a: float = 0.0):
     return float(p[0]), float(p[1])
 
 
-@lru_cache(maxsize=None)
-def _steering_prob(transmit: complex, reflect: complex) -> float:
-    """Detector-B probability of the wave model with the mirror present."""
-    return wave_probabilities(DeviceConfig(True, transmit, reflect))[1]
+# The particle model runs the default 50/50 device: a uniform below
+# _P_PATH_A puts the kernel on path A, and with the mirror present the
+# detector is B with the wave model's probability _P_STEERED_DB.
+_P_PATH_A = abs(DeviceConfig(m4_present=False).transmit) ** 2
+_P_STEERED_DB = wave_probabilities(DeviceConfig(m4_present=True))[1]
 
 
 class ChoicePolicy:
@@ -132,11 +132,7 @@ class PhotonEvents:
         return len(self.detector)
 
 
-def particle_run(
-    m4_at_arrival: bool,
-    rng: np.random.Generator,
-    config: DeviceConfig | None = None,
-) -> tuple[int, int]:
+def particle_run(m4_at_arrival: bool, rng: np.random.Generator) -> tuple[int, int]:
     """One photon through the particle model; returns (kernel_path, detector).
 
     The scalar reference for run_events.  The kernel picks a path at M1
@@ -146,33 +142,24 @@ def particle_run(
     wave distribution regardless of the kernel's path; with it absent,
     path A lands on detector A and path B on detector B.
     """
-    base = config or DeviceConfig(m4_present=False)
-    kernel_path = PATH_A if rng.random() < abs(base.transmit) ** 2 else PATH_B
+    kernel_path = PATH_A if rng.random() < _P_PATH_A else PATH_B
     if m4_at_arrival:
-        p_db = _steering_prob(complex(base.transmit), complex(base.reflect))
-        detector = DETECTOR_B if rng.random() < p_db else DETECTOR_A
+        detector = DETECTOR_B if rng.random() < _P_STEERED_DB else DETECTOR_A
     else:
         detector = DETECTOR_A if kernel_path == PATH_A else DETECTOR_B
     return kernel_path, detector
 
 
-def run_events(
-    policy: ChoicePolicy,
-    n: int,
-    seed: int,
-    config: DeviceConfig | None = None,
-) -> PhotonEvents:
+def run_events(policy: ChoicePolicy, n: int, seed: int) -> PhotonEvents:
     """n independent photons, one counter-addressed stream per event.
 
     Vectorized over events; bit-identical to calling particle_run with
     the policy's decision and event_stream(seed, i) for each event.
     """
-    base = config or DeviceConfig(m4_present=False)
     u = event_uniforms(seed, n)
-    paths = (u[:, 0] >= abs(base.transmit) ** 2).astype(np.uint8)
+    paths = (u[:, 0] >= _P_PATH_A).astype(np.uint8)
     m4 = policy.decide_batch(n)
-    p_db = _steering_prob(complex(base.transmit), complex(base.reflect))
-    steered = (u[:, 1] < p_db).astype(np.uint8)
+    steered = (u[:, 1] < _P_STEERED_DB).astype(np.uint8)
     detector = np.where(m4, steered, paths)
     return PhotonEvents(kernel_path=paths, m4_at_arrival=m4, detector=detector, seed=seed)
 
@@ -197,7 +184,7 @@ class EquivalenceReport:
     passed: bool
 
 
-def summarize_events(events, config: DeviceConfig | None = None) -> EquivalenceReport:
+def summarize_events(events) -> EquivalenceReport:
     """Compare particle-model detector frequencies against the wave model.
 
     Per mirror sub-ensemble: deviation of the empirical detector
@@ -207,7 +194,6 @@ def summarize_events(events, config: DeviceConfig | None = None) -> EquivalenceR
     """
     if len(events) < 1000:
         raise ValueError("need at least 1000 events for a meaningful comparison")
-    base = config or DeviceConfig(m4_present=False)
     at_da = events.detector == DETECTOR_A
     stats = []
     for m4 in (False, True):
@@ -215,8 +201,7 @@ def summarize_events(events, config: DeviceConfig | None = None) -> EquivalenceR
         n = int(np.count_nonzero(sub))
         if not n:
             continue
-        cfg = DeviceConfig(m4, base.transmit, base.reflect)
-        p_da, p_db = wave_probabilities(cfg)
+        p_da, p_db = wave_probabilities(DeviceConfig(m4))
         f_da = int(np.count_nonzero(at_da & sub)) / n
         f_db = 1.0 - f_da
         dev = max(abs(f_da - p_da), abs(f_db - p_db))
@@ -244,14 +229,9 @@ def summarize_events(events, config: DeviceConfig | None = None) -> EquivalenceR
     )
 
 
-def equivalence_report(
-    policy: ChoicePolicy,
-    n: int,
-    seed: int,
-    config: DeviceConfig | None = None,
-) -> EquivalenceReport:
+def equivalence_report(policy: ChoicePolicy, n: int, seed: int) -> EquivalenceReport:
     """Run n photons under the policy and compare against the wave model."""
-    return summarize_events(run_events(policy, n, seed, config=config), config=config)
+    return summarize_events(run_events(policy, n, seed))
 
 
 def write_events_csv(events: PhotonEvents, path) -> None:

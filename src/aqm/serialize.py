@@ -1,8 +1,7 @@
-"""Matrix and result serialization for configs and result files.
+"""Result serialization.
 
-Matrices travel as row-major lists of (re, im) pairs; result JSON is
-written atomically and contains no timestamps, so identical runs produce
-byte-identical files.
+Result JSON is written atomically and contains no timestamps, so
+identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,22 +9,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-
-import numpy as np
-
-
-def matrix_to_pairs(m) -> list:
-    """Row-major [re, im] pairs for a square complex matrix."""
-    a = np.asarray(m, dtype=complex)
-    return [[float(x.real), float(x.imag)] for x in a.ravel()]
-
-
-def matrix_from_pairs(pairs, dim: int) -> np.ndarray:
-    """Inverse of matrix_to_pairs."""
-    flat = np.array([complex(re, im) for re, im in pairs])
-    if flat.size != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
-    return flat.reshape(dim, dim)
 
 
 def write_json_atomic(path, payload: dict) -> None:

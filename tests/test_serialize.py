@@ -1,28 +1,6 @@
 import json
 
-import numpy as np
-import pytest
-
-from aqm.serialize import matrix_from_pairs, matrix_to_pairs, write_json_atomic
-
-
-def test_matrix_roundtrip():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    pairs = matrix_to_pairs(m)
-    assert len(pairs) == 25
-    assert pairs[1] == [pytest.approx(m[0, 1].real), pytest.approx(m[0, 1].imag)]
-    assert np.array_equal(matrix_from_pairs(pairs, 5), m)
-
-
-def test_pairs_are_json_safe():
-    m = np.array([[1.0, 1j], [-1j, 2.0]])
-    assert json.loads(json.dumps(matrix_to_pairs(m))) == matrix_to_pairs(m)
-
-
-def test_wrong_length_rejected():
-    with pytest.raises(ValueError):
-        matrix_from_pairs([[0.0, 0.0]] * 3, 2)
+from aqm.serialize import write_json_atomic
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
