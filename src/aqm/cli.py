@@ -84,20 +84,36 @@ _INT_MINIMUM = {"seed": 0, "n_events": 1, "dim": 2, "trials": 1,
                 "n_seeds": 1, "n_small": 1, "n_big": 1}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(experiment: str, config: dict) -> None:
+    """Check each value's type and range, as argparse checks the flags."""
+    if not isinstance(config["out"], str) or not config["out"]:
+        raise ConfigError(f"out must be a non-empty path, got {config['out']!r}")
     for key, minimum in _INT_MINIMUM.items():
         value = config.get(key, minimum)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        if not _is_int(value) or value < minimum:
             raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     if experiment == "two-slit":
         custom = [config["n_sites"], config["slit_a"], config["slit_b"]]
         if any(v is not None for v in custom) and not all(v is not None for v in custom):
             raise ConfigError("custom geometry needs n_sites, slit_a, and slit_b")
+        if custom[0] is not None and (not _is_int(custom[0]) or custom[0] < 2):
+            raise ConfigError(f"n_sites must be an integer >= 2, got {custom[0]!r}")
+        for key in ("slit_a", "slit_b"):
+            sites = config[key]
+            if sites is not None and not (isinstance(sites, list) and all(map(_is_int, sites))):
+                raise ConfigError(f"{key} must be a list of integer sites, got {sites!r}")
     if experiment == "delayed-choice":
-        if config["m4"] not in {"present", "absent", "delayed-random", "delayed-alternating"}:
+        if not isinstance(config["m4"], str) or config["m4"] not in experiments.POLICIES:
             raise ConfigError(f"unknown m4 policy {config['m4']!r}")
-        if not 0.0 <= config["p"] <= 1.0:
-            raise ConfigError("p must lie in [0, 1]")
+        p = config["p"]
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+            raise ConfigError(f"p must be a number in [0, 1], got {p!r}")
+        if not isinstance(config["write_events"], bool):
+            raise ConfigError(f"write_events must be a boolean, got {config['write_events']!r}")
 
 
 def _geometry(config: dict) -> two_slit.SlitGeometry:
@@ -167,7 +183,10 @@ _RUNNERS = {
 def run(config: dict) -> int:
     """Execute one experiment and write result.json; returns the exit code."""
     out_dir = config["out"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
     try:
         result = _RUNNERS[config["experiment"]](config, out_dir)
     except ModelViolationError as exc:
@@ -212,8 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delayed-choice", help="delayed-choice interferometer")
     common(p)
     p.add_argument("--n", type=int, default=None, dest="n_events")
-    p.add_argument("--m4", default=None,
-                   choices=["present", "absent", "delayed-random", "delayed-alternating"])
+    p.add_argument("--m4", default=None, choices=list(experiments.POLICIES))
     p.add_argument("--p", type=float, default=None,
                    help="insertion probability for delayed-random")
     p.add_argument("--write-events", action="store_true", default=None,

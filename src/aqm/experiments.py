@@ -137,7 +137,7 @@ def khinchin_experiment(
     n_seeds: int = 50,
     n_small: int = 10_000,
     n_big: int = 1_000_000,
-    dim: int = 4,
+    dim: int = 8,
     seed: int = 0,
 ) -> dict:
     """Monte Carlo error scaling between two sample sizes.
@@ -188,10 +188,9 @@ def two_slit_experiment(
     seed: int = 0,
 ) -> dict:
     """Ensemble pattern, its three-term decomposition, and the event sampler."""
-    p_a, p_b = two_slit.slit_projectors(geom)
-    psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), p_a, p_b)
-    split = two_slit.screen_split(psi_ab, p_a, p_b)  # an infeasible split fails here
-    decomposition = two_slit.pattern_decomposed(psi_ab, geom.grid_size, p_a, p_b, split.modes)
+    psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), geom)
+    split = two_slit.screen_split(psi_ab, geom)  # an infeasible split fails here
+    decomposition = two_slit.pattern_decomposed(psi_ab, geom)
     direct_a, direct_b, cross, probs = split.modes
     histogram, (n_a, n_b) = two_slit.sample_screens(split, n_events, seed)
     tv = two_slit.total_variation(histogram, probs)
@@ -218,16 +217,13 @@ def two_slit_experiment(
 # Delayed choice
 
 
-def make_policy(name: str, p: float = 0.5, seed: int = 0) -> interferometer.ChoicePolicy:
-    if name == "present":
-        return interferometer.Always(True)
-    if name == "absent":
-        return interferometer.Always(False)
-    if name == "delayed-random":
-        return interferometer.DelayedRandom(p=p, seed=seed)
-    if name == "delayed-alternating":
-        return interferometer.DelayedAlternating()
-    raise ConfigError(f"unknown choice policy {name!r}")
+# name -> constructor(p, seed) of each output-mirror choice policy
+POLICIES = {
+    "present": lambda p, seed: interferometer.Always(True),
+    "absent": lambda p, seed: interferometer.Always(False),
+    "delayed-random": lambda p, seed: interferometer.DelayedRandom(p=p, seed=seed),
+    "delayed-alternating": lambda p, seed: interferometer.DelayedAlternating(),
+}
 
 
 def delayed_choice_experiment(
@@ -237,7 +233,9 @@ def delayed_choice_experiment(
     p: float = 0.5,
 ) -> tuple[dict, interferometer.PhotonEvents]:
     """Summary dict and the photon events it summarizes, from one run."""
-    policy = make_policy(policy_name, p=p, seed=seed)
+    if policy_name not in POLICIES:
+        raise ConfigError(f"unknown choice policy {policy_name!r}")
+    policy = POLICIES[policy_name](p, seed)
     events = interferometer.run_events(policy, n_events, seed)
     report = interferometer.summarize_events(events)
     result = {

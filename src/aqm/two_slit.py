@@ -1,6 +1,7 @@
 """Two-slit scattering on an N-site lattice.
 
-Slits are diagonal 0/1 projectors on disjoint site sets; the screen
+A slit is a set of lattice sites, held as a 0/1 site mask: its projector
+is diag(mask), so P_a rho P_b is rho masked elementwise.  The screen
 observable is a projector onto a bin of discrete-Fourier modes, standing
 in for a small solid angle of outgoing momenta.  The ensemble mean of a
 screen projector splits exactly into a slit-a term, a slit-b term, and a
@@ -9,7 +10,9 @@ statistics one event at a time, with each particle localized at exactly
 one slit; the cross term's mass is shared equally between the two slit
 labels, the unique symmetric split consistent with the ensemble
 decomposition.  The pattern and the split are computed per DFT mode by
-FFT; the dense `momentum_projector` serves arbitrary bins and tests.
+FFT from the masks.  The dense `slit_projectors`, `momentum_projector` and
+`decompose_mean` are oracles for tests and arbitrary bins; the only dense
+matrix a run builds is the slit event it conditions on.
 """
 
 from __future__ import annotations
@@ -48,6 +51,14 @@ class SlitGeometry:
         object.__setattr__(self, "slit_a", a)
         object.__setattr__(self, "slit_b", b)
 
+    @property
+    def masks(self) -> tuple:
+        """0/1 float site masks (a, b) of the two slits."""
+        a, b = np.zeros(self.grid_size), np.zeros(self.grid_size)
+        a[list(self.slit_a)] = 1.0
+        b[list(self.slit_b)] = 1.0
+        return a, b
+
 
 @dataclass(frozen=True)
 class MomentumBin:
@@ -76,14 +87,8 @@ class InterferenceDecomposition:
 
 
 def slit_projectors(geom: SlitGeometry):
-    """Diagonal 0/1 projectors onto the two slit site sets."""
-    p_a = np.zeros((geom.grid_size, geom.grid_size), dtype=complex)
-    p_b = np.zeros_like(p_a)
-    for i in geom.slit_a:
-        p_a[i, i] = 1.0
-    for i in geom.slit_b:
-        p_b[i, i] = 1.0
-    return p_a, p_b
+    """Dense diagonal projectors diag(a), diag(b) of the slit masks; a test oracle."""
+    return tuple(np.diag(m) for m in geom.masks)
 
 
 def dft_basis(n: int) -> np.ndarray:
@@ -106,11 +111,23 @@ def uniform_source(n: int) -> QuantumState:
     return QuantumState.pure(np.ones(n))
 
 
-def prepare_conditioned(psi0: QuantumState, p_a, p_b) -> QuantumState:
+def _slit_masks(psi: QuantumState, geom: SlitGeometry) -> tuple:
+    """`geom.masks`, once the state is checked to live on the slits' lattice."""
+    if psi.dim != geom.grid_size:
+        raise ValueError(f"state has dimension {psi.dim}, expected N={geom.grid_size}")
+    return geom.masks
+
+
+def _weight(psi: QuantumState, mask: np.ndarray) -> float:
+    """tr(rho diag(mask)), read off the diagonal of rho."""
+    return float(np.sum(np.diagonal(psi.rho) * mask).real)
+
+
+def prepare_conditioned(psi0: QuantumState, geom: SlitGeometry) -> QuantumState:
     """Select the sub-ensemble that passed through one of the slits."""
-    e = as_matrix(p_a) + as_matrix(p_b)
-    psi = condition_on_event(psi0, e)
-    support = psi.mean(e)
+    e = sum(geom.masks)
+    psi = condition_on_event(psi0, np.diag(e))
+    support = _weight(psi, e)
     if abs(support - 1.0) > 1e-12:
         raise ImpossibleEventError(
             f"conditioned state has slit support {support}, expected 1"
@@ -118,22 +135,18 @@ def prepare_conditioned(psi0: QuantumState, p_a, p_b) -> QuantumState:
     return psi
 
 
-def _require_conditioned(psi_ab: QuantumState, e: np.ndarray) -> None:
-    if abs(psi_ab.mean(e) - 1.0) > CONDITIONED_TOL:
-        raise ValueError("state is not conditioned on the slit event")
-
-
 def verify_support_identities(
-    psi_ab: QuantumState, p_a, p_b, trials: int, rng: np.random.Generator
+    psi_ab: QuantumState, geom: SlitGeometry, trials: int, rng: np.random.Generator
 ) -> float:
     """Max residual of the right/left/two-sided slit-support absorptions.
 
     For random dynamical variables A, the mean of A must equal the means
-    of AE, EA, and EAE where E is the total slit projector; this is the
-    Cauchy-Schwarz consequence of unit slit support.
+    of AE, EA, and EAE where E = diag(e) is the total slit projector; this
+    is the Cauchy-Schwarz consequence of unit slit support.
     """
-    e = as_matrix(p_a) + as_matrix(p_b)
-    _require_conditioned(psi_ab, e)
+    e = sum(_slit_masks(psi_ab, geom))
+    if abs(_weight(psi_ab, e) - 1.0) > CONDITIONED_TOL:
+        raise ValueError("state is not conditioned on the slit event")
     rho = psi_ab.rho
     n = rho.shape[0]
 
@@ -146,9 +159,9 @@ def verify_support_identities(
         base = mean(a)
         worst = max(
             worst,
-            abs(base - mean(a @ e)),
-            abs(base - mean(e @ a)),
-            abs(base - mean(e @ a @ e)),
+            abs(base - mean(a * e)),
+            abs(base - mean(e[:, None] * a)),
+            abs(base - mean(e[:, None] * a * e)),
         )
     return float(worst)
 
@@ -174,40 +187,27 @@ def _mode_diagonal(g: np.ndarray) -> np.ndarray:
     return np.diagonal(np.fft.ifft(np.fft.fft(g, axis=1), axis=0)).real.copy()
 
 
-def _site_mask(p) -> np.ndarray:
-    """Diagonal of a slit projector, which must be diagonal in the site basis."""
-    m = as_matrix(p)
-    if np.count_nonzero(m) != np.count_nonzero(np.diagonal(m)):
-        raise ValueError("slit projector must be diagonal in the site basis")
-    return np.diagonal(m).real
-
-
-def _mode_statistics(psi_ab: QuantumState, p_a, p_b) -> tuple:
+def _mode_statistics(psi_ab: QuantumState, geom: SlitGeometry) -> tuple:
     """Per-mode (direct_a, direct_b, cross, total) of every single-mode screen.
 
     Each vector is diag(F^dagger G F) for G = P_a rho P_a, P_b rho P_b,
-    P_a rho P_b + P_b rho P_a and rho; with diagonal slit projectors each
-    G is rho masked elementwise.
+    P_a rho P_b + P_b rho P_a and rho; with P = diag(mask) each G is rho
+    masked elementwise by an outer product of the slit masks.
     """
-    a, b = _site_mask(p_a), _site_mask(p_b)
+    a, b = _slit_masks(psi_ab, geom)
     rho = psi_ab.rho
     masks = (np.outer(a, a), np.outer(b, b), np.outer(a, b) + np.outer(b, a), 1.0)
     return tuple(_mode_diagonal(rho * m) for m in masks)
 
 
-def pattern_decomposed(psi_ab: QuantumState, n: int, p_a, p_b, modes: tuple | None = None):
-    """Per-momentum-site decomposition over single-mode bins, from `ScreenSplit.modes` if given."""
-    if psi_ab.dim != n:
-        raise ValueError(f"state has dimension {psi_ab.dim}, expected N={n}")
-    if modes is None:
-        modes = _mode_statistics(psi_ab, p_a, p_b)
+def pattern_decomposed(psi_ab: QuantumState, geom: SlitGeometry) -> list:
+    """Per-momentum-site decomposition over single-mode bins."""
+    modes = _mode_statistics(psi_ab, geom)
     return [InterferenceDecomposition(*row) for row in zip(*(m.tolist() for m in modes))]
 
 
-def pattern(psi_ab: QuantumState, n: int) -> np.ndarray:
+def pattern(psi_ab: QuantumState) -> np.ndarray:
     """Momentum distribution of the conditioned state over single-mode bins."""
-    if psi_ab.dim != n:
-        raise ValueError(f"state has dimension {psi_ab.dim}, expected N={n}")
     return np.clip(_mode_diagonal(psi_ab.rho), 0.0, None)
 
 
@@ -222,7 +222,7 @@ class ScreenSplit:
     budget: float
 
 
-def screen_split(psi_ab: QuantumState, p_a, p_b) -> ScreenSplit:
+def screen_split(psi_ab: QuantumState, geom: SlitGeometry) -> ScreenSplit:
     """Per-slit conditional momentum distributions of the event sampler.
 
     The direct term of a slit goes entirely to that slit's label; the
@@ -231,11 +231,11 @@ def screen_split(psi_ab: QuantumState, p_a, p_b) -> ScreenSplit:
     the per-site budget the split rule cannot reproduce the pattern and a
     diagnostic error is raised.
     """
-    modes = _mode_statistics(psi_ab, p_a, p_b)
+    modes = _mode_statistics(psi_ab, geom)
     direct_a, direct_b, cross, _ = modes
     n = len(cross)
     budget = CLAMP_BUDGET * n
-    slit_probs = np.array([psi_ab.mean(p_a), psi_ab.mean(p_b)])
+    slit_probs = np.array([_weight(psi_ab, m) for m in geom.masks])
     conds, clamped = [], []
     for direct in (direct_a, direct_b):
         mass = direct + 0.5 * cross
@@ -275,9 +275,8 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
 
 def stacked_screens(psi0: QuantumState, geom: SlitGeometry, n_events: int, seed: int):
     """`sample_screens` of `psi0` conditioned on the slits of `geom`."""
-    p_a, p_b = slit_projectors(geom)
-    psi_ab = prepare_conditioned(psi0, p_a, p_b)
-    return sample_screens(screen_split(psi_ab, p_a, p_b), n_events, seed)
+    psi_ab = prepare_conditioned(psi0, geom)
+    return sample_screens(screen_split(psi_ab, geom), n_events, seed)
 
 
 def total_variation(histogram: np.ndarray, probs: np.ndarray) -> float:

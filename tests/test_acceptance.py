@@ -85,7 +85,7 @@ def test_criterion_4_decomposition_closure():
             n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb])
         )
         p_a, p_b = two_slit.slit_projectors(geom)
-        psi = two_slit.prepare_conditioned(random_density(n, rng), p_a, p_b)
+        psi = two_slit.prepare_conditioned(random_density(n, rng), geom)
         start = int(rng.integers(0, n))
         stop = int(rng.integers(start + 1, n + 1))
         k = two_slit.momentum_projector(two_slit.MomentumBin(start, stop), n)
@@ -109,9 +109,8 @@ def test_criterion_4_decomposition_closure():
 def test_criterion_5_support_identities():
     rng = stream(7)
     geom = two_slit.SlitGeometry(16, frozenset({2, 3}), frozenset({10, 11}))
-    p_a, p_b = two_slit.slit_projectors(geom)
-    psi = two_slit.prepare_conditioned(two_slit.uniform_source(16), p_a, p_b)
-    residual = two_slit.verify_support_identities(psi, p_a, p_b, 100, rng)
+    psi = two_slit.prepare_conditioned(two_slit.uniform_source(16), geom)
+    residual = two_slit.verify_support_identities(psi, geom, 100, rng)
     report("5 support identities", residual <= 1e-10, f"max residual {residual:.2e}")
 
 
@@ -121,8 +120,7 @@ def test_criterion_6_stacked_screens():
     psi0 = two_slit.uniform_source(n)
     n_events = 100_000
     hist, (n_a, n_b) = two_slit.stacked_screens(psi0, geom, n_events, seed=7)
-    p_a, p_b = two_slit.slit_projectors(geom)
-    probs = two_slit.pattern(two_slit.prepare_conditioned(psi0, p_a, p_b), n)
+    probs = two_slit.pattern(two_slit.prepare_conditioned(psi0, geom))
     tv = two_slit.total_variation(hist, probs)
     locality = n_a + n_b == n_events  # every event tallies exactly one slit
     report(
@@ -133,7 +131,7 @@ def test_criterion_6_stacked_screens():
 
 
 def test_criterion_7_khinchin_rate():
-    result = experiments.khinchin_experiment(n_seeds=50, seed=7)
+    result = experiments.khinchin_experiment(n_seeds=50, dim=4, seed=7)
     report(
         "7 Monte Carlo error scaling",
         result["passed"],

@@ -204,6 +204,34 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, file_config, message",
+    [
+        ("two-slit", {"n_sites": 8, "slit_a": 1, "slit_b": [5]}, "slit_a must be a list"),
+        ("two-slit", {"n_sites": "8", "slit_a": [1], "slit_b": [5]}, "n_sites must be an integer"),
+        ("two-slit", {"n_sites": 8.0, "slit_a": [1], "slit_b": [5]}, "n_sites must be an integer"),
+        ("two-slit", {"n_sites": 8, "slit_a": [1.7], "slit_b": [5]}, "slit_a must be a list"),
+        ("delayed-choice", {"m4": "delayed-random", "p": "0.5"}, "p must be a number"),
+        ("delayed-choice", {"p": None}, "p must be a number"),
+        ("delayed-choice", {"m4": ["x"]}, "unknown m4 policy ['x']"),
+        ("delayed-choice", {"write_events": "no"}, "write_events must be a boolean"),
+        ("postulates", {"out": 5}, "out must be a non-empty path"),
+        ("postulates", {"out": "cfg.json"}, "cannot create output directory 'cfg.json'"),
+    ],
+    ids=["slit-int", "n-sites-str", "n-sites-float", "slit-float", "p-str", "p-null",
+         "m4-list", "write-events-str", "out-int", "out-is-a-file"],
+)
+def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experiment,
+                                          file_config, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(file_config))
+    assert run_cli(experiment, "--config", "cfg.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing run
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("postulates", "--help")

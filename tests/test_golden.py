@@ -1,0 +1,67 @@
+"""Byte-identity guard: the sha256 of every file each subcommand writes.
+
+Each run is small and writes to a relative --out inside a temporary working
+directory, so the config echoed in result.json holds no absolute path.  A
+refactor must leave every digest as it is; a change that alters outputs on
+purpose re-records them and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from aqm.cli import main
+
+GOLDEN = {
+    "two-slit-preset": (
+        ("two-slit", "--preset", "symmetric64", "--n", "20000", "--seed", "7"),
+        0,
+        {
+            "pattern.csv": "08ee07b11bbf8b31f5e92f20328aa95d2f79c568796d9581f7f5228563783d54",
+            "result.json": "6622703e14f019e99b8955c32420b2a17d7b1e6eb02338187422edc7a485c3f4",
+        },
+    ),
+    "two-slit-custom": (
+        ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20,21",
+         "--n", "5000", "--seed", "1"),
+        0,
+        {
+            "pattern.csv": "36316a6b9980beaa88959ff287e9ff848c4b4cb954c34181480395ad4a4bf966",
+            "result.json": "b8476e2f086cbba1254c0eea7ddf80f23956e618d58150b8f2bc292eff2e276b",
+        },
+    ),
+    "two-slit-split-violation": (
+        ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20",
+         "--n", "1000", "--seed", "1"),
+        2,
+        {"result.json": "1b9241e4343e0947fd426fce4db38d39fe0a76760fcaf2b0cc987fe697a13cc7"},
+    ),
+    "delayed-choice-events": (
+        ("delayed-choice", "--m4", "delayed-random", "--n", "2000", "--seed", "1",
+         "--write-events"),
+        0,
+        {
+            "events.csv": "66af57e1c14961dd83dd37a7d97edb25fb00220239f344fd7f2af81e526dff84",
+            "result.json": "64d1eb0af6f43d9a02b00daa9d10b60ae66c6a203188f3767ba48a5188d48eff",
+        },
+    ),
+    "postulates": (
+        ("postulates", "--dim", "4", "--trials", "10", "--seed", "3"),
+        0,
+        {"result.json": "21b82c1091350b6415382f8550ac96ebaebdf26576717e3df95a5d03fa5cc9cb"},
+    ),
+    "khinchin": (
+        ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2"),
+        0,
+        {"result.json": "313fe839c6581080fe0d281745ce1804aa8ee3076b3685929e63e5d64f093233"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
+    argv, code, digests = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "run"]) == code
+    written = (tmp_path / "run").iterdir()
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in written} == digests

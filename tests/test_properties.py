@@ -144,11 +144,11 @@ def test_fft_mode_statistics_match_the_dense_oracle(n, seed, data):
     kb = data.draw(st.integers(1, n - ka))
     geom = SlitGeometry(n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb]))
     p_a, p_b = slit_projectors(geom)
-    psi = prepare_conditioned(random_density(n, rng), p_a, p_b)
+    psi = prepare_conditioned(random_density(n, rng), geom)
     rho, f = psi.rho, dft_basis(n)
 
     # the three-term split of every single-mode screen, bin by bin
-    for k, got in enumerate(pattern_decomposed(psi, n, p_a, p_b)):
+    for k, got in enumerate(pattern_decomposed(psi, geom)):
         want = decompose_mean(psi, momentum_projector(MomentumBin(k, k + 1), n), p_a, p_b)
         for field in ("direct_a", "direct_b", "interference", "total"):
             assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
@@ -156,10 +156,10 @@ def test_fft_mode_statistics_match_the_dense_oracle(n, seed, data):
     def modes(g):
         return np.einsum("ik,ij,jk->k", f.conj(), g, f).real
 
-    assert np.max(np.abs(pattern(psi, n) - np.clip(modes(rho), 0.0, None))) <= 1e-12
+    assert np.max(np.abs(pattern(psi) - np.clip(modes(rho), 0.0, None))) <= 1e-12
 
     # conditional masses of the per-event split: diag(F^dagger g F) per slit
-    direct_a, direct_b, cross, _ = two_slit._mode_statistics(psi, p_a, p_b)
+    direct_a, direct_b, cross, _ = two_slit._mode_statistics(psi, geom)
     masses = []
     for ms, mo, direct in ((p_a, p_b, direct_a), (p_b, p_a, direct_b)):
         mass = modes(ms @ rho @ ms + 0.5 * (ms @ rho @ mo + mo @ rho @ ms))
@@ -168,9 +168,9 @@ def test_fft_mode_statistics_match_the_dense_oracle(n, seed, data):
     clamped = [float(np.sum(np.maximum(-m, 0.0))) for m in masses]
     if max(clamped) > CLAMP_BUDGET * n:
         with pytest.raises(ModelViolationError):
-            screen_split(psi, p_a, p_b)
+            screen_split(psi, geom)
         return
-    split = screen_split(psi, p_a, p_b)
+    split = screen_split(psi, geom)
     assert np.allclose(split.clamped, clamped, rtol=0.0, atol=1e-12)
     for cond, mass in zip(split.conds, masses):
         mass = np.clip(mass, 0.0, None)

@@ -56,6 +56,21 @@ class TestSlitProjectors:
             assert np.allclose(p_a @ p_a, p_a)
             assert np.allclose(p_b @ p_b, p_b)
 
+    def test_masks_are_disjoint_and_the_projector_diagonals(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            n = int(rng.integers(4, 33))
+            sites = rng.permutation(n)
+            ka, kb = int(rng.integers(1, n // 2)), int(rng.integers(1, n // 2))
+            geom = SlitGeometry(n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb]))
+            a, b = geom.masks
+            assert set(a.tolist()) | set(b.tolist()) <= {0.0, 1.0}
+            assert not np.any(a * b)
+            assert np.flatnonzero(a).tolist() == sorted(geom.slit_a)
+            assert np.flatnonzero(b).tolist() == sorted(geom.slit_b)
+            p_a, p_b = slit_projectors(geom)
+            assert np.array_equal(np.diagonal(p_a), a) and np.array_equal(np.diagonal(p_b), b)
+
     def test_wide_slits_have_matching_rank(self):
         p_a, p_b = slit_projectors(SlitGeometry(8, frozenset({1, 2}), frozenset({5, 6})))
         assert np.trace(p_a).real == pytest.approx(2.0)
@@ -90,31 +105,29 @@ class TestMomentumProjector:
 class TestPrepareConditioned:
     def test_supported_state_unchanged(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
-        p_a, p_b = slit_projectors(geom)
         psi0 = QuantumState.pure([1.0, 0.0, 1.0, 0.0])
-        out = prepare_conditioned(psi0, p_a, p_b)
+        out = prepare_conditioned(psi0, geom)
         assert np.allclose(out.rho, psi0.rho)
 
     def test_uniform_source_collapses_to_slit_superposition(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
         p_a, p_b = slit_projectors(geom)
-        out = prepare_conditioned(uniform_source(4), p_a, p_b)
+        out = prepare_conditioned(uniform_source(4), geom)
         expect = QuantumState.pure([1.0, 0.0, 1.0, 0.0])
         assert np.max(np.abs(out.rho - expect.rho)) <= 1e-12
         assert out.mean(p_a + p_b) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_source_is_impossible(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
-        p_a, p_b = slit_projectors(geom)
         with pytest.raises(ImpossibleEventError):
-            prepare_conditioned(QuantumState.pure([0.0, 1.0, 0.0, 0.0]), p_a, p_b)
+            prepare_conditioned(QuantumState.pure([0.0, 1.0, 0.0, 0.0]), geom)
 
 
 class TestSupportIdentities:
     def test_special_variables_have_zero_residual(self):
         geom = SlitGeometry(8, frozenset({1}), frozenset({5}))
         p_a, p_b = slit_projectors(geom)
-        psi = prepare_conditioned(uniform_source(8), p_a, p_b)
+        psi = prepare_conditioned(uniform_source(8), geom)
         e = p_a + p_b
         rho = psi.rho
         for a in (np.eye(8, dtype=complex), p_a):
@@ -123,15 +136,13 @@ class TestSupportIdentities:
 
     def test_random_variables_n16(self):
         geom = SlitGeometry(16, frozenset({2, 3}), frozenset({10, 11}))
-        p_a, p_b = slit_projectors(geom)
-        psi = prepare_conditioned(uniform_source(16), p_a, p_b)
-        assert verify_support_identities(psi, p_a, p_b, 100, stream(0)) <= 1e-10
+        psi = prepare_conditioned(uniform_source(16), geom)
+        assert verify_support_identities(psi, geom, 100, stream(0)) <= 1e-10
 
     def test_unconditioned_state_rejected(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
-        p_a, p_b = slit_projectors(geom)
         with pytest.raises(ValueError):
-            verify_support_identities(uniform_source(4), p_a, p_b, 1, stream(0))
+            verify_support_identities(uniform_source(4), geom, 1, stream(0))
 
 
 class TestDecomposeMean:
@@ -149,7 +160,7 @@ class TestDecomposeMean:
     def test_commuting_screen_kills_interference(self):
         geom = SlitGeometry(8, frozenset({1}), frozenset({5}))
         p_a, p_b = slit_projectors(geom)
-        psi = prepare_conditioned(uniform_source(8), p_a, p_b)
+        psi = prepare_conditioned(uniform_source(8), geom)
         k = np.diag([1.0, 1.0, 0, 0, 0, 0, 0, 0])  # diagonal: commutes with p_a
         d = decompose_mean(psi, k, p_a, p_b)
         assert abs(d.interference) <= 1e-10
@@ -171,7 +182,7 @@ class TestDecomposeMean:
             sites = rng.permutation(n)
             geom = SlitGeometry(n, frozenset(sites[:1]), frozenset(sites[1:2]))
             p_a, p_b = slit_projectors(geom)
-            psi = prepare_conditioned(random_density(n, rng), p_a, p_b)
+            psi = prepare_conditioned(random_density(n, rng), geom)
             start = int(rng.integers(0, n))
             stop = int(rng.integers(start + 1, n + 1))
             k = momentum_projector(MomentumBin(start, stop), n)
@@ -184,19 +195,17 @@ class TestDecomposeMean:
 class TestPattern:
     def test_single_slit_is_flat_with_no_interference(self):
         geom = SlitGeometry(8, frozenset({3}), frozenset({6}))
-        p_a, p_b = slit_projectors(geom)
         psi = QuantumState.pure([0, 0, 0, 1.0, 0, 0, 0, 0])  # slit a only
-        probs = pattern(psi, 8)
+        probs = pattern(psi)
         assert np.allclose(probs, np.full(8, 1 / 8))
-        for d in pattern_decomposed(psi, 8, p_a, p_b):
+        for d in pattern_decomposed(psi, geom):
             assert abs(d.interference) <= 1e-12
 
     def test_symmetric_two_slit_fringes(self):
         n = 64
         geom = SlitGeometry(n, frozenset({16}), frozenset({48}))
-        p_a, p_b = slit_projectors(geom)
-        psi = prepare_conditioned(uniform_source(n), p_a, p_b)
-        probs = pattern(psi, n)
+        psi = prepare_conditioned(uniform_source(n), geom)
+        probs = pattern(psi)
         # oracle: |1 + exp(i pi k)|^2 / (2N) = (1 + cos(pi k)) / N
         k = np.arange(n)
         expect = (1.0 + np.cos(np.pi * k)) / n
@@ -207,11 +216,10 @@ class TestPattern:
     def test_mixed_conditioned_state_has_no_interference(self):
         n = 16
         geom = SlitGeometry(n, frozenset({2}), frozenset({9}))
-        p_a, p_b = slit_projectors(geom)
         rho = np.zeros((n, n), dtype=complex)
         rho[2, 2] = rho[9, 9] = 0.5
         psi = QuantumState(rho)
-        for d in pattern_decomposed(psi, n, p_a, p_b):
+        for d in pattern_decomposed(psi, geom):
             assert abs(d.interference) <= 1e-12
 
     def test_normalization(self):
@@ -219,7 +227,7 @@ class TestPattern:
         for _ in range(10):
             n = int(rng.integers(4, 65))
             psi = random_density(n, rng)
-            assert pattern(psi, n).sum() == pytest.approx(1.0, abs=1e-9)
+            assert pattern(psi).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStackedScreens:
@@ -241,8 +249,7 @@ class TestStackedScreens:
         psi0 = uniform_source(n)
         n_events = 100_000
         hist, (n_a, n_b) = stacked_screens(psi0, geom, n_events, seed=7)
-        p_a, p_b = slit_projectors(geom)
-        probs = pattern(prepare_conditioned(psi0, p_a, p_b), n)
+        probs = pattern(prepare_conditioned(psi0, geom))
         assert total_variation(hist, probs) <= 0.05
         assert abs(n_a / n_events - 0.5) <= 0.005
         assert n_a + n_b == n_events
@@ -261,24 +268,21 @@ class TestStackedScreens:
         with pytest.raises(ModelViolationError, match="negative conditional mass"):
             stacked_screens(uniform_source(32), geom, 1000, seed=1)
 
-    def test_non_diagonal_slit_projector_rejected(self):
-        psi = uniform_source(4)
-        p_a = 0.5 * np.ones((4, 4))
-        with pytest.raises(ValueError, match="diagonal"):
-            pattern_decomposed(psi, 4, p_a, np.diag([0, 0, 0, 1.0]))
-
     def test_grid_size_must_match_state(self):
         psi = uniform_source(8)
-        p_a, p_b = slit_projectors(SlitGeometry(8, frozenset({1}), frozenset({5})))
+        geom = SlitGeometry(6, frozenset({1}), frozenset({5}))
         with pytest.raises(ValueError, match="N=6"):
-            pattern(psi, 6)
+            pattern_decomposed(psi, geom)
         with pytest.raises(ValueError, match="N=6"):
-            pattern_decomposed(psi, 6, p_a, p_b)
+            screen_split(psi, geom)
+        with pytest.raises(ValueError, match="N=6"):
+            verify_support_identities(psi, geom, 1, stream(0))
 
 
 class TestTwoSlitExperiment:
     def test_conditions_once_and_builds_no_dense_projector(self, monkeypatch):
-        calls = {"prepare_conditioned": 0, "dft_basis": 0, "momentum_projector": 0}
+        calls = {"prepare_conditioned": 0, "slit_projectors": 0, "dft_basis": 0,
+                 "momentum_projector": 0}
         for name in calls:
             original = getattr(two_slit, name)
 
@@ -289,7 +293,8 @@ class TestTwoSlitExperiment:
             monkeypatch.setattr(two_slit, name, counted)
         geom = SlitGeometry(32, frozenset({10, 11}), frozenset({18, 19}))
         assert experiments.two_slit_experiment(geom, n_events=2000, seed=3)["passed"]
-        assert calls == {"prepare_conditioned": 1, "dft_basis": 0, "momentum_projector": 0}
+        assert calls == {"prepare_conditioned": 1, "slit_projectors": 0, "dft_basis": 0,
+                         "momentum_projector": 0}
 
     def test_split_clamp_reported_below_budget(self):
         result = experiments.two_slit_experiment(
@@ -303,7 +308,6 @@ class TestTwoSlitExperiment:
     def test_result_reports_the_split_clamp(self):
         # a geometry whose split clamps rounding-level negative mass
         geom = SlitGeometry(20, frozenset({8, 11}), frozenset({17, 18}))
-        p_a, p_b = slit_projectors(geom)
-        split = screen_split(prepare_conditioned(uniform_source(20), p_a, p_b), p_a, p_b)
+        split = screen_split(prepare_conditioned(uniform_source(20), geom), geom)
         clamp = experiments.two_slit_experiment(geom, 2000, 1)["split_clamp"]
         assert (clamp["a"], clamp["b"], clamp["budget"]) == (*split.clamped, split.budget)
