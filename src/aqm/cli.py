@@ -76,6 +76,9 @@ def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
     config.update({k: v for k, v in flags.items() if v is not None})
     config["experiment"] = experiment
     _validate(experiment, config)
+    if experiment == "delayed-choice":
+        # a file's 1 and the flag's 1.0 must echo, and so write, the same bytes
+        config["p"] = float(config["p"])
     return config
 
 

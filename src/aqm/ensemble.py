@@ -27,6 +27,10 @@ from aqm.algebra import (
 from aqm.errors import ImpossibleEventError, NotHermitianError
 
 STATE_TOL = 1e-10
+# inverse_cdf counts comparisons up to this many branches, and bisects above
+_COUNT_MAX = 32
+# monte_carlo_mean draws this many uniforms at a time
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,14 +83,25 @@ def born_distribution(psi: QuantumState, q: Context) -> np.ndarray:
 def inverse_cdf(probs, u):
     """Index drawn from the non-negative weights `probs` for each uniform in `u`.
 
-    The weights need not sum to one.  When u * total rounds up to the
-    total, the index is clamped to the last branch with positive weight,
-    so a zero-probability branch is never returned.
+    `u` is a finite uniform, or an array of them, in [0, 1].  The weights
+    need not sum to one.  When u * total rounds up to the total, the index
+    is clamped to the last branch with positive weight, so a
+    zero-probability branch is never returned.  Up to _COUNT_MAX branches
+    the index is found by counting the CDF entries at or below u * total,
+    which gives searchsorted's index, clamped, at a fraction of its cost.
     """
     probs = np.asarray(probs)
     cdf = np.cumsum(probs)
-    idx = np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right")
-    return np.minimum(idx, np.flatnonzero(probs)[-1])
+    last = np.flatnonzero(probs)[-1]
+    if last > _COUNT_MAX:
+        idx = np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right")
+        return np.minimum(idx, last)
+    x = np.asarray(u) * cdf[-1]
+    count = np.zeros(x.shape, dtype=np.uint8)  # holds up to _COUNT_MAX
+    for c in cdf[:last]:
+        count += (x >= c).view(np.uint8)
+    del x  # free it before the index array is allocated
+    return count.astype(np.intp)
 
 
 def sample_character(psi: QuantumState, q: Context, rng: np.random.Generator) -> Character:
@@ -145,16 +160,28 @@ def monte_carlo_mean(
     """Arithmetic mean of n independent single-shot values, with stderr.
 
     Each trial measures a fresh copy of the state, so the draws are iid
-    over the Born distribution; the sampling is vectorized.
+    over the Born distribution.  They are made _CHUNK at a time, which
+    consumes rng as one rng.random(n) call does; the mean is taken once
+    over all n values, and stderr comes from the count of each branch.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     values = _branch_values(q, a)
     probs = born_distribution(psi, q)
-    draws = values[inverse_cdf(probs, rng.random(n))]
+    draws = np.empty(n, dtype=values.dtype)
+    u = np.empty(min(n, _CHUNK))
+    counts = np.zeros(len(values), dtype=np.int64)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        chunk = rng.random(out=u[: stop - start])
+        idx = inverse_cdf(probs, chunk)
+        np.take(values, idx, out=draws[start:stop])
+        counts += np.bincount(idx, minlength=len(values))
     estimate = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return estimate, stderr
+    if n == 1:
+        return estimate, 0.0
+    var = np.dot(counts, (values - estimate) ** 2) / (n - 1)
+    return estimate, float(np.sqrt(var / n))
 
 
 # ---------------------------------------------------------------------------

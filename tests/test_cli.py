@@ -39,6 +39,19 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config("two-slit", {"n_sites": 8}, {})
 
+    def test_config_file_and_flag_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # an integer p in the file echoes as the float the flag parses to
+        args = ("delayed-choice", "--m4", "delayed-random", "--n", "2000", "--out", "run")
+        (tmp_path / "cfg.json").write_text(json.dumps({"p": 1}))
+        written = []
+        for name, extra in (("file", ("--config", "../cfg.json")), ("flag", ("--p", "1"))):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run_cli(*args, *extra) == 0
+            written.append((tmp_path / name / "run" / "result.json").read_bytes())
+        assert written[0] == written[1]
+        assert b'"p": 1.0' in written[0]
+
 
 class TestDelayedChoiceCommand:
     def test_present_run(self, tmp_path):

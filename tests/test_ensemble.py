@@ -221,6 +221,22 @@ class TestMonteCarloMean:
         est, err = monte_carlo_mean(PLUS, a, ctx, 100_000, stream(2))
         assert abs(est - 2.0) <= 4 * err
 
+    @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_chunked_draws_replay_one_vectorized_call(self, n):
+        setup = stream(4, 0)
+        a = random_hermitian(3, setup)
+        q = masa_from(a)
+        psi = random_density(3, setup)
+        rng, twin = stream(4, 1), stream(4, 1)
+        est, err = monte_carlo_mean(psi, a, q, n, rng)
+        draws = algebra._branch_values(q, a)[inverse_cdf(born_distribution(psi, q), twin.random(n))]
+        assert est == draws.mean()
+        assert rng.random() == twin.random()  # the stream is consumed as by one call
+        if n == 1:
+            assert err == 0.0
+        else:
+            assert err == pytest.approx(draws.std(ddof=1) / np.sqrt(n), rel=1e-12)
+
 
 class TestPostulate5:
     def test_same_context_trivially_passes(self):

@@ -55,6 +55,13 @@ GOLDEN = {
         0,
         {"result.json": "313fe839c6581080fe0d281745ce1804aa8ee3076b3685929e63e5d64f093233"},
     ),
+    # several draw chunks per call, and 40 branches: the bisecting sampler
+    "khinchin-dim40": (
+        ("khinchin", "--n-seeds", "2", "--dim", "40", "--n-small", "1000", "--n-big", "150000",
+         "--seed", "3"),
+        0,
+        {"result.json": "9c29fc71245eff5e7fe9cf11fc28d2cd0c4663f271e5a325fd16623e1517e6e1"},
+    ),
 }
 
 

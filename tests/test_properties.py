@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from aqm.algebra import Character, evaluate, masa_from, spectral_decompose
 from aqm import two_slit
-from aqm.ensemble import QuantumState, born_distribution, measure, measure_many, sample_character
+from aqm.ensemble import (
+    QuantumState,
+    born_distribution,
+    inverse_cdf,
+    measure,
+    measure_many,
+    sample_character,
+)
 from aqm.errors import ModelViolationError
 from aqm.experiments import (
     random_degenerate_observable,
@@ -95,6 +102,30 @@ def test_measure_many_never_draws_a_zero_probability_branch():
     assert branches.tolist() == [0, 0, 0]
     assert values.tolist() == [-1.0, -1.0, -1.0]
     assert list(posts) == [0]
+
+
+_POSITIVE_WEIGHT = st.one_of(st.integers(1, 8).map(float), st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 64), data=st.data())
+def test_inverse_cdf_is_the_clamped_searchsorted(k, data):
+    # k spans both kernels: comparison counting up to 32 branches, bisection above
+    lead = data.draw(st.integers(0, k - 1))
+    trail = data.draw(st.integers(0, k - 1 - lead))
+    middle = data.draw(st.lists(st.one_of(st.just(0.0), _POSITIVE_WEIGHT),
+                                min_size=k - lead - trail - 1, max_size=k - lead - trail - 1))
+    weights = np.array([0.0] * lead + [data.draw(_POSITIVE_WEIGHT)] + middle + [0.0] * trail)
+    cdf = np.cumsum(weights)
+    ties = cdf / cdf[-1]  # u * total lands on a CDF entry, or next to one
+    u = np.concatenate([
+        [0.0, 1.0], ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0).clip(0.0, 1.0),
+        data.draw(st.lists(st.floats(0.0, 1.0), max_size=20)),
+    ])
+    last = np.flatnonzero(weights)[-1]
+    want = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), last)
+    assert inverse_cdf(weights, u).tolist() == want.tolist()
+    assert [int(inverse_cdf(weights, x)) for x in u.tolist()] == want.tolist()
 
 
 @settings(max_examples=40, deadline=None)
