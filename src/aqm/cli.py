@@ -4,7 +4,8 @@ One subcommand per experiment.  A JSON config file may supply any
 parameter; command-line flags win over the file.  Results are written as
 a single result.json (full resolved config echoed back, no timestamps,
 atomic write) plus CSV streams where the experiment produces them.
-Exit codes: 0 success, 1 config error, 2 invariant or acceptance failure.
+Exit codes: 0 success, 1 config error (or a run too large for memory), 2
+invariant or acceptance failure.
 """
 
 from __future__ import annotations
@@ -277,6 +278,9 @@ def main(argv=None) -> int:
         return run(config)
     except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # sizes too large for this machine; no result.json is written
+        print(f"config error: not enough memory for this run: {exc}", file=sys.stderr)
         return 1
 
 

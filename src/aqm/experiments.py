@@ -190,7 +190,7 @@ def two_slit_experiment(
     """Ensemble pattern, its three-term decomposition, and the event sampler."""
     psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), geom)
     split = two_slit.screen_split(psi_ab, geom)  # an infeasible split fails here
-    decomposition = two_slit.pattern_decomposed(psi_ab, geom)
+    decomposition = two_slit._decomposition(split.modes)  # pattern_decomposed, from one pass
     direct_a, direct_b, cross, probs = split.modes
     histogram, (n_a, n_b) = two_slit.sample_screens(split, n_events, seed)
     tv = two_slit.total_variation(histogram, probs)

@@ -1,9 +1,22 @@
 """Counter-based random streams.
 
 Every stochastic routine in the package draws from a Philox counter-based
-generator keyed by the user seed.  Independent trials get disjoint streams
+generator keyed by the user seed.  Independent trials get streams
 addressed by (seed, stream index), so replay is exact and the result of a
-trial does not depend on how many other trials ran before it.
+trial does not depend on how many other trials ran before it.  Long-lived
+streams are disjoint from each other, but not yet from per-event ones:
+stream(seed, 0) reads the same blocks as event_stream(seed, 0),
+event_stream(seed, 1), ..., since both count from counter 0.
+
+Block layout.  Philox turns one 256-bit counter value into one block of
+four 64-bit words, which Generator.random makes into four doubles.  numpy
+increments the counter before it computes a block, so a generator created
+at counter c reads the blocks at c + 1, c + 2, ...: draws 4b to 4b + 3 of
+stream(seed, index) are the block at counter (index << 128) + b + 1, and
+event_stream(seed, i) reads the block at i + 1.  Philox.advance(k) adds k
+to the counter, so a copy of a generator's state advanced by k draws what
+the generator would from its draw 4k on, as long as the generator holds no
+buffered words, as after a multiple of 4 draws.
 """
 
 from __future__ import annotations

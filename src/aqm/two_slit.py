@@ -202,7 +202,11 @@ def _mode_statistics(psi_ab: QuantumState, geom: SlitGeometry) -> tuple:
 
 def pattern_decomposed(psi_ab: QuantumState, geom: SlitGeometry) -> list:
     """Per-momentum-site decomposition over single-mode bins."""
-    modes = _mode_statistics(psi_ab, geom)
+    return _decomposition(_mode_statistics(psi_ab, geom))
+
+
+def _decomposition(modes: tuple) -> list:
+    """One InterferenceDecomposition per mode, from `_mode_statistics` vectors."""
     return [InterferenceDecomposition(*row) for row in zip(*(m.tolist() for m in modes))]
 
 

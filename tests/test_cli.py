@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import aqm
+from aqm import experiments
 from aqm.cli import main, resolve_config
 from aqm.errors import ConfigError
 
@@ -138,6 +139,14 @@ def test_cli_import_does_not_load_numpy_fft():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_starts_no_thread_pool():
+    # monte_carlo_mean starts its worker threads on first use
+    code = ("import sys, threading, aqm.cli; "
+            "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 class TestPostulatesCommand:
     def test_small_run_passes(self, tmp_path):
         out = tmp_path / "run"
@@ -243,6 +252,27 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experim
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing run
+
+
+@pytest.mark.parametrize(
+    "runner, argv",
+    [
+        ("khinchin_experiment", ("khinchin", "--n-seeds", "1", "--n-big", "100000000000")),
+        ("delayed_choice_experiment", ("delayed-choice", "--n", "1000000000000")),
+    ],
+    ids=["khinchin", "delayed-choice"],
+)
+def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys, runner, argv):
+    def exhausted(*args, **kwargs):  # as numpy fails to allocate the draws
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(experiments, runner, exhausted)
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: not enough memory for this run: Unable to allocate")
+    assert "Traceback" not in err
+    assert not (out / "result.json").exists()
 
 
 def test_help_exits_0(capsys):

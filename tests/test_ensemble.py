@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,37 @@ class TestMonteCarloMean:
             assert err == 0.0
         else:
             assert err == pytest.approx(draws.std(ddof=1) / np.sqrt(n), rel=1e-12)
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        def fails_off_the_main_thread(probs, u):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            return inverse_cdf(probs, u)
+
+        monkeypatch.setattr(ensemble, "_WORKERS", 2)
+        monkeypatch.setattr(ensemble, "inverse_cdf", fails_off_the_main_thread)
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 2 * 2**16, stream(0))
+
+    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
+        # each range writes its own slice of the draws and row of the counts;
+        # a lost or crossed write would change the estimate or the stderr
+        a = SIGMA_Z + 2.0 * SIGMA_X
+        ctx = masa_from(a)
+        n = 9 * 2**16 + 7
+        monkeypatch.setattr(ensemble, "_WORKERS", 1)
+        expected = monte_carlo_mean(PLUS, a, ctx, n, stream(6))
+        monkeypatch.setattr(ensemble, "_WORKERS", 8)
+        ensemble._executor.cache_clear()  # a pool of 7 threads on this run
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [monte_carlo_mean(PLUS, a, ctx, n, stream(6)) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+            ensemble._executor().shutdown(wait=True)
+            ensemble._executor.cache_clear()
+        assert results == [expected] * 5
 
 
 class TestPostulate5:

@@ -62,6 +62,14 @@ GOLDEN = {
         0,
         {"result.json": "9c29fc71245eff5e7fe9cf11fc28d2cd0c4663f271e5a325fd16623e1517e6e1"},
     ),
+    # n_big is 8 chunks and 5 draws: split into ranges on every CPU, and not a
+    # whole number of Philox blocks; recorded before the split existed
+    "khinchin-split": (
+        ("khinchin", "--n-seeds", "2", "--dim", "4", "--n-small", "1000", "--n-big", "524293",
+         "--seed", "5"),
+        0,
+        {"result.json": "696bfb3db92d747590cc81a61e714743c7114819cb82bae145545ee69dad712a"},
+    ),
 }
 
 

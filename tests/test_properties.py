@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqm.algebra import Character, evaluate, masa_from, spectral_decompose
-from aqm import two_slit
+from aqm import ensemble, two_slit
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
     inverse_cdf,
     measure,
     measure_many,
+    monte_carlo_mean,
     sample_character,
 )
 from aqm.errors import ModelViolationError
@@ -102,6 +103,39 @@ def test_measure_many_never_draws_a_zero_probability_branch():
     assert branches.tolist() == [0, 0, 0]
     assert values.tolist() == [-1.0, -1.0, -1.0]
     assert list(posts) == [0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    workers=st.sampled_from([2, 3, 5]),
+    n=st.sampled_from([1, 2**16 - 1, 2**16, 2 * 2**16 + 3, 4 * 2**16 + 5]),
+    consumed=st.integers(0, 3),  # draws made before; 1-3 leave Philox words buffered
+    philox=st.booleans(),
+    dim=st.sampled_from([3, 40]),  # the counting and the bisecting sampler
+    seed=st.integers(0, 2**31),
+)
+def test_monte_carlo_mean_does_not_depend_on_the_worker_count(workers, n, consumed, philox,
+                                                              dim, seed):
+    setup = np.random.default_rng(seed)
+    a = random_hermitian(dim, setup)
+    q = masa_from(a)
+    psi = random_density(dim, setup)
+
+    def generator():
+        gen = stream(seed, 1) if philox else np.random.default_rng(seed)
+        gen.random(consumed)
+        return gen
+
+    results, generators = [], []
+    for count in (1, workers):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensemble, "_WORKERS", count)
+            generators.append(generator())
+            results.append(monte_carlo_mean(psi, a, q, n, generators[-1]))
+    assert results[1] == results[0]
+    twin = generator()
+    twin.random(n)
+    assert generators[1].random() == generators[0].random() == twin.random()
 
 
 _POSITIVE_WEIGHT = st.one_of(st.integers(1, 8).map(float), st.floats(1e-6, 1.0))

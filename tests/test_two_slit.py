@@ -282,7 +282,7 @@ class TestStackedScreens:
 class TestTwoSlitExperiment:
     def test_conditions_once_and_builds_no_dense_projector(self, monkeypatch):
         calls = {"prepare_conditioned": 0, "slit_projectors": 0, "dft_basis": 0,
-                 "momentum_projector": 0}
+                 "momentum_projector": 0, "_mode_statistics": 0}
         for name in calls:
             original = getattr(two_slit, name)
 
@@ -294,7 +294,7 @@ class TestTwoSlitExperiment:
         geom = SlitGeometry(32, frozenset({10, 11}), frozenset({18, 19}))
         assert experiments.two_slit_experiment(geom, n_events=2000, seed=3)["passed"]
         assert calls == {"prepare_conditioned": 1, "slit_projectors": 0, "dft_basis": 0,
-                         "momentum_projector": 0}
+                         "momentum_projector": 0, "_mode_statistics": 1}
 
     def test_split_clamp_reported_below_budget(self):
         result = experiments.two_slit_experiment(
