@@ -4,8 +4,8 @@ One subcommand per experiment.  A JSON config file may supply any
 parameter; command-line flags win over the file.  Results are written as
 a single result.json (full resolved config echoed back, no timestamps,
 atomic write) plus CSV streams where the experiment produces them.
-Exit codes: 0 success, 1 config error (or a run too large for memory), 2
-invariant or acceptance failure.
+Exit codes: 0 success, 1 config error (or a run too large for memory or
+disk), 2 invariant or acceptance failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 
 import aqm
-from aqm import experiments, interferometer, two_slit
+from aqm import experiments, two_slit
 from aqm.errors import ConfigError, ModelViolationError
 from aqm.serialize import write_json_atomic
 
@@ -152,12 +152,11 @@ def _run_two_slit(config: dict, out_dir: str) -> dict:
 
 
 def _run_delayed_choice(config: dict, out_dir: str) -> dict:
-    result, events = experiments.delayed_choice_experiment(
-        config["m4"], n_events=config["n_events"], seed=config["seed"], p=config["p"]
+    events_path = os.path.join(out_dir, "events.csv") if config["write_events"] else None
+    return experiments.delayed_choice_experiment(
+        config["m4"], n_events=config["n_events"], seed=config["seed"], p=config["p"],
+        events_path=events_path,
     )
-    if config["write_events"]:
-        interferometer.write_events_csv(events, os.path.join(out_dir, "events.csv"))
-    return result
 
 
 def _run_postulates(config: dict, out_dir: str) -> dict:

@@ -2,11 +2,12 @@
 
 Each driver returns a plain dict of summary statistics with a `passed`
 flag, suitable for direct JSON serialization.  The delayed-choice driver
-also returns its photon events, so they are exported without a rerun.
+also writes its photon events, as it draws them, when given a path.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict
 
 import numpy as np
@@ -22,6 +23,7 @@ from aqm.ensemble import (
 )
 from aqm.errors import ConfigError
 from aqm.rng import stream
+from aqm.serialize import atomic_open
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -231,13 +233,31 @@ def delayed_choice_experiment(
     n_events: int = 100_000,
     seed: int = 0,
     p: float = 0.5,
-) -> tuple[dict, interferometer.PhotonEvents]:
-    """Summary dict and the photon events it summarizes, from one run."""
+    events_path=None,
+) -> dict:
+    """Summary dict of one run; with `events_path`, its events.csv too.
+
+    The photons are drawn, counted and written one chunk at a time, so no
+    array grows with n_events.  Every check, including that the CSV fits
+    on its disk, runs before the first draw; the CSV is renamed into place
+    only when all of it is written.
+    """
     if policy_name not in POLICIES:
         raise ConfigError(f"unknown choice policy {policy_name!r}")
+    interferometer.check_event_count(n_events)
     policy = POLICIES[policy_name](p, seed)
-    events = interferometer.run_events(policy, n_events, seed)
-    report = interferometer.summarize_events(events)
+    counts = np.zeros((2, 2), dtype=np.int64)
+    if events_path is None:
+        sink = nullcontext()
+    else:
+        size = interferometer.events_csv_bytes(n_events, seed)
+        sink = atomic_open(events_path, "wb", size=size)
+    with sink as fh:
+        for events in interferometer.photon_chunks(policy, n_events, seed):
+            counts += interferometer.count_events(events)
+            if fh is not None:
+                interferometer.write_events_csv(events, fh)
+    report = interferometer.summarize_counts(counts)
     result = {
         "policy": policy_name,
         "n_events": n_events,
@@ -258,4 +278,4 @@ def delayed_choice_experiment(
         "max_deviation": report.max_deviation,
         "passed": report.passed,
     }
-    return result, events
+    return result

@@ -10,6 +10,9 @@ kernel's path (the dark-field steering rule), and when it is absent the
 kernel's geometric path fixes the detector.  The output mirror may be
 inserted or removed after the photon has passed the first mirror; only
 the configuration at arrival matters.
+
+A run of photons is drawn, counted and written in the fixed chunks of
+rng.event_chunks, so its memory does not grow with the number of events.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.rng import LANE_POLICY, event_uniforms
+from aqm.errors import ConfigError
+from aqm.rng import LANE_POLICY, event_chunks, event_uniforms
 
 # Codes in PhotonEvents.  They coincide because, with the output mirror
 # absent, path A lands on detector A and path B on detector B.
 PATH_A, PATH_B = 0, 1
 DETECTOR_A, DETECTOR_B = 0, 1
 
-_CSV_CHUNK = 1 << 16  # events formatted per write
+_MIN_EVENTS = 1000  # smallest run summarize_counts compares with the wave model
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ class ChoicePolicy:
     policy decides can influence the kernel's path.
     """
 
-    def decide_batch(self, n: int) -> np.ndarray:
-        """Mirror presence at arrival for events 0..n-1, as a bool array."""
+    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
+        """Mirror presence at arrival for events start..start+n-1, as a bool array."""
         raise NotImplementedError
 
 
@@ -88,7 +92,7 @@ class Always(ChoicePolicy):
 
     present: bool
 
-    def decide_batch(self, n: int) -> np.ndarray:
+    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
         return np.full(n, self.present, dtype=bool)
 
 
@@ -104,21 +108,21 @@ class DelayedRandom(ChoicePolicy):
     p: float = 0.5
     seed: int = 0
 
-    def decide_batch(self, n: int) -> np.ndarray:
-        return event_uniforms(self.seed, n, lane=LANE_POLICY)[:, 0] < self.p
+    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
+        return event_uniforms(self.seed, n, lane=LANE_POLICY, start=start)[:, 0] < self.p
 
 
 @dataclass(frozen=True)
 class DelayedAlternating(ChoicePolicy):
     """Mirror present on odd events, absent on even ones, decided in flight."""
 
-    def decide_batch(self, n: int) -> np.ndarray:
-        return np.arange(n) % 2 == 1
+    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
+        return np.arange(start, start + n) % 2 == 1
 
 
 @dataclass(frozen=True, eq=False)
 class PhotonEvents:
-    """n photon events as parallel arrays; entry i belongs to event i.
+    """Photon events as parallel arrays; entry i belongs to event start + i.
 
     `kernel_path` and `detector` are uint8 codes, `m4_at_arrival` is bool.
     """
@@ -127,6 +131,7 @@ class PhotonEvents:
     m4_at_arrival: np.ndarray
     detector: np.ndarray
     seed: int
+    start: int = 0
 
     def __len__(self) -> int:
         return len(self.detector)
@@ -150,18 +155,30 @@ def particle_run(m4_at_arrival: bool, rng: np.random.Generator) -> tuple[int, in
     return kernel_path, detector
 
 
-def run_events(policy: ChoicePolicy, n: int, seed: int) -> PhotonEvents:
-    """n independent photons, one counter-addressed stream per event.
+def run_events(policy: ChoicePolicy, n: int, seed: int, start: int = 0) -> PhotonEvents:
+    """Photons start..start+n-1, one counter-addressed stream per event.
 
     Vectorized over events; bit-identical to calling particle_run with
-    the policy's decision and event_stream(seed, i) for each event.
+    the policy's decision and event_stream(seed, i) for each event i.
     """
-    u = event_uniforms(seed, n)
+    u = event_uniforms(seed, n, start=start)
     paths = (u[:, 0] >= _P_PATH_A).astype(np.uint8)
-    m4 = policy.decide_batch(n)
+    m4 = policy.decide_batch(n, start)
     steered = (u[:, 1] < _P_STEERED_DB).astype(np.uint8)
     detector = np.where(m4, steered, paths)
-    return PhotonEvents(kernel_path=paths, m4_at_arrival=m4, detector=detector, seed=seed)
+    return PhotonEvents(kernel_path=paths, m4_at_arrival=m4, detector=detector, seed=seed,
+                        start=start)
+
+
+def photon_chunks(policy: ChoicePolicy, n: int, seed: int):
+    """run_events over photons 0..n-1, one chunk of rng.event_chunks at a time."""
+    for start, count in event_chunks(n):
+        yield run_events(policy, count, seed, start)
+
+
+def count_events(events: PhotonEvents) -> np.ndarray:
+    """(2, 2) int64 event counts, indexed by [m4 at arrival, detector]."""
+    return np.bincount(2 * events.m4_at_arrival + events.detector, minlength=4).reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -184,25 +201,31 @@ class EquivalenceReport:
     passed: bool
 
 
-def summarize_events(events) -> EquivalenceReport:
+def check_event_count(n: int) -> None:
+    """Reject a run too small for summarize_counts, before anything is drawn."""
+    if n < _MIN_EVENTS:
+        raise ConfigError(
+            f"need at least {_MIN_EVENTS} events for a meaningful comparison, got {n}"
+        )
+
+
+def summarize_counts(counts: np.ndarray) -> EquivalenceReport:
     """Compare particle-model detector frequencies against the wave model.
 
-    Per mirror sub-ensemble: deviation of the empirical detector
-    frequencies from the wave probabilities, passed at a 4-sigma binomial
-    tolerance (exact agreement required for deterministic outcomes).
-    Fewer than 1000 events are rejected.
+    `counts` is count_events' (2, 2) array, summed over a run.  Per mirror
+    sub-ensemble: deviation of the empirical detector frequencies from the
+    wave probabilities, passed at a 4-sigma binomial tolerance (exact
+    agreement required for deterministic outcomes).  Fewer than 1000
+    events are rejected.
     """
-    if len(events) < 1000:
-        raise ValueError("need at least 1000 events for a meaningful comparison")
-    at_da = events.detector == DETECTOR_A
+    check_event_count(int(counts.sum()))
     stats = []
     for m4 in (False, True):
-        sub = events.m4_at_arrival == m4
-        n = int(np.count_nonzero(sub))
+        n = int(counts[int(m4)].sum())
         if not n:
             continue
         p_da, p_db = wave_probabilities(DeviceConfig(m4))
-        f_da = int(np.count_nonzero(at_da & sub)) / n
+        f_da = int(counts[int(m4), DETECTOR_A]) / n
         f_db = 1.0 - f_da
         dev = max(abs(f_da - p_da), abs(f_db - p_db))
         # floor covers float noise in the wave probabilities when the
@@ -229,23 +252,59 @@ def summarize_events(events) -> EquivalenceReport:
     )
 
 
+def summarize_events(events: PhotonEvents) -> EquivalenceReport:
+    """summarize_counts of the events' counts."""
+    return summarize_counts(count_events(events))
+
+
 def equivalence_report(policy: ChoicePolicy, n: int, seed: int) -> EquivalenceReport:
     """Run n photons under the policy and compare against the wave model."""
-    return summarize_events(run_events(policy, n, seed))
+    check_event_count(n)
+    return summarize_counts(sum(count_events(e) for e in photon_chunks(policy, n, seed)))
 
 
-def write_events_csv(events: PhotonEvents, path) -> None:
-    """Export photon events with columns event,seed,kernel_path,m4,detector.
+_CSV_HEADER = b"event,seed,kernel_path,m4,detector\r\n"
 
-    Same bytes as csv.writer.  A row is its event index followed by one of
-    eight suffixes, indexed by the row's (path, m4, detector) codes.
+
+def _csv_suffixes(seed: int) -> np.ndarray:
+    """(8, L) bytes that follow a row's event index, by 4*path + 2*m4 + detector."""
+    rows = [f",{seed},{k},{m},{d}\r\n" for k in "AB" for m in "01" for d in ("DA", "DB")]
+    return np.frombuffer("".join(rows).encode(), dtype=np.uint8).reshape(8, -1)
+
+
+def _digit_runs(start: int, stop: int):
+    """(lo, hi, digits): the runs of indices in [start, stop) of one decimal length."""
+    digits = len(str(start))
+    while start < stop:
+        hi = min(stop, 10**digits)
+        yield start, hi, digits
+        start, digits = hi, digits + 1
+
+
+def events_csv_bytes(n: int, seed: int) -> int:
+    """Exact size of the events.csv that photons 0..n-1 of this seed make."""
+    width = _csv_suffixes(seed).shape[1]
+    return len(_CSV_HEADER) + sum((hi - lo) * (d + width) for lo, hi, d in _digit_runs(0, n))
+
+
+def write_events_csv(events: PhotonEvents, fh) -> None:
+    """Append the events' rows, columns event,seed,kernel_path,m4,detector.
+
+    `fh` is a file open for binary writing; the events that start at event
+    0 are preceded by the header, so consecutive chunks written in order
+    make one file.  Same bytes as csv.writer.  A row is its event index in
+    ASCII digits followed by one of eight suffixes, indexed by the row's
+    (path, m4, detector) codes.
     """
-    suffixes = [f",{events.seed},{k},{m},{d}\r\n" for k in "AB" for m in "01" for d in ("DA", "DB")]
-    suffix = np.array(suffixes)
-    code = 4 * events.kernel_path + 2 * events.m4_at_arrival + events.detector
-    with open(path, "w", newline="") as fh:
-        fh.write("event,seed,kernel_path,m4,detector\r\n")
-        for start in range(0, len(events), _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, len(events))
-            index = np.arange(start, stop).astype(str)
-            fh.write("".join(np.strings.add(index, suffix[code[start:stop]]).tolist()))
+    if events.start == 0:
+        fh.write(_CSV_HEADER)
+    suffix = _csv_suffixes(events.seed)[
+        4 * events.kernel_path + 2 * events.m4_at_arrival + events.detector
+    ]
+    for lo, hi, digits in _digit_runs(events.start, events.start + len(events)):
+        rows = np.empty((hi - lo, digits + suffix.shape[1]), dtype=np.uint8)
+        index = np.arange(lo, hi, dtype=np.min_scalar_type(hi - 1))  # narrow divides faster
+        for p in range(digits):
+            rows[:, digits - 1 - p] = index // 10**p % 10 + ord("0")
+        rows[:, digits:] = suffix[lo - events.start : hi - events.start]
+        fh.write(rows)

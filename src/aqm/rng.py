@@ -17,6 +17,13 @@ event_stream(seed, i) reads the block at i + 1.  Philox.advance(k) adds k
 to the counter, so a copy of a generator's state advanced by k draws what
 the generator would from its draw 4k on, as long as the generator holds no
 buffered words, as after a multiple of 4 draws.
+
+Event ranges.  event_uniforms(seed, count, lane, start) creates its
+generator at counter start, so its row i is the block at start + i + 1,
+which is event start + i.  Any range of events is therefore drawn on its
+own, with no state carried from the events before it.  Per-event kernels
+walk a run of events in the fixed ranges of event_chunks, 2**16 events at
+a time, so their memory does not grow with the number of events.
 """
 
 from __future__ import annotations
@@ -55,11 +62,25 @@ def event_stream(seed: int, index: int, lane: int = LANE_EVENTS) -> np.random.Ge
     return np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=index))
 
 
-def event_uniforms(seed: int, n_events: int, lane: int = LANE_EVENTS) -> np.ndarray:
-    """Uniforms for events 0..n_events-1 as an (n_events, 4) array.
+def event_uniforms(
+    seed: int, n_events: int, lane: int = LANE_EVENTS, start: int = 0
+) -> np.ndarray:
+    """Uniforms for events start..start+n_events-1 as an (n_events, 4) array.
 
-    Row i reproduces exactly the first four draws of event_stream(seed, i),
-    so batched and one-event-at-a-time execution give identical results.
+    Row i reproduces exactly the first four draws of
+    event_stream(seed, start + i), so batched, chunked and
+    one-event-at-a-time execution give identical results.
     """
-    gen = np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=0))
+    if start < 0:
+        raise ValueError(f"event index must be non-negative, got {start}")
+    gen = np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=start))
     return gen.random(DRAWS_PER_EVENT * n_events).reshape(n_events, DRAWS_PER_EVENT)
+
+
+_EVENT_CHUNK = 1 << 16  # events per chunk of a per-event kernel
+
+
+def event_chunks(n_events: int):
+    """(start, count) of the consecutive chunks that cover events 0..n_events-1."""
+    for start in range(0, n_events, _EVENT_CHUNK):
+        yield start, min(_EVENT_CHUNK, n_events - start)

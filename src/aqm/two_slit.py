@@ -24,7 +24,7 @@ import numpy as np
 from aqm.algebra import as_matrix
 from aqm.ensemble import QuantumState, condition_on_event, inverse_cdf
 from aqm.errors import ImpossibleEventError, ModelViolationError
-from aqm.rng import event_uniforms
+from aqm.rng import event_chunks, event_uniforms
 
 CLOSURE_TOL = 1e-10
 CONDITIONED_TOL = 1e-8
@@ -262,18 +262,22 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
     Each event localizes the particle at exactly one slit, then draws a
     momentum site from that slit's conditional distribution.  Events are
     addressed by (seed, event index) counter streams, so the histogram is
-    reproducible and independent of execution order.
+    reproducible and independent of execution order; they are drawn one
+    chunk of rng.event_chunks at a time, in memory that does not grow with
+    n_events.
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
     n = len(split.conds[0])
-    u = event_uniforms(seed, n_events)  # per event: (slit draw, site draw, _, _)
-    slit_b = u[:, 0] >= split.slit_probs[0]
-    histogram = sum(
-        np.bincount(inverse_cdf(split.conds[s], u[slit_b == bool(s), 1]), minlength=n)
-        for s in (0, 1)
-    )
-    n_b = int(slit_b.sum())
+    histogram = np.zeros(n, dtype=np.int64)
+    n_b = 0
+    for start, count in event_chunks(n_events):
+        u = event_uniforms(seed, count, start=start)  # per event: (slit, site, _, _)
+        slit_b = u[:, 0] >= split.slit_probs[0]
+        for s in (0, 1):
+            site = inverse_cdf(split.conds[s], u[slit_b == bool(s), 1])
+            histogram += np.bincount(site, minlength=n)
+        n_b += int(np.count_nonzero(slit_b))
     return histogram, (n_events - n_b, n_b)
 
 

@@ -1,12 +1,13 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import aqm
-from aqm import experiments
+from aqm import experiments, interferometer
 from aqm.cli import main, resolve_config
 from aqm.errors import ConfigError
 
@@ -83,6 +84,55 @@ class TestDelayedChoiceCommand:
         code = run_cli("delayed-choice", "--n", "500", "--out", str(tmp_path / "run"))
         assert code == 1
         assert "need at least 1000 events" in capsys.readouterr().err
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("events were drawn")
+
+
+class TestEventsFile:
+    def test_too_few_events_fail_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(interferometer, "run_events", _no_draw)
+        out = tmp_path / "run"
+        assert run_cli("delayed-choice", "--n", "999", "--write-events", "--out", str(out)) == 1
+        assert "need at least 1000 events" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_a_run_that_fails_midway_leaves_no_events_file(self, tmp_path, monkeypatch):
+        run_events, starts = interferometer.run_events, []
+
+        def fails_on_chunk_2(policy, n, seed, start=0):
+            starts.append(start)
+            if len(starts) == 2:
+                raise RuntimeError("killed midway")
+            return run_events(policy, n, seed, start)
+
+        monkeypatch.setattr(interferometer, "run_events", fails_on_chunk_2)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="killed midway"):
+            run_cli("delayed-choice", "--m4", "delayed-random", "--n", "140001",
+                    "--write-events", "--out", str(out))
+        assert starts == [0, 1 << 16]  # the first chunk was written to the temporary file
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("n, seed", [(1000, 0), (2000, 7), (100_003, 123_456_789)])
+    def test_the_disk_check_knows_the_exact_size(self, tmp_path, monkeypatch, capsys, n, seed):
+        size = interferometer.events_csv_bytes(n, seed)
+        usage = shutil.disk_usage(tmp_path)
+        argv = ("delayed-choice", "--n", str(n), "--seed", str(seed), "--write-events")
+
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=size - 1))
+        with monkeypatch.context() as mp:
+            mp.setattr(interferometer, "run_events", _no_draw)
+            assert run_cli(*argv, "--out", str(tmp_path / "short")) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: not enough disk space for events.csv"
+        )
+        assert list((tmp_path / "short").iterdir()) == []  # no result.json either
+
+        monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=size))
+        assert run_cli(*argv, "--out", str(tmp_path / "enough")) == 0
+        assert (tmp_path / "enough" / "events.csv").stat().st_size == size
 
 
 class TestTwoSlitCommand:

@@ -30,6 +30,17 @@ GOLDEN = {
             "result.json": "b8476e2f086cbba1254c0eea7ddf80f23956e618d58150b8f2bc292eff2e276b",
         },
     ),
+    # four chunks of particles, the last one 3 events long; recorded before
+    # the particles were chunked
+    "two-slit-chunks": (
+        ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20,21",
+         "--n", "200003", "--seed", "3"),
+        0,
+        {
+            "pattern.csv": "facb28ff50ae311f27be36803f2d5c9271fbdd22cce0355e217108eed558df1b",
+            "result.json": "fafe4e984801f3ed59bf57bc4cfd79982697c3778d323b78da8fafa0880997dd",
+        },
+    ),
     "two-slit-split-violation": (
         ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20",
          "--n", "1000", "--seed", "1"),
@@ -43,6 +54,17 @@ GOLDEN = {
         {
             "events.csv": "66af57e1c14961dd83dd37a7d97edb25fb00220239f344fd7f2af81e526dff84",
             "result.json": "64d1eb0af6f43d9a02b00daa9d10b60ae66c6a203188f3767ba48a5188d48eff",
+        },
+    ),
+    # three chunks of photons, the last one partial, with 5- and 6-digit
+    # event indices; recorded before the events were chunked
+    "delayed-choice-chunks": (
+        ("delayed-choice", "--m4", "delayed-random", "--n", "140001", "--write-events",
+         "--seed", "2"),
+        0,
+        {
+            "events.csv": "ba1b228494cc26751414780b44f62dcc5bb5d1cad8b794d6111091b43aa1f9fb",
+            "result.json": "c27b331b71a110f258138b2cfb1db30476d5ca09b508b42367c2641f0815bb08",
         },
     ),
     "postulates": (

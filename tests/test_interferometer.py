@@ -161,7 +161,8 @@ def test_events_csv(tmp_path, name):
     policy = POLICIES[name]
     events = run_events(policy, n, seed=3)
     path = tmp_path / "events.csv"
-    write_events_csv(events, path)
+    with open(path, "wb") as fh:
+        write_events_csv(events, fh)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "event,seed,kernel_path,m4,detector"
     assert len(lines) == n + 1

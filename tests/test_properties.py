@@ -1,10 +1,15 @@
+import csv
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqm.algebra import Character, evaluate, masa_from, spectral_decompose
-from aqm import ensemble, two_slit
+from aqm import ensemble, experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
@@ -22,7 +27,7 @@ from aqm.experiments import (
     random_unitary,
 )
 from aqm.interferometer import DeviceConfig, wave_probabilities
-from aqm.rng import stream
+from aqm.rng import LANE_EVENTS, LANE_POLICY, event_stream, event_uniforms, stream
 from aqm.two_slit import (
     CLAMP_BUDGET,
     MomentumBin,
@@ -35,6 +40,7 @@ from aqm.two_slit import (
     prepare_conditioned,
     screen_split,
     slit_projectors,
+    uniform_source,
 )
 
 
@@ -240,3 +246,134 @@ def test_fft_mode_statistics_match_the_dense_oracle(n, seed, data):
     for cond, mass in zip(split.conds, masses):
         mass = np.clip(mass, 0.0, None)
         assert np.max(np.abs(cond - mass / mass.sum())) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Per-event kernels in chunks: the same events, rows and histograms as the
+# scalar path and as one unchunked batch, across chunk and decade edges.
+
+_CHUNK = 1 << 16
+_EDGES = (0, 9, 10, 99, 99_999, 100_000, _CHUNK - 1, _CHUNK, 3 * _CHUNK + 5)
+_NEAR_EDGE = st.sampled_from(_EDGES).flatmap(lambda e: st.integers(max(e - 3, 0), e + 3))
+
+
+def _scalar_m4(policy_name: str, p: float, seed: int, i: int) -> bool:
+    """Mirror presence of event i, decided one event at a time."""
+    if policy_name in ("present", "absent"):
+        return policy_name == "present"
+    if policy_name == "delayed-alternating":
+        return i % 2 == 1
+    return bool(event_stream(seed, i, lane=LANE_POLICY).random() < p)
+
+
+def _scalar_csv(policy_name: str, p: float, seed: int, start: int, count: int) -> bytes:
+    """events.csv rows of events start..start+count-1 by csv.writer over particle_run."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    if start == 0:
+        writer.writerow(["event", "seed", "kernel_path", "m4", "detector"])
+    for i in range(start, start + count):
+        m4 = _scalar_m4(policy_name, p, seed, i)
+        kernel_path, detector = interferometer.particle_run(m4, event_stream(seed, i))
+        writer.writerow([i, seed, "AB"[kernel_path], int(m4), ("DA", "DB")[detector]])
+    return text.getvalue().encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    start=_NEAR_EDGE,
+    count=st.integers(1, 6),
+    lane=st.sampled_from([LANE_EVENTS, LANE_POLICY]),
+)
+def test_event_uniforms_from_start_are_the_event_streams(seed, start, count, lane):
+    rows = event_uniforms(seed, count, lane=lane, start=start)
+    for i in range(count):
+        assert np.array_equal(rows[i], event_stream(seed, start + i, lane=lane).random(4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    policy_name=st.sampled_from(sorted(experiments.POLICIES)),
+    p=st.floats(0.0, 1.0),
+    seed=st.sampled_from([0, 7, 10, 12345, 2**40 + 3]),
+    start=_NEAR_EDGE,
+    count=st.integers(1, 25),
+)
+def test_events_csv_rows_are_csv_writer_over_particle_run(policy_name, p, seed, start, count):
+    policy = experiments.POLICIES[policy_name](p, seed)
+    buffer = io.BytesIO()
+    interferometer.write_events_csv(interferometer.run_events(policy, count, seed, start), buffer)
+    assert buffer.getvalue() == _scalar_csv(policy_name, p, seed, start, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    policy_name=st.sampled_from(sorted(experiments.POLICIES)),
+    chunk=st.sampled_from([1, 3, 7, 64]),
+    n=st.integers(1, 130),
+    seed=st.integers(0, 2**31),
+)
+def test_small_chunks_write_the_scalar_file(policy_name, chunk, n, seed):
+    policy = experiments.POLICIES[policy_name](0.5, seed)
+    buffer = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_EVENT_CHUNK", chunk)
+        for events in interferometer.photon_chunks(policy, n, seed):
+            interferometer.write_events_csv(events, buffer)
+    assert buffer.getvalue() == _scalar_csv(policy_name, 0.5, seed, 0, n)
+    assert len(buffer.getvalue()) == interferometer.events_csv_bytes(n, seed)
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    policy_name=st.sampled_from(sorted(experiments.POLICIES)),
+    n=st.sampled_from([1000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+    seed=st.integers(0, 2**31),
+)
+def test_chunked_run_is_the_one_batch_run(policy_name, n, seed):
+    # one run_events call over all n events is the unchunked reference,
+    # itself the scalar path by the tests above
+    events = interferometer.run_events(experiments.POLICIES[policy_name](0.5, seed), n, seed)
+    want = io.BytesIO()
+    interferometer.write_events_csv(events, want)
+    report = interferometer.summarize_events(events)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "events.csv")
+        result = experiments.delayed_choice_experiment(policy_name, n, seed, 0.5, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.getvalue()
+    assert len(want.getvalue()) == interferometer.events_csv_bytes(n, seed)
+    assert result["max_deviation"] == report.max_deviation
+    assert [(s["m4_present"], s["n_events"], s["freq_DA"]) for s in result["sub_ensembles"]] == [
+        (s.m4_present, s.n_events, s.freq_da) for s in report.sub_ensembles
+    ]
+
+
+_GEOM = SlitGeometry(32, {4, 5}, {20, 21})
+_SPLIT = screen_split(prepare_conditioned(uniform_source(32), _GEOM), _GEOM)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_chunk=st.one_of(
+        st.tuples(st.integers(1, 40), st.sampled_from([1, 3, 7])),
+        st.tuples(st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
+                  st.just(_CHUNK)),
+    ),
+    seed=st.integers(0, 2**31),
+)
+def test_chunked_screens_are_inverse_cdf_over_the_unchunked_uniforms(n_chunk, seed):
+    n, chunk = n_chunk
+    u = event_uniforms(seed, n)
+    slit_b = u[:, 0] >= _SPLIT.slit_probs[0]
+    want = sum(
+        np.bincount(inverse_cdf(_SPLIT.conds[s], u[slit_b == bool(s), 1]), minlength=32)
+        for s in (0, 1)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_EVENT_CHUNK", chunk)
+        histogram, (n_a, n_b) = two_slit.sample_screens(_SPLIT, n, seed)
+    assert histogram.dtype == np.int64
+    assert histogram.tolist() == want.tolist()
+    assert (n_a, n_b) == (n - int(slit_b.sum()), int(slit_b.sum()))
