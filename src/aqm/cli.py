@@ -19,7 +19,7 @@ import sys
 import aqm
 from aqm import experiments, two_slit
 from aqm.errors import ConfigError, ModelViolationError
-from aqm.serialize import write_json_atomic
+from aqm.serialize import atomic_open, write_json_atomic
 
 _COMMON_KEYS = {"experiment", "seed", "out"}
 _ALLOWED_KEYS = {
@@ -84,7 +84,7 @@ def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
 
 
 # smallest accepted value of each integer key; a key the experiment lacks passes
-_INT_MINIMUM = {"seed": 0, "n_events": 1, "dim": 2, "trials": 1,
+_INT_MINIMUM = {"n_events": 1, "dim": 2, "trials": 1,
                 "n_seeds": 1, "n_small": 1, "n_big": 1}
 
 
@@ -96,6 +96,9 @@ def _validate(experiment: str, config: dict) -> None:
     """Check each value's type and range, as argparse checks the flags."""
     if not isinstance(config["out"], str) or not config["out"]:
         raise ConfigError(f"out must be a non-empty path, got {config['out']!r}")
+    seed = config["seed"]
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     for key, minimum in _INT_MINIMUM.items():
         value = config.get(key, minimum)
         if not _is_int(value) or value < minimum:
@@ -133,7 +136,7 @@ def _geometry(config: dict) -> two_slit.SlitGeometry:
 
 
 def _write_pattern_csv(path, probs, histogram) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "prob", "count"])
         for k, (p, c) in enumerate(zip(probs, histogram)):

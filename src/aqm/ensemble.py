@@ -27,13 +27,14 @@ from aqm.algebra import (
     is_hermitian,
 )
 from aqm.errors import ImpossibleEventError, NotHermitianError
+from aqm.rng import stream
 
 STATE_TOL = 1e-10
 # inverse_cdf counts comparisons up to this many branches, and bisects above
 _COUNT_MAX = 32
 # monte_carlo_mean draws this many uniforms at a time
 _CHUNK = 1 << 16
-# ranges monte_carlo_mean splits its draws into: the CPUs the process may run on
+# threads monte_carlo_mean's chunks run on: the CPUs the process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -159,52 +160,30 @@ def _lueders(psi: QuantumState, proj: np.ndarray, weight: float) -> QuantumState
     return QuantumState(0.5 * (rho + rho.conj().T))
 
 
-def monte_carlo_mean(
-    psi: QuantumState, a, q: Context, n: int, rng: np.random.Generator
-):
+def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index: int):
     """Arithmetic mean of n independent single-shot values, with stderr.
 
     Each trial measures a fresh copy of the state, so the draws are iid
-    over the Born distribution.  Draw i is always made from uniform i of
-    one rng.random(n) call, and rng is left as that call leaves it.
-
-    The draws are made on every CPU the process may run on, and the result
-    does not depend on how many there are.  A Philox stream is
-    counter-based, so the n draws are cut into one range per CPU, each
-    drawn _CHUNK at a time from a copy of rng advanced to the range's first
-    block; the calling thread draws the last range from rng itself.  The
-    mean is taken once over all n values, and stderr comes from the count
-    of each branch.
+    over the Born distribution.  Draw i is made from draw i of
+    stream(seed, index).  The n draws are cut into chunks of _CHUNK, and
+    each chunk reads its own counter range of the stream, through stream's
+    `start`, as one unit on the thread pool, so the result does not depend
+    on how many threads there are.  The mean is taken once over all n
+    values, and stderr comes from the count of each branch.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     values = _branch_values(q, a)
     probs = born_distribution(psi, q)
     draws = np.empty(n, dtype=values.dtype)
-    state = rng.bit_generator.state
-    bounds = _range_bounds(n, state)
-    counts = np.zeros((len(bounds) - 1, len(values)), dtype=np.int64)
 
-    def fill(r, gen):
-        start, stop = bounds[r], bounds[r + 1]
-        u = np.empty(min(stop - start, _CHUNK))
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            idx = inverse_cdf(probs, gen.random(out=u[: hi - lo]))
-            np.take(values, idx, out=draws[lo:hi])
-            counts[r] += np.bincount(idx, minlength=len(values))
+    def chunk(lo):
+        hi = min(lo + _CHUNK, n)
+        idx = inverse_cdf(probs, stream(seed, index, start=lo).random(hi - lo))
+        np.take(values, idx, out=draws[lo:hi])
+        return np.bincount(idx, minlength=len(values))
 
-    last = len(bounds) - 2
-    futures = [_executor().submit(fill, r, _philox_at(state, bounds[r] // 4))
-               for r in range(last)]
-    if last:
-        rng.bit_generator.advance(bounds[last] // 4)
-    try:
-        fill(last, rng)
-    finally:  # no worker writes on once this call returns; theirs raise here
-        for future in futures:
-            future.result()
-    counts = counts.sum(axis=0)
+    counts = sum(_executor().map(chunk, range(0, n, _CHUNK)))
     estimate = float(draws.mean())
     if n == 1:
         return estimate, 0.0
@@ -212,36 +191,12 @@ def monte_carlo_mean(
     return estimate, float(np.sqrt(var / n))
 
 
-def _range_bounds(n: int, state: dict) -> list:
-    """Starts of the ranges monte_carlo_mean splits n draws into, then n.
-
-    Up to _WORKERS ranges of near-equal length, none shorter than about
-    _CHUNK, each starting on a Philox block of 4 draws.  A bit generator
-    `state` other than Philox's, or one holding buffered output, gets one
-    range: copying and advancing it would not continue its stream.
-    """
-    parts = max(min(_WORKERS, n // _CHUNK), 1)
-    if not (state["bit_generator"] == "Philox" and state["buffer_pos"] == 4
-            and not state["has_uint32"]):
-        parts = 1
-    blocks = -(-n // 4)
-    return [4 * (blocks * r // parts) for r in range(parts)] + [n]
-
-
-def _philox_at(state: dict, blocks: int) -> np.random.Generator:
-    """Generator on a copy of a Philox state, moved on by `blocks` blocks of 4 draws."""
-    bit_generator = np.random.Philox(key=0)
-    bit_generator.state = state
-    bit_generator.advance(blocks)
-    return np.random.Generator(bit_generator)
-
-
 @functools.cache
 def _executor():
-    """The threads monte_carlo_mean's ranges run on, started on first use."""
+    """The threads monte_carlo_mean's chunks run on, started on first use."""
     from concurrent.futures import ThreadPoolExecutor  # kept off aqm.cli's import path
 
-    return ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1))
+    return ThreadPoolExecutor(max_workers=_WORKERS)
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,8 @@ def khinchin_experiment(
     exact = psi.mean(a)
     err_small, err_big = [], []
     for j in range(n_seeds):
-        est_s, _ = monte_carlo_mean(psi, a, q, n_small, stream(seed, 2 * j + 1))
-        est_b, _ = monte_carlo_mean(psi, a, q, n_big, stream(seed, 2 * j + 2))
+        est_s, _ = monte_carlo_mean(psi, a, q, n_small, seed, 2 * j + 1)
+        est_b, _ = monte_carlo_mean(psi, a, q, n_big, seed, 2 * j + 2)
         err_small.append(abs(est_s - exact))
         err_big.append(abs(est_b - exact))
     med_s = float(np.median(err_small))

@@ -13,10 +13,10 @@ four 64-bit words, which Generator.random makes into four doubles.  numpy
 increments the counter before it computes a block, so a generator created
 at counter c reads the blocks at c + 1, c + 2, ...: draws 4b to 4b + 3 of
 stream(seed, index) are the block at counter (index << 128) + b + 1, and
-event_stream(seed, i) reads the block at i + 1.  Philox.advance(k) adds k
-to the counter, so a copy of a generator's state advanced by k draws what
-the generator would from its draw 4k on, as long as the generator holds no
-buffered words, as after a multiple of 4 draws.
+event_stream(seed, i) reads the block at i + 1.  stream(seed, index,
+start=4k) is created at counter (index << 128) + k, so it draws what
+stream(seed, index) draws from its draw 4k on: any block-aligned range of
+a stream is read on its own, as monte_carlo_mean reads each of its chunks.
 
 Event ranges.  event_uniforms(seed, count, lane, start) creates its
 generator at counter start, so its row i is the block at start + i + 1,
@@ -38,17 +38,26 @@ LANE_POLICY = 0x9E3779B97F4A7C15
 
 
 def _key(seed: int, lane: int) -> int:
-    return (int(seed) ^ lane) & ((1 << 128) - 1)
+    # seeds from 2**128 on would alias smaller ones; 64 bits leave the key a word for the lane
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return int(seed) ^ lane
 
 
-def stream(seed: int, index: int = 0, lane: int = LANE_EVENTS) -> np.random.Generator:
+def stream(
+    seed: int, index: int = 0, lane: int = LANE_EVENTS, start: int = 0
+) -> np.random.Generator:
     """Return the long-lived generator for stream `index` of the given seed.
 
-    Each stream owns 2**128 Philox blocks, so streams never overlap.
+    Each stream owns 2**128 Philox blocks, so streams never overlap.  The
+    generator begins at draw `start` of the stream, a multiple of 4.
     """
     if index < 0:
         raise ValueError(f"stream index must be non-negative, got {index}")
-    return np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=index << 128))
+    if start < 0 or start % 4:
+        raise ValueError(f"stream start must be a non-negative multiple of 4, got {start}")
+    counter = (index << 128) + start // 4
+    return np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=counter))
 
 
 # A single-shot event owns one Philox block: four uniform doubles.

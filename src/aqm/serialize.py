@@ -1,7 +1,7 @@
 """Result serialization.
 
 Result JSON is written atomically and contains no timestamps, so
-identical runs produce byte-identical files.  result.json and events.csv
+identical runs produce byte-identical files.  result.json and the CSVs
 are written to a temporary file in their directory and renamed into
 place, so a run that fails or is killed leaves no partial file.
 """
@@ -18,7 +18,7 @@ from aqm.errors import ConfigError
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w", size: int | None = None):
+def atomic_open(path, mode: str = "w", size: int | None = None, newline: str | None = None):
     """Open a temporary file beside `path`; rename it into place on success.
 
     On any error, the temporary file is removed and `path` is left as it
@@ -36,7 +36,7 @@ def atomic_open(path, mode: str = "w", size: int | None = None):
             )
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, mode, newline=newline) as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600

@@ -1,5 +1,9 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+
+from aqm import ensemble
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -15,3 +19,15 @@ def sigma_x():
 def sigma_z():
     return SIGMA_Z
 
+
+@contextmanager
+def pool_of(threads):
+    """Run the block with monte_carlo_mean's thread pool rebuilt at `threads` threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "_WORKERS", threads)  # read when the pool is built
+        ensemble._executor.cache_clear()
+        try:
+            yield
+        finally:
+            ensemble._executor().shutdown(wait=True)
+            ensemble._executor.cache_clear()

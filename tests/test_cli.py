@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -159,6 +160,25 @@ class TestTwoSlitCommand:
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 5000
 
+    def test_a_failed_pattern_write_leaves_no_file(self, tmp_path, monkeypatch):
+        real_writer = csv.writer
+
+        class FailsOnRow3:
+            def __init__(self, fh):
+                self.writer, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise OSError("disk full")
+                self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailsOnRow3)
+        out = tmp_path / "run"
+        with pytest.raises(OSError, match="disk full"):
+            run_cli("two-slit", "--n", "2000", "--seed", "3", "--out", str(out))
+        assert list(out.iterdir()) == []
+
     def test_decomposition_fields_present(self, tmp_path):
         out = tmp_path / "run"
         run_cli(
@@ -258,6 +278,20 @@ class TestKhinchinCommand:
 def test_bad_experiment_size_is_config_error(tmp_path, capsys, argv, key):
     assert run_cli(*argv, "--out", str(tmp_path / "run")) == 1
     assert f"config error: {key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**128 + 9])
+def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, seed):
+    # 2**128 + 9 would otherwise write seed 9's results
+    out = tmp_path / "run"
+    argv = ("khinchin", "--n-seeds", "5", "--n-small", "100", "--n-big", "10000",
+            "--out", str(out))
+    assert run_cli(*argv, "--seed", str(seed)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: seed must be an integer in [0, 2**64), got {seed}")
+    assert not out.exists()  # rejected before the run starts
+    assert run_cli(*argv, "--seed", str(2**64 - 1)) == 0
+    assert json.loads((out / "result.json").read_text())["config"]["seed"] == 2**64 - 1
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from aqm.experiments import (
     random_unitary,
 )
 from aqm.rng import stream
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, pool_of
 
 KET0 = QuantumState.pure([1.0, 0.0])
 PLUS = QuantumState.pure([1.0, 1.0])
@@ -142,7 +142,7 @@ class TestMeasure:
         with pytest.raises(IncompatibleObservableError):
             measure(PLUS, a, Z_CTX, stream(0))
         with pytest.raises(IncompatibleObservableError):
-            monte_carlo_mean(PLUS, a, Z_CTX, 10, stream(0))
+            monte_carlo_mean(PLUS, a, Z_CTX, 10, 0, 0)
         with pytest.raises(IncompatibleObservableError):
             check_postulate5(PLUS, a, Z_CTX, Z_CTX, 10, stream(0))
 
@@ -208,12 +208,12 @@ class TestMeasureMany:
 
 class TestMonteCarloMean:
     def test_deterministic_value(self):
-        est, err = monte_carlo_mean(KET0, SIGMA_Z, Z_CTX, 500, stream(0))
+        est, err = monte_carlo_mean(KET0, SIGMA_Z, Z_CTX, 500, 0, 0)
         assert est == pytest.approx(1.0)
         assert err == pytest.approx(0.0)
 
     def test_symmetric_mean(self):
-        est, err = monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 1_000_000, stream(1))
+        est, err = monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 1_000_000, 1, 0)
         assert abs(est) <= 0.004  # 4 sigma at unit variance
 
     def test_shifted_observable(self):
@@ -221,7 +221,7 @@ class TestMonteCarloMean:
         a = SIGMA_Z + 2.0 * SIGMA_X
         assert np.trace(PLUS.rho @ a).real == pytest.approx(2.0)
         ctx = masa_from(a)
-        est, err = monte_carlo_mean(PLUS, a, ctx, 100_000, stream(2))
+        est, err = monte_carlo_mean(PLUS, a, ctx, 100_000, 2, 0)
         assert abs(est - 2.0) <= 4 * err
 
     @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
@@ -230,11 +230,10 @@ class TestMonteCarloMean:
         a = random_hermitian(3, setup)
         q = masa_from(a)
         psi = random_density(3, setup)
-        rng, twin = stream(4, 1), stream(4, 1)
-        est, err = monte_carlo_mean(psi, a, q, n, rng)
-        draws = algebra._branch_values(q, a)[inverse_cdf(born_distribution(psi, q), twin.random(n))]
+        est, err = monte_carlo_mean(psi, a, q, n, 4, 1)
+        u = stream(4, 1).random(n)
+        draws = algebra._branch_values(q, a)[inverse_cdf(born_distribution(psi, q), u)]
         assert est == draws.mean()
-        assert rng.random() == twin.random()  # the stream is consumed as by one call
         if n == 1:
             assert err == 0.0
         else:
@@ -246,29 +245,25 @@ class TestMonteCarloMean:
                 raise FloatingPointError("worker failed")
             return inverse_cdf(probs, u)
 
-        monkeypatch.setattr(ensemble, "_WORKERS", 2)
         monkeypatch.setattr(ensemble, "inverse_cdf", fails_off_the_main_thread)
-        with pytest.raises(FloatingPointError, match="worker failed"):
-            monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 2 * 2**16, stream(0))
+        with pool_of(2), pytest.raises(FloatingPointError, match="worker failed"):
+            monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 2 * 2**16, 0, 0)
 
-    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
-        # each range writes its own slice of the draws and row of the counts;
+    def test_more_threads_than_cpus_under_fast_switching(self):
+        # each chunk writes its own slice of the draws and returns its counts;
         # a lost or crossed write would change the estimate or the stderr
         a = SIGMA_Z + 2.0 * SIGMA_X
         ctx = masa_from(a)
         n = 9 * 2**16 + 7
-        monkeypatch.setattr(ensemble, "_WORKERS", 1)
-        expected = monte_carlo_mean(PLUS, a, ctx, n, stream(6))
-        monkeypatch.setattr(ensemble, "_WORKERS", 8)
-        ensemble._executor.cache_clear()  # a pool of 7 threads on this run
+        with pool_of(1):
+            expected = monte_carlo_mean(PLUS, a, ctx, n, 6, 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = [monte_carlo_mean(PLUS, a, ctx, n, stream(6)) for _ in range(5)]
+            with pool_of(8):
+                results = [monte_carlo_mean(PLUS, a, ctx, n, 6, 0) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
-            ensemble._executor().shutdown(wait=True)
-            ensemble._executor.cache_clear()
         assert results == [expected] * 5
 
 

@@ -84,8 +84,8 @@ GOLDEN = {
         0,
         {"result.json": "9c29fc71245eff5e7fe9cf11fc28d2cd0c4663f271e5a325fd16623e1517e6e1"},
     ),
-    # n_big is 8 chunks and 5 draws: split into ranges on every CPU, and not a
-    # whole number of Philox blocks; recorded before the split existed
+    # n_big is 8 chunks and 5 draws: 9 chunks on the thread pool, the last
+    # not a whole number of Philox blocks; recorded before any thread drew
     "khinchin-split": (
         ("khinchin", "--n-seeds", "2", "--dim", "4", "--n-small", "1000", "--n-big", "524293",
          "--seed", "5"),

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqm.algebra import Character, evaluate, masa_from, spectral_decompose
-from aqm import ensemble, experiments, interferometer, rng, two_slit
+from aqm.algebra import Character, _branch_values, evaluate, masa_from, spectral_decompose
+from aqm import experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
@@ -42,6 +42,7 @@ from aqm.two_slit import (
     slit_projectors,
     uniform_source,
 )
+from conftest import pool_of
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,35 +114,25 @@ def test_measure_many_never_draws_a_zero_probability_branch():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    workers=st.sampled_from([2, 3, 5]),
     n=st.sampled_from([1, 2**16 - 1, 2**16, 2 * 2**16 + 3, 4 * 2**16 + 5]),
-    consumed=st.integers(0, 3),  # draws made before; 1-3 leave Philox words buffered
-    philox=st.booleans(),
     dim=st.sampled_from([3, 40]),  # the counting and the bisecting sampler
-    seed=st.integers(0, 2**31),
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(1, 2**20),
 )
-def test_monte_carlo_mean_does_not_depend_on_the_worker_count(workers, n, consumed, philox,
-                                                              dim, seed):
+def test_monte_carlo_mean_does_not_depend_on_the_worker_count(n, dim, seed, index):
     setup = np.random.default_rng(seed)
     a = random_hermitian(dim, setup)
     q = masa_from(a)
     psi = random_density(dim, setup)
-
-    def generator():
-        gen = stream(seed, 1) if philox else np.random.default_rng(seed)
-        gen.random(consumed)
-        return gen
-
-    results, generators = [], []
-    for count in (1, workers):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ensemble, "_WORKERS", count)
-            generators.append(generator())
-            results.append(monte_carlo_mean(psi, a, q, n, generators[-1]))
-    assert results[1] == results[0]
-    twin = generator()
-    twin.random(n)
-    assert generators[1].random() == generators[0].random() == twin.random()
+    # the serial reference: one draw of the stream per trial
+    values = _branch_values(q, a)
+    idx = inverse_cdf(born_distribution(psi, q), stream(seed, index).random(n))
+    mean = values[idx].mean()
+    counts = np.bincount(idx, minlength=len(values))
+    stderr = 0.0 if n == 1 else np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n)
+    for threads in (1, 2, 3):
+        with pool_of(threads):
+            assert monte_carlo_mean(psi, a, q, n, seed, index) == (mean, stderr)
 
 
 _POSITIVE_WEIGHT = st.one_of(st.integers(1, 8).map(float), st.floats(1e-6, 1.0))

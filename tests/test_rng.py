@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from aqm.rng import LANE_EVENTS, LANE_POLICY, event_stream, event_uniforms, stream
 
@@ -32,12 +33,23 @@ def test_event_uniforms_match_event_streams():
             assert np.array_equal(batch[i], event_stream(99, i, lane=lane).random(4))
 
 
-def test_a_state_copy_advanced_by_k_blocks_draws_from_draw_4k():
-    # the layout monte_carlo_mean splits one stream across threads by
-    draws = stream(7, 3).random(4 * 252)
+def test_a_stream_started_at_draw_4k_draws_from_draw_4k():
+    # the layout monte_carlo_mean reads each chunk of its draws by
     for k in (0, 1, 2, 100, 249):
-        bit_generator = np.random.Philox(key=0)
-        bit_generator.state = stream(7, 3).bit_generator.state
-        bit_generator.advance(k)
-        got = np.random.Generator(bit_generator).random(12)
-        assert np.array_equal(got, draws[4 * k : 4 * k + 12])
+        expected = stream(7, 3).random(4 * k + 12)[4 * k :]
+        assert np.array_equal(stream(7, 3, start=4 * k).random(12), expected)
+
+
+@pytest.mark.parametrize("start", [-4, 6])
+def test_a_stream_starts_on_a_block(start):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        stream(7, 3, start=start)
+
+
+def test_seeds_outside_64_bits_are_rejected():
+    # 2**128 + 9 would otherwise draw seed 9's numbers
+    stream(2**64 - 1, lane=LANE_POLICY).random()  # the largest seed is accepted
+    for seed in (-1, 2**64, 2**128 + 9):
+        for draw in (stream, event_stream):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                draw(seed, 0)
