@@ -32,7 +32,7 @@ _context_counter = itertools.count()
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce a DynamicalVariable/Observable or array-like to a complex ndarray."""
+    """Coerce a DynamicalVariable or array-like to a complex ndarray."""
     if isinstance(a, DynamicalVariable):
         return a.entries
     m = np.asarray(a, dtype=complex)
@@ -101,16 +101,6 @@ class DynamicalVariable:
 
     def adjoint(self) -> "DynamicalVariable":
         return DynamicalVariable(self.entries.conj().T)
-
-
-@dataclass(frozen=True)
-class Observable(DynamicalVariable):
-    """Hermitian dynamical variable."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not is_hermitian(self.entries):
-            raise NotHermitianError("observable must be Hermitian within tolerance")
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,7 @@ def _validate(experiment: str, config: dict) -> None:
             sites = config[key]
             if sites is not None and not (isinstance(sites, list) and all(map(_is_int, sites))):
                 raise ConfigError(f"{key} must be a list of integer sites, got {sites!r}")
+        _geometry(config)  # a bad preset or slit set fails before --out is created
     if experiment == "delayed-choice":
         if not isinstance(config["m4"], str) or config["m4"] not in experiments.POLICIES:
             raise ConfigError(f"unknown m4 policy {config['m4']!r}")

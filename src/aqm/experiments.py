@@ -8,7 +8,6 @@ also writes its photon events, as it draws them, when given a path.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import asdict
 
 import numpy as np
 
@@ -192,7 +191,6 @@ def two_slit_experiment(
     """Ensemble pattern, its three-term decomposition, and the event sampler."""
     psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), geom)
     split = two_slit.screen_split(psi_ab, geom)  # an infeasible split fails here
-    decomposition = two_slit._decomposition(split.modes)  # pattern_decomposed, from one pass
     direct_a, direct_b, cross, probs = split.modes
     histogram, (n_a, n_b) = two_slit.sample_screens(split, n_events, seed)
     tv = two_slit.total_variation(histogram, probs)
@@ -204,7 +202,10 @@ def two_slit_experiment(
         "slit_b": sorted(geom.slit_b),
         "n_events": n_events,
         "pattern": probs.tolist(),
-        "decomposition": [asdict(d) for d in decomposition],
+        "decomposition": [
+            {"direct_a": a, "direct_b": b, "interference": c, "total": t}
+            for a, b, c, t in zip(*(m.tolist() for m in split.modes))
+        ],
         "histogram": histogram.tolist(),
         "slit_tally": {"a": n_a, "b": n_b},
         "split_clamp": {"a": split.clamped[0], "b": split.clamped[1], "budget": split.budget},
@@ -257,25 +258,5 @@ def delayed_choice_experiment(
             counts += interferometer.count_events(events)
             if fh is not None:
                 interferometer.write_events_csv(events, fh)
-    report = interferometer.summarize_counts(counts)
-    result = {
-        "policy": policy_name,
-        "n_events": n_events,
-        "sub_ensembles": [
-            {
-                "m4_present": s.m4_present,
-                "n_events": s.n_events,
-                "freq_DA": s.freq_da,
-                "freq_DB": s.freq_db,
-                "expected_DA": s.expected_da,
-                "expected_DB": s.expected_db,
-                "deviation": s.deviation,
-                "tolerance": s.tolerance,
-                "passed": s.passed,
-            }
-            for s in report.sub_ensembles
-        ],
-        "max_deviation": report.max_deviation,
-        "passed": report.passed,
-    }
-    return result
+    return {"policy": policy_name, "n_events": n_events,
+            **interferometer.summarize_counts(counts)}

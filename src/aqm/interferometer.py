@@ -77,13 +77,11 @@ _P_STEERED_DB = wave_probabilities(DeviceConfig(m4_present=True))[1]
 class ChoicePolicy:
     """Rule fixing output-mirror presence per event, decided in flight.
 
-    Decisions are taken after the photon has passed M1, so nothing a
-    policy decides can influence the kernel's path.
+    A policy's decide_batch(n, start) is the mirror presence at arrival of
+    events start..start+n-1, as a bool array.  Decisions are taken after
+    the photon has passed M1, so nothing a policy decides can influence
+    the kernel's path.
     """
-
-    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
-        """Mirror presence at arrival for events start..start+n-1, as a bool array."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ class DelayedRandom(ChoicePolicy):
 
     Decisions come from a dedicated counter stream, so they are
     reproducible and do not disturb the photon's own randomness.  Event
-    i's decision is the first draw of event_stream(seed, i, LANE_POLICY).
+    i's decision is column 0 of its event_uniforms row on LANE_POLICY.
     """
 
     p: float = 0.5
@@ -137,29 +135,12 @@ class PhotonEvents:
         return len(self.detector)
 
 
-def particle_run(m4_at_arrival: bool, rng: np.random.Generator) -> tuple[int, int]:
-    """One photon through the particle model; returns (kernel_path, detector).
-
-    The scalar reference for run_events.  The kernel picks a path at M1
-    with the splitter's intensity ratio.  The mirror decision arrives
-    after the photon has passed M1; nothing decided earlier can influence
-    the outcome.  With the mirror present the detector is drawn from the
-    wave distribution regardless of the kernel's path; with it absent,
-    path A lands on detector A and path B on detector B.
-    """
-    kernel_path = PATH_A if rng.random() < _P_PATH_A else PATH_B
-    if m4_at_arrival:
-        detector = DETECTOR_B if rng.random() < _P_STEERED_DB else DETECTOR_A
-    else:
-        detector = DETECTOR_A if kernel_path == PATH_A else DETECTOR_B
-    return kernel_path, detector
-
-
 def run_events(policy: ChoicePolicy, n: int, seed: int, start: int = 0) -> PhotonEvents:
-    """Photons start..start+n-1, one counter-addressed stream per event.
+    """Photons start..start+n-1 of the particle model, one Philox block per event.
 
-    Vectorized over events; bit-identical to calling particle_run with
-    the policy's decision and event_stream(seed, i) for each event i.
+    Event i reads row i - start of event_uniforms(seed, n, start=start):
+    column 0 picks the kernel's path at M1, and column 1 the detector when
+    the mirror is present at arrival.
     """
     u = event_uniforms(seed, n, start=start)
     paths = (u[:, 0] >= _P_PATH_A).astype(np.uint8)
@@ -181,26 +162,6 @@ def count_events(events: PhotonEvents) -> np.ndarray:
     return np.bincount(2 * events.m4_at_arrival + events.detector, minlength=4).reshape(2, 2)
 
 
-@dataclass(frozen=True)
-class SubEnsembleStats:
-    m4_present: bool
-    n_events: int
-    freq_da: float
-    freq_db: float
-    expected_da: float
-    expected_db: float
-    deviation: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    sub_ensembles: tuple
-    max_deviation: float
-    passed: bool
-
-
 def check_event_count(n: int) -> None:
     """Reject a run too small for summarize_counts, before anything is drawn."""
     if n < _MIN_EVENTS:
@@ -209,17 +170,17 @@ def check_event_count(n: int) -> None:
         )
 
 
-def summarize_counts(counts: np.ndarray) -> EquivalenceReport:
+def summarize_counts(counts: np.ndarray) -> dict:
     """Compare particle-model detector frequencies against the wave model.
 
     `counts` is count_events' (2, 2) array, summed over a run.  Per mirror
     sub-ensemble: deviation of the empirical detector frequencies from the
     wave probabilities, passed at a 4-sigma binomial tolerance (exact
     agreement required for deterministic outcomes).  Fewer than 1000
-    events are rejected.
+    events are rejected.  Returns the comparison as result.json reports it.
     """
     check_event_count(int(counts.sum()))
-    stats = []
+    rows = []
     for m4 in (False, True):
         n = int(counts[int(m4)].sum())
         if not n:
@@ -231,36 +192,22 @@ def summarize_counts(counts: np.ndarray) -> EquivalenceReport:
         # floor covers float noise in the wave probabilities when the
         # outcome is deterministic (binomial tolerance would be zero)
         tol = max(4.0 * np.sqrt(p_da * p_db / n), 1e-12)
-        stats.append(
-            SubEnsembleStats(
-                m4_present=m4,
-                n_events=n,
-                freq_da=f_da,
-                freq_db=f_db,
-                expected_da=p_da,
-                expected_db=p_db,
-                deviation=float(dev),
-                tolerance=float(tol),
-                passed=bool(dev <= tol),
-            )
-        )
-    max_dev = max((s.deviation for s in stats), default=0.0)
-    return EquivalenceReport(
-        sub_ensembles=tuple(stats),
-        max_deviation=max_dev,
-        passed=all(s.passed for s in stats),
-    )
-
-
-def summarize_events(events: PhotonEvents) -> EquivalenceReport:
-    """summarize_counts of the events' counts."""
-    return summarize_counts(count_events(events))
-
-
-def equivalence_report(policy: ChoicePolicy, n: int, seed: int) -> EquivalenceReport:
-    """Run n photons under the policy and compare against the wave model."""
-    check_event_count(n)
-    return summarize_counts(sum(count_events(e) for e in photon_chunks(policy, n, seed)))
+        rows.append({
+            "m4_present": m4,
+            "n_events": n,
+            "freq_DA": f_da,
+            "freq_DB": f_db,
+            "expected_DA": p_da,
+            "expected_DB": p_db,
+            "deviation": float(dev),
+            "tolerance": float(tol),
+            "passed": bool(dev <= tol),
+        })
+    return {
+        "sub_ensembles": rows,
+        "max_deviation": max((r["deviation"] for r in rows), default=0.0),
+        "passed": all(r["passed"] for r in rows),
+    }
 
 
 _CSV_HEADER = b"event,seed,kernel_path,m4,detector\r\n"

@@ -5,25 +5,26 @@ generator keyed by the user seed.  Independent trials get streams
 addressed by (seed, stream index), so replay is exact and the result of a
 trial does not depend on how many other trials ran before it.  Long-lived
 streams are disjoint from each other, but not yet from per-event ones:
-stream(seed, 0) reads the same blocks as event_stream(seed, 0),
-event_stream(seed, 1), ..., since both count from counter 0.
+stream(seed, 0) reads the same blocks as rows 0, 1, ... of
+event_uniforms(seed, ...), since both count from counter 0.
 
 Block layout.  Philox turns one 256-bit counter value into one block of
 four 64-bit words, which Generator.random makes into four doubles.  numpy
 increments the counter before it computes a block, so a generator created
 at counter c reads the blocks at c + 1, c + 2, ...: draws 4b to 4b + 3 of
-stream(seed, index) are the block at counter (index << 128) + b + 1, and
-event_stream(seed, i) reads the block at i + 1.  stream(seed, index,
-start=4k) is created at counter (index << 128) + k, so it draws what
-stream(seed, index) draws from its draw 4k on: any block-aligned range of
-a stream is read on its own, as monte_carlo_mean reads each of its chunks.
+stream(seed, index) are the block at counter (index << 128) + b + 1.
+stream(seed, index, start=4k) is created at counter (index << 128) + k,
+so it draws what stream(seed, index) draws from its draw 4k on: any
+block-aligned range of a stream is read on its own, as monte_carlo_mean
+reads each of its chunks.
 
-Event ranges.  event_uniforms(seed, count, lane, start) creates its
-generator at counter start, so its row i is the block at start + i + 1,
-which is event start + i.  Any range of events is therefore drawn on its
-own, with no state carried from the events before it.  Per-event kernels
-walk a run of events in the fixed ranges of event_chunks, 2**16 events at
-a time, so their memory does not grow with the number of events.
+Event ranges.  An event owns one block: row i of event_uniforms(seed,
+count, lane, start) is the block at counter start + i + 1, the four
+uniforms of event start + i.  Any range of events is therefore drawn on
+its own, with no state carried from the events before it.  Per-event
+kernels walk a run of events in the fixed ranges of event_chunks, 2**16
+events at a time, so their memory does not grow with the number of
+events.
 """
 
 from __future__ import annotations
@@ -64,20 +65,12 @@ def stream(
 DRAWS_PER_EVENT = 4
 
 
-def event_stream(seed: int, index: int, lane: int = LANE_EVENTS) -> np.random.Generator:
-    """Generator for one event; may draw at most DRAWS_PER_EVENT doubles."""
-    if index < 0:
-        raise ValueError(f"event index must be non-negative, got {index}")
-    return np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=index))
-
-
 def event_uniforms(
     seed: int, n_events: int, lane: int = LANE_EVENTS, start: int = 0
 ) -> np.ndarray:
     """Uniforms for events start..start+n_events-1 as an (n_events, 4) array.
 
-    Row i reproduces exactly the first four draws of
-    event_stream(seed, start + i), so batched, chunked and
+    Row i is event start + i's own Philox block, so batched, chunked and
     one-event-at-a-time execution give identical results.
     """
     if start < 0:

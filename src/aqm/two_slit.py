@@ -5,14 +5,13 @@ is diag(mask), so P_a rho P_b is rho masked elementwise.  The screen
 observable is a projector onto a bin of discrete-Fourier modes, standing
 in for a small solid angle of outgoing momenta.  The ensemble mean of a
 screen projector splits exactly into a slit-a term, a slit-b term, and a
-cross (interference) term.  The stacked-screens sampler realizes the same
-statistics one event at a time, with each particle localized at exactly
-one slit; the cross term's mass is shared equally between the two slit
-labels, the unique symmetric split consistent with the ensemble
-decomposition.  The pattern and the split are computed per DFT mode by
-FFT from the masks.  The dense `slit_projectors`, `momentum_projector` and
-`decompose_mean` are oracles for tests and arbitrary bins; the only dense
-matrix a run builds is the slit event it conditions on.
+cross (interference) term.  The stacked-screens sampler, sample_screens,
+realizes the same statistics one event at a time, with each particle
+localized at exactly one slit; the cross term's mass is shared equally
+between the two slit labels, the unique symmetric split consistent with
+the ensemble decomposition.  The pattern and the split are computed per DFT mode by
+FFT from the masks; the only dense matrix a run builds is the slit event
+it conditions on.
 """
 
 from __future__ import annotations
@@ -21,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.algebra import as_matrix
 from aqm.ensemble import QuantumState, condition_on_event, inverse_cdf
-from aqm.errors import ImpossibleEventError, ModelViolationError
+from aqm.errors import ConfigError, ImpossibleEventError, ModelViolationError
 from aqm.rng import event_chunks, event_uniforms
 
 CLOSURE_TOL = 1e-10
-CONDITIONED_TOL = 1e-8
 CLAMP_BUDGET = 1e-6  # per lattice site, see screen_split
 
 
@@ -43,11 +40,11 @@ class SlitGeometry:
         a = frozenset(int(i) for i in self.slit_a)
         b = frozenset(int(i) for i in self.slit_b)
         if not a or not b:
-            raise ValueError("both slits must be non-empty")
+            raise ConfigError("both slits must be non-empty")
         if a & b:
-            raise ValueError(f"slits overlap on sites {sorted(a & b)}")
+            raise ConfigError(f"slits overlap on sites {sorted(a & b)}")
         if any(i < 0 or i >= self.grid_size for i in a | b):
-            raise ValueError("slit site index out of range")
+            raise ConfigError("slit site index out of range")
         object.__setattr__(self, "slit_a", a)
         object.__setattr__(self, "slit_b", b)
 
@@ -58,52 +55,6 @@ class SlitGeometry:
         a[list(self.slit_a)] = 1.0
         b[list(self.slit_b)] = 1.0
         return a, b
-
-
-@dataclass(frozen=True)
-class MomentumBin:
-    """Contiguous index range [start, stop) in the DFT momentum basis."""
-
-    start: int
-    stop: int
-
-    def __post_init__(self):
-        if self.stop <= self.start:
-            raise ValueError("momentum bin must be non-empty")
-
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
-
-@dataclass(frozen=True)
-class InterferenceDecomposition:
-    """Three-term split of the mean of a screen projector."""
-
-    direct_a: float
-    direct_b: float
-    interference: float
-    total: float
-
-
-def slit_projectors(geom: SlitGeometry):
-    """Dense diagonal projectors diag(a), diag(b) of the slit masks; a test oracle."""
-    return tuple(np.diag(m) for m in geom.masks)
-
-
-def dft_basis(n: int) -> np.ndarray:
-    """Columns are the orthonormal discrete-Fourier momentum modes."""
-    j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-
-
-def momentum_projector(mbin: MomentumBin, n: int) -> np.ndarray:
-    """Projector onto a contiguous bin of DFT momentum modes."""
-    if mbin.start < 0 or mbin.stop > n:
-        raise ValueError(f"momentum bin {mbin} out of range for N={n}")
-    cols = dft_basis(n)[:, mbin.start : mbin.stop]
-    k = cols @ cols.conj().T
-    return 0.5 * (k + k.conj().T)
 
 
 def uniform_source(n: int) -> QuantumState:
@@ -135,55 +86,8 @@ def prepare_conditioned(psi0: QuantumState, geom: SlitGeometry) -> QuantumState:
     return psi
 
 
-def verify_support_identities(
-    psi_ab: QuantumState, geom: SlitGeometry, trials: int, rng: np.random.Generator
-) -> float:
-    """Max residual of the right/left/two-sided slit-support absorptions.
-
-    For random dynamical variables A, the mean of A must equal the means
-    of AE, EA, and EAE where E = diag(e) is the total slit projector; this
-    is the Cauchy-Schwarz consequence of unit slit support.
-    """
-    e = sum(_slit_masks(psi_ab, geom))
-    if abs(_weight(psi_ab, e) - 1.0) > CONDITIONED_TOL:
-        raise ValueError("state is not conditioned on the slit event")
-    rho = psi_ab.rho
-    n = rho.shape[0]
-
-    def mean(m):
-        return np.trace(rho @ m)
-
-    worst = 0.0
-    for _ in range(trials):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        base = mean(a)
-        worst = max(
-            worst,
-            abs(base - mean(a * e)),
-            abs(base - mean(e[:, None] * a)),
-            abs(base - mean(e[:, None] * a * e)),
-        )
-    return float(worst)
-
-
-def decompose_mean(psi_ab: QuantumState, k, p_a, p_b) -> InterferenceDecomposition:
-    """Split the mean of the screen observable into direct and cross terms."""
-    mk, ma, mb = as_matrix(k), as_matrix(p_a), as_matrix(p_b)
-    rho = psi_ab.rho
-    direct_a = np.trace(rho @ ma @ mk @ ma).real
-    direct_b = np.trace(rho @ mb @ mk @ mb).real
-    cross = np.trace(rho @ (ma @ mk @ mb + mb @ mk @ ma)).real
-    total = np.trace(rho @ mk).real
-    return InterferenceDecomposition(
-        direct_a=float(direct_a),
-        direct_b=float(direct_b),
-        interference=float(cross),
-        total=float(total),
-    )
-
-
 def _mode_diagonal(g: np.ndarray) -> np.ndarray:
-    """diag(F^dagger G F).real over the DFT modes F = dft_basis(N), by two FFTs."""
+    """diag(F^dagger G F).real by two FFTs; F[j, k] = exp(-2 pi i jk/N)/sqrt(N)."""
     return np.diagonal(np.fft.ifft(np.fft.fft(g, axis=1), axis=0)).real.copy()
 
 
@@ -198,21 +102,6 @@ def _mode_statistics(psi_ab: QuantumState, geom: SlitGeometry) -> tuple:
     rho = psi_ab.rho
     masks = (np.outer(a, a), np.outer(b, b), np.outer(a, b) + np.outer(b, a), 1.0)
     return tuple(_mode_diagonal(rho * m) for m in masks)
-
-
-def pattern_decomposed(psi_ab: QuantumState, geom: SlitGeometry) -> list:
-    """Per-momentum-site decomposition over single-mode bins."""
-    return _decomposition(_mode_statistics(psi_ab, geom))
-
-
-def _decomposition(modes: tuple) -> list:
-    """One InterferenceDecomposition per mode, from `_mode_statistics` vectors."""
-    return [InterferenceDecomposition(*row) for row in zip(*(m.tolist() for m in modes))]
-
-
-def pattern(psi_ab: QuantumState) -> np.ndarray:
-    """Momentum distribution of the conditioned state over single-mode bins."""
-    return np.clip(_mode_diagonal(psi_ab.rho), 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,12 +168,6 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
             histogram += np.bincount(site, minlength=n)
         n_b += int(np.count_nonzero(slit_b))
     return histogram, (n_events - n_b, n_b)
-
-
-def stacked_screens(psi0: QuantumState, geom: SlitGeometry, n_events: int, seed: int):
-    """`sample_screens` of `psi0` conditioned on the slits of `geom`."""
-    psi_ab = prepare_conditioned(psi0, geom)
-    return sample_screens(screen_split(psi_ab, geom), n_events, seed)
 
 
 def total_variation(histogram: np.ndarray, probs: np.ndarray) -> float:

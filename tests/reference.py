@@ -1,0 +1,150 @@
+"""Dense and one-event-at-a-time references that the tests compare the package with.
+
+No command-line run reaches them: the package computes the same numbers
+by FFT over slit masks and in batches of event_uniforms rows.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from dataclasses import dataclass
+
+import numpy as np
+
+from aqm.algebra import as_matrix
+from aqm.ensemble import QuantumState
+from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
+from aqm.rng import LANE_EVENTS, _key
+from aqm.two_slit import SlitGeometry, _slit_masks, _weight
+
+CONDITIONED_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class MomentumBin:
+    """Contiguous index range [start, stop) in the DFT momentum basis."""
+
+    start: int
+    stop: int
+
+    def __post_init__(self):
+        if self.stop <= self.start:
+            raise ValueError("momentum bin must be non-empty")
+
+
+def slit_projectors(geom: SlitGeometry):
+    """Dense diagonal projectors diag(a), diag(b) of the slit masks."""
+    return tuple(np.diag(m) for m in geom.masks)
+
+
+def dft_basis(n: int) -> np.ndarray:
+    """Columns are the orthonormal discrete-Fourier momentum modes."""
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+
+
+def mode_diagonal(g: np.ndarray) -> np.ndarray:
+    """diag(F^dagger G F).real over the DFT modes F = dft_basis(N), densely."""
+    f = dft_basis(len(g))
+    return np.einsum("ik,ij,jk->k", f.conj(), g, f).real
+
+
+def momentum_projector(mbin: MomentumBin, n: int) -> np.ndarray:
+    """Projector onto a contiguous bin of DFT momentum modes."""
+    if mbin.start < 0 or mbin.stop > n:
+        raise ValueError(f"momentum bin {mbin} out of range for N={n}")
+    cols = dft_basis(n)[:, mbin.start : mbin.stop]
+    k = cols @ cols.conj().T
+    return 0.5 * (k + k.conj().T)
+
+
+def verify_support_identities(
+    psi_ab: QuantumState, geom: SlitGeometry, trials: int, rng: np.random.Generator
+) -> float:
+    """Max residual of the right/left/two-sided slit-support absorptions.
+
+    For random dynamical variables A, the mean of A must equal the means
+    of AE, EA, and EAE where E = diag(e) is the total slit projector; this
+    is the Cauchy-Schwarz consequence of unit slit support.
+    """
+    e = sum(_slit_masks(psi_ab, geom))
+    if abs(_weight(psi_ab, e) - 1.0) > CONDITIONED_TOL:
+        raise ValueError("state is not conditioned on the slit event")
+    rho = psi_ab.rho
+    n = rho.shape[0]
+
+    def mean(m):
+        return np.trace(rho @ m)
+
+    worst = 0.0
+    for _ in range(trials):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        base = mean(a)
+        worst = max(
+            worst,
+            abs(base - mean(a * e)),
+            abs(base - mean(e[:, None] * a)),
+            abs(base - mean(e[:, None] * a * e)),
+        )
+    return float(worst)
+
+
+def decompose_mean(psi_ab: QuantumState, k, p_a, p_b) -> dict:
+    """Split the mean of the screen observable into direct and cross terms.
+
+    The keys are those of a `decomposition` row of result.json.
+    """
+    mk, ma, mb = as_matrix(k), as_matrix(p_a), as_matrix(p_b)
+    rho = psi_ab.rho
+    direct_a = np.trace(rho @ ma @ mk @ ma).real
+    direct_b = np.trace(rho @ mb @ mk @ mb).real
+    cross = np.trace(rho @ (ma @ mk @ mb + mb @ mk @ ma)).real
+    total = np.trace(rho @ mk).real
+    return {
+        "direct_a": float(direct_a),
+        "direct_b": float(direct_b),
+        "interference": float(cross),
+        "total": float(total),
+    }
+
+
+def particle_run(m4_at_arrival: bool, rng: np.random.Generator) -> tuple[int, int]:
+    """One photon through the particle model; returns (kernel_path, detector).
+
+    The scalar reference for run_events.  The kernel picks a path at M1
+    with the splitter's intensity ratio.  The mirror decision arrives
+    after the photon has passed M1; nothing decided earlier can influence
+    the outcome.  With the mirror present the detector is drawn from the
+    wave distribution regardless of the kernel's path; with it absent,
+    path A lands on detector A and path B on detector B.
+    """
+    kernel_path = PATH_A if rng.random() < _P_PATH_A else PATH_B
+    if m4_at_arrival:
+        detector = DETECTOR_B if rng.random() < _P_STEERED_DB else DETECTOR_A
+    else:
+        detector = DETECTOR_A if kernel_path == PATH_A else DETECTOR_B
+    return kernel_path, detector
+
+
+def event_stream(seed: int, index: int, lane: int = LANE_EVENTS) -> np.random.Generator:
+    """Generator for one event; may draw at most DRAWS_PER_EVENT doubles."""
+    if index < 0:
+        raise ValueError(f"event index must be non-negative, got {index}")
+    return np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=index))
+
+
+def events_csv(m4_at_arrival, seed: int, start: int = 0) -> bytes:
+    """events.csv rows of events start, start+1, ... with the given mirror presence.
+
+    Written by csv.writer over particle_run, one event_stream per event;
+    the header comes first when start is 0.
+    """
+    text = io.StringIO()
+    writer = csv.writer(text)
+    if start == 0:
+        writer.writerow(["event", "seed", "kernel_path", "m4", "detector"])
+    for i, m4 in enumerate(m4_at_arrival, start):
+        kernel_path, detector = particle_run(m4, event_stream(seed, i))
+        writer.writerow([i, seed, "AB"[kernel_path], int(m4), ("DA", "DB")[detector]])
+    return text.getvalue().encode()

@@ -13,11 +13,17 @@ from aqm.interferometer import (
     Always,
     DelayedRandom,
     DeviceConfig,
-    equivalence_report,
     run_events,
     wave_probabilities,
 )
 from aqm.rng import stream
+from reference import (
+    MomentumBin,
+    decompose_mean,
+    momentum_projector,
+    slit_projectors,
+    verify_support_identities,
+)
 
 
 def report(name, passed, detail):
@@ -44,9 +50,8 @@ def test_criterion_1_mirror_present_certain_db():
 
 def test_criterion_2_mirror_absent_even_split():
     t0 = time.time()
-    rep = equivalence_report(Always(False), 100_000, seed=7)
-    sub = rep.sub_ensembles[0]
-    dev = max(abs(sub.freq_da - 0.5), abs(sub.freq_db - 0.5))
+    sub = experiments.delayed_choice_experiment("absent", 100_000, seed=7)["sub_ensembles"][0]
+    dev = max(abs(sub["freq_DA"] - 0.5), abs(sub["freq_DB"] - 0.5))
     elapsed = time.time() - t0
     report(
         "2 delayed-choice position (a)",
@@ -84,19 +89,19 @@ def test_criterion_4_decomposition_closure():
         geom = two_slit.SlitGeometry(
             n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb])
         )
-        p_a, p_b = two_slit.slit_projectors(geom)
+        p_a, p_b = slit_projectors(geom)
         psi = two_slit.prepare_conditioned(random_density(n, rng), geom)
         start = int(rng.integers(0, n))
         stop = int(rng.integers(start + 1, n + 1))
-        k = two_slit.momentum_projector(two_slit.MomentumBin(start, stop), n)
-        d = two_slit.decompose_mean(psi, k, p_a, p_b)
+        k = momentum_projector(MomentumBin(start, stop), n)
+        d = decompose_mean(psi, k, p_a, p_b)
         worst_closure = max(
-            worst_closure, abs(d.direct_a + d.direct_b + d.interference - d.total)
+            worst_closure, abs(d["direct_a"] + d["direct_b"] + d["interference"] - d["total"])
         )
         # commuting screen observable: diagonal, so [p_a, K] = 0
         k_diag = np.diag(rng.random(n))
-        d2 = two_slit.decompose_mean(psi, k_diag, p_a, p_b)
-        worst_commuting = max(worst_commuting, abs(d2.interference))
+        d2 = decompose_mean(psi, k_diag, p_a, p_b)
+        worst_commuting = max(worst_commuting, abs(d2["interference"]))
     elapsed = time.time() - t0
     report(
         "4 three-term closure",
@@ -110,23 +115,21 @@ def test_criterion_5_support_identities():
     rng = stream(7)
     geom = two_slit.SlitGeometry(16, frozenset({2, 3}), frozenset({10, 11}))
     psi = two_slit.prepare_conditioned(two_slit.uniform_source(16), geom)
-    residual = two_slit.verify_support_identities(psi, geom, 100, rng)
+    residual = verify_support_identities(psi, geom, 100, rng)
     report("5 support identities", residual <= 1e-10, f"max residual {residual:.2e}")
 
 
 def test_criterion_6_stacked_screens():
-    n = 64
-    geom = experiments.symmetric64_geometry()
-    psi0 = two_slit.uniform_source(n)
     n_events = 100_000
-    hist, (n_a, n_b) = two_slit.stacked_screens(psi0, geom, n_events, seed=7)
-    probs = two_slit.pattern(two_slit.prepare_conditioned(psi0, geom))
-    tv = two_slit.total_variation(hist, probs)
+    result = experiments.two_slit_experiment(experiments.symmetric64_geometry(), n_events, 7)
+    tv = two_slit.total_variation(np.array(result["histogram"]), result["pattern"])
+    n_a, n_b = result["slit_tally"]["a"], result["slit_tally"]["b"]
     locality = n_a + n_b == n_events  # every event tallies exactly one slit
     report(
         "6 stacked screens",
-        tv <= 0.05 and locality,
-        f"TV distance {tv:.4f} <= 0.05, slit tally {n_a}+{n_b}={n_events}",
+        tv <= 0.05 and locality and abs(n_a / n_events - 0.5) <= 0.005,
+        f"TV distance {tv:.4f} <= 0.05, slit tally {n_a}+{n_b}={n_events}, "
+        f"slit-a share {n_a / n_events:.4f} within 0.005 of 0.5",
     )
 
 

@@ -7,7 +7,6 @@ from aqm.algebra import (
     ContextFamily,
     DynamicalVariable,
     ElementaryState,
-    Observable,
     commutes,
     contains,
     evaluate,
@@ -37,10 +36,6 @@ class TestDynamicalVariable:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             DynamicalVariable(np.ones((2, 3)))
-
-    def test_observable_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            Observable(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestCommutes:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import aqm
-from aqm import experiments, interferometer
+from aqm import experiments, interferometer, rng, two_slit
 from aqm.cli import main, resolve_config
 from aqm.errors import ConfigError
 
@@ -217,6 +218,44 @@ def test_cli_import_starts_no_thread_pool():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _public_code(module):
+    """name -> code object of each public function and method defined in `module`."""
+    found = {}
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
+        for attr, member in members:
+            member = getattr(member, "fget", member)  # a property runs its getter
+            if not attr.startswith("_") and inspect.isfunction(member):
+                found[f"{name}.{attr}".rstrip(".")] = member.__code__
+    return found
+
+
+def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
+    # the package holds what the CLI runs; reference code lives in tests/reference.py
+    runs = [("delayed-choice", "--m4", m4, "--n", "1000", "--write-events")
+            for m4 in experiments.POLICIES]
+    runs += [("two-slit", "--n-sites", "8", "--slit-a", "1", "--slit-b", "5", "--n", "1000"),
+             ("postulates", "--dim", "3", "--trials", "2"),  # calls rng.stream on this thread
+             ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2")]
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for i, argv in enumerate(runs):
+            assert run_cli(*argv, "--out", str(tmp_path / str(i))) == 0
+    finally:
+        sys.setprofile(None)
+    code = {f"{m.__name__}.{name}": c
+            for m in (rng, two_slit, interferometer) for name, c in _public_code(m).items()}
+    assert [name for name, c in code.items() if c not in ran] == []
+
+
 class TestPostulatesCommand:
     def test_small_run_passes(self, tmp_path):
         out = tmp_path / "run"
@@ -323,9 +362,14 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
         ("delayed-choice", {"write_events": "no"}, "write_events must be a boolean"),
         ("postulates", {"out": 5}, "out must be a non-empty path"),
         ("postulates", {"out": "cfg.json"}, "cannot create output directory 'cfg.json'"),
+        ("two-slit", {"n_sites": 8, "slit_a": [1], "slit_b": [1]}, "slits overlap on sites [1]"),
+        ("two-slit", {"n_sites": 8, "slit_a": [1], "slit_b": [8]}, "slit site index out of range"),
+        ("two-slit", {"n_sites": 8, "slit_a": [], "slit_b": [5]}, "both slits must be non-empty"),
+        ("two-slit", {"preset": "bogus"}, "unknown preset 'bogus'"),
     ],
     ids=["slit-int", "n-sites-str", "n-sites-float", "slit-float", "p-str", "p-null",
-         "m4-list", "write-events-str", "out-int", "out-is-a-file"],
+         "m4-list", "write-events-str", "out-int", "out-is-a-file", "slits-overlap",
+         "slit-out-of-range", "slit-empty", "preset-bogus"],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experiment,
                                           file_config, message):

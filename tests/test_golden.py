@@ -67,6 +67,22 @@ GOLDEN = {
             "result.json": "c27b331b71a110f258138b2cfb1db30476d5ca09b508b42367c2641f0815bb08",
         },
     ),
+    # one sub-ensemble each, and both
+    "delayed-choice-present": (
+        ("delayed-choice", "--m4", "present", "--n", "3000", "--seed", "4"),
+        0,
+        {"result.json": "f3e5436fb3ac6fae2cb3e4d21fb31c012a29ac51a9fdff2edc0875631d2d2252"},
+    ),
+    "delayed-choice-absent": (
+        ("delayed-choice", "--m4", "absent", "--n", "3000", "--seed", "4"),
+        0,
+        {"result.json": "513f1658a96f7b74a5033ffa132aaa8cfb8ca87c357f4b9cbe80b97ca2d74325"},
+    ),
+    "delayed-choice-alternating": (
+        ("delayed-choice", "--m4", "delayed-alternating", "--n", "3000", "--seed", "4"),
+        0,
+        {"result.json": "6ec99be26ac4be3efc6682f20a5fe297e736cb81f99d8926130993cf1ab5bf79"},
+    ),
     "postulates": (
         ("postulates", "--dim", "4", "--trials", "10", "--seed", "3"),
         0,

