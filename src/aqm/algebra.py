@@ -1,13 +1,13 @@
-"""Finite-dimensional algebra of dynamical variables.
+"""Finite-dimensional algebra of observables.
 
-The abstract C*-algebra is modeled as the full matrix algebra M_n(C).
-A measurement device type is a Context: a complete family of mutually
-orthogonal Hermitian projectors (a maximal abelian subalgebra when all
-projectors are rank one).  A Character picks one branch of a context and
-evaluates every observable diagonal in that context to the corresponding
-eigenvalue.  An ElementaryState carries one character per registered
-context and is the hidden per-system state determining individual
-outcomes.
+The abstract C*-algebra is modeled as the full matrix algebra M_n(C),
+its elements as square complex arrays.  A measurement device type is a
+Context: a complete family of mutually orthogonal Hermitian projectors (a
+maximal abelian subalgebra when all projectors are rank one).  A
+Character picks one branch of a context and evaluates every observable
+diagonal in that context to the corresponding eigenvalue.  An
+ElementaryState carries one character per registered context and is the
+hidden per-system state determining individual outcomes.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ _context_counter = itertools.count()
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce a DynamicalVariable or array-like to a complex ndarray."""
-    if isinstance(a, DynamicalVariable):
-        return a.entries
+    """Coerce a square array-like to a complex ndarray."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
@@ -59,48 +57,9 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
 
 
 def _clusters(values: np.ndarray, tol: float) -> list:
-    """[start, stop) index ranges of sorted values, split where a gap exceeds tol.
-
-    `values` may be complex (sorted lexicographically); the gap is the
-    modulus of the difference of neighbours.
-    """
+    """[start, stop) index ranges of sorted values, split where a gap exceeds tol."""
     cuts = (np.flatnonzero(np.abs(np.diff(values)) > tol) + 1).tolist()
     return list(zip([0, *cuts], [*cuts, len(values)]))
-
-
-@dataclass(frozen=True)
-class DynamicalVariable:
-    """Element of the matrix algebra; not necessarily Hermitian."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __add__(self, other) -> "DynamicalVariable":
-        return DynamicalVariable(self.entries + as_matrix(other))
-
-    def __sub__(self, other) -> "DynamicalVariable":
-        return DynamicalVariable(self.entries - as_matrix(other))
-
-    def __mul__(self, scalar: complex) -> "DynamicalVariable":
-        return DynamicalVariable(self.entries * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "DynamicalVariable":
-        return DynamicalVariable(self.entries @ as_matrix(other))
-
-    def adjoint(self) -> "DynamicalVariable":
-        return DynamicalVariable(self.entries.conj().T)
 
 
 @dataclass(frozen=True)
@@ -142,10 +101,6 @@ class Context:
         object.__setattr__(self, "projectors", p)
         if not self.id:
             object.__setattr__(self, "id", f"ctx{next(_context_counter)}")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors.shape[1]
 
     @property
     def n_branches(self) -> int:
@@ -227,25 +182,17 @@ class ElementaryState:
 # Operations
 
 
-def commutes(a, b, tol: float = COMMUTE_TOL) -> bool:
-    """True iff the commutator vanishes within `tol` (max-abs norm)."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    _check_same_dim(ma, mb)
-    return bool(np.max(np.abs(ma @ mb - mb @ ma)) <= tol)
-
-
-def spectral_decompose(a, tol: float | None = None):
+def spectral_decompose(a):
     """Eigenvalue clusters and their eigenprojectors, as [(value, projector)].
 
-    Eigenvalues within `tol` of one another are merged into a single
-    degenerate cluster; default tol is 1e-8 times the spectral norm.
+    Eigenvalues within 1e-8 times the spectral norm of one another are
+    merged into a single degenerate cluster.
     """
     m = as_matrix(a)
     if not is_hermitian(m):
         raise NotHermitianError("spectral decomposition requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
-    if tol is None:
-        tol = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
+    tol = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
     out = []
     for start, stop in _clusters(w, tol):
         block = v[:, start:stop]
@@ -300,41 +247,6 @@ def masa_from(a, refinement=None, context_id: str = "") -> Context:
     projs = []
     for _val, proj in spectral_decompose(m):
         projs.extend(_split_eigenspace(proj, basis))
-    return Context(projectors=tuple(projs), id=context_id)
-
-
-def masa_from_pair(a, b, context_id: str = "") -> Context:
-    """Maximal abelian context containing two commuting observables.
-
-    Jointly diagonalizes by restricting B to each eigenspace of A; residual
-    degeneracies are split on the standard basis.
-    """
-    ma, mb = as_matrix(a), as_matrix(b)
-    _check_same_dim(ma, mb)
-    if not commutes(ma, mb, tol=1e-8):
-        raise ValueError("observables do not commute; no common context exists")
-    cols = []
-    for _val, proj in spectral_decompose(ma):
-        w, v = np.linalg.eigh(proj)
-        block = v[:, w > 0.5]  # orthonormal basis of the eigenspace
-        sub = block.conj().T @ mb @ block
-        sub = 0.5 * (sub + sub.conj().T)
-        _, u = np.linalg.eigh(sub)
-        cols.append(block @ u)
-    joint = np.hstack(cols)
-    diag = (joint.conj().T @ ma @ joint).diagonal().real + 1j * (
-        joint.conj().T @ mb @ joint
-    ).diagonal().real
-    # group joint eigenvalue pairs so shared (a, b) eigenspaces stay merged
-    order = np.lexsort((diag.imag, diag.real))
-    joint = joint[:, order]
-    diag = diag[order]
-    scale = max(np.max(np.abs(diag)), 1e-12)
-    projs = []
-    for start, stop in _clusters(diag, 1e-8 * scale):
-        block = joint[:, start:stop]
-        proj = block @ block.conj().T
-        projs.extend(_split_eigenspace(0.5 * (proj + proj.conj().T), np.eye(ma.shape[0], dtype=complex)))
     return Context(projectors=tuple(projs), id=context_id)
 
 

@@ -11,6 +11,7 @@ disk), 2 invariant or acceptance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -104,6 +105,8 @@ def _validate(experiment: str, config: dict) -> None:
         if not _is_int(value) or value < minimum:
             raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     if experiment == "two-slit":
+        if config["preset"] != "symmetric64":
+            raise ConfigError(f"unknown preset {config['preset']!r}")
         custom = [config["n_sites"], config["slit_a"], config["slit_b"]]
         if any(v is not None for v in custom) and not all(v is not None for v in custom):
             raise ConfigError("custom geometry needs n_sites, slit_a, and slit_b")
@@ -113,7 +116,7 @@ def _validate(experiment: str, config: dict) -> None:
             sites = config[key]
             if sites is not None and not (isinstance(sites, list) and all(map(_is_int, sites))):
                 raise ConfigError(f"{key} must be a list of integer sites, got {sites!r}")
-        _geometry(config)  # a bad preset or slit set fails before --out is created
+        _geometry(config)  # a bad slit set fails before --out is created
     if experiment == "delayed-choice":
         if not isinstance(config["m4"], str) or config["m4"] not in experiments.POLICIES:
             raise ConfigError(f"unknown m4 policy {config['m4']!r}")
@@ -131,8 +134,6 @@ def _geometry(config: dict) -> two_slit.SlitGeometry:
             slit_a=frozenset(config["slit_a"]),
             slit_b=frozenset(config["slit_b"]),
         )
-    if config["preset"] != "symmetric64":
-        raise ConfigError(f"unknown preset {config['preset']!r}")
     return experiments.symmetric64_geometry()
 
 
@@ -188,13 +189,23 @@ _RUNNERS = {
 
 
 def run(config: dict) -> int:
-    """Execute one experiment and write result.json; returns the exit code."""
+    """Execute one experiment and write result.json; returns the exit code.
+
+    A run that raises removes the directories it created for --out.
+    """
     out_dir = config["out"]
+    missing = []  # directories --out needs that do not exist yet, deepest first
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
     try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
-    try:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out_dir!r}: {exc.strerror}"
+            ) from exc
         result = _RUNNERS[config["experiment"]](config, out_dir)
     except ModelViolationError as exc:
         write_json_atomic(
@@ -203,6 +214,11 @@ def run(config: dict) -> int:
         )
         print(f"model violation: {exc}", file=sys.stderr)
         return 2
+    except BaseException:
+        for path in missing:
+            with contextlib.suppress(OSError):  # one that is not empty stays
+                os.rmdir(path)
+        raise
     payload = {"version": aqm.__version__, "config": config, "result": result}
     write_json_atomic(os.path.join(out_dir, "result.json"), payload)
     return 0 if result.get("passed", True) else 2

@@ -1,12 +1,13 @@
 """Quantum states as probability spaces over measurement branches.
 
 A quantum state is a density matrix standing for an equivalence class of
-elementary states.  Measuring an observable with a device of a given
-context samples one branch by the Born rule, evaluates the observable
-there, and applies the Lueders update so that the measurement is
-reproducible.  Monte Carlo means converge to tr(rho A) at the law-of-
-large-numbers rate; the postulate checkers below verify device-type
-independence, functional linearity, and reproducibility numerically.
+elementary states.  measure_many measures an observable with a device
+of a given context on a batch of fresh copies of the state: each copy
+samples one branch by the Born rule, evaluates the observable there, and
+applies the Lueders update so that the measurement is reproducible.
+Monte Carlo means converge to tr(rho A) at the law-of-large-numbers
+rate; the postulate checkers below verify device-type independence,
+functional linearity, and reproducibility numerically.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqm.algebra import (
-    Character,
     Context,
     _branch_values,
     _check_same_dim,
@@ -65,10 +65,6 @@ class QuantumState:
         v = v / n
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "QuantumState":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
@@ -110,41 +106,22 @@ def inverse_cdf(probs, u):
     return count.astype(np.intp)
 
 
-def sample_character(psi: QuantumState, q: Context, rng: np.random.Generator) -> Character:
-    """Draw one branch of the context by the Born rule."""
-    probs = born_distribution(psi, q)
-    return Character(context=q, branch=int(inverse_cdf(probs, rng.random())))
-
-
-def measure(psi: QuantumState, a, q: Context, rng: np.random.Generator):
-    """One projective measurement: sampled value and Lueders post-state.
-
-    The observable must commute with the context and be constant on every
-    branch; both are checked before the branch is drawn.  This is
-    `measure_many` on one uniform drawn from rng.
-    """
-    values = _branch_values(q, a)
-    vals, branches, posts = _measure_checked(psi, values, q, [rng.random()])
-    return float(vals[0]), posts[int(branches[0])]
-
-
 def measure_many(psi: QuantumState, a, q: Context, u):
     """Projective measurements of fresh copies of the state, one per uniform in u.
 
     Returns (values, branches, posts): the value and the branch drawn for
     each uniform, and a dict from each drawn branch to its Lueders
-    post-state.  The uniforms give the same draws as that many calls to
-    `measure` on a generator yielding them; the pair is checked once, and
-    a post-state is built only for a branch that was drawn.
+    post-state.  Uniform u_i draws branch inverse_cdf(born_distribution,
+    u_i); its value is the observable's eigenvalue on that branch, and its
+    post-state P rho P / tr(rho P).  The observable must commute with the
+    context and be constant on every branch; the pair is checked once,
+    before any branch is drawn, and a post-state is built only for a
+    branch that was drawn.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError("uniforms must lie in [0, 1]")
-    return _measure_checked(psi, _branch_values(q, a), q, u)
-
-
-def _measure_checked(psi: QuantumState, values: np.ndarray, q: Context, u):
-    """measure_many once the branch values of the pair are known."""
+    values = _branch_values(q, a)
     branches = inverse_cdf(born_distribution(psi, q), u)
     drawn = np.flatnonzero(np.bincount(branches, minlength=q.n_branches))
     posts = {}
@@ -245,14 +222,12 @@ def check_postulate5(
     qp: Context,
     n: int,
     rng: np.random.Generator,
-    sampler=None,
 ) -> Postulate5Report:
     """Device-type independence of the value distribution of an observable.
 
     Primary criterion: the exact pushforward distributions under the two
     contexts coincide (<= 1e-10).  A two-sample KS test on n draws per
-    context is run as a smoke test at alpha = 0.01.  `sampler` overrides
-    the per-context branch sampler (used for negative controls).
+    context is run as a smoke test at alpha = 0.01.
     """
     values = _branch_values(q, a)
     values_p = _branch_values(qp, a)
@@ -261,9 +236,6 @@ def check_postulate5(
     v1, p1 = _pushforward(probs, values)
     v2, p2 = _pushforward(probs_p, values_p)
     exact = _distribution_distance(v1, p1, v2, p2)
-
-    def draw(ctx, ctx_probs):
-        return sampler(ctx, n) if sampler else inverse_cdf(ctx_probs, rng.random(n))
 
     # snap sampled values onto one merged value grid; without this, float
     # jitter between the two contexts' branch eigenvalues breaks the KS
@@ -277,29 +249,30 @@ def check_postulate5(
         use_left = np.abs(grid[left] - vals) < np.abs(grid[idx] - vals)
         return grid[np.where(use_left, left, idx)]
 
-    x = snap(values[draw(q, probs)])
-    y = snap(values_p[draw(qp, probs_p)])
+    x = snap(values[inverse_cdf(probs, rng.random(n))])
+    y = snap(values_p[inverse_cdf(probs_p, rng.random(n))])
     stat = ks_statistic(x, y)
     critical = 1.6276 * np.sqrt(2.0 / n)  # alpha = 0.01
     passed = exact <= 1e-10 and stat < critical
     return Postulate5Report(exact, stat, float(critical), passed)
 
 
-def check_postulate6(psi: QuantumState, a, b, tol: float = 1e-10) -> bool:
-    """Linearity of the mean functional, with no compatibility requirement."""
+def check_postulate6(psi: QuantumState, a, b) -> bool:
+    """Linearity of the mean functional within 1e-10, with no compatibility requirement."""
     ma, mb = as_matrix(a), as_matrix(b)
     _check_same_dim(ma, mb, psi.rho)
-    return abs(psi.mean(ma) + psi.mean(mb) - psi.mean(ma + mb)) <= tol
+    return abs(psi.mean(ma) + psi.mean(mb) - psi.mean(ma + mb)) <= 1e-10
 
 
-def condition_on_event(psi: QuantumState, event, tol: float = 1e-8) -> QuantumState:
+def condition_on_event(psi: QuantumState, event) -> QuantumState:
     """State prepared by selecting the sub-ensemble where the event holds.
 
-    The event is a projector E; the result assigns mean 1 to E.
+    The event is a projector E, to within 1e-8; the result assigns mean 1
+    to E.
     """
     e = as_matrix(event)
     _check_same_dim(e, psi.rho)
-    if np.max(np.abs(e @ e - e)) > tol or not is_hermitian(e, tol):
+    if np.max(np.abs(e @ e - e)) > 1e-8 or not is_hermitian(e, 1e-8):
         raise ValueError("event must be a Hermitian projector")
     weight = np.trace(psi.rho @ e).real
     if weight <= 1e-12:

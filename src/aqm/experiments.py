@@ -58,14 +58,11 @@ def random_degenerate_observable(dim: int, rng: np.random.Generator) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Postulate suite
 
+_KS_DRAWS = 400  # draws per context of each Postulate 5 smoke test
+_REPRODUCIBILITY_TRIALS = 10_000  # re-measurements, over 50 random instances
 
-def postulate_suite(
-    dim: int = 8,
-    trials: int = 100,
-    seed: int = 0,
-    reproducibility_trials: int = 10_000,
-    ks_draws: int = 400,
-) -> dict:
+
+def postulate_suite(dim: int = 8, trials: int = 100, seed: int = 0) -> dict:
     """Numerical checks of device independence, linearity, reproducibility."""
     exact_distances = []
     ks_failures = 0
@@ -75,7 +72,7 @@ def postulate_suite(
         q = masa_from(a, refinement=random_unitary(dim, rng))
         qp = masa_from(a, refinement=random_unitary(dim, rng))
         psi = random_density(dim, rng)
-        report = check_postulate5(psi, a, q, qp, n=ks_draws, rng=rng)
+        report = check_postulate5(psi, a, q, qp, n=_KS_DRAWS, rng=rng)
         exact_distances.append(report.exact_distance)
         if report.ks_stat >= report.ks_critical:
             ks_failures += 1
@@ -93,15 +90,14 @@ def postulate_suite(
     agreements = 0
     done = 0
     n_instances = 50
-    per_instance = max(reproducibility_trials // n_instances, 1)
+    per_instance = _REPRODUCIBILITY_TRIALS // n_instances
     for _ in range(n_instances):
         d = int(rng.integers(2, dim + 1))
         a = random_degenerate_observable(d, rng)
         q = masa_from(a, refinement=random_unitary(d, rng))
         qp = masa_from(a, refinement=random_unitary(d, rng))
         psi = random_density(d, rng)
-        # column 0 drives the first measurement and column 1 the second, in
-        # the order a loop of measure() pairs would draw them
+        # column 0 drives the first measurement and column 1 the second
         u = rng.random((per_instance, 2))
         v1, b1, posts = measure_many(psi, a, q, u[:, 0])
         v2 = np.empty_like(v1)

@@ -1,7 +1,8 @@
 """Delayed-choice Mach-Zehnder interferometer.
 
-Two interchangeable models of the same device.  The wave model propagates
-a unit amplitude through the mirror network: reflection at any mirror
+Two interchangeable models of the same device, whose half-silvered
+mirrors split 50/50.  The wave model propagates a unit amplitude through
+the mirror network: reflection at any mirror
 advances the phase by pi/2 (a factor i), transmission leaves it
 unchanged.  The particle model localizes the photon kernel on one path at
 the first half-silvered mirror; when the output mirror is present the
@@ -32,60 +33,33 @@ DETECTOR_A, DETECTOR_B = 0, 1
 _MIN_EVENTS = 1000  # smallest run summarize_counts compares with the wave model
 
 
-@dataclass(frozen=True)
-class DeviceConfig:
-    """Output-mirror presence and the half-silvered amplitude ratio."""
-
-    m4_present: bool
-    transmit: complex = 1 / np.sqrt(2)
-    reflect: complex = 1j / np.sqrt(2)
-
-    def __post_init__(self):
-        m = self.splitter
-        if np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-12:
-            raise ValueError("splitter amplitudes are not unitary")
-
-    @property
-    def splitter(self) -> np.ndarray:
-        t, r = complex(self.transmit), complex(self.reflect)
-        return np.array([[t, r], [r, t]])
+# transmission and reflection amplitudes of a 50/50 half-silvered mirror
+_T, _R = 1 / np.sqrt(2), 1j / np.sqrt(2)
+_SPLITTER = np.array([[_T, _R], [_R, _T]])
 
 
-def wave_probabilities(config: DeviceConfig, phase_a: float = 0.0):
-    """Detector probabilities of the wave model.
+def wave_probabilities(m4_present: bool):
+    """Detector probabilities (D_A, D_B) of the wave model.
 
-    `phase_a` is a test knob adding an extra phase on path A between the
-    mirrors.  With the default 50/50 ratio: mirror absent -> (0.5, 0.5),
-    mirror present -> (0, 1).
+    Mirror absent -> (0.5, 0.5), mirror present -> (0, 1).
     """
-    amp = config.splitter @ np.array([1.0, 0.0])  # (path A, path B) after M1
+    amp = _SPLITTER @ np.array([1.0, 0.0])  # (path A, path B) after M1
     amp = 1j * amp  # full mirrors M2, M3: one reflection on each path
-    amp[0] *= np.exp(1j * phase_a)
-    if config.m4_present:
-        amp = config.splitter @ amp
+    if m4_present:
+        amp = _SPLITTER @ amp
     p = np.abs(amp) ** 2
     return float(p[0]), float(p[1])
 
 
-# The particle model runs the default 50/50 device: a uniform below
-# _P_PATH_A puts the kernel on path A, and with the mirror present the
-# detector is B with the wave model's probability _P_STEERED_DB.
-_P_PATH_A = abs(DeviceConfig(m4_present=False).transmit) ** 2
-_P_STEERED_DB = wave_probabilities(DeviceConfig(m4_present=True))[1]
-
-
-class ChoicePolicy:
-    """Rule fixing output-mirror presence per event, decided in flight.
-
-    A policy's decide_batch(n, start) is the mirror presence at arrival of
-    events start..start+n-1, as a bool array.  Decisions are taken after
-    the photon has passed M1, so nothing a policy decides can influence
-    the kernel's path.
-    """
+# A uniform below _P_PATH_A puts the particle model's kernel on path A,
+# and with the mirror present the detector is B with the wave model's
+# probability _P_STEERED_DB.
+_P_PATH_A = abs(_T) ** 2
+_P_STEERED_DB = wave_probabilities(True)[1]
 
 
 @dataclass(frozen=True)
-class Always(ChoicePolicy):
+class Always:
     """Mirror fixed present or absent for every event."""
 
     present: bool
@@ -95,7 +69,7 @@ class Always(ChoicePolicy):
 
 
 @dataclass(frozen=True)
-class DelayedRandom(ChoicePolicy):
+class DelayedRandom:
     """Insert the mirror with probability p, decided per event in flight.
 
     Decisions come from a dedicated counter stream, so they are
@@ -111,7 +85,7 @@ class DelayedRandom(ChoicePolicy):
 
 
 @dataclass(frozen=True)
-class DelayedAlternating(ChoicePolicy):
+class DelayedAlternating:
     """Mirror present on odd events, absent on even ones, decided in flight."""
 
     def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
@@ -135,8 +109,14 @@ class PhotonEvents:
         return len(self.detector)
 
 
-def run_events(policy: ChoicePolicy, n: int, seed: int, start: int = 0) -> PhotonEvents:
+def run_events(policy, n: int, seed: int, start: int = 0) -> PhotonEvents:
     """Photons start..start+n-1 of the particle model, one Philox block per event.
+
+    The policy (Always, DelayedRandom or DelayedAlternating) fixes the
+    output mirror's presence at arrival: its decide_batch(n, start) is a
+    bool array for events start..start+n-1.  The decision is taken after
+    the photon has passed M1, so nothing it decides can influence the
+    kernel's path.
 
     Event i reads row i - start of event_uniforms(seed, n, start=start):
     column 0 picks the kernel's path at M1, and column 1 the detector when
@@ -151,7 +131,7 @@ def run_events(policy: ChoicePolicy, n: int, seed: int, start: int = 0) -> Photo
                         start=start)
 
 
-def photon_chunks(policy: ChoicePolicy, n: int, seed: int):
+def photon_chunks(policy, n: int, seed: int):
     """run_events over photons 0..n-1, one chunk of rng.event_chunks at a time."""
     for start, count in event_chunks(n):
         yield run_events(policy, count, seed, start)
@@ -185,7 +165,7 @@ def summarize_counts(counts: np.ndarray) -> dict:
         n = int(counts[int(m4)].sum())
         if not n:
             continue
-        p_da, p_db = wave_probabilities(DeviceConfig(m4))
+        p_da, p_db = wave_probabilities(m4)
         f_da = int(counts[int(m4), DETECTOR_A]) / n
         f_db = 1.0 - f_da
         dev = max(abs(f_da - p_da), abs(f_db - p_db))

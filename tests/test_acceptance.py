@@ -12,7 +12,6 @@ from aqm.interferometer import (
     DETECTOR_B,
     Always,
     DelayedRandom,
-    DeviceConfig,
     run_events,
     wave_probabilities,
 )
@@ -33,7 +32,7 @@ def report(name, passed, detail):
 
 def test_criterion_1_mirror_present_certain_db():
     t0 = time.time()
-    p_da, p_db = wave_probabilities(DeviceConfig(m4_present=True))
+    p_da, p_db = wave_probabilities(True)
     wave_ok = abs(p_db - 1.0) <= 1e-12 and abs(p_da) <= 1e-12
     events = run_events(Always(True), 100_000, seed=7)
     at_db = events.detector == DETECTOR_B

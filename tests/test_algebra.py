@@ -5,14 +5,11 @@ from aqm.algebra import (
     Character,
     Context,
     ContextFamily,
-    DynamicalVariable,
     ElementaryState,
-    commutes,
     contains,
     evaluate,
     is_stable,
     masa_from,
-    masa_from_pair,
     spectral_decompose,
 )
 from aqm.errors import (
@@ -21,39 +18,8 @@ from aqm.errors import (
     IndeterminateValueError,
     NotHermitianError,
 )
-from aqm.experiments import random_hermitian, random_unitary
+from aqm.experiments import random_hermitian
 from conftest import SIGMA_X, SIGMA_Z
-
-
-class TestDynamicalVariable:
-    def test_algebra_ops_preserve_dimension(self):
-        a = DynamicalVariable(np.array([[1, 2j], [0, 1]]))
-        assert (a + a).dim == 2
-        assert (2.0 * a).dim == 2
-        assert (a @ a).dim == 2
-        assert np.allclose(a.adjoint().entries, a.entries.conj().T)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
-            DynamicalVariable(np.ones((2, 3)))
-
-
-class TestCommutes:
-    def test_pauli_pair_does_not_commute(self):
-        assert not commutes(SIGMA_X, SIGMA_Z)
-
-    def test_polynomial_commutes(self):
-        rng = np.random.default_rng(0)
-        for dim in (2, 4, 7):
-            a = random_hermitian(dim, rng)
-            assert commutes(a, a @ a, tol=1e-8)
-
-    def test_diagonals_commute(self):
-        assert commutes(np.diag([1.0, 2.0, 3.0]), np.diag([4.0, 5.0, 6.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            commutes(SIGMA_X, np.eye(3))
 
 
 class TestSpectralDecompose:
@@ -153,7 +119,7 @@ class TestContextInvariants:
         ctx = masa_from(np.diag([1.0, 1.0, 2.0]))
         assert ctx.projectors.shape == (3, 3, 3)
         assert not ctx.projectors.flags.writeable
-        assert (ctx.dim, ctx.n_branches) == (3, 3)
+        assert ctx.n_branches == 3
 
 
 _E = np.eye(3)
@@ -223,25 +189,6 @@ class TestEvaluate:
                 cb = cb + rng.standard_normal() * p
             assert abs(chi(ca @ cb) - chi(ca) * chi(cb)) <= 1e-9
             assert abs(chi(ca + cb) - chi(ca) - chi(cb)) <= 1e-9
-
-
-class TestMasaFromPair:
-    def test_common_context_for_commuting_pair(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            dim = int(rng.integers(2, 9))
-            u = random_unitary(dim, rng)
-            a = u @ np.diag(rng.integers(0, 3, dim).astype(float)) @ u.conj().T
-            b = u @ np.diag(rng.integers(0, 3, dim).astype(float)) @ u.conj().T
-            a, b = 0.5 * (a + a.conj().T), 0.5 * (b + b.conj().T)
-            assert commutes(a, b, tol=1e-8)
-            ctx = masa_from_pair(a, b)
-            assert contains(ctx, a, tol=1e-7)
-            assert contains(ctx, b, tol=1e-7)
-
-    def test_rejects_non_commuting(self):
-        with pytest.raises(ValueError):
-            masa_from_pair(SIGMA_X, SIGMA_Z)
 
 
 class TestIsStable:

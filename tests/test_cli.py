@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import aqm
-from aqm import experiments, interferometer, rng, two_slit
+from aqm import algebra, cli, ensemble, experiments, interferometer, rng, serialize, two_slit
 from aqm.cli import main, resolve_config
 from aqm.errors import ConfigError
 
@@ -98,7 +98,17 @@ class TestEventsFile:
         out = tmp_path / "run"
         assert run_cli("delayed-choice", "--n", "999", "--write-events", "--out", str(out)) == 1
         assert "need at least 1000 events" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_a_failed_run_keeps_an_existing_out_and_removes_what_it_created(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("delayed-choice", "--n", "10", "--out", str(out)) == 1
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+        assert run_cli("delayed-choice", "--n", "10", "--out", str(tmp_path / "new" / "run")) == 1
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_a_run_that_fails_midway_leaves_no_events_file(self, tmp_path, monkeypatch):
         run_events, starts = interferometer.run_events, []
@@ -115,7 +125,7 @@ class TestEventsFile:
             run_cli("delayed-choice", "--m4", "delayed-random", "--n", "140001",
                     "--write-events", "--out", str(out))
         assert starts == [0, 1 << 16]  # the first chunk was written to the temporary file
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, seed", [(1000, 0), (2000, 7), (100_003, 123_456_789)])
     def test_the_disk_check_knows_the_exact_size(self, tmp_path, monkeypatch, capsys, n, seed):
@@ -130,7 +140,7 @@ class TestEventsFile:
         assert capsys.readouterr().err.startswith(
             "config error: not enough disk space for events.csv"
         )
-        assert list((tmp_path / "short").iterdir()) == []  # no result.json either
+        assert not (tmp_path / "short").exists()  # no result.json either
 
         monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=size))
         assert run_cli(*argv, "--out", str(tmp_path / "enough")) == 0
@@ -178,7 +188,7 @@ class TestTwoSlitCommand:
         out = tmp_path / "run"
         with pytest.raises(OSError, match="disk full"):
             run_cli("two-slit", "--n", "2000", "--seed", "3", "--out", str(out))
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_decomposition_fields_present(self, tmp_path):
         out = tmp_path / "run"
@@ -226,17 +236,33 @@ def _public_code(module):
             continue
         members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
         for attr, member in members:
-            member = getattr(member, "fget", member)  # a property runs its getter
+            member = getattr(member, "fget", member)  # a property runs its getter,
+            member = getattr(member, "__func__", member)  # a classmethod its function,
+            member = inspect.unwrap(member)  # and a decorated function the one it wraps
             if not attr.startswith("_") and inspect.isfunction(member):
                 found[f"{name}.{attr}".rstrip(".")] = member.__code__
     return found
+
+
+# The paper's model of an individual system: the tests check it as the
+# paper defines it, and no command runs it.
+CHARACTER_MODEL = {
+    "algebra.Character.context_id",
+    "algebra.Context.is_maximal",
+    "algebra.ContextFamily.of",
+    "algebra.ElementaryState.assign",
+    "algebra.ElementaryState.character_for",
+    "algebra.evaluate",
+    "algebra.is_stable",
+}
 
 
 def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
     # the package holds what the CLI runs; reference code lives in tests/reference.py
     runs = [("delayed-choice", "--m4", m4, "--n", "1000", "--write-events")
             for m4 in experiments.POLICIES]
-    runs += [("two-slit", "--n-sites", "8", "--slit-a", "1", "--slit-b", "5", "--n", "1000"),
+    runs += [("two-slit", "--n", "1000"),
+             ("two-slit", "--n-sites", "8", "--slit-a", "1", "--slit-b", "5", "--n", "1000"),
              ("postulates", "--dim", "3", "--trials", "2"),  # calls rng.stream on this thread
              ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2")]
     ran = set()
@@ -251,9 +277,10 @@ def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
             assert run_cli(*argv, "--out", str(tmp_path / str(i))) == 0
     finally:
         sys.setprofile(None)
-    code = {f"{m.__name__}.{name}": c
-            for m in (rng, two_slit, interferometer) for name, c in _public_code(m).items()}
-    assert [name for name, c in code.items() if c not in ran] == []
+    modules = (rng, algebra, ensemble, two_slit, interferometer, experiments, serialize, cli)
+    code = {f"{m.__name__.removeprefix('aqm.')}.{name}": c
+            for m in modules for name, c in _public_code(m).items()}
+    assert sorted(name for name, c in code.items() if c not in ran) == sorted(CHARACTER_MODEL)
 
 
 class TestPostulatesCommand:
@@ -366,10 +393,15 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
         ("two-slit", {"n_sites": 8, "slit_a": [1], "slit_b": [8]}, "slit site index out of range"),
         ("two-slit", {"n_sites": 8, "slit_a": [], "slit_b": [5]}, "both slits must be non-empty"),
         ("two-slit", {"preset": "bogus"}, "unknown preset 'bogus'"),
+        ("two-slit", {"preset": "bogus", "n_sites": 8, "slit_a": [1], "slit_b": [5]},
+         "unknown preset 'bogus'"),
+        ("two-slit", {"preset": 5, "n_sites": 8, "slit_a": [1], "slit_b": [5]},
+         "unknown preset 5"),
     ],
     ids=["slit-int", "n-sites-str", "n-sites-float", "slit-float", "p-str", "p-null",
          "m4-list", "write-events-str", "out-int", "out-is-a-file", "slits-overlap",
-         "slit-out-of-range", "slit-empty", "preset-bogus"],
+         "slit-out-of-range", "slit-empty", "preset-bogus", "preset-bogus-custom",
+         "preset-int-custom"],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experiment,
                                           file_config, message):
@@ -400,7 +432,7 @@ def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys, runner, ar
     err = capsys.readouterr().err
     assert err.startswith("config error: not enough memory for this run: Unable to allocate")
     assert "Traceback" not in err
-    assert not (out / "result.json").exists()
+    assert not out.exists()
 
 
 def test_help_exits_0(capsys):

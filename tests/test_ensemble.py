@@ -13,10 +13,8 @@ from aqm.ensemble import (
     check_postulate6,
     condition_on_event,
     inverse_cdf,
-    measure,
     measure_many,
     monte_carlo_mean,
-    sample_character,
 )
 from aqm.errors import ImpossibleEventError, IncompatibleObservableError
 from aqm.experiments import (
@@ -57,7 +55,7 @@ class TestBornDistribution:
         assert np.allclose(born_distribution(KET0, X_CTX), [0.5, 0.5])
 
     def test_maximally_mixed_is_flat(self):
-        psi = QuantumState.maximally_mixed(2)
+        psi = QuantumState(np.eye(2) / 2)
         for ctx in (Z_CTX, X_CTX):
             assert np.allclose(born_distribution(psi, ctx), [0.5, 0.5])
 
@@ -72,25 +70,26 @@ def _z_branch(value):
 
 class TestSampleCharacter:
     def test_deterministic_distribution(self):
-        rng = stream(0)
-        for _ in range(50):
-            assert sample_character(KET0, Z_CTX, rng).branch == _z_branch(1)
+        branches = measure_many(KET0, SIGMA_Z, Z_CTX, stream(0).random(50))[1]
+        assert branches.tolist() == [_z_branch(1)] * 50
         # zero-probability branches are never drawn, even when u * total
         # rounds up to the total (u = 1 here)
         probs = [0.0, 0.3, 0.0, 0.7, 0.0]
         assert inverse_cdf(probs, [0.0, 0.29, 0.31, 0.999, 1.0]).tolist() == [1, 1, 3, 3, 3]
 
     def test_symmetric_frequency(self):
-        # the branches that n sample_character calls on stream(1) would draw
+        # the branches that n Born draws on stream(1) pick
         n = 100_000
         branches = inverse_cdf(born_distribution(PLUS, Z_CTX), stream(1).random(n))
         hits = np.count_nonzero(branches == 0)
         assert abs(hits / n - 0.5) <= 0.005  # 3 sigma at p = 0.5
 
     def test_replay_with_fixed_seed(self):
-        a = [sample_character(PLUS, Z_CTX, stream(42, i)).branch for i in range(20)]
-        b = [sample_character(PLUS, Z_CTX, stream(42, i)).branch for i in range(20)]
-        assert a == b
+        def branches():
+            return [measure_many(PLUS, SIGMA_Z, Z_CTX, stream(42, i).random(1))[1][0]
+                    for i in range(20)]
+
+        assert branches() == branches()
 
 
 def _count_contains(monkeypatch):
@@ -101,38 +100,39 @@ def _count_contains(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (algebra, ensemble):  # wherever measure could look it up
+    for module in (algebra, ensemble):  # wherever measure_many could look it up
         monkeypatch.setattr(module, "contains", counted, raising=False)
     return calls
 
 
 class TestMeasure:
     def test_eigenstate(self):
-        value, post = measure(KET0, SIGMA_Z, Z_CTX, stream(0))
-        assert value == pytest.approx(1.0)
-        assert np.allclose(post.rho, KET0.rho)
+        values, branches, posts = measure_many(KET0, SIGMA_Z, Z_CTX, stream(0).random(1))
+        assert values[0] == pytest.approx(1.0)
+        assert np.allclose(posts[branches[0]].rho, KET0.rho)
 
     def test_reproducibility(self):
-        rng = stream(2)
-        for _ in range(200):
-            v1, post = measure(PLUS, SIGMA_Z, Z_CTX, rng)
-            v2, _ = measure(post, SIGMA_Z, Z_CTX, rng)
-            assert v1 in (1.0, -1.0)
-            assert v2 == pytest.approx(v1)
+        # column 0 drives the first measurement, column 1 the re-measurement
+        u = stream(2).random((200, 2))
+        v1, b1, posts = measure_many(PLUS, SIGMA_Z, Z_CTX, u[:, 0])
+        assert set(v1.tolist()) <= {1.0, -1.0}
+        for j, post in posts.items():
+            drawn = b1 == j
+            v2 = measure_many(post, SIGMA_Z, Z_CTX, u[drawn, 1])[0]
+            assert np.allclose(v2, v1[drawn], rtol=0.0, atol=1e-12)
 
     def test_incompatible_raises(self):
+        # the pair is checked even when no branch is to be drawn
         with pytest.raises(IncompatibleObservableError):
-            measure(PLUS, SIGMA_X, Z_CTX, stream(0))
+            measure_many(PLUS, SIGMA_X, Z_CTX, [])
 
     def test_rejects_observable_varying_inside_a_branch_before_drawing(self):
         # diag(1, 2, 3) commutes with the context but is not constant on its
         # rank-2 branch; the state sits on the rank-1 branch, where it is 3
         ctx = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
         a = np.diag([1.0, 2.0, 3.0])
-        rng = stream(0)
         with pytest.raises(IncompatibleObservableError):
-            measure(QuantumState.pure([0.0, 0.0, 1.0]), a, ctx, rng)
-        assert rng.random() == stream(0).random()  # nothing was drawn
+            measure_many(QuantumState.pure([0.0, 0.0, 1.0]), a, ctx, [])
         assert evaluate(Character(ctx, 1), a) == 3.0
 
     def test_commutator_tolerance_is_tighter_than_evaluate(self):
@@ -140,7 +140,7 @@ class TestMeasure:
         a = SIGMA_Z + 1e-9 * SIGMA_X
         assert evaluate(Character(Z_CTX, _z_branch(-1)), a) == -1.0
         with pytest.raises(IncompatibleObservableError):
-            measure(PLUS, a, Z_CTX, stream(0))
+            measure_many(PLUS, a, Z_CTX, [0.5])
         with pytest.raises(IncompatibleObservableError):
             monte_carlo_mean(PLUS, a, Z_CTX, 10, 0, 0)
         with pytest.raises(IncompatibleObservableError):
@@ -148,7 +148,7 @@ class TestMeasure:
 
     def test_checks_the_observable_against_the_context_once(self, monkeypatch):
         calls = _count_contains(monkeypatch)
-        measure(PLUS, SIGMA_Z, Z_CTX, stream(0))
+        measure_many(PLUS, SIGMA_Z, Z_CTX, [0.5])
         assert len(calls) == 1
 
     def test_same_distribution_under_two_contexts_dim4(self):
@@ -173,8 +173,7 @@ class TestMeasure:
                 if np.trace(proj @ a).real > 0
             )
             assert weight == pytest.approx(expected, abs=1e-10)
-        # the uniforms of stream(3) that 20 000 measure() calls in q and then
-        # 20 000 in qp would draw
+        # 20 000 uniforms of stream(3) measure in q, the next 20 000 in qp
         n = 20_000
         u = stream(3).random(2 * n)
         f1 = np.count_nonzero(measure_many(psi, a, q, u[:n])[0] > 0) / n
@@ -286,22 +285,22 @@ class TestPostulate5:
         assert rep.exact_distance <= 1e-10
         assert rep.passed
 
-    def test_biased_device_fails(self):
+    def test_biased_device_fails(self, monkeypatch):
         a = np.diag([1.0, 1.0, 2.0, 2.0])
         q = masa_from(a)
-        psi = QuantumState.maximally_mixed(4)
+        psi = QuantumState(np.eye(4) / 4)
+        calls = []
 
-        calls = {"n": 0}
+        def biased(probs, u):
+            # the second device always reports branch 0
+            calls.append(u)
+            return inverse_cdf(probs, u) if len(calls) == 1 else np.zeros(len(u), dtype=int)
 
-        def biased(ctx, size):
-            # second device always reports branch 0
-            calls["n"] += 1
-            if calls["n"] == 1:
-                probs = born_distribution(psi, ctx)
-                return stream(5).choice(len(probs), size=size, p=probs)
-            return np.zeros(size, dtype=int)
-
-        rep = check_postulate5(psi, a, q, q, 2000, stream(2), sampler=biased)
+        monkeypatch.setattr(ensemble, "inverse_cdf", biased)
+        rep = check_postulate5(psi, a, q, q, 2000, stream(2))
+        assert len(calls) == 2
+        assert rep.exact_distance == 0.0  # the bias is in the draws alone
+        assert rep.ks_stat >= rep.ks_critical
         assert not rep.passed
 
 
@@ -311,7 +310,7 @@ class TestPostulate6:
 
     def test_cancellation(self):
         a = random_hermitian(3, np.random.default_rng(0))
-        assert check_postulate6(QuantumState.maximally_mixed(3), a, -a)
+        assert check_postulate6(QuantumState(np.eye(3) / 3), a, -a)
 
     def test_random_pairs_dim8(self):
         rng = np.random.default_rng(6)
@@ -327,7 +326,7 @@ class TestConditionOnEvent:
 
     def test_rank2_slice_of_mixed_state(self):
         e = np.diag([1.0, 1.0, 0.0, 0.0])
-        out = condition_on_event(QuantumState.maximally_mixed(4), e)
+        out = condition_on_event(QuantumState(np.eye(4) / 4), e)
         assert np.allclose(out.rho, np.diag([0.5, 0.5, 0.0, 0.0]))
 
     def test_projects_pure_state(self):
