@@ -78,6 +78,8 @@ def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
     config.update({k: v for k, v in flags.items() if v is not None})
     config["experiment"] = experiment
     _validate(experiment, config)
+    if experiment == "two-slit" and config["n_sites"] is not None:
+        del config["preset"]  # echo only the geometry that runs
     if experiment == "delayed-choice":
         # a file's 1 and the flag's 1.0 must echo, and so write, the same bytes
         config["p"] = float(config["p"])

@@ -26,7 +26,7 @@ from aqm.algebra import (
     as_matrix,
     is_hermitian,
 )
-from aqm.errors import ImpossibleEventError, NotHermitianError
+from aqm.errors import NotHermitianError
 from aqm.rng import stream
 
 STATE_TOL = 1e-10
@@ -55,19 +55,6 @@ class QuantumState:
             raise ValueError("density matrix has a negative eigenvalue")
         m.setflags(write=False)
         object.__setattr__(self, "rho", m)
-
-    @classmethod
-    def pure(cls, vec) -> "QuantumState":
-        v = np.asarray(vec, dtype=complex).ravel()
-        n = np.linalg.norm(v)
-        if n == 0:
-            raise ValueError("zero vector")
-        v = v / n
-        return cls(np.outer(v, v.conj()))
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
 
     def mean(self, a) -> float:
         """Ensemble mean tr(rho A) of a Hermitian observable."""
@@ -262,19 +249,3 @@ def check_postulate6(psi: QuantumState, a, b) -> bool:
     ma, mb = as_matrix(a), as_matrix(b)
     _check_same_dim(ma, mb, psi.rho)
     return abs(psi.mean(ma) + psi.mean(mb) - psi.mean(ma + mb)) <= 1e-10
-
-
-def condition_on_event(psi: QuantumState, event) -> QuantumState:
-    """State prepared by selecting the sub-ensemble where the event holds.
-
-    The event is a projector E, to within 1e-8; the result assigns mean 1
-    to E.
-    """
-    e = as_matrix(event)
-    _check_same_dim(e, psi.rho)
-    if np.max(np.abs(e @ e - e)) > 1e-8 or not is_hermitian(e, 1e-8):
-        raise ValueError("event must be a Hermitian projector")
-    weight = np.trace(psi.rho @ e).real
-    if weight <= 1e-12:
-        raise ImpossibleEventError("conditioning on an event of probability zero")
-    return _lueders(psi, e, weight)

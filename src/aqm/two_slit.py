@@ -1,17 +1,17 @@
 """Two-slit scattering on an N-site lattice.
 
 A slit is a set of lattice sites, held as a 0/1 site mask: its projector
-is diag(mask), so P_a rho P_b is rho masked elementwise.  The screen
-observable is a projector onto a bin of discrete-Fourier modes, standing
-in for a small solid angle of outgoing momenta.  The ensemble mean of a
-screen projector splits exactly into a slit-a term, a slit-b term, and a
-cross (interference) term.  The stacked-screens sampler, sample_screens,
+is diag(mask).  The source is pure and the slit event diagonal, so the
+sub-ensemble that passed the slits is one unit amplitude vector psi.  The
+screen observable is a projector onto a bin of discrete-Fourier modes,
+standing in for a small solid angle of outgoing momenta.  Its ensemble
+mean splits exactly into a slit-a term, a slit-b term, and a cross
+(interference) term.  The stacked-screens sampler, sample_screens,
 realizes the same statistics one event at a time, with each particle
 localized at exactly one slit; the cross term's mass is shared equally
 between the two slit labels, the unique symmetric split consistent with
-the ensemble decomposition.  The pattern and the split are computed per DFT mode by
-FFT from the masks; the only dense matrix a run builds is the slit event
-it conditions on.
+the ensemble decomposition.  The pattern and the split come per DFT mode
+from one FFT of each slit's masked amplitudes; no N x N matrix is built.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.ensemble import QuantumState, condition_on_event, inverse_cdf
+from aqm.ensemble import inverse_cdf
 from aqm.errors import ConfigError, ImpossibleEventError, ModelViolationError
 from aqm.rng import event_chunks, event_uniforms
 
@@ -57,51 +57,44 @@ class SlitGeometry:
         return a, b
 
 
-def uniform_source(n: int) -> QuantumState:
-    """Default incident state: uniform pure state over all sites."""
-    return QuantumState.pure(np.ones(n))
+def uniform_source(n: int) -> np.ndarray:
+    """Default incident state: the uniform unit amplitude vector over all sites."""
+    return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
-def _slit_masks(psi: QuantumState, geom: SlitGeometry) -> tuple:
-    """`geom.masks`, once the state is checked to live on the slits' lattice."""
-    if psi.dim != geom.grid_size:
-        raise ValueError(f"state has dimension {psi.dim}, expected N={geom.grid_size}")
+def _slit_masks(psi: np.ndarray, geom: SlitGeometry) -> tuple:
+    """`geom.masks`, once the amplitudes are checked to live on the slits' lattice."""
+    if psi.shape != (geom.grid_size,):
+        raise ValueError(f"state has shape {psi.shape}, expected N={geom.grid_size}")
     return geom.masks
 
 
-def _weight(psi: QuantumState, mask: np.ndarray) -> float:
-    """tr(rho diag(mask)), read off the diagonal of rho."""
-    return float(np.sum(np.diagonal(psi.rho) * mask).real)
+def prepare_conditioned(psi0: np.ndarray, geom: SlitGeometry) -> np.ndarray:
+    """Select the sub-ensemble of the unit vector psi0 that passed through a slit.
+
+    The slit event E = diag(a + b) keeps a pure state pure: the result is
+    E psi0 / |E psi0|.
+    """
+    psi = sum(_slit_masks(psi0, geom)) * psi0
+    weight = np.vdot(psi, psi).real
+    if weight <= 1e-12:
+        raise ImpossibleEventError("conditioning on an event of probability zero")
+    return psi / np.sqrt(weight)
 
 
-def prepare_conditioned(psi0: QuantumState, geom: SlitGeometry) -> QuantumState:
-    """Select the sub-ensemble that passed through one of the slits."""
-    e = sum(geom.masks)
-    psi = condition_on_event(psi0, np.diag(e))
-    support = _weight(psi, e)
-    if abs(support - 1.0) > 1e-12:
-        raise ImpossibleEventError(
-            f"conditioned state has slit support {support}, expected 1"
-        )
-    return psi
-
-
-def _mode_diagonal(g: np.ndarray) -> np.ndarray:
-    """diag(F^dagger G F).real by two FFTs; F[j, k] = exp(-2 pi i jk/N)/sqrt(N)."""
-    return np.diagonal(np.fft.ifft(np.fft.fft(g, axis=1), axis=0)).real.copy()
-
-
-def _mode_statistics(psi_ab: QuantumState, geom: SlitGeometry) -> tuple:
+def _mode_statistics(psi_ab: np.ndarray, geom: SlitGeometry) -> tuple:
     """Per-mode (direct_a, direct_b, cross, total) of every single-mode screen.
 
-    Each vector is diag(F^dagger G F) for G = P_a rho P_a, P_b rho P_b,
-    P_a rho P_b + P_b rho P_a and rho; with P = diag(mask) each G is rho
-    masked elementwise by an outer product of the slit masks.
+    With f_s = F^dagger (mask_s psi) the amplitude of slit s in each mode,
+    F[j, k] = exp(-2 pi i jk/N)/sqrt(N), the terms are |f_a|^2, |f_b|^2,
+    2 Re(conj(f_a) f_b) and |f_a + f_b|^2; the total is formed on its own,
+    so the closure check compares two separately rounded results.
     """
     a, b = _slit_masks(psi_ab, geom)
-    rho = psi_ab.rho
-    masks = (np.outer(a, a), np.outer(b, b), np.outer(a, b) + np.outer(b, a), 1.0)
-    return tuple(_mode_diagonal(rho * m) for m in masks)
+    scale = np.sqrt(len(psi_ab))
+    f_a, f_b = (scale * np.fft.ifft(m * psi_ab) for m in (a, b))
+    return (np.abs(f_a) ** 2, np.abs(f_b) ** 2,
+            2.0 * (f_a.conj() * f_b).real, np.abs(f_a + f_b) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +108,7 @@ class ScreenSplit:
     budget: float
 
 
-def screen_split(psi_ab: QuantumState, geom: SlitGeometry) -> ScreenSplit:
+def screen_split(psi_ab: np.ndarray, geom: SlitGeometry) -> ScreenSplit:
     """Per-slit conditional momentum distributions of the event sampler.
 
     The direct term of a slit goes entirely to that slit's label; the
@@ -128,7 +121,7 @@ def screen_split(psi_ab: QuantumState, geom: SlitGeometry) -> ScreenSplit:
     direct_a, direct_b, cross, _ = modes
     n = len(cross)
     budget = CLAMP_BUDGET * n
-    slit_probs = np.array([_weight(psi_ab, m) for m in geom.masks])
+    slit_probs = np.array([np.sum(np.abs(psi_ab) ** 2 * m) for m in geom.masks])
     conds, clamped = [], []
     for direct in (direct_a, direct_b):
         mass = direct + 0.5 * cross

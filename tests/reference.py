@@ -1,7 +1,10 @@
 """Dense and one-event-at-a-time references that the tests compare the package with.
 
-No command-line run reaches them: the package computes the same numbers
-by FFT over slit masks and in batches of event_uniforms rows.
+No command-line run reaches them.  The package conditions the pure
+two-slit source as one amplitude vector, takes the pattern by FFT of its
+slit-masked amplitudes, and draws events in batches of event_uniforms
+rows; these references condition and decompose N x N density matrices,
+and draw one event at a time.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.algebra import as_matrix
-from aqm.ensemble import QuantumState
+from aqm.algebra import _check_same_dim, as_matrix, is_hermitian
+from aqm.ensemble import QuantumState, _lueders
+from aqm.errors import ImpossibleEventError
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
 from aqm.rng import LANE_EVENTS, _key
-from aqm.two_slit import SlitGeometry, _slit_masks, _weight
+from aqm.two_slit import SlitGeometry, _slit_masks
 
 CONDITIONED_TOL = 1e-8
 
@@ -31,6 +35,29 @@ class MomentumBin:
     def __post_init__(self):
         if self.stop <= self.start:
             raise ValueError("momentum bin must be non-empty")
+
+
+def pure(vec) -> QuantumState:
+    """Density matrix psi psi^dagger of the normalized vector psi."""
+    v = np.asarray(vec, dtype=complex).ravel()
+    v = v / np.linalg.norm(v)
+    return QuantumState(np.outer(v, v.conj()))
+
+
+def condition_on_event(psi: QuantumState, event) -> QuantumState:
+    """State prepared by selecting the sub-ensemble where the event holds.
+
+    The event is a projector E, to within 1e-8; the result is the Lueders
+    state E rho E / tr(rho E), which assigns mean 1 to E.
+    """
+    e = as_matrix(event)
+    _check_same_dim(e, psi.rho)
+    if np.max(np.abs(e @ e - e)) > 1e-8 or not is_hermitian(e, 1e-8):
+        raise ValueError("event must be a Hermitian projector")
+    weight = np.trace(psi.rho @ e).real
+    if weight <= 1e-12:
+        raise ImpossibleEventError("conditioning on an event of probability zero")
+    return _lueders(psi, e, weight)
 
 
 def slit_projectors(geom: SlitGeometry):
@@ -60,19 +87,20 @@ def momentum_projector(mbin: MomentumBin, n: int) -> np.ndarray:
 
 
 def verify_support_identities(
-    psi_ab: QuantumState, geom: SlitGeometry, trials: int, rng: np.random.Generator
+    psi_ab: np.ndarray, geom: SlitGeometry, trials: int, rng: np.random.Generator
 ) -> float:
     """Max residual of the right/left/two-sided slit-support absorptions.
 
-    For random dynamical variables A, the mean of A must equal the means
-    of AE, EA, and EAE where E = diag(e) is the total slit projector; this
-    is the Cauchy-Schwarz consequence of unit slit support.
+    For random dynamical variables A, the mean of A in the dense state
+    rho = psi_ab psi_ab^dagger must equal the means of AE, EA, and EAE
+    where E = diag(e) is the total slit projector; this is the
+    Cauchy-Schwarz consequence of unit slit support.
     """
     e = sum(_slit_masks(psi_ab, geom))
-    if abs(_weight(psi_ab, e) - 1.0) > CONDITIONED_TOL:
+    if abs(np.sum(np.abs(psi_ab) ** 2 * e) - 1.0) > CONDITIONED_TOL:
         raise ValueError("state is not conditioned on the slit event")
-    rho = psi_ab.rho
-    n = rho.shape[0]
+    rho = np.outer(psi_ab, psi_ab.conj())
+    n = len(psi_ab)
 
     def mean(m):
         return np.trace(rho @ m)

@@ -18,6 +18,7 @@ from aqm.interferometer import (
 from aqm.rng import stream
 from reference import (
     MomentumBin,
+    condition_on_event,
     decompose_mean,
     momentum_projector,
     slit_projectors,
@@ -89,7 +90,7 @@ def test_criterion_4_decomposition_closure():
             n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb])
         )
         p_a, p_b = slit_projectors(geom)
-        psi = two_slit.prepare_conditioned(random_density(n, rng), geom)
+        psi = condition_on_event(random_density(n, rng), p_a + p_b)
         start = int(rng.integers(0, n))
         stop = int(rng.integers(start + 1, n + 1))
         k = momentum_projector(MomentumBin(start, stop), n)

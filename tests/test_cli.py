@@ -43,6 +43,12 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config("two-slit", {"n_sites": 8}, {})
 
+    def test_custom_geometry_echoes_no_preset(self):
+        custom = {"n_sites": 8, "slit_a": [1], "slit_b": [5]}
+        assert "preset" not in resolve_config("two-slit", custom, {})
+        assert "preset" not in resolve_config("two-slit", {**custom, "preset": "symmetric64"}, {})
+        assert resolve_config("two-slit", {}, {})["preset"] == "symmetric64"
+
     def test_config_file_and_flag_write_the_same_bytes(self, tmp_path, monkeypatch):
         # an integer p in the file echoes as the float the flag parses to
         args = ("delayed-choice", "--m4", "delayed-random", "--n", "2000", "--out", "run")
@@ -55,6 +61,23 @@ class TestConfigResolution:
             written.append((tmp_path / name / "run" / "result.json").read_bytes())
         assert written[0] == written[1]
         assert b'"p": 1.0' in written[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("two-slit", "--n", "2000", "--seed", "3"),
+    ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20,21", "--n", "2000"),
+    ("delayed-choice", "--m4", "delayed-random", "--n", "2000", "--write-events"),
+    ("postulates", "--dim", "4", "--trials", "10", "--seed", "3"),
+    ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2"),
+], ids=["two-slit-preset", "two-slit-custom", "delayed-choice", "postulates", "khinchin"])
+def test_the_echoed_config_replays_every_file(tmp_path, monkeypatch, argv):
+    # result.json's config, fed back through --config into the same --out
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "run") == 0
+    first = {f.name: f.read_bytes() for f in (tmp_path / "run").iterdir()}
+    (tmp_path / "cfg.json").write_text(json.dumps(json.loads(first["result.json"])["config"]))
+    assert run_cli(argv[0], "--config", "cfg.json") == 0
+    assert {f.name: f.read_bytes() for f in (tmp_path / "run").iterdir()} == first
 
 
 class TestDelayedChoiceCommand:

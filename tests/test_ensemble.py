@@ -11,7 +11,6 @@ from aqm.ensemble import (
     born_distribution,
     check_postulate5,
     check_postulate6,
-    condition_on_event,
     inverse_cdf,
     measure_many,
     monte_carlo_mean,
@@ -25,9 +24,10 @@ from aqm.experiments import (
 )
 from aqm.rng import stream
 from conftest import SIGMA_X, SIGMA_Z, pool_of
+from reference import condition_on_event, pure
 
-KET0 = QuantumState.pure([1.0, 0.0])
-PLUS = QuantumState.pure([1.0, 1.0])
+KET0 = pure([1.0, 0.0])
+PLUS = pure([1.0, 1.0])
 Z_CTX = masa_from(SIGMA_Z, context_id="z")
 X_CTX = masa_from(SIGMA_X, context_id="x")
 
@@ -42,7 +42,7 @@ class TestQuantumState:
             QuantumState(np.diag([1.5, -0.5]))
 
     def test_pure_normalizes(self):
-        psi = QuantumState.pure([3.0, 0.0])
+        psi = pure([3.0, 0.0])
         assert np.allclose(psi.rho, np.diag([1.0, 0.0]))
 
 
@@ -132,7 +132,7 @@ class TestMeasure:
         ctx = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
         a = np.diag([1.0, 2.0, 3.0])
         with pytest.raises(IncompatibleObservableError):
-            measure_many(QuantumState.pure([0.0, 0.0, 1.0]), a, ctx, [])
+            measure_many(pure([0.0, 0.0, 1.0]), a, ctx, [])
         assert evaluate(Character(ctx, 1), a) == 3.0
 
     def test_commutator_tolerance_is_tighter_than_evaluate(self):
@@ -192,7 +192,7 @@ class TestMeasureMany:
         # the state sits on branch 0; diag(1, 2, 3) varies only on branch 1
         ctx = Context(projectors=(np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0])))
         with pytest.raises(IncompatibleObservableError):
-            measure_many(QuantumState.pure([0.0, 0.0, 1.0]), np.diag([1.0, 2.0, 3.0]), ctx, [0.5])
+            measure_many(pure([0.0, 0.0, 1.0]), np.diag([1.0, 2.0, 3.0]), ctx, [0.5])
 
     def test_checks_the_observable_against_the_context_once(self, monkeypatch):
         calls = _count_contains(monkeypatch)

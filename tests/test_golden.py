@@ -17,8 +17,8 @@ GOLDEN = {
         ("two-slit", "--preset", "symmetric64", "--n", "20000", "--seed", "7"),
         0,
         {
-            "pattern.csv": "08ee07b11bbf8b31f5e92f20328aa95d2f79c568796d9581f7f5228563783d54",
-            "result.json": "6622703e14f019e99b8955c32420b2a17d7b1e6eb02338187422edc7a485c3f4",
+            "pattern.csv": "5053c325163f1724a244facc7aa058752304e602494bcb12ae5a2f1258659e0c",
+            "result.json": "2ef2b4f053a3709132b0d5c2a228ac36cc00f954b4ed74696c8d715df4aa8a7c",
         },
     ),
     "two-slit-custom": (
@@ -26,26 +26,26 @@ GOLDEN = {
          "--n", "5000", "--seed", "1"),
         0,
         {
-            "pattern.csv": "36316a6b9980beaa88959ff287e9ff848c4b4cb954c34181480395ad4a4bf966",
-            "result.json": "b8476e2f086cbba1254c0eea7ddf80f23956e618d58150b8f2bc292eff2e276b",
+            "pattern.csv": "57f8eb6e03c22909ceddb6156a7e44afa4c40ad97600c806b814adb0c20e10e3",
+            "result.json": "e765b4ac1b7b14e53f1064d389bbac2b3828b5d116d656041ff4f6d2ac441644",
         },
     ),
-    # four chunks of particles, the last one 3 events long; recorded before
-    # the particles were chunked
+    # four chunks of particles, the last one 3 events long; its counts are
+    # those recorded before the particles were chunked
     "two-slit-chunks": (
         ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20,21",
          "--n", "200003", "--seed", "3"),
         0,
         {
-            "pattern.csv": "facb28ff50ae311f27be36803f2d5c9271fbdd22cce0355e217108eed558df1b",
-            "result.json": "fafe4e984801f3ed59bf57bc4cfd79982697c3778d323b78da8fafa0880997dd",
+            "pattern.csv": "2f46ddc18deca8ec7c470d3aed3f02b250fa36c09e08a0bb2751eb1ff26fd30a",
+            "result.json": "992ef80bcc4eba2f47305867bd4d555febcd305ad4a62496d3808e877fb1c6c0",
         },
     ),
     "two-slit-split-violation": (
         ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20",
          "--n", "1000", "--seed", "1"),
         2,
-        {"result.json": "1b9241e4343e0947fd426fce4db38d39fe0a76760fcaf2b0cc987fe697a13cc7"},
+        {"result.json": "6e58e24ca8e1c695bade66ae680cc99058ceb98bb1f527a2f01bacacb8c494d2"},
     ),
     "delayed-choice-events": (
         ("delayed-choice", "--m4", "delayed-random", "--n", "2000", "--seed", "1",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from aqm.algebra import Character, _branch_values, evaluate, masa_from, spectral_decompose
 from aqm import experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
-    QuantumState,
     born_distribution,
     inverse_cdf,
     measure_many,
@@ -39,6 +38,7 @@ from reference import (
     events_csv,
     mode_diagonal,
     momentum_projector,
+    pure,
     slit_projectors,
 )
 
@@ -105,7 +105,7 @@ def test_measure_many_never_draws_a_zero_probability_branch():
     # the last branch has probability zero; u = 1 must not reach it
     sz = np.diag([1.0, -1.0])
     ctx = masa_from(sz)
-    values, branches, posts = measure_many(QuantumState.pure([0.0, 1.0]), sz, ctx, [0.0, 0.5, 1.0])
+    values, branches, posts = measure_many(pure([0.0, 1.0]), sz, ctx, [0.0, 0.5, 1.0])
     assert branches.tolist() == [0, 0, 0]
     assert values.tolist() == [-1.0, -1.0, -1.0]
     assert list(posts) == [0]
@@ -191,13 +191,17 @@ def test_fft_mode_statistics_match_the_dense_oracle(n, seed, data):
     kb = data.draw(st.integers(1, n - ka))
     geom = SlitGeometry(n, frozenset(sites[:ka]), frozenset(sites[ka : ka + kb]))
     p_a, p_b = slit_projectors(geom)
-    psi = prepare_conditioned(random_density(n, rng), geom)
-    rho = psi.rho
+    # complex amplitudes: for a real psi, fft and ifft differ only by a
+    # conjugation that none of the four terms sees
+    psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi = prepare_conditioned(psi0 / np.linalg.norm(psi0), geom)
+    dense = pure(psi)
+    rho = dense.rho
     modes = two_slit._mode_statistics(psi, geom)
 
     # the three-term split of every single-mode screen, bin by bin
     for k, got in enumerate(zip(*modes)):
-        want = decompose_mean(psi, momentum_projector(MomentumBin(k, k + 1), n), p_a, p_b)
+        want = decompose_mean(dense, momentum_projector(MomentumBin(k, k + 1), n), p_a, p_b)
         for field, value in zip(("direct_a", "direct_b", "interference", "total"), got):
             assert abs(value - want[field]) <= 1e-12
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,17 @@ from aqm.two_slit import (
 )
 from reference import (
     MomentumBin,
+    condition_on_event,
     decompose_mean,
+    mode_diagonal,
     momentum_projector,
+    pure,
     slit_projectors,
     verify_support_identities,
 )
+
+# unit amplitude vector of the sites {0, 2} of a 4-site lattice
+SLITS_02 = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
 
 
 class TestSlitGeometry:
@@ -105,22 +113,20 @@ class TestMomentumProjector:
 class TestPrepareConditioned:
     def test_supported_state_unchanged(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
-        psi0 = QuantumState.pure([1.0, 0.0, 1.0, 0.0])
-        out = prepare_conditioned(psi0, geom)
-        assert np.allclose(out.rho, psi0.rho)
+        out = prepare_conditioned(SLITS_02, geom)
+        assert np.allclose(out, SLITS_02)
 
     def test_uniform_source_collapses_to_slit_superposition(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
         p_a, p_b = slit_projectors(geom)
         out = prepare_conditioned(uniform_source(4), geom)
-        expect = QuantumState.pure([1.0, 0.0, 1.0, 0.0])
-        assert np.max(np.abs(out.rho - expect.rho)) <= 1e-12
-        assert out.mean(p_a + p_b) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(out - SLITS_02)) <= 1e-12
+        assert np.vdot(out, (p_a + p_b) @ out).real == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_source_is_impossible(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
         with pytest.raises(ImpossibleEventError):
-            prepare_conditioned(QuantumState.pure([0.0, 1.0, 0.0, 0.0]), geom)
+            prepare_conditioned(np.array([0.0, 1.0, 0.0, 0.0]), geom)
 
 
 class TestSupportIdentities:
@@ -129,7 +135,7 @@ class TestSupportIdentities:
         p_a, p_b = slit_projectors(geom)
         psi = prepare_conditioned(uniform_source(8), geom)
         e = p_a + p_b
-        rho = psi.rho
+        rho = np.outer(psi, psi.conj())
         for a in (np.eye(8, dtype=complex), p_a):
             for m in (a @ e, e @ a, e @ a @ e):
                 assert abs(np.trace(rho @ a) - np.trace(rho @ m)) <= 1e-12
@@ -149,7 +155,7 @@ class TestDecomposeMean:
     def test_two_site_case_by_hand(self):
         # oracle: all four traces evaluate by 2x2 arithmetic to 1/4, 1/4, 1/2
         p_a, p_b = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        psi = QuantumState.pure([1.0, 1.0])
+        psi = pure([1.0, 1.0])
         k = 0.5 * np.ones((2, 2))
         d = decompose_mean(psi, k, p_a, p_b)
         assert d["direct_a"] == pytest.approx(0.25)
@@ -160,7 +166,7 @@ class TestDecomposeMean:
     def test_commuting_screen_kills_interference(self):
         geom = SlitGeometry(8, frozenset({1}), frozenset({5}))
         p_a, p_b = slit_projectors(geom)
-        psi = prepare_conditioned(uniform_source(8), geom)
+        psi = pure(prepare_conditioned(uniform_source(8), geom))
         k = np.diag([1.0, 1.0, 0, 0, 0, 0, 0, 0])  # diagonal: commutes with p_a
         d = decompose_mean(psi, k, p_a, p_b)
         assert abs(d["interference"]) <= 1e-10
@@ -182,7 +188,7 @@ class TestDecomposeMean:
             sites = rng.permutation(n)
             geom = SlitGeometry(n, frozenset(sites[:1]), frozenset(sites[1:2]))
             p_a, p_b = slit_projectors(geom)
-            psi = prepare_conditioned(random_density(n, rng), geom)
+            psi = condition_on_event(random_density(n, rng), p_a + p_b)
             start = int(rng.integers(0, n))
             stop = int(rng.integers(start + 1, n + 1))
             k = momentum_projector(MomentumBin(start, stop), n)
@@ -195,7 +201,7 @@ class TestDecomposeMean:
 class TestPattern:
     def test_single_slit_is_flat_with_no_interference(self):
         geom = SlitGeometry(8, frozenset({3}), frozenset({6}))
-        psi = QuantumState.pure([0, 0, 0, 1.0, 0, 0, 0, 0])  # slit a only
+        psi = np.eye(8)[3]  # slit a only
         _, _, cross, probs = _mode_statistics(psi, geom)
         assert np.allclose(probs, np.full(8, 1 / 8))
         assert np.max(np.abs(cross)) <= 1e-12
@@ -217,15 +223,19 @@ class TestPattern:
         geom = SlitGeometry(n, frozenset({2}), frozenset({9}))
         rho = np.zeros((n, n), dtype=complex)
         rho[2, 2] = rho[9, 9] = 0.5
-        psi = QuantumState(rho)
-        assert np.max(np.abs(_mode_statistics(psi, geom)[2])) <= 1e-12
+        # no pure state is this mixture: the dense cross term of the oracle
+        p_a, p_b = slit_projectors(geom)
+        cross = mode_diagonal(p_a @ rho @ p_b + p_b @ rho @ p_a)
+        assert np.max(np.abs(cross)) <= 1e-12
 
     def test_normalization(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             n = int(rng.integers(4, 65))
-            psi = random_density(n, rng)
-            total = _mode_statistics(psi, SlitGeometry(n, {0}, {1}))[3]
+            geom = SlitGeometry(n, {0}, {1})
+            psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi = prepare_conditioned(psi0 / np.linalg.norm(psi0), geom)
+            total = _mode_statistics(psi, geom)[3]
             assert total.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -235,7 +245,7 @@ class TestStackedScreens:
         # the histogram follows the one-slit (flat) pattern
         n = 16
         geom = SlitGeometry(n, frozenset({3}), frozenset({11}))
-        psi_ab = prepare_conditioned(QuantumState.pure(np.eye(n)[3]), geom)
+        psi_ab = prepare_conditioned(np.eye(n)[3], geom)
         hist, (n_a, n_b) = sample_screens(screen_split(psi_ab, geom), 20_000, seed=5)
         assert n_a == 20_000 and n_b == 0
         assert hist.sum() == 20_000
@@ -281,8 +291,20 @@ class TestTwoSlitExperiment:
         geom = SlitGeometry(32, frozenset({10, 11}), frozenset({18, 19}))
         assert experiments.two_slit_experiment(geom, n_events=2000, seed=3)["passed"]
         assert calls == {"prepare_conditioned": 1, "_mode_statistics": 1}
-        for dense in ("slit_projectors", "dft_basis", "momentum_projector", "decompose_mean"):
+        for dense in ("slit_projectors", "dft_basis", "momentum_projector", "decompose_mean",
+                      "QuantumState"):
             assert not hasattr(two_slit, dense)
+
+    def test_a_run_holds_no_n_by_n_matrix(self):
+        # one dense N x N complex matrix at N = 2048 is 64 MiB
+        geom = SlitGeometry(2048, frozenset({1000, 1001}), frozenset({1048, 1049}))
+        tracemalloc.start()
+        try:
+            experiments.two_slit_experiment(geom, n_events=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_split_clamp_reported_below_budget(self):
         result = experiments.two_slit_experiment(
