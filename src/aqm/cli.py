@@ -22,30 +22,16 @@ from aqm import experiments, two_slit
 from aqm.errors import ConfigError, ModelViolationError
 from aqm.serialize import atomic_open, write_json_atomic
 
-_COMMON_KEYS = {"experiment", "seed", "out"}
-_ALLOWED_KEYS = {
-    "two-slit": _COMMON_KEYS | {"n_events", "preset", "n_sites", "slit_a", "slit_b"},
-    "delayed-choice": _COMMON_KEYS | {"n_events", "m4", "p", "write_events"},
-    "postulates": _COMMON_KEYS | {"dim", "trials"},
-    "khinchin": _COMMON_KEYS | {"n_seeds", "n_small", "n_big", "dim"},
-}
-
+# each subcommand's config keys, which are the keys it accepts, and their defaults
 _DEFAULTS = {
-    "seed": 0,
-    "n_events": 100_000,
-    "out": "results",
-    "preset": "symmetric64",
-    "n_sites": None,
-    "slit_a": None,
-    "slit_b": None,
-    "m4": "present",
-    "p": 0.5,
-    "write_events": False,
-    "dim": 8,
-    "trials": 100,
-    "n_seeds": 50,
-    "n_small": 10_000,
-    "n_big": 1_000_000,
+    experiment: {"seed": 0, "out": "results", **keys}
+    for experiment, keys in {
+        "two-slit": {"n_events": 100_000, "preset": "symmetric64",
+                     "n_sites": None, "slit_a": None, "slit_b": None},
+        "delayed-choice": {"n_events": 100_000, "m4": "present", "p": 0.5, "write_events": False},
+        "postulates": {"dim": 8, "trials": 100},
+        "khinchin": {"n_seeds": 50, "n_small": 10_000, "n_big": 1_000_000, "dim": 8},
+    }.items()
 }
 
 
@@ -64,8 +50,8 @@ def _load_config_file(path: str) -> dict:
 
 def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
     """Merge defaults, config file, and flags; reject unknown keys."""
-    allowed = _ALLOWED_KEYS[experiment]
-    unknown = set(file_config) - allowed
+    defaults = _DEFAULTS[experiment]
+    unknown = set(file_config) - set(defaults) - {"experiment"}
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
     if file_config.get("experiment", experiment) != experiment:
@@ -73,7 +59,7 @@ def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
             f"config file is for experiment {file_config['experiment']!r}, "
             f"but {experiment!r} was requested"
         )
-    config = {k: _DEFAULTS[k] for k in allowed if k != "experiment"}
+    config = dict(defaults)
     config.update({k: v for k, v in file_config.items() if k != "experiment"})
     config.update({k: v for k, v in flags.items() if v is not None})
     config["experiment"] = experiment

@@ -27,13 +27,11 @@ from aqm.algebra import (
     is_hermitian,
 )
 from aqm.errors import NotHermitianError
-from aqm.rng import stream
+from aqm.rng import chunks, stream
 
 STATE_TOL = 1e-10
 # inverse_cdf counts comparisons up to this many branches, and bisects above
 _COUNT_MAX = 32
-# monte_carlo_mean draws this many uniforms at a time
-_CHUNK = 1 << 16
 # threads monte_carlo_mean's chunks run on: the CPUs the process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -129,11 +127,12 @@ def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index:
 
     Each trial measures a fresh copy of the state, so the draws are iid
     over the Born distribution.  Draw i is made from draw i of
-    stream(seed, index).  The n draws are cut into chunks of _CHUNK, and
-    each chunk reads its own counter range of the stream, through stream's
-    `start`, as one unit on the thread pool, so the result does not depend
-    on how many threads there are.  The mean is taken once over all n
-    values, and stderr comes from the count of each branch.
+    stream(seed, index).  The n draws are cut into the chunks of
+    rng.chunks, and each chunk reads its own counter range of the stream,
+    through stream's `start`, as one unit on the thread pool, so the result
+    depends neither on the number of threads nor on the chunk length.  The
+    mean is taken once over all n values, and stderr comes from the count
+    of each branch.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -141,13 +140,13 @@ def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index:
     probs = born_distribution(psi, q)
     draws = np.empty(n, dtype=values.dtype)
 
-    def chunk(lo):
-        hi = min(lo + _CHUNK, n)
-        idx = inverse_cdf(probs, stream(seed, index, start=lo).random(hi - lo))
-        np.take(values, idx, out=draws[lo:hi])
+    def chunk(span):
+        lo, count = span
+        idx = inverse_cdf(probs, stream(seed, index, start=lo).random(count))
+        np.take(values, idx, out=draws[lo : lo + count])
         return np.bincount(idx, minlength=len(values))
 
-    counts = sum(_executor().map(chunk, range(0, n, _CHUNK)))
+    counts = sum(_executor().map(chunk, chunks(n)))
     estimate = float(draws.mean())
     if n == 1:
         return estimate, 0.0

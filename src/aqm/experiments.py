@@ -21,7 +21,7 @@ from aqm.ensemble import (
     monte_carlo_mean,
 )
 from aqm.errors import ConfigError
-from aqm.rng import stream
+from aqm.rng import chunks, stream
 from aqm.serialize import atomic_open
 
 
@@ -62,7 +62,7 @@ _KS_DRAWS = 400  # draws per context of each Postulate 5 smoke test
 _REPRODUCIBILITY_TRIALS = 10_000  # re-measurements, over 50 random instances
 
 
-def postulate_suite(dim: int = 8, trials: int = 100, seed: int = 0) -> dict:
+def postulate_suite(dim: int, trials: int, seed: int) -> dict:
     """Numerical checks of device independence, linearity, reproducibility."""
     exact_distances = []
     ks_failures = 0
@@ -130,18 +130,12 @@ def postulate_suite(dim: int = 8, trials: int = 100, seed: int = 0) -> dict:
 # Khinchin convergence
 
 
-def khinchin_experiment(
-    n_seeds: int = 50,
-    n_small: int = 10_000,
-    n_big: int = 1_000_000,
-    dim: int = 8,
-    seed: int = 0,
-) -> dict:
+def khinchin_experiment(n_seeds: int, n_small: int, n_big: int, dim: int, seed: int) -> dict:
     """Monte Carlo error scaling between two sample sizes.
 
     The median absolute error should shrink roughly by sqrt(n_big/n_small);
-    the accepted band is [3, 33] around the theoretical 10 for the default
-    sizes.
+    the accepted band is [3, 33] around the theoretical 10 for the CLI's
+    default sizes.
     """
     setup = stream(seed, 0)
     a = random_hermitian(dim, setup)
@@ -179,11 +173,7 @@ def symmetric64_geometry() -> two_slit.SlitGeometry:
     return two_slit.SlitGeometry(grid_size=64, slit_a=frozenset({16}), slit_b=frozenset({48}))
 
 
-def two_slit_experiment(
-    geom: two_slit.SlitGeometry,
-    n_events: int = 100_000,
-    seed: int = 0,
-) -> dict:
+def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int) -> dict:
     """Ensemble pattern, its three-term decomposition, and the event sampler."""
     psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), geom)
     split = two_slit.screen_split(psi_ab, geom)  # an infeasible split fails here
@@ -226,11 +216,7 @@ POLICIES = {
 
 
 def delayed_choice_experiment(
-    policy_name: str,
-    n_events: int = 100_000,
-    seed: int = 0,
-    p: float = 0.5,
-    events_path=None,
+    policy_name: str, n_events: int, seed: int, p: float, events_path=None
 ) -> dict:
     """Summary dict of one run; with `events_path`, its events.csv too.
 
@@ -250,7 +236,8 @@ def delayed_choice_experiment(
         size = interferometer.events_csv_bytes(n_events, seed)
         sink = atomic_open(events_path, "wb", size=size)
     with sink as fh:
-        for events in interferometer.photon_chunks(policy, n_events, seed):
+        for start, count in chunks(n_events):
+            events = interferometer.run_events(policy, count, seed, start)
             counts += interferometer.count_events(events)
             if fh is not None:
                 interferometer.write_events_csv(events, fh)

@@ -13,7 +13,7 @@ inserted or removed after the photon has passed the first mirror; only
 the configuration at arrival matters.
 
 A run of photons is drawn, counted and written in the fixed chunks of
-rng.event_chunks, so its memory does not grow with the number of events.
+rng.chunks, so its memory does not grow with the number of events.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqm.errors import ConfigError
-from aqm.rng import LANE_POLICY, event_chunks, event_uniforms
+from aqm.rng import LANE_POLICY, event_uniforms
 
 # Codes in PhotonEvents.  They coincide because, with the output mirror
 # absent, path A lands on detector A and path B on detector B.
@@ -77,8 +77,8 @@ class DelayedRandom:
     i's decision is column 0 of its event_uniforms row on LANE_POLICY.
     """
 
-    p: float = 0.5
-    seed: int = 0
+    p: float
+    seed: int
 
     def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
         return event_uniforms(self.seed, n, lane=LANE_POLICY, start=start)[:, 0] < self.p
@@ -129,12 +129,6 @@ def run_events(policy, n: int, seed: int, start: int = 0) -> PhotonEvents:
     detector = np.where(m4, steered, paths)
     return PhotonEvents(kernel_path=paths, m4_at_arrival=m4, detector=detector, seed=seed,
                         start=start)
-
-
-def photon_chunks(policy, n: int, seed: int):
-    """run_events over photons 0..n-1, one chunk of rng.event_chunks at a time."""
-    for start, count in event_chunks(n):
-        yield run_events(policy, count, seed, start)
 
 
 def count_events(events: PhotonEvents) -> np.ndarray:

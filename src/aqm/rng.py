@@ -1,30 +1,25 @@
 """Counter-based random streams.
 
 Every stochastic routine in the package draws from a Philox counter-based
-generator keyed by the user seed.  Independent trials get streams
-addressed by (seed, stream index), so replay is exact and the result of a
-trial does not depend on how many other trials ran before it.  Long-lived
-streams are disjoint from each other, but not yet from per-event ones:
-stream(seed, 0) reads the same blocks as rows 0, 1, ... of
-event_uniforms(seed, ...), since both count from counter 0.
+generator keyed by the user seed, and stream builds every one of them.
+Trials get streams addressed by (seed, stream index, lane), so replay is
+exact and a trial's result does not depend on the trials run before it.
 
-Block layout.  Philox turns one 256-bit counter value into one block of
-four 64-bit words, which Generator.random makes into four doubles.  numpy
-increments the counter before it computes a block, so a generator created
-at counter c reads the blocks at c + 1, c + 2, ...: draws 4b to 4b + 3 of
-stream(seed, index) are the block at counter (index << 128) + b + 1.
-stream(seed, index, start=4k) is created at counter (index << 128) + k,
-so it draws what stream(seed, index) draws from its draw 4k on: any
-block-aligned range of a stream is read on its own, as monte_carlo_mean
-reads each of its chunks.
+One address rule: draw j of stream (seed, index, lane) is in the Philox
+block at counter (index << 128) + floor(j / 4) + 1 under the key
+seed ^ lane, and event i of a run is draws 4i to 4i + 3 of stream (seed,
+0, lane).  So any block-aligned range of draws, and any range of events,
+is drawn on its own; runs walk the fixed ranges of chunks, in memory that
+does not grow with their length.
 
-Event ranges.  An event owns one block: row i of event_uniforms(seed,
-count, lane, start) is the block at counter start + i + 1, the four
-uniforms of event start + i.  Any range of events is therefore drawn on
-its own, with no state carried from the events before it.  Per-event
-kernels walk a run of events in the fixed ranges of event_chunks, 2**16
-events at a time, so their memory does not grow with the number of
-events.
+The addresses each consumer reads:
+- postulate_suite: stream indices 0, 1 and 2;
+- khinchin_experiment: index 0 for its setup, 2j + 1 and 2j + 2 for seed j;
+- a run's events: index 0 on LANE_EVENTS, and on LANE_POLICY for
+  DelayedRandom's decisions.
+Two of them overlap, by convention and not by construction: stream(s, 0)
+reads the event rows of seed s, and the policy lane of seed s is the
+event lane of seed s ^ LANE_POLICY.
 """
 
 from __future__ import annotations
@@ -70,19 +65,20 @@ def event_uniforms(
 ) -> np.ndarray:
     """Uniforms for events start..start+n_events-1 as an (n_events, 4) array.
 
-    Row i is event start + i's own Philox block, so batched, chunked and
-    one-event-at-a-time execution give identical results.
+    They are draws 4 * start onward of stream(seed, 0, lane): row i is event
+    start + i's own Philox block, so batched, chunked and one-event-at-a-time
+    execution give identical results.
     """
-    if start < 0:
-        raise ValueError(f"event index must be non-negative, got {start}")
-    gen = np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=start))
+    gen = stream(seed, 0, lane, DRAWS_PER_EVENT * start)
     return gen.random(DRAWS_PER_EVENT * n_events).reshape(n_events, DRAWS_PER_EVENT)
 
 
-_EVENT_CHUNK = 1 << 16  # events per chunk of a per-event kernel
+# Events, or Born draws, per chunk of a run.  A multiple of DRAWS_PER_EVENT,
+# so a chunk of draws starts on a Philox block, as stream's `start` requires.
+_CHUNK = 1 << 16
 
 
-def event_chunks(n_events: int):
-    """(start, count) of the consecutive chunks that cover events 0..n_events-1."""
-    for start in range(0, n_events, _EVENT_CHUNK):
-        yield start, min(_EVENT_CHUNK, n_events - start)
+def chunks(n: int):
+    """(start, count) of the consecutive chunks that cover 0..n-1."""
+    for start in range(0, n, _CHUNK):
+        yield start, min(_CHUNK, n - start)

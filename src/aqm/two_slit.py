@@ -22,7 +22,7 @@ import numpy as np
 
 from aqm.ensemble import inverse_cdf
 from aqm.errors import ConfigError, ImpossibleEventError, ModelViolationError
-from aqm.rng import event_chunks, event_uniforms
+from aqm.rng import chunks, event_uniforms
 
 CLOSURE_TOL = 1e-10
 CLAMP_BUDGET = 1e-6  # per lattice site, see screen_split
@@ -145,15 +145,14 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
     momentum site from that slit's conditional distribution.  Events are
     addressed by (seed, event index) counter streams, so the histogram is
     reproducible and independent of execution order; they are drawn one
-    chunk of rng.event_chunks at a time, in memory that does not grow with
-    n_events.
+    chunk of rng.chunks at a time, in memory that does not grow with n_events.
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
     n = len(split.conds[0])
     histogram = np.zeros(n, dtype=np.int64)
     n_b = 0
-    for start, count in event_chunks(n_events):
+    for start, count in chunks(n_events):
         u = event_uniforms(seed, count, start=start)  # per event: (slit, site, _, _)
         slit_b = u[:, 0] >= split.slit_probs[0]
         for s in (0, 1):

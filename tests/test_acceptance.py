@@ -50,7 +50,8 @@ def test_criterion_1_mirror_present_certain_db():
 
 def test_criterion_2_mirror_absent_even_split():
     t0 = time.time()
-    sub = experiments.delayed_choice_experiment("absent", 100_000, seed=7)["sub_ensembles"][0]
+    result = experiments.delayed_choice_experiment("absent", 100_000, seed=7, p=0.5)
+    sub = result["sub_ensembles"][0]
     dev = max(abs(sub["freq_DA"] - 0.5), abs(sub["freq_DB"] - 0.5))
     elapsed = time.time() - t0
     report(
@@ -134,7 +135,9 @@ def test_criterion_6_stacked_screens():
 
 
 def test_criterion_7_khinchin_rate():
-    result = experiments.khinchin_experiment(n_seeds=50, dim=4, seed=7)
+    result = experiments.khinchin_experiment(
+        n_seeds=50, n_small=10_000, n_big=1_000_000, dim=4, seed=7
+    )
     report(
         "7 Monte Carlo error scaling",
         result["passed"],

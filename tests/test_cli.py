@@ -2,9 +2,11 @@ import csv
 import inspect
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,24 @@ from aqm.errors import ConfigError
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _readme_commands() -> list:
+    """The `aqm ...` lines of the README's CLI code block, as argument lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("aqm ")]
+
+
+def test_the_readme_documents_every_subcommand():
+    assert sorted({argv[0] for argv in _readme_commands()}) == sorted(cli._DEFAULTS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_every_readme_command_resolves(monkeypatch, argv):
+    # a flag renamed or removed without the README following fails here; nothing runs
+    monkeypatch.setattr(cli, "run", lambda config: 0)
+    assert main(argv) == 0
 
 
 class TestConfigResolution:

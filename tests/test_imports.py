@@ -25,5 +25,36 @@ def test_every_module_uses_what_it_imports():
 
 
 def test_an_unused_import_is_reported():
-    source = "import os\nimport numpy as np\nfrom aqm.rng import stream, event_chunks\nnp.ones(stream)\n"
-    assert _unused_imports(source) == ["event_chunks", "os"]
+    source = "import os\nimport numpy as np\nfrom aqm.rng import stream, chunks\nnp.ones(stream)\n"
+    assert _unused_imports(source) == ["chunks", "os"]
+
+
+def _unread_private_names(sources: list) -> list:
+    """Module-level names with one leading underscore that no source reads."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return sorted(private - read)
+
+
+def test_every_private_name_is_read():
+    modules = sorted(Path(aqm.__file__).parent.glob("*.py"))
+    assert _unread_private_names([m.read_text() for m in modules]) == []
+
+
+def test_an_unread_private_name_is_reported():
+    defining = "_CHUNK = 4\n_A, _B = 1, 2\ndef _f():\n    return _A\nclass _C:\n    pass\n"
+    reading = "from m import _C\nimport m\nx = _C(), m._CHUNK\n"
+    assert _unread_private_names([defining, reading]) == ["_B", "_f"]

@@ -93,12 +93,12 @@ class TestDelayedChoiceIndifference:
 
 class TestEquivalenceReport:
     def test_always_present_is_exact(self):
-        report = delayed_choice_experiment("present", 10_000, seed=8)
+        report = delayed_choice_experiment("present", 10_000, seed=8, p=0.5)
         assert report["max_deviation"] <= 1e-12
         assert report["passed"]
 
     def test_always_absent_within_binomial_bound(self):
-        report = delayed_choice_experiment("absent", 100_000, seed=9)
+        report = delayed_choice_experiment("absent", 100_000, seed=9, p=0.5)
         assert report["max_deviation"] <= 0.0063
         assert report["passed"]
 

@@ -119,19 +119,46 @@ def test_measure_many_never_draws_a_zero_probability_branch():
     index=st.integers(1, 2**20),
 )
 def test_monte_carlo_mean_does_not_depend_on_the_worker_count(n, dim, seed, index):
+    psi, a, q = _born_instance(dim, seed)
+    expected = _serial_mean(psi, a, q, n, seed, index)
+    for threads in (1, 2, 3):
+        with pool_of(threads):
+            assert monte_carlo_mean(psi, a, q, n, seed, index) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    chunk=st.sampled_from([4, 8, 12, 2**16]),
+    dim=st.sampled_from([3, 40]),
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(1, 2**20),
+)
+def test_monte_carlo_mean_does_not_depend_on_the_chunk_length(n, chunk, dim, seed, index):
+    # a chunk of Born draws must start on a Philox block, as stream's start requires
+    assert rng._CHUNK % rng.DRAWS_PER_EVENT == 0
+    psi, a, q = _born_instance(dim, seed)
+    expected = _serial_mean(psi, a, q, n, seed, index)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_CHUNK", chunk)
+        assert monte_carlo_mean(psi, a, q, n, seed, index) == expected
+
+
+def _born_instance(dim: int, seed: int):
     setup = np.random.default_rng(seed)
     a = random_hermitian(dim, setup)
     q = masa_from(a)
-    psi = random_density(dim, setup)
-    # the serial reference: one draw of the stream per trial
+    return random_density(dim, setup), a, q
+
+
+def _serial_mean(psi, a, q, n: int, seed: int, index: int):
+    """monte_carlo_mean's reference: one draw of the stream per trial, in order."""
     values = _branch_values(q, a)
     idx = inverse_cdf(born_distribution(psi, q), stream(seed, index).random(n))
     mean = values[idx].mean()
     counts = np.bincount(idx, minlength=len(values))
     stderr = 0.0 if n == 1 else np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n)
-    for threads in (1, 2, 3):
-        with pool_of(threads):
-            assert monte_carlo_mean(psi, a, q, n, seed, index) == (mean, stderr)
+    return mean, stderr
 
 
 _POSITIVE_WEIGHT = st.one_of(st.integers(1, 8).map(float), st.floats(1e-6, 1.0))
@@ -289,9 +316,10 @@ def test_small_chunks_write_the_scalar_file(policy_name, chunk, n, seed):
     policy = experiments.POLICIES[policy_name](0.5, seed)
     buffer = io.BytesIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "_EVENT_CHUNK", chunk)
-        for events in interferometer.photon_chunks(policy, n, seed):
-            interferometer.write_events_csv(events, buffer)
+        mp.setattr(rng, "_CHUNK", chunk)
+        for start, count in rng.chunks(n):  # the delayed-choice driver's loop
+            interferometer.write_events_csv(
+                interferometer.run_events(policy, count, seed, start), buffer)
     assert buffer.getvalue() == _scalar_csv(policy_name, 0.5, seed, 0, n)
     assert len(buffer.getvalue()) == interferometer.events_csv_bytes(n, seed)
 
@@ -341,7 +369,7 @@ def test_chunked_screens_are_inverse_cdf_over_the_unchunked_uniforms(n_chunk, se
         for s in (0, 1)
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "_EVENT_CHUNK", chunk)
+        mp.setattr(rng, "_CHUNK", chunk)
         histogram, (n_a, n_b) = two_slit.sample_screens(_SPLIT, n, seed)
     assert histogram.dtype == np.int64
     assert histogram.tolist() == want.tolist()
