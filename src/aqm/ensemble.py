@@ -30,7 +30,7 @@ from aqm.errors import NotHermitianError
 from aqm.rng import chunks, stream
 
 STATE_TOL = 1e-10
-# inverse_cdf counts comparisons up to this many branches, and bisects above
+# inverse_cdf and branch_counts count comparisons up to this many branches
 _COUNT_MAX = 32
 # threads monte_carlo_mean's chunks run on: the CPUs the process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -67,6 +67,11 @@ def born_distribution(psi: QuantumState, q: Context) -> np.ndarray:
     return p / p.sum()
 
 
+def _cdf(probs):
+    """Running total of the weights, and the index of the last positive one."""
+    return np.cumsum(probs), np.flatnonzero(probs)[-1]
+
+
 def inverse_cdf(probs, u):
     """Index drawn from the non-negative weights `probs` for each uniform in `u`.
 
@@ -77,18 +82,29 @@ def inverse_cdf(probs, u):
     the index is found by counting the CDF entries at or below u * total,
     which gives searchsorted's index, clamped, at a fraction of its cost.
     """
-    probs = np.asarray(probs)
-    cdf = np.cumsum(probs)
-    last = np.flatnonzero(probs)[-1]
-    if last > _COUNT_MAX:
-        idx = np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right")
-        return np.minimum(idx, last)
+    cdf, last = _cdf(probs)
     x = np.asarray(u) * cdf[-1]
+    if last > _COUNT_MAX:
+        return np.minimum(np.searchsorted(cdf, x, side="right"), last)
     count = np.zeros(x.shape, dtype=np.uint8)  # holds up to _COUNT_MAX
     for c in cdf[:last]:
         count += (x >= c).view(np.uint8)
     del x  # free it before the index array is allocated
     return count.astype(np.intp)
+
+
+def branch_counts(probs, u) -> np.ndarray:
+    """(k,) int64 tally of the branches inverse_cdf(probs, u) draws.
+
+    Up to _COUNT_MAX branches it builds no per-draw array: with x = u * total,
+    branch j's tally is #(x >= cdf[j-1]) - #(x >= cdf[j]).
+    """
+    cdf, last = _cdf(probs)
+    if last > _COUNT_MAX:
+        return np.bincount(inverse_cdf(probs, u), minlength=len(cdf))
+    x = np.asarray(u) * cdf[-1]
+    at_least = [x.size] + [np.count_nonzero(x >= c) for c in cdf[:last]]
+    return -np.diff(at_least + [0] * (len(cdf) - last))
 
 
 def measure_many(psi: QuantumState, a, q: Context, u):
@@ -129,25 +145,24 @@ def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index:
     over the Born distribution.  Draw i is made from draw i of
     stream(seed, index).  The n draws are cut into the chunks of
     rng.chunks, and each chunk reads its own counter range of the stream,
-    through stream's `start`, as one unit on the thread pool, so the result
-    depends neither on the number of threads nor on the chunk length.  The
-    mean is taken once over all n values, and stderr comes from the count
-    of each branch.
+    through stream's `start`, as one unit on the thread pool that returns
+    only its branch counts.  The estimate, sum_i count_i v_i / n rounded
+    once, and stderr come from the counts alone, so the result depends
+    neither on the number of threads nor on the chunk length.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     values = _branch_values(q, a)
     probs = born_distribution(psi, q)
-    draws = np.empty(n, dtype=values.dtype)
 
     def chunk(span):
         lo, count = span
-        idx = inverse_cdf(probs, stream(seed, index, start=lo).random(count))
-        np.take(values, idx, out=draws[lo : lo + count])
-        return np.bincount(idx, minlength=len(values))
+        return branch_counts(probs, stream(seed, index, start=lo).random(count))
 
     counts = sum(_executor().map(chunk, chunks(n)))
-    estimate = float(draws.mean())
+    ratios = map(float.as_integer_ratio, values.tolist())  # each d a power of two <= 2**1074
+    total = sum(c * m * (1 << 1074) // d for c, (m, d) in zip(counts.tolist(), ratios))
+    estimate = total / (n << 1074)  # exact int true division: correctly rounded
     if n == 1:
         return estimate, 0.0
     var = np.dot(counts, (values - estimate) ** 2) / (n - 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.ensemble import inverse_cdf
+from aqm.ensemble import branch_counts
 from aqm.errors import ConfigError, ImpossibleEventError, ModelViolationError
 from aqm.rng import chunks, event_uniforms
 
@@ -156,8 +156,7 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
         u = event_uniforms(seed, count, start=start)  # per event: (slit, site, _, _)
         slit_b = u[:, 0] >= split.slit_probs[0]
         for s in (0, 1):
-            site = inverse_cdf(split.conds[s], u[slit_b == bool(s), 1])
-            histogram += np.bincount(site, minlength=n)
+            histogram += branch_counts(split.conds[s], u[slit_b == bool(s), 1])
         n_b += int(np.count_nonzero(slit_b))
     return histogram, (n_events - n_b, n_b)
 

@@ -466,7 +466,7 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experim
     ids=["khinchin", "delayed-choice"],
 )
 def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys, runner, argv):
-    def exhausted(*args, **kwargs):  # as numpy fails to allocate the draws
+    def exhausted(*args, **kwargs):  # as numpy fails to allocate an array
         raise MemoryError("Unable to allocate 745. GiB for an array")
 
     monkeypatch.setattr(experiments, runner, exhausted)

@@ -1,5 +1,8 @@
 import sys
 import threading
+import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from aqm.algebra import Character, Context, evaluate, masa_from
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
+    branch_counts,
     check_postulate5,
     check_postulate6,
     inverse_cdf,
@@ -232,7 +236,9 @@ class TestMonteCarloMean:
         est, err = monte_carlo_mean(psi, a, q, n, 4, 1)
         u = stream(4, 1).random(n)
         draws = algebra._branch_values(q, a)[inverse_cdf(born_distribution(psi, q), u)]
-        assert est == draws.mean()
+        # the estimate is the exact mean of the draws, rounded once
+        assert est == float(sum(Fraction(v) * c for v, c in Counter(draws.tolist()).items()) / n)
+        assert abs(est - draws.mean()) <= 4 * np.spacing(abs(draws.mean()))
         if n == 1:
             assert err == 0.0
         else:
@@ -242,15 +248,15 @@ class TestMonteCarloMean:
         def fails_off_the_main_thread(probs, u):
             if threading.current_thread() is not threading.main_thread():
                 raise FloatingPointError("worker failed")
-            return inverse_cdf(probs, u)
+            return branch_counts(probs, u)
 
-        monkeypatch.setattr(ensemble, "inverse_cdf", fails_off_the_main_thread)
+        monkeypatch.setattr(ensemble, "branch_counts", fails_off_the_main_thread)
         with pool_of(2), pytest.raises(FloatingPointError, match="worker failed"):
             monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 2 * 2**16, 0, 0)
 
     def test_more_threads_than_cpus_under_fast_switching(self):
-        # each chunk writes its own slice of the draws and returns its counts;
-        # a lost or crossed write would change the estimate or the stderr
+        # each chunk returns the branch counts of its own draws; a lost or
+        # doubled chunk would change the estimate or the stderr
         a = SIGMA_Z + 2.0 * SIGMA_X
         ctx = masa_from(a)
         n = 9 * 2**16 + 7
@@ -264,6 +270,23 @@ class TestMonteCarloMean:
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected] * 5
+
+    @pytest.mark.parametrize("dim", [3, 40])  # the counting and the bisecting sampler
+    def test_memory_does_not_grow_with_n(self, dim):
+        # 2**22 values would take 32 MB; each chunk keeps only its branch counts
+        setup = stream(5, 0)
+        a = random_hermitian(dim, setup)
+        q = masa_from(a)
+        psi = random_density(dim, setup)
+        with pool_of(2):
+            monte_carlo_mean(psi, a, q, 2**16, 5, 1)  # the pool starts outside the trace
+            tracemalloc.start()
+            try:
+                monte_carlo_mean(psi, a, q, 2**22, 5, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPostulate5:

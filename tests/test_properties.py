@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from aqm.algebra import Character, _branch_values, evaluate, masa_from, spectral
 from aqm import experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
     born_distribution,
+    branch_counts,
     inverse_cdf,
     measure_many,
     monte_carlo_mean,
@@ -152,11 +154,14 @@ def _born_instance(dim: int, seed: int):
 
 
 def _serial_mean(psi, a, q, n: int, seed: int, index: int):
-    """monte_carlo_mean's reference: one draw of the stream per trial, in order."""
+    """monte_carlo_mean's reference: one draw of the stream per trial, in order.
+
+    The mean is exact, rounded once to a float.
+    """
     values = _branch_values(q, a)
     idx = inverse_cdf(born_distribution(psi, q), stream(seed, index).random(n))
-    mean = values[idx].mean()
     counts = np.bincount(idx, minlength=len(values))
+    mean = float(sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist())) / n)
     stderr = 0.0 if n == 1 else np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n)
     return mean, stderr
 
@@ -164,10 +169,8 @@ def _serial_mean(psi, a, q, n: int, seed: int, index: int):
 _POSITIVE_WEIGHT = st.one_of(st.integers(1, 8).map(float), st.floats(1e-6, 1.0))
 
 
-@settings(max_examples=100, deadline=None)
-@given(k=st.integers(1, 64), data=st.data())
-def test_inverse_cdf_is_the_clamped_searchsorted(k, data):
-    # k spans both kernels: comparison counting up to 32 branches, bisection above
+def _weights_and_uniforms(k: int, data):
+    """k weights with zero runs leading, trailing and inside, and uniforms that hit every tie."""
     lead = data.draw(st.integers(0, k - 1))
     trail = data.draw(st.integers(0, k - 1 - lead))
     middle = data.draw(st.lists(st.one_of(st.just(0.0), _POSITIVE_WEIGHT),
@@ -179,10 +182,30 @@ def test_inverse_cdf_is_the_clamped_searchsorted(k, data):
         [0.0, 1.0], ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0).clip(0.0, 1.0),
         data.draw(st.lists(st.floats(0.0, 1.0), max_size=20)),
     ])
+    return weights, u
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 64), data=st.data())
+def test_inverse_cdf_is_the_clamped_searchsorted(k, data):
+    # k spans both kernels: comparison counting up to 32 branches, bisection above
+    weights, u = _weights_and_uniforms(k, data)
+    cdf = np.cumsum(weights)
     last = np.flatnonzero(weights)[-1]
     want = np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), last)
     assert inverse_cdf(weights, u).tolist() == want.tolist()
     assert [int(inverse_cdf(weights, x)) for x in u.tolist()] == want.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 64), data=st.data())
+def test_branch_counts_tally_the_inverse_cdf_draws(k, data):
+    # k spans both kernels: comparison counting up to 32 branches, bincount above
+    weights, u = _weights_and_uniforms(k, data)
+    want = np.bincount(inverse_cdf(weights, u), minlength=k)
+    counts = branch_counts(weights, u)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == want.tolist()
 
 
 @settings(max_examples=40, deadline=None)
