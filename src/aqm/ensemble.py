@@ -12,8 +12,6 @@ functional linearity, and reproducibility numerically.
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +25,11 @@ from aqm.algebra import (
     is_hermitian,
 )
 from aqm.errors import NotHermitianError
-from aqm.rng import chunks, stream
+from aqm.rng import chunk_map, stream
 
 STATE_TOL = 1e-10
 # inverse_cdf and branch_counts count comparisons up to this many branches
 _COUNT_MAX = 32
-# threads monte_carlo_mean's chunks run on: the CPUs the process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -96,15 +91,18 @@ def inverse_cdf(probs, u):
 def branch_counts(probs, u) -> np.ndarray:
     """(k,) int64 tally of the branches inverse_cdf(probs, u) draws.
 
-    Up to _COUNT_MAX branches it builds no per-draw array: with x = u * total,
-    branch j's tally is #(x >= cdf[j-1]) - #(x >= cdf[j]).
+    With x = u * total, branch j's tally is #(x >= cdf[j-1]) - #(x >= cdf[j]):
+    one count_nonzero per count up to _COUNT_MAX branches, one sort of x above.
     """
     cdf, last = _cdf(probs)
+    x = np.ravel(u) * cdf[-1]
+    at_least = np.full(last + 1, x.size)  # [j]: draws of branch j or above
     if last > _COUNT_MAX:
-        return np.bincount(inverse_cdf(probs, u), minlength=len(cdf))
-    x = np.asarray(u) * cdf[-1]
-    at_least = [x.size] + [np.count_nonzero(x >= c) for c in cdf[:last]]
-    return -np.diff(at_least + [0] * (len(cdf) - last))
+        x.sort()
+        at_least[1:] -= np.searchsorted(x, cdf[:last], side="left")
+    else:
+        at_least[1:] = [np.count_nonzero(x >= c) for c in cdf[:last]]
+    return -np.diff(at_least, append=np.zeros(len(cdf) - last, np.int64))
 
 
 def measure_many(psi: QuantumState, a, q: Context, u):
@@ -143,23 +141,22 @@ def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index:
 
     Each trial measures a fresh copy of the state, so the draws are iid
     over the Born distribution.  Draw i is made from draw i of
-    stream(seed, index).  The n draws are cut into the chunks of
-    rng.chunks, and each chunk reads its own counter range of the stream,
-    through stream's `start`, as one unit on the thread pool that returns
-    only its branch counts.  The estimate, sum_i count_i v_i / n rounded
-    once, and stderr come from the counts alone, so the result depends
-    neither on the number of threads nor on the chunk length.
+    stream(seed, index).  The n draws are mapped over rng.chunk_map: each
+    chunk reads its own counter range of the stream, through stream's
+    `start`, and returns only its branch counts.  The estimate, sum_i
+    count_i v_i / n rounded once, and stderr come from the counts alone,
+    so the result depends neither on the number of threads nor on the
+    chunk length, and memory does not grow with n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     values = _branch_values(q, a)
     probs = born_distribution(psi, q)
 
-    def chunk(span):
-        lo, count = span
+    def chunk(lo, count):
         return branch_counts(probs, stream(seed, index, start=lo).random(count))
 
-    counts = sum(_executor().map(chunk, chunks(n)))
+    counts = sum(chunk_map(chunk, n))
     ratios = map(float.as_integer_ratio, values.tolist())  # each d a power of two <= 2**1074
     total = sum(c * m * (1 << 1074) // d for c, (m, d) in zip(counts.tolist(), ratios))
     estimate = total / (n << 1074)  # exact int true division: correctly rounded
@@ -167,14 +164,6 @@ def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index:
         return estimate, 0.0
     var = np.dot(counts, (values - estimate) ** 2) / (n - 1)
     return estimate, float(np.sqrt(var / n))
-
-
-@functools.cache
-def _executor():
-    """The threads monte_carlo_mean's chunks run on, started on first use."""
-    from concurrent.futures import ThreadPoolExecutor  # kept off aqm.cli's import path
-
-    return ThreadPoolExecutor(max_workers=_WORKERS)
 
 
 # ---------------------------------------------------------------------------

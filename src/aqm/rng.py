@@ -10,7 +10,7 @@ block at counter (index << 128) + floor(j / 4) + 1 under the key
 seed ^ lane, and event i of a run is draws 4i to 4i + 3 of stream (seed,
 0, lane).  So any block-aligned range of draws, and any range of events,
 is drawn on its own; runs walk the fixed ranges of chunks, in memory that
-does not grow with their length.
+does not grow with their length, and chunk_map runs them on every CPU.
 
 The addresses each consumer reads:
 - postulate_suite: stream indices 0, 1 and 2;
@@ -23,6 +23,9 @@ event lane of seed s ^ LANE_POLICY.
 """
 
 from __future__ import annotations
+
+import functools
+import os
 
 import numpy as np
 
@@ -82,3 +85,35 @@ def chunks(n: int):
     """(start, count) of the consecutive chunks that cover 0..n-1."""
     for start in range(0, n, _CHUNK):
         yield start, min(_CHUNK, n - start)
+
+
+# threads chunk_map runs chunks on: the CPUs the process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@functools.cache
+def _executor():  # started on first use
+    from concurrent.futures import ThreadPoolExecutor  # kept off aqm.cli's import path
+    return ThreadPoolExecutor(max_workers=_WORKERS)
+
+
+def chunk_map(fn, n: int):
+    """Yield fn(start, count) for each chunk of chunks(n), in chunk order.
+
+    The chunks run on one pool of _WORKERS threads, with at most
+    2 * _WORKERS of them submitted and not yet yielded.  A chunk's error
+    reaches the consumer; then, or when the consumer stops, the chunks not
+    yet started are cancelled.
+    """
+    pending = []
+    try:
+        for start, count in chunks(n):
+            if len(pending) == 2 * _WORKERS:
+                yield pending.pop(0).result()
+            pending.append(_executor().submit(fn, start, count))
+        while pending:
+            yield pending.pop(0).result()
+    finally:
+        for future in pending:
+            future.cancel()

@@ -22,7 +22,7 @@ import numpy as np
 
 from aqm.ensemble import branch_counts
 from aqm.errors import ConfigError, ImpossibleEventError, ModelViolationError
-from aqm.rng import chunks, event_uniforms
+from aqm.rng import chunk_map, event_uniforms
 
 CLOSURE_TOL = 1e-10
 CLAMP_BUDGET = 1e-6  # per lattice site, see screen_split
@@ -144,20 +144,24 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
     Each event localizes the particle at exactly one slit, then draws a
     momentum site from that slit's conditional distribution.  Events are
     addressed by (seed, event index) counter streams, so the histogram is
-    reproducible and independent of execution order; they are drawn one
-    chunk of rng.chunks at a time, in memory that does not grow with n_events.
+    reproducible and independent of execution order.  They are drawn in the
+    chunks of rng.chunk_map, on every CPU; each returns its histogram and
+    slit-b tally, so memory does not grow with n_events.
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
-    n = len(split.conds[0])
-    histogram = np.zeros(n, dtype=np.int64)
-    n_b = 0
-    for start, count in chunks(n_events):
+
+    def chunk(start, count):
         u = event_uniforms(seed, count, start=start)  # per event: (slit, site, _, _)
-        slit_b = u[:, 0] >= split.slit_probs[0]
-        for s in (0, 1):
-            histogram += branch_counts(split.conds[s], u[slit_b == bool(s), 1])
-        n_b += int(np.count_nonzero(slit_b))
+        slit_b, site = u[:, 0] >= split.slit_probs[0], u[:, 1].copy()
+        del u  # the (count, 4) block is most of a chunk's memory: drop it before tallying
+        hist = branch_counts(split.conds[0], site[~slit_b])
+        return hist + branch_counts(split.conds[1], site[slit_b]), int(np.count_nonzero(slit_b))
+
+    histogram, n_b = np.zeros(len(split.conds[0]), dtype=np.int64), 0
+    for hist, b in chunk_map(chunk, n_events):
+        histogram += hist
+        n_b += b
     return histogram, (n_events - n_b, n_b)
 
 

@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from aqm import ensemble
+from aqm import rng
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -22,12 +22,12 @@ def sigma_z():
 
 @contextmanager
 def pool_of(threads):
-    """Run the block with monte_carlo_mean's thread pool rebuilt at `threads` threads."""
+    """Run the block with rng.chunk_map's thread pool rebuilt at `threads` threads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "_WORKERS", threads)  # read when the pool is built
-        ensemble._executor.cache_clear()
+        mp.setattr(rng, "_WORKERS", threads)  # read when the pool is built
+        rng._executor.cache_clear()
         try:
             yield
         finally:
-            ensemble._executor().shutdown(wait=True)
-            ensemble._executor.cache_clear()
+            rng._executor().shutdown(wait=True)
+            rng._executor.cache_clear()

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import aqm
 from aqm import algebra, cli, ensemble, experiments, interferometer, rng, serialize, two_slit
 from aqm.cli import main, resolve_config
 from aqm.errors import ConfigError
+from conftest import pool_of
 
 
 def run_cli(*argv):
@@ -264,7 +266,7 @@ def test_cli_import_does_not_load_numpy_fft():
 
 
 def test_cli_import_starts_no_thread_pool():
-    # monte_carlo_mean starts its worker threads on first use
+    # rng.chunk_map starts its worker threads on first use
     code = ("import sys, threading, aqm.cli; "
             "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
@@ -314,11 +316,15 @@ def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
         if event == "call":
             ran.add(frame.f_code)
 
+    # the pool is rebuilt inside the hooks, so its threads start traced
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
-        for i, argv in enumerate(runs):
-            assert run_cli(*argv, "--out", str(tmp_path / str(i))) == 0
+        with pool_of(rng._WORKERS):
+            for i, argv in enumerate(runs):
+                assert run_cli(*argv, "--out", str(tmp_path / str(i))) == 0
     finally:
+        threading.setprofile(None)
         sys.setprofile(None)
     modules = (rng, algebra, ensemble, two_slit, interferometer, experiments, serialize, cli)
     code = {f"{m.__name__.removeprefix('aqm.')}.{name}": c

@@ -58,3 +58,31 @@ def test_an_unread_private_name_is_reported():
     defining = "_CHUNK = 4\n_A, _B = 1, 2\ndef _f():\n    return _A\nclass _C:\n    pass\n"
     reading = "from m import _C\nimport m\nx = _C(), m._CHUNK\n"
     assert _unread_private_names([defining, reading]) == ["_B", "_f"]
+
+
+def _pool_uses(source: str) -> list:
+    """Names of thread or process pools, and .submit/.map calls, in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("submit", "map"):
+                found.append(f".{node.func.attr}")
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in ("ThreadPoolExecutor", "ProcessPoolExecutor", "_executor"):
+            found.append(name)
+    return found
+
+
+def test_only_rng_runs_work_on_the_pool():
+    # rng.chunk_map alone submits work, as rng.stream alone builds a generator
+    modules = sorted(Path(aqm.__file__).parent.glob("*.py"))
+    uses = {m.name: _pool_uses(m.read_text()) for m in modules if m.name != "rng.py"}
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_a_pool_use_is_reported():
+    source = ("from concurrent.futures import ThreadPoolExecutor\n"
+              "pool = ThreadPoolExecutor(2)\nlist(pool.map(abs, [1]))\npool.submit(abs, 1)\n"
+              "rng._executor()\nsum(map(abs, [1]))\n")
+    assert sorted(_pool_uses(source)) == [".map", ".submit", "ThreadPoolExecutor",
+                                          "ThreadPoolExecutor", "_executor"]

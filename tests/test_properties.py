@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqm.algebra import Character, _branch_values, evaluate, masa_from, spectral_decompose
-from aqm import experiments, interferometer, rng, two_slit
+from aqm import ensemble, experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
     born_distribution,
     branch_counts,
@@ -29,6 +29,7 @@ from aqm.two_slit import (
     CLAMP_BUDGET,
     SlitGeometry,
     prepare_conditioned,
+    sample_screens,
     screen_split,
     uniform_source,
 )
@@ -128,6 +129,38 @@ def test_monte_carlo_mean_does_not_depend_on_the_worker_count(n, dim, seed, inde
             assert monte_carlo_mean(psi, a, q, n, seed, index) == expected
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    # 32 sites tally by counting comparisons, 256 by sorting
+    geom=st.sampled_from([SlitGeometry(32, {10, 11}, {18, 19}),
+                          SlitGeometry(256, {120, 121}, {134, 135})]),
+    n=st.integers(1, 12 * 4096),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sample_screens_does_not_depend_on_the_worker_count(geom, n, seed):
+    split = screen_split(prepare_conditioned(uniform_source(geom.grid_size), geom), geom)
+    last = max(np.flatnonzero(c)[-1] for c in split.conds)
+    assert (last > ensemble._COUNT_MAX) == (geom.grid_size == 256)
+    expected = _serial_screens(split, n, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_CHUNK", 4096)  # more chunks than the 2W in flight
+        for threads in (1, 2, 3):
+            with pool_of(threads):
+                histogram, tally = sample_screens(split, n, seed)
+            assert histogram.dtype == np.int64
+            assert (histogram.tolist(), tally) == expected
+
+
+def _serial_screens(split, n: int, seed: int):
+    """sample_screens' reference: every event in one block, each drawn by inverse_cdf."""
+    u = event_uniforms(seed, n)
+    slit_b = u[:, 0] >= split.slit_probs[0]
+    histogram = sum(np.bincount(inverse_cdf(split.conds[s], u[slit_b == s, 1]),
+                                minlength=len(split.conds[s])) for s in (0, 1))
+    n_b = int(np.count_nonzero(slit_b))
+    return histogram.tolist(), (n - n_b, n_b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 300),
@@ -176,13 +209,17 @@ def _weights_and_uniforms(k: int, data):
     middle = data.draw(st.lists(st.one_of(st.just(0.0), _POSITIVE_WEIGHT),
                                 min_size=k - lead - trail - 1, max_size=k - lead - trail - 1))
     weights = np.array([0.0] * lead + [data.draw(_POSITIVE_WEIGHT)] + middle + [0.0] * trail)
+    return weights, _tie_uniforms(weights, data)
+
+
+def _tie_uniforms(weights, data):
+    """0, 1, and uniforms at which u * total lands on a CDF entry, or next to one."""
     cdf = np.cumsum(weights)
-    ties = cdf / cdf[-1]  # u * total lands on a CDF entry, or next to one
-    u = np.concatenate([
+    ties = cdf / cdf[-1]
+    return np.concatenate([
         [0.0, 1.0], ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0).clip(0.0, 1.0),
         data.draw(st.lists(st.floats(0.0, 1.0), max_size=20)),
     ])
-    return weights, u
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,12 +237,30 @@ def test_inverse_cdf_is_the_clamped_searchsorted(k, data):
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 64), data=st.data())
 def test_branch_counts_tally_the_inverse_cdf_draws(k, data):
-    # k spans both kernels: comparison counting up to 32 branches, bincount above
+    # k spans both kernels: comparison counting up to 32 branches, sorting above
     weights, u = _weights_and_uniforms(k, data)
     want = np.bincount(inverse_cdf(weights, u), minlength=k)
     counts = branch_counts(weights, u)
     assert counts.dtype == np.int64
     assert counts.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([33, 256, 2048]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_branch_counts_tally_the_inverse_cdf_draws_beyond_64_branches(k, seed, data):
+    # too many weights to draw one by one: zero runs leading, trailing and
+    # inside around numpy-drawn weights of mixed scales
+    gen = np.random.default_rng(seed)
+    lead = data.draw(st.integers(0, k - 1))
+    trail = data.draw(st.integers(0, k - 1 - lead))
+    weights = gen.random(k) * 10.0 ** gen.integers(-6, 2, size=k) * (gen.random(k) < 0.7)
+    weights[:lead] = 0.0
+    weights[k - trail:] = 0.0
+    weights[lead] = 1.0 - gen.random()  # in (0, 1]
+    u = np.concatenate([_tie_uniforms(weights, data), gen.random(4096)])
+    counts = branch_counts(weights, u)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == np.bincount(inverse_cdf(weights, u), minlength=k).tolist()
 
 
 @settings(max_examples=40, deadline=None)

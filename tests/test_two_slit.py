@@ -1,10 +1,11 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from aqm import experiments, two_slit
-from aqm.ensemble import QuantumState
+from aqm.ensemble import QuantumState, branch_counts
 from aqm.errors import ImpossibleEventError, ModelViolationError
 from aqm.experiments import random_density
 from aqm.rng import stream
@@ -17,6 +18,7 @@ from aqm.two_slit import (
     total_variation,
     uniform_source,
 )
+from conftest import pool_of
 from reference import (
     MomentumBin,
     condition_on_event,
@@ -258,6 +260,18 @@ class TestStackedScreens:
         h1, t1 = sample_screens(split, 5000, seed=11)
         h2, t2 = sample_screens(split, 5000, seed=11)
         assert np.array_equal(h1, h2) and t1 == t2
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        def fails_off_the_main_thread(probs, u):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker failed")
+            return branch_counts(probs, u)
+
+        monkeypatch.setattr(two_slit, "branch_counts", fails_off_the_main_thread)
+        geom = SlitGeometry(8, frozenset({1}), frozenset({5}))
+        split = screen_split(prepare_conditioned(uniform_source(8), geom), geom)
+        with pool_of(2), pytest.raises(FloatingPointError, match="worker failed"):
+            sample_screens(split, 3 * 2**16, seed=11)
 
     def test_infeasible_split_raises(self):
         # uneven slits: the equal split of the cross term goes negative
