@@ -104,7 +104,8 @@ def chunk_map(fn, n: int):
     The chunks run on one pool of _WORKERS threads, with at most
     2 * _WORKERS of them submitted and not yet yielded.  A chunk's error
     reaches the consumer; then, or when the consumer stops, the chunks not
-    yet started are cancelled.
+    yet started are cancelled.  fn runs on the pool, so it must not call
+    chunk_map: its chunks would wait behind the ones that wait for them.
     """
     pending = []
     try:
