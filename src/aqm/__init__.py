@@ -2,11 +2,11 @@
 
 Observables live in a full complex matrix algebra.  Measurement devices are
 modeled as contexts (complete orthogonal projector families), individual
-outcomes as characters on a context, and quantum states as density matrices
-sampled through the Born rule.  Experiment drivers cover the two-slit
-interference decomposition and the delayed-choice Mach-Zehnder
-interferometer, each under both a wave model and a per-event-local
-particle model.
+outcomes as characters (branch indices of a context, one array per context
+for a batch), and quantum states as density matrices sampled through the
+Born rule.  Experiment drivers cover the two-slit interference
+decomposition and the delayed-choice Mach-Zehnder interferometer, each
+under both a wave model and a per-event-local particle model.
 """
 
 __version__ = "0.1.0"

@@ -4,16 +4,15 @@ The abstract C*-algebra is modeled as the full matrix algebra M_n(C),
 its elements as square complex arrays.  A measurement device type is a
 Context: a complete family of mutually orthogonal Hermitian projectors (a
 maximal abelian subalgebra when all projectors are rank one).  A
-Character picks one branch of a context and evaluates every observable
-diagonal in that context to the corresponding eigenvalue.  An
-ElementaryState carries one character per registered context and is the
-hidden per-system state determining individual outcomes.
+character of a context is one of its branch indices: it evaluates every
+observable diagonal in that context to the eigenvalue on that branch.  An
+elementary state carries one character per context, so a batch of n
+elementary states is one (n,) branch array per context.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from aqm.errors import (
 HERM_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
-
-_context_counter = itertools.count()
 
 
 def as_matrix(a) -> np.ndarray:
@@ -71,7 +68,6 @@ class Context:
     """
 
     projectors: np.ndarray
-    id: str = field(default="")
 
     def __post_init__(self):
         mats = [as_matrix(p) for p in self.projectors]
@@ -99,83 +95,10 @@ class Context:
             raise ValueError("projectors do not sum to the identity")
         p.setflags(write=False)
         object.__setattr__(self, "projectors", p)
-        if not self.id:
-            object.__setattr__(self, "id", f"ctx{next(_context_counter)}")
 
     @property
     def n_branches(self) -> int:
         return self.projectors.shape[0]
-
-    @property
-    def is_maximal(self) -> bool:
-        return bool(np.all(np.rint(np.trace(self.projectors, axis1=1, axis2=2).real) == 1))
-
-
-@dataclass(frozen=True)
-class Character:
-    """Valuation on one context: picks one branch, evaluates by eigenvalue."""
-
-    context: Context
-    branch: int
-
-    def __post_init__(self):
-        if not 0 <= self.branch < self.context.n_branches:
-            raise ValueError(
-                f"branch {self.branch} out of range for context with "
-                f"{self.context.n_branches} branches"
-            )
-
-    @property
-    def context_id(self) -> str:
-        return self.context.id
-
-    def __call__(self, a) -> float:
-        return evaluate(self, a)
-
-
-@dataclass(frozen=True)
-class ContextFamily:
-    """Finite registered family of contexts of equal dimension."""
-
-    contexts: dict
-
-    def __post_init__(self):
-        ctxs = dict(self.contexts)
-        if ctxs:
-            _check_same_dim(*(c.projectors[0] for c in ctxs.values()))
-        for cid, ctx in ctxs.items():
-            if cid != ctx.id:
-                raise ValueError(f"key {cid!r} does not match context id {ctx.id!r}")
-        object.__setattr__(self, "contexts", ctxs)
-
-    @classmethod
-    def of(cls, *contexts: Context) -> "ContextFamily":
-        ids = [c.id for c in contexts]
-        if len(set(ids)) != len(ids):
-            raise ValueError("context ids must be unique")
-        return cls({c.id: c for c in contexts})
-
-    def __iter__(self):
-        return iter(self.contexts.values())
-
-    def __len__(self):
-        return len(self.contexts)
-
-    def __getitem__(self, cid: str) -> Context:
-        return self.contexts[cid]
-
-
-@dataclass
-class ElementaryState:
-    """Per-context character assignment; may be populated lazily."""
-
-    assignment: dict = field(default_factory=dict)
-
-    def assign(self, chi: Character) -> None:
-        self.assignment[chi.context_id] = chi
-
-    def character_for(self, context_id: str):
-        return self.assignment.get(context_id)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +157,7 @@ def _split_eigenspace(proj: np.ndarray, basis: np.ndarray) -> list:
     return [np.outer(u, u.conj()) for u in chosen]
 
 
-def masa_from(a, refinement=None, context_id: str = "") -> Context:
+def masa_from(a, refinement=None) -> Context:
     """Maximal abelian context containing the observable.
 
     Degenerate eigenspaces are split into rank-1 projectors using the
@@ -247,7 +170,7 @@ def masa_from(a, refinement=None, context_id: str = "") -> Context:
     projs = []
     for _val, proj in spectral_decompose(m):
         projs.extend(_split_eigenspace(proj, basis))
-    return Context(projectors=tuple(projs), id=context_id)
+    return Context(projectors=tuple(projs))
 
 
 def contains(q: Context, a, tol: float = COMMUTE_TOL) -> bool:
@@ -264,14 +187,13 @@ def _branch_values(
 
     Raises IncompatibleObservableError unless the observable commutes with
     the context within `tol` (max-abs commutator) and is constant, within
-    `const_tol`, on every branch, or on `branch` alone when given: a
-    commuting observable can still vary inside a rank > 1 branch.
+    `const_tol`, on every branch, or only on the branches in `branch` (an
+    index or an array of them) when given: a commuting observable can
+    still vary inside a rank > 1 branch.
     """
     m = as_matrix(a)
     if not contains(q, m, tol):
-        raise IncompatibleObservableError(
-            f"observable is not measurable with a device of type {q.id!r}"
-        )
+        raise IncompatibleObservableError("observable is not measurable with this context")
     p = q.projectors
     pm = p @ m
     values = (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
@@ -279,41 +201,36 @@ def _branch_values(
     drift = _max_abs(pm - values[:, None, None] * p)
     varies = np.flatnonzero(drift > const_tol * np.maximum(1.0, np.abs(values)))
     if branch is not None:
-        varies = varies[varies == branch]
+        varies = varies[np.isin(varies, branch)]
     if varies.size:
         raise IncompatibleObservableError(
-            f"observable is not constant on branch {varies[0]} of context {q.id!r}"
+            f"observable is not constant on branch {varies[0]} of the context"
         )
     return values
 
 
-def evaluate(chi: Character, a, tol: float = 1e-8) -> float:
-    """Eigenvalue of the observable on the character's branch.
+def evaluate(q: Context, a, branches, tol: float = 1e-8) -> np.ndarray:
+    """Eigenvalue of the observable on each character's branch of q.
 
-    Raises IncompatibleObservableError when the observable is not diagonal
-    in the character's context (the value would depend on the device type),
-    or is not constant on the character's branch.
+    `branches` holds branch indices of q, one per character.  Raises
+    ValueError for an index outside [0, k), and IncompatibleObservableError
+    when the observable is not diagonal in q (its value would depend on the
+    device type) or is not constant on a picked branch.
     """
-    return float(_branch_values(chi.context, a, tol, tol, branch=chi.branch)[chi.branch])
+    branches = np.asarray(branches)
+    if np.any((branches < 0) | (branches >= q.n_branches)):
+        raise ValueError(f"branch index out of range for a context with {q.n_branches} branches")
+    return _branch_values(q, a, tol, tol, branch=branches)[branches]
 
 
-def is_stable(phi: ElementaryState, a, family: ContextFamily, tol: float = 1e-8) -> bool:
-    """True iff all of phi's characters agree on the observable.
+def is_stable(a, contexts, branches, tol: float = 1e-8) -> np.ndarray:
+    """True where an elementary state's characters agree on the observable.
 
-    Considers every registered context containing the observable; phi must
-    hold a character for each of them.
+    branches[j] holds the characters of contexts[j], one per elementary
+    state; every context must contain the observable.  The characters
+    agree when their values span at most `tol`.
     """
-    m = as_matrix(a)
-    values = []
-    for ctx in family:
-        if not contains(ctx, m, tol=tol):
-            continue
-        chi = phi.character_for(ctx.id)
-        if chi is None:
-            raise IndeterminateValueError(
-                f"elementary state has no character for context {ctx.id!r}"
-            )
-        values.append(evaluate(chi, m))
-    if not values:
-        raise IndeterminateValueError("no registered context contains the observable")
-    return max(values) - min(values) <= tol
+    if not contexts:
+        raise IndeterminateValueError("no context to evaluate the observable in")
+    values = [evaluate(q, a, b, tol) for q, b in zip(contexts, branches, strict=True)]
+    return np.ptp(values, axis=0) <= tol

@@ -18,7 +18,7 @@ class IncompatibleObservableError(AqmError, ValueError):
 
 
 class IndeterminateValueError(AqmError, ValueError):
-    """An elementary state lacks a character for a context that would be needed."""
+    """No context was given to evaluate an observable in."""
 
 
 class ImpossibleEventError(AqmError, ValueError):

@@ -12,7 +12,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from aqm import interferometer, two_slit
-from aqm.algebra import masa_from
+from aqm.algebra import is_stable, masa_from
 from aqm.ensemble import (
     QuantumState,
     check_postulate5,
@@ -25,9 +25,9 @@ from aqm.rng import chunks, stream
 from aqm.serialize import atomic_open
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().T)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> QuantumState:
@@ -97,14 +97,15 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
         q = masa_from(a, refinement=random_unitary(d, rng))
         qp = masa_from(a, refinement=random_unitary(d, rng))
         psi = random_density(d, rng)
-        # column 0 drives the first measurement and column 1 the second
+        # column 0 drives the first measurement and column 1 the second;
+        # b1 and b2 are each trial's characters on q and on qp
         u = rng.random((per_instance, 2))
-        v1, b1, posts = measure_many(psi, a, q, u[:, 0])
-        v2 = np.empty_like(v1)
+        _, b1, posts = measure_many(psi, a, q, u[:, 0])
+        b2 = np.empty_like(b1)
         for j, post in posts.items():
             drawn = b1 == j
-            v2[drawn] = measure_many(post, a, qp, u[drawn, 1])[0]
-        agreements += int(np.count_nonzero(np.abs(v1 - v2) <= 1e-8))
+            b2[drawn] = measure_many(post, a, qp, u[drawn, 1])[1]
+        agreements += int(np.count_nonzero(is_stable(a, (q, qp), (b1, b2))))
         done += per_instance
     repro_prob = agreements / done
 

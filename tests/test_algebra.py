@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from aqm.algebra import (
-    Character,
     Context,
-    ContextFamily,
-    ElementaryState,
     contains,
     evaluate,
     is_stable,
@@ -106,10 +103,13 @@ class TestContextInvariants:
                 assert np.max(np.abs(p @ q - expect)) <= 1e-10
 
     def test_maximality_flag(self):
-        ctx = masa_from(np.diag([1.0, 1.0, 2.0]))
-        assert ctx.is_maximal
+        # a context is maximal when every projector's trace, its rank, is one
+        def ranks(ctx):
+            return np.rint(np.trace(ctx.projectors, axis1=1, axis2=2).real).tolist()
+
+        assert ranks(masa_from(np.diag([1.0, 1.0, 2.0]))) == [1.0, 1.0, 1.0]
         fat = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
-        assert not fat.is_maximal
+        assert ranks(fat) == [2.0, 1.0]
 
     def test_rejects_incomplete_family(self):
         with pytest.raises(ValueError):
@@ -154,93 +154,95 @@ class TestContains:
         assert contains(ctx, np.eye(2))
 
 
+_FAT = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
+
+
 class TestEvaluate:
     def test_branch_values(self):
         ctx = masa_from(SIGMA_Z)
-        branch_of = {round(evaluate(Character(ctx, i), SIGMA_Z)): i for i in range(2)}
+        branch_of = {round(v): i for i, v in enumerate(evaluate(ctx, SIGMA_Z, [0, 1]).tolist())}
         assert set(branch_of) == {1, -1}
-        chi = Character(ctx, branch_of[-1])
-        assert evaluate(chi, 3.0 * np.eye(2)) == pytest.approx(3.0)
+        assert evaluate(ctx, 3.0 * np.eye(2), branch_of[-1]) == pytest.approx(3.0)
 
     def test_incompatible_observable_raises(self):
-        chi = Character(masa_from(SIGMA_Z), 0)
-        with pytest.raises(IncompatibleObservableError):
-            evaluate(chi, SIGMA_X)
+        with pytest.raises(IncompatibleObservableError, match="not measurable with this context"):
+            evaluate(masa_from(SIGMA_Z), SIGMA_X, [0])
+
+    @pytest.mark.parametrize("branches", [-1, 2, [0, 2]])
+    def test_rejects_branches_out_of_range(self, branches):
+        # numpy would read branch -1 as the last one
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(masa_from(SIGMA_Z), SIGMA_Z, branches)
 
     def test_only_the_characters_branch_must_be_constant(self):
         # diag(1, 2, 3) commutes with the context but varies on its rank-2 branch
-        ctx = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
         a = np.diag([1.0, 2.0, 3.0])
-        assert evaluate(Character(ctx, 1), a) == 3.0
+        assert evaluate(_FAT, a, [1, 1]).tolist() == [3.0, 3.0]
         with pytest.raises(IncompatibleObservableError, match="not constant on branch 0"):
-            evaluate(Character(ctx, 0), a)
+            evaluate(_FAT, a, [1, 0])
 
     def test_homomorphism_on_random_context(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             dim = int(rng.integers(2, 9))
             ctx = masa_from(random_hermitian(dim, rng))
-            chi = Character(ctx, int(rng.integers(0, ctx.n_branches)))
+            branches = rng.integers(0, ctx.n_branches, size=5)
+
+            def chi(m):
+                return evaluate(ctx, m, branches)
+
             # random elements of the abelian subalgebra
             ca = ctx.projectors[0] * 0
             cb = ca.copy()
             for p in ctx.projectors:
                 ca = ca + rng.standard_normal() * p
                 cb = cb + rng.standard_normal() * p
-            assert abs(chi(ca @ cb) - chi(ca) * chi(cb)) <= 1e-9
-            assert abs(chi(ca + cb) - chi(ca) - chi(cb)) <= 1e-9
+            assert np.max(np.abs(chi(ca @ cb) - chi(ca) * chi(cb))) <= 1e-9
+            assert np.max(np.abs(chi(ca + cb) - chi(ca) - chi(cb))) <= 1e-9
 
 
 class TestIsStable:
     def test_single_containing_context(self):
-        ctx = masa_from(SIGMA_Z, context_id="z")
-        family = ContextFamily.of(ctx)
-        phi = ElementaryState()
-        phi.assign(Character(ctx, 0))
-        assert is_stable(phi, SIGMA_Z, family)
+        ctx = masa_from(SIGMA_Z)
+        assert is_stable(SIGMA_Z, (ctx,), ([0, 1],)).tolist() == [True, True]
 
     def test_identity_always_stable(self):
         basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        c1 = masa_from(np.eye(2), context_id="std")
-        c2 = masa_from(np.eye(2), refinement=basis, context_id="x")
-        family = ContextFamily.of(c1, c2)
-        phi = ElementaryState()
-        phi.assign(Character(c1, 1))
-        phi.assign(Character(c2, 0))
-        assert is_stable(phi, np.eye(2), family)
+        c1 = masa_from(np.eye(2))
+        c2 = masa_from(np.eye(2), refinement=basis)
+        # every pair of characters, one on each context
+        b1, b2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        assert is_stable(np.eye(2), (c1, c2), (b1, b2)).all()
 
     def test_degenerate_refinements_can_disagree(self):
         a = np.diag([1.0, 1.0, 2.0])
         mix = np.array(
             [[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]], dtype=complex
         ) / np.sqrt(2)
-        c1 = masa_from(a, context_id="std")
-        c2 = masa_from(a, refinement=mix, context_id="mix")
-        family = ContextFamily.of(c1, c2)
-        phi = ElementaryState()
+        c1 = masa_from(a)
+        c2 = masa_from(a, refinement=mix)
         # oracle: direct evaluation fixes which branch carries which value
-        b1 = [i for i in range(3) if evaluate(Character(c1, i), a) == pytest.approx(1.0)][0]
-        b2 = [i for i in range(3) if evaluate(Character(c2, i), a) == pytest.approx(2.0)][0]
-        phi.assign(Character(c1, b1))
-        phi.assign(Character(c2, b2))
-        assert not is_stable(phi, a, family)
+        v1, v2 = evaluate(c1, a, range(3)), evaluate(c2, a, range(3))
+        b1 = [i for i in range(3) if v1[i] == pytest.approx(1.0)][0]
+        b2 = [i for i in range(3) if v2[i] == pytest.approx(2.0)][0]
+        same = [i for i in range(3) if v2[i] == pytest.approx(1.0)][0]
+        assert is_stable(a, (c1, c2), ([b1, b1], [b2, same])).tolist() == [False, True]
+
+    def test_every_context_must_contain_the_observable(self):
+        contexts = (masa_from(SIGMA_Z), masa_from(SIGMA_X))
+        with pytest.raises(IncompatibleObservableError):
+            is_stable(SIGMA_Z, contexts, (0, 0))
 
     def test_missing_character_is_indeterminate(self):
-        ctx = masa_from(SIGMA_Z, context_id="z")
-        family = ContextFamily.of(ctx)
+        # no context, so no character to evaluate the observable with
         with pytest.raises(IndeterminateValueError):
-            is_stable(ElementaryState(), SIGMA_Z, family)
+            is_stable(SIGMA_Z, (), ())
 
-
-class TestContextFamily:
-    def test_rejects_duplicate_ids(self):
-        c1 = masa_from(SIGMA_Z, context_id="same")
-        c2 = masa_from(SIGMA_X, context_id="same")
+    def test_needs_one_branch_array_per_context(self):
         with pytest.raises(ValueError):
-            ContextFamily.of(c1, c2)
+            is_stable(SIGMA_Z, (masa_from(SIGMA_Z),) * 2, ([0],))
 
     def test_rejects_mixed_dimensions(self):
-        c1 = masa_from(SIGMA_Z, context_id="a")
-        c2 = masa_from(np.eye(3), context_id="b")
+        contexts = (masa_from(SIGMA_Z), masa_from(np.eye(3)))
         with pytest.raises(DimensionMismatchError):
-            ContextFamily.of(c1, c2)
+            is_stable(SIGMA_Z, contexts, (0, 0))

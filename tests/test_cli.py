@@ -289,19 +289,6 @@ def _public_code(module):
     return found
 
 
-# The paper's model of an individual system: the tests check it as the
-# paper defines it, and no command runs it.
-CHARACTER_MODEL = {
-    "algebra.Character.context_id",
-    "algebra.Context.is_maximal",
-    "algebra.ContextFamily.of",
-    "algebra.ElementaryState.assign",
-    "algebra.ElementaryState.character_for",
-    "algebra.evaluate",
-    "algebra.is_stable",
-}
-
-
 def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
     # the package holds what the CLI runs; reference code lives in tests/reference.py
     runs = [("delayed-choice", "--m4", m4, "--n", "1000", "--write-events")
@@ -329,7 +316,7 @@ def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
     modules = (rng, algebra, ensemble, two_slit, interferometer, experiments, serialize, cli)
     code = {f"{m.__name__.removeprefix('aqm.')}.{name}": c
             for m in modules for name, c in _public_code(m).items()}
-    assert sorted(name for name, c in code.items() if c not in ran) == sorted(CHARACTER_MODEL)
+    assert [name for name, c in code.items() if c not in ran] == []
 
 
 class TestPostulatesCommand:
@@ -351,6 +338,16 @@ class TestPostulatesCommand:
         first = (tmp_path / "run" / "result.json").read_bytes()
         assert run_cli(*args) == 0
         assert (tmp_path / "run" / "result.json").read_bytes() == first
+
+    def test_reproducibility_fails_without_the_lueders_update(self, tmp_path, monkeypatch):
+        # each re-measurement then starts from the state before the first
+        monkeypatch.setattr(ensemble, "_lueders", lambda psi, proj, weight: psi)
+        out = tmp_path / "run"
+        args = ("postulates", "--dim", "3", "--trials", "2", "--seed", "1", "--out", str(out))
+        assert run_cli(*args) == 2
+        reproducibility = json.loads((out / "result.json").read_text())["result"]["reproducibility"]
+        assert reproducibility["agreement_probability"] < 1.0
+        assert not reproducibility["passed"]
 
     def test_event_count_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

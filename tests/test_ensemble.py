@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aqm import algebra, ensemble
-from aqm.algebra import Character, Context, evaluate, masa_from
+from aqm.algebra import Context, evaluate, masa_from
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
@@ -32,8 +32,8 @@ from reference import condition_on_event, pure
 
 KET0 = pure([1.0, 0.0])
 PLUS = pure([1.0, 1.0])
-Z_CTX = masa_from(SIGMA_Z, context_id="z")
-X_CTX = masa_from(SIGMA_X, context_id="x")
+Z_CTX = masa_from(SIGMA_Z)
+X_CTX = masa_from(SIGMA_X)
 
 
 class TestQuantumState:
@@ -137,12 +137,12 @@ class TestMeasure:
         a = np.diag([1.0, 2.0, 3.0])
         with pytest.raises(IncompatibleObservableError):
             measure_many(pure([0.0, 0.0, 1.0]), a, ctx, [])
-        assert evaluate(Character(ctx, 1), a) == 3.0
+        assert evaluate(ctx, a, 1) == 3.0
 
     def test_commutator_tolerance_is_tighter_than_evaluate(self):
         # a commutator of 1e-9 passes evaluate's 1e-8 but not measurement's 1e-10
         a = SIGMA_Z + 1e-9 * SIGMA_X
-        assert evaluate(Character(Z_CTX, _z_branch(-1)), a) == -1.0
+        assert evaluate(Z_CTX, a, _z_branch(-1)) == -1.0
         with pytest.raises(IncompatibleObservableError):
             measure_many(PLUS, a, Z_CTX, [0.5])
         with pytest.raises(IncompatibleObservableError):

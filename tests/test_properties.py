@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqm.algebra import Character, _branch_values, evaluate, masa_from, spectral_decompose
+from aqm.algebra import (
+    Context,
+    _branch_values,
+    evaluate,
+    is_stable,
+    masa_from,
+    spectral_decompose,
+)
 from aqm import ensemble, experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
     born_distribution,
@@ -17,7 +24,7 @@ from aqm.ensemble import (
     measure_many,
     monte_carlo_mean,
 )
-from aqm.errors import ModelViolationError
+from aqm.errors import IncompatibleObservableError, ModelViolationError
 from aqm.experiments import (
     random_degenerate_observable,
     random_density,
@@ -50,7 +57,8 @@ from reference import (
 @given(seed=st.integers(0, 2**31), dim=st.integers(2, 12))
 def test_spectral_reconstruction(seed, dim):
     rng = np.random.default_rng(seed)
-    a = random_hermitian(dim, rng, scale=rng.uniform(0.1, 10.0))
+    scale = rng.uniform(0.1, 10.0)
+    a = scale * random_hermitian(dim, rng)
     recon = sum(val * proj for val, proj in spectral_decompose(a))
     assert np.max(np.abs(a - recon)) <= 1e-10 * max(1.0, np.abs(a).max())
 
@@ -60,12 +68,16 @@ def test_spectral_reconstruction(seed, dim):
 def test_character_homomorphism(seed, dim):
     rng = np.random.default_rng(seed)
     ctx = masa_from(random_hermitian(dim, rng))
-    chi = Character(ctx, int(rng.integers(0, ctx.n_branches)))
+    branches = rng.integers(0, ctx.n_branches, size=8)
+
+    def chi(m):
+        return evaluate(ctx, m, branches)
+
     coeffs = rng.standard_normal((2, ctx.n_branches))
     a = sum(c * p for c, p in zip(coeffs[0], ctx.projectors))
     b = sum(c * p for c, p in zip(coeffs[1], ctx.projectors))
-    assert abs(chi(a @ b) - chi(a) * chi(b)) <= 1e-9
-    assert abs(chi(a + b) - chi(a) - chi(b)) <= 1e-9
+    assert np.max(np.abs(chi(a @ b) - chi(a) * chi(b))) <= 1e-9
+    assert np.max(np.abs(chi(a + b) - chi(a) - chi(b))) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,7 +90,34 @@ def test_stacked_context_matches_the_per_projector_loop(seed, dim):
     weights = np.clip([np.trace(psi.rho @ p).real for p in ctx.projectors], 0.0, 1.0)
     assert born_distribution(psi, ctx).tolist() == (weights / weights.sum()).tolist()
     values = [float((np.trace(p @ a) / np.trace(p)).real) for p in ctx.projectors]
-    assert [evaluate(Character(ctx, i), a) for i in range(ctx.n_branches)] == values
+    assert evaluate(ctx, a, np.arange(ctx.n_branches)).tolist() == values
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(3, 10), n=st.integers(1, 50))
+def test_characters_are_branch_arrays(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    a = random_degenerate_observable(dim, rng)
+    q = masa_from(a, refinement=random_unitary(dim, rng))
+    qp = masa_from(a, refinement=random_unitary(dim, rng))
+    b1, b2 = rng.integers(0, q.n_branches, n), rng.integers(0, qp.n_branches, n)
+    vq, vqp = _branch_values(q, a), _branch_values(qp, a)
+    assert evaluate(q, a, b1).tolist() == vq[b1].tolist()
+    assert is_stable(a, (q, qp), (b1, b2)).tolist() == (np.abs(vq[b1] - vqp[b2]) <= 1e-8).tolist()
+    # the eigenspaces of a: a context with a rank > 1 branch, on which an
+    # observable diagonal in q may vary
+    fat = Context(projectors=tuple(p for _, p in spectral_decompose(a)))
+    coeffs = rng.integers(0, 3, q.n_branches).astype(float)
+    obs = sum(c * p for c, p in zip(coeffs, q.projectors))
+    inside = np.rint(np.einsum("jab,iba->ji", fat.projectors, q.projectors).real) == 1
+    varies = [np.ptp(coeffs[row]) > 0 for row in inside]
+    picks = rng.integers(0, fat.n_branches, n)
+    if any(varies[j] for j in picks.tolist()):
+        with pytest.raises(IncompatibleObservableError, match="not constant on branch"):
+            evaluate(fat, obs, picks)
+    else:
+        got = evaluate(fat, obs, picks)
+        assert np.max(np.abs(got - [coeffs[inside[j]][0] for j in picks.tolist()])) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
