@@ -213,14 +213,17 @@ def evaluate(q: Context, a, branches, tol: float = 1e-8) -> np.ndarray:
     """Eigenvalue of the observable on each character's branch of q.
 
     `branches` holds branch indices of q, one per character.  Raises
-    ValueError for an index outside [0, k), and IncompatibleObservableError
+    ValueError for indices that are not integers (numpy would read booleans
+    as a mask) or lie outside [0, k), and IncompatibleObservableError
     when the observable is not diagonal in q (its value would depend on the
     device type) or is not constant on a picked branch.
     """
     branches = np.asarray(branches)
+    if branches.size and branches.dtype.kind not in "iu":  # [] is an empty float array
+        raise ValueError(f"branch indices must be integers, got dtype {branches.dtype}")
     if np.any((branches < 0) | (branches >= q.n_branches)):
         raise ValueError(f"branch index out of range for a context with {q.n_branches} branches")
-    return _branch_values(q, a, tol, tol, branch=branches)[branches]
+    return _branch_values(q, a, tol, tol, branch=branches)[branches.astype(np.intp, copy=False)]
 
 
 def is_stable(a, contexts, branches, tol: float = 1e-8) -> np.ndarray:

@@ -16,23 +16,13 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 import aqm
 from aqm import experiments, two_slit
 from aqm.errors import ConfigError, ModelViolationError
 from aqm.serialize import atomic_open, write_json_atomic
-
-# each subcommand's config keys, which are the keys it accepts, and their defaults
-_DEFAULTS = {
-    experiment: {"seed": 0, "out": "results", **keys}
-    for experiment, keys in {
-        "two-slit": {"n_events": 100_000, "preset": "symmetric64",
-                     "n_sites": None, "slit_a": None, "slit_b": None},
-        "delayed-choice": {"n_events": 100_000, "m4": "present", "p": 0.5, "write_events": False},
-        "postulates": {"dim": 8, "trials": 100},
-        "khinchin": {"n_seeds": 50, "n_small": 10_000, "n_big": 1_000_000, "dim": 8},
-    }.items()
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -49,9 +39,9 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
-    """Merge defaults, config file, and flags; reject unknown keys."""
-    defaults = _DEFAULTS[experiment]
-    unknown = set(file_config) - set(defaults) - {"experiment"}
+    """Merge defaults, config file, and flags; reject unknown keys and bad values."""
+    keys = _COMMANDS[experiment].keys
+    unknown = set(file_config) - set(keys) - {"experiment"}
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
     if file_config.get("experiment", experiment) != experiment:
@@ -59,60 +49,58 @@ def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
             f"config file is for experiment {file_config['experiment']!r}, "
             f"but {experiment!r} was requested"
         )
-    config = dict(defaults)
+    config = {key: spec.default for key, spec in keys.items()}
     config.update({k: v for k, v in file_config.items() if k != "experiment"})
     config.update({k: v for k, v in flags.items() if v is not None})
     config["experiment"] = experiment
-    _validate(experiment, config)
-    if experiment == "two-slit" and config["n_sites"] is not None:
-        del config["preset"]  # echo only the geometry that runs
+    for key, spec in keys.items():
+        if not spec.ok(config[key]):
+            raise ConfigError(spec.message.format(key=key, value=config[key]))
+    if experiment == "two-slit":
+        custom = [config["n_sites"], config["slit_a"], config["slit_b"]]
+        if any(v is not None for v in custom) and not all(v is not None for v in custom):
+            raise ConfigError("custom geometry needs n_sites, slit_a, and slit_b")
+        _geometry(config)  # a bad slit set fails before --out is created
+        if config["n_sites"] is not None:
+            del config["preset"]  # echo only the geometry that runs
     if experiment == "delayed-choice":
         # a file's 1 and the flag's 1.0 must echo, and so write, the same bytes
         config["p"] = float(config["p"])
     return config
 
 
-# smallest accepted value of each integer key; a key the experiment lacks passes
-_INT_MINIMUM = {"n_events": 1, "dim": 2, "trials": 1,
-                "n_seeds": 1, "n_small": 1, "n_big": 1}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _validate(experiment: str, config: dict) -> None:
-    """Check each value's type and range, as argparse checks the flags."""
-    if not isinstance(config["out"], str) or not config["out"]:
-        raise ConfigError(f"out must be a non-empty path, got {config['out']!r}")
-    seed = config["seed"]
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    for key, minimum in _INT_MINIMUM.items():
-        value = config.get(key, minimum)
-        if not _is_int(value) or value < minimum:
-            raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    if experiment == "two-slit":
-        if config["preset"] != "symmetric64":
-            raise ConfigError(f"unknown preset {config['preset']!r}")
-        custom = [config["n_sites"], config["slit_a"], config["slit_b"]]
-        if any(v is not None for v in custom) and not all(v is not None for v in custom):
-            raise ConfigError("custom geometry needs n_sites, slit_a, and slit_b")
-        if custom[0] is not None and (not _is_int(custom[0]) or custom[0] < 2):
-            raise ConfigError(f"n_sites must be an integer >= 2, got {custom[0]!r}")
-        for key in ("slit_a", "slit_b"):
-            sites = config[key]
-            if sites is not None and not (isinstance(sites, list) and all(map(_is_int, sites))):
-                raise ConfigError(f"{key} must be a list of integer sites, got {sites!r}")
-        _geometry(config)  # a bad slit set fails before --out is created
-    if experiment == "delayed-choice":
-        if not isinstance(config["m4"], str) or config["m4"] not in experiments.POLICIES:
-            raise ConfigError(f"unknown m4 policy {config['m4']!r}")
-        p = config["p"]
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise ConfigError(f"p must be a number in [0, 1], got {p!r}")
-        if not isinstance(config["write_events"], bool):
-            raise ConfigError(f"write_events must be a boolean, got {config['write_events']!r}")
+class _Key(NamedTuple):
+    """One config key: its default, the check of its value, and its flag."""
+
+    default: object
+    ok: Callable[[object], bool]
+    message: str  # the config error when ok fails; formatted with key and value
+    flag: str
+    options: dict = {}  # add_argument options of the flag besides dest and default
+
+
+def _count(default, minimum: int, flag: str) -> _Key:
+    """An integer key of at least `minimum`; None too, when that is its default."""
+    return _Key(default, lambda v: _is_int(v) and v >= minimum or v is None is default,
+                f"{{key}} must be an integer >= {minimum}, got {{value!r}}", flag, {"type": int})
+
+
+def _sites(flag: str, **options) -> _Key:
+    """An optional list of lattice sites, given to the flag comma-separated."""
+    return _Key(None, lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)),
+                "{key} must be a list of integer sites, got {value!r}", flag,
+                {"type": _parse_sites, **options})
+
+
+def _parse_sites(value: str) -> list:
+    try:
+        return [int(s) for s in value.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad site list {value!r}") from None
 
 
 def _geometry(config: dict) -> two_slit.SlitGeometry:
@@ -122,7 +110,7 @@ def _geometry(config: dict) -> two_slit.SlitGeometry:
             slit_a=frozenset(config["slit_a"]),
             slit_b=frozenset(config["slit_b"]),
         )
-    return experiments.symmetric64_geometry()
+    return experiments.PRESETS[config["preset"]]
 
 
 def _write_pattern_csv(path, probs, histogram) -> None:
@@ -152,27 +140,64 @@ def _run_delayed_choice(config: dict, out_dir: str) -> dict:
     )
 
 
-def _run_postulates(config: dict, out_dir: str) -> dict:
-    return experiments.postulate_suite(
-        dim=config["dim"], trials=config["trials"], seed=config["seed"]
-    )
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[dict, str], dict]  # (config, out_dir) -> result
+    keys: dict  # config key -> _Key; these are the keys the subcommand accepts
 
 
-def _run_khinchin(config: dict, out_dir: str) -> dict:
-    return experiments.khinchin_experiment(
-        n_seeds=config["n_seeds"],
-        n_small=config["n_small"],
-        n_big=config["n_big"],
-        dim=config["dim"],
-        seed=config["seed"],
-    )
+def _run_driver(name: str):
+    """Runner that passes every config key but out to experiments.<name>."""
+    # looked up at each call, so that a driver replaced on the module is the one run
+    return lambda config, out_dir: getattr(experiments, name)(
+        **{k: v for k, v in config.items() if k not in ("out", "experiment")})
 
 
-_RUNNERS = {
-    "two-slit": _run_two_slit,
-    "delayed-choice": _run_delayed_choice,
-    "postulates": _run_postulates,
-    "khinchin": _run_khinchin,
+_COMMON = {
+    "seed": _Key(0, lambda v: _is_int(v) and 0 <= v < 2**64,
+                 "seed must be an integer in [0, 2**64), got {value!r}", "--seed", {"type": int}),
+    "out": _Key("results", lambda v: isinstance(v, str) and v != "",
+                "out must be a non-empty path, got {value!r}", "--out",
+                {"help": "output directory"}),
+}
+
+_COMMANDS = {
+    "two-slit": _Command("two-slit scattering experiment", _run_two_slit, {
+        **_COMMON,
+        "n_events": _count(100_000, 1, "--n"),
+        "preset": _Key("symmetric64", lambda v: isinstance(v, str) and v in experiments.PRESETS,
+                       "unknown preset {value!r}", "--preset",
+                       {"choices": list(experiments.PRESETS)}),
+        "n_sites": _count(None, 2, "--n-sites"),
+        "slit_a": _sites("--slit-a", help="comma-separated site indices"),
+        "slit_b": _sites("--slit-b"),
+    }),
+    "delayed-choice": _Command("delayed-choice interferometer", _run_delayed_choice, {
+        **_COMMON,
+        "n_events": _count(100_000, 1, "--n"),
+        "m4": _Key("present", lambda v: isinstance(v, str) and v in experiments.POLICIES,
+                   "unknown m4 policy {value!r}", "--m4", {"choices": list(experiments.POLICIES)}),
+        "p": _Key(0.5, lambda v: not isinstance(v, bool) and isinstance(v, (int, float))
+                  and 0.0 <= v <= 1.0,
+                  "p must be a number in [0, 1], got {value!r}", "--p",
+                  {"type": float, "help": "insertion probability for delayed-random"}),
+        "write_events": _Key(False, lambda v: isinstance(v, bool),
+                             "write_events must be a boolean, got {value!r}", "--write-events",
+                             {"action": "store_true"}),
+    }),
+    "postulates": _Command("postulate verification suite", _run_driver("postulate_suite"), {
+        **_COMMON,
+        "dim": _count(8, 2, "--dim"),
+        "trials": _count(100, 1, "--trials"),
+    }),
+    "khinchin": _Command("Monte Carlo convergence-rate check",
+                         _run_driver("khinchin_experiment"), {
+        **_COMMON,
+        "n_seeds": _count(50, 1, "--n-seeds"),
+        "n_small": _count(10_000, 1, "--n-small"),
+        "n_big": _count(1_000_000, 1, "--n-big"),
+        "dim": _count(8, 2, "--dim"),
+    }),
 }
 
 
@@ -194,7 +219,7 @@ def run(config: dict) -> int:
             raise ConfigError(
                 f"cannot create output directory {out_dir!r}: {exc.strerror}"
             ) from exc
-        result = _RUNNERS[config["experiment"]](config, out_dir)
+        result = _COMMANDS[config["experiment"]].run(config, out_dir)
     except ModelViolationError as exc:
         write_json_atomic(
             os.path.join(out_dir, "result.json"),
@@ -224,52 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="aqm", description="Contextual quantum mechanics experiment runner"
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-
-    p = sub.add_parser("two-slit", help="two-slit scattering experiment")
-    common(p)
-    p.add_argument("--n", type=int, default=None, dest="n_events")
-    p.add_argument("--preset", default=None, choices=["symmetric64"])
-    p.add_argument("--n-sites", type=int, default=None, dest="n_sites")
-    p.add_argument("--slit-a", default=None, dest="slit_a",
-                   help="comma-separated site indices")
-    p.add_argument("--slit-b", default=None, dest="slit_b")
-
-    p = sub.add_parser("delayed-choice", help="delayed-choice interferometer")
-    common(p)
-    p.add_argument("--n", type=int, default=None, dest="n_events")
-    p.add_argument("--m4", default=None, choices=list(experiments.POLICIES))
-    p.add_argument("--p", type=float, default=None,
-                   help="insertion probability for delayed-random")
-    p.add_argument("--write-events", action="store_true", default=None,
-                   dest="write_events")
-
-    p = sub.add_parser("postulates", help="postulate verification suite")
-    common(p)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-
-    p = sub.add_parser("khinchin", help="Monte Carlo convergence-rate check")
-    common(p)
-    p.add_argument("--n-seeds", type=int, default=None, dest="n_seeds")
-    p.add_argument("--n-small", type=int, default=None, dest="n_small")
-    p.add_argument("--n-big", type=int, default=None, dest="n_big")
-    p.add_argument("--dim", type=int, default=None)
-
+        for key, spec in command.keys.items():
+            p.add_argument(spec.flag, dest=key, default=None, **spec.options)
     return parser
-
-
-def _parse_sites(value):
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        return [int(s) for s in value.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad site list {value!r}") from exc
 
 
 def main(argv=None) -> int:
@@ -277,9 +262,6 @@ def main(argv=None) -> int:
         args = vars(build_parser().parse_args(argv))
         experiment = args.pop("experiment")
         config_path = args.pop("config", None)
-        for key in ("slit_a", "slit_b"):
-            if key in args:
-                args[key] = _parse_sites(args[key])
         file_config = _load_config_file(config_path) if config_path else {}
         config = resolve_config(experiment, file_config, args)
         return run(config)

@@ -28,7 +28,7 @@ from aqm.errors import NotHermitianError
 from aqm.rng import chunk_map, stream
 
 STATE_TOL = 1e-10
-# inverse_cdf and branch_counts count comparisons up to this many branches
+# branch_counts counts comparisons up to this many branches, and sorts above
 _COUNT_MAX = 32
 
 
@@ -73,19 +73,10 @@ def inverse_cdf(probs, u):
     `u` is a finite uniform, or an array of them, in [0, 1].  The weights
     need not sum to one.  When u * total rounds up to the total, the index
     is clamped to the last branch with positive weight, so a
-    zero-probability branch is never returned.  Up to _COUNT_MAX branches
-    the index is found by counting the CDF entries at or below u * total,
-    which gives searchsorted's index, clamped, at a fraction of its cost.
+    zero-probability branch is never returned.
     """
     cdf, last = _cdf(probs)
-    x = np.asarray(u) * cdf[-1]
-    if last > _COUNT_MAX:
-        return np.minimum(np.searchsorted(cdf, x, side="right"), last)
-    count = np.zeros(x.shape, dtype=np.uint8)  # holds up to _COUNT_MAX
-    for c in cdf[:last]:
-        count += (x >= c).view(np.uint8)
-    del x  # free it before the index array is allocated
-    return count.astype(np.intp)
+    return np.minimum(np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right"), last)
 
 
 def branch_counts(probs, u) -> np.ndarray:

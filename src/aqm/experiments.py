@@ -170,8 +170,8 @@ def khinchin_experiment(n_seeds: int, n_small: int, n_big: int, dim: int, seed: 
 # Two-slit
 
 
-def symmetric64_geometry() -> two_slit.SlitGeometry:
-    return two_slit.SlitGeometry(grid_size=64, slit_a=frozenset({16}), slit_b=frozenset({48}))
+# name -> geometry of each named two-slit lattice
+PRESETS = {"symmetric64": two_slit.SlitGeometry(64, frozenset({16}), frozenset({48}))}
 
 
 def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int) -> dict:

@@ -19,7 +19,7 @@ from aqm.algebra import _check_same_dim, as_matrix, is_hermitian
 from aqm.ensemble import QuantumState, _lueders
 from aqm.errors import ImpossibleEventError
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
-from aqm.rng import LANE_EVENTS, _key
+from aqm.rng import DRAWS_PER_EVENT, LANE_EVENTS, _key
 from aqm.two_slit import SlitGeometry, _slit_masks
 
 CONDITIONED_TOL = 1e-8
@@ -137,7 +137,7 @@ def decompose_mean(psi_ab: QuantumState, k, p_a, p_b) -> dict:
     }
 
 
-def particle_run(m4_at_arrival: bool, rng: np.random.Generator) -> tuple[int, int]:
+def particle_run(m4_at_arrival: bool, rng: EventDraws) -> tuple[int, int]:
     """One photon through the particle model; returns (kernel_path, detector).
 
     The scalar reference for run_events.  The kernel picks a path at M1
@@ -155,11 +155,30 @@ def particle_run(m4_at_arrival: bool, rng: np.random.Generator) -> tuple[int, in
     return kernel_path, detector
 
 
-def event_stream(seed: int, index: int, lane: int = LANE_EVENTS) -> np.random.Generator:
-    """Generator for one event; may draw at most DRAWS_PER_EVENT doubles."""
+class EventDraws:
+    """The uniforms of one event, drawn through `random` as from a Generator.
+
+    Raises IndexError past DRAWS_PER_EVENT draws: the next ones belong to
+    the next event.
+    """
+
+    def __init__(self, generator: np.random.Generator):
+        self._generator = generator
+        self._left = DRAWS_PER_EVENT
+
+    def random(self, size=None):
+        n = 1 if size is None else int(np.prod(size))
+        if n > self._left:
+            raise IndexError(f"an event has only {DRAWS_PER_EVENT} draws")
+        self._left -= n
+        return self._generator.random(size)
+
+
+def event_stream(seed: int, index: int, lane: int = LANE_EVENTS) -> EventDraws:
+    """The DRAWS_PER_EVENT uniforms of one event."""
     if index < 0:
         raise ValueError(f"event index must be non-negative, got {index}")
-    return np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=index))
+    return EventDraws(np.random.Generator(np.random.Philox(key=_key(seed, lane), counter=index)))
 
 
 def events_csv(m4_at_arrival, seed: int, start: int = 0) -> bytes:

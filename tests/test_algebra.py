@@ -174,6 +174,22 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="out of range"):
             evaluate(masa_from(SIGMA_Z), SIGMA_Z, branches)
 
+    @pytest.mark.parametrize("branches", [[True, False, True], [0.0, 2.0], np.array([1], object)],
+                             ids=["bool", "float", "object"])
+    def test_rejects_branches_that_are_not_integers(self, branches):
+        # numpy would read the booleans as a mask: two values for three characters
+        a = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="must be integers"):
+            evaluate(masa_from(a), a, branches)
+        with pytest.raises(ValueError, match="must be integers"):
+            is_stable(a, (masa_from(a),), (branches,))
+
+    def test_no_characters_give_no_values(self):
+        a = np.diag([1.0, 2.0, 3.0])
+        for branches in ([], np.array([], dtype=np.int64)):
+            assert evaluate(masa_from(a), a, branches).shape == (0,)
+            assert is_stable(a, (masa_from(a), _FAT), (branches, branches)).shape == (0,)
+
     def test_only_the_characters_branch_must_be_constant(self):
         # diag(1, 2, 3) commutes with the context but varies on its rank-2 branch
         a = np.diag([1.0, 2.0, 3.0])

@@ -1,15 +1,21 @@
+import contextlib
 import csv
 import inspect
+import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aqm
 from aqm import algebra, cli, ensemble, experiments, interferometer, rng, serialize, two_slit
@@ -30,7 +36,7 @@ def _readme_commands() -> list:
 
 
 def test_the_readme_documents_every_subcommand():
-    assert sorted({argv[0] for argv in _readme_commands()}) == sorted(cli._DEFAULTS)
+    assert sorted({argv[0] for argv in _readme_commands()}) == sorted(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
@@ -38,6 +44,81 @@ def test_every_readme_command_resolves(monkeypatch, argv):
     # a flag renamed or removed without the README following fails here; nothing runs
     monkeypatch.setattr(cli, "run", lambda config: 0)
     assert main(argv) == 0
+
+
+def _readme_key_rows() -> list:
+    """(key, flag, default, subcommands) of each row of the README's config-key table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    cells = [[c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("| `")]
+    return [row[:4] for row in cells]
+
+
+def test_the_readme_key_table_is_the_cli_table():
+    readme = {}
+    for key, flag, default, names in _readme_key_rows():
+        for name in cli._COMMANDS if names == "all" else names.split(", "):
+            assert (name, key) not in readme
+            readme[name, key] = (flag, json.loads(default))
+    assert readme == {(name, key): (spec.flag, spec.default)
+                      for name, command in cli._COMMANDS.items()
+                      for key, spec in command.keys.items()}
+
+
+_EVERY_KEY = [(name, key) for name, command in cli._COMMANDS.items() for key in command.keys]
+
+
+@pytest.mark.parametrize("experiment, key", _EVERY_KEY, ids="-".join)
+def test_help_lists_the_flag_of_every_key(capsys, experiment, key):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(experiment, "--help")
+    assert exc.value.code == 0
+    flags = re.findall(r"--[\w-]+", capsys.readouterr().out)
+    assert cli._COMMANDS[experiment].keys[key].flag in flags
+
+
+@pytest.mark.parametrize("experiment, key", _EVERY_KEY, ids="-".join)
+def test_a_wrong_typed_value_of_every_key_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                           experiment, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: "x" if key == "write_events" else True}))
+    assert run_cli(experiment, "--config", "cfg.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and re.search(rf"\b{key}\b", err)
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no --out
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+# values near the accepted ones, so that some configs resolve
+_NEAR_VALID = (st.integers(-2, 70) | st.floats(-0.5, 1.5)
+               | st.lists(st.integers(-1, 70), max_size=3)
+               | st.sampled_from(["symmetric64", "present", "delayed-random", "run", ""]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("experiment", cli._COMMANDS)
+def test_any_config_file_resolves_or_is_a_config_error(tmp_path_factory, experiment, data):
+    # each key is absent, its default, near an accepted value, or any JSON value
+    keys = cli._COMMANDS[experiment].keys
+    file_config = data.draw(st.fixed_dictionaries({}, optional={
+        **{key: st.just(spec.default) | _NEAR_VALID | _JSON for key, spec in keys.items()},
+        "experiment": st.just(experiment) | _JSON,
+    }))
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(file_config))
+    err = io.StringIO()
+    with mock.patch.object(cli, "run", lambda config: 0), contextlib.redirect_stderr(err):
+        code = main([experiment, "--config", str(path)])
+    assert code in (0, 1)
+    assert err.getvalue().startswith("config error: ") if code else err.getvalue() == ""
 
 
 class TestConfigResolution:

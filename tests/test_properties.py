@@ -264,7 +264,7 @@ def _tie_uniforms(weights, data):
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 64), data=st.data())
 def test_inverse_cdf_is_the_clamped_searchsorted(k, data):
-    # k spans both kernels: comparison counting up to 32 branches, bisection above
+    # zero weights anywhere and uniforms on every tie; a scalar uniform draws as an array's does
     weights, u = _weights_and_uniforms(k, data)
     cdf = np.cumsum(weights)
     last = np.flatnonzero(weights)[-1]

@@ -39,6 +39,16 @@ def test_event_uniforms_match_event_streams():
             assert np.array_equal(batch[i], event_stream(99, i, lane=lane).random(4))
 
 
+@pytest.mark.parametrize("draws", [[None] * 5, [4, 1], [2, 3], [5]])
+def test_an_event_stream_has_four_draws(draws):
+    # a fifth draw would be the first draw of the next event
+    event = event_stream(7, 3)
+    for size in draws[:-1]:
+        event.random(size)
+    with pytest.raises(IndexError, match="only 4 draws"):
+        event.random(draws[-1])
+
+
 def test_a_stream_started_at_draw_4k_draws_from_draw_4k():
     # the layout monte_carlo_mean reads each chunk of its draws by
     for k in (0, 1, 2, 100, 249):

@@ -322,7 +322,7 @@ class TestTwoSlitExperiment:
 
     def test_split_clamp_reported_below_budget(self):
         result = experiments.two_slit_experiment(
-            experiments.symmetric64_geometry(), n_events=2000, seed=7
+            experiments.PRESETS["symmetric64"], n_events=2000, seed=7
         )
         clamp = result["split_clamp"]
         assert set(clamp) == {"a", "b", "budget"}
