@@ -20,7 +20,7 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 import aqm
-from aqm import experiments, two_slit
+from aqm import experiments, interferometer, two_slit
 from aqm.errors import ConfigError, ModelViolationError
 from aqm.serialize import atomic_open, write_json_atomic
 
@@ -175,8 +175,9 @@ _COMMANDS = {
     "delayed-choice": _Command("delayed-choice interferometer", _run_delayed_choice, {
         **_COMMON,
         "n_events": _count(100_000, 1, "--n"),
-        "m4": _Key("present", lambda v: isinstance(v, str) and v in experiments.POLICIES,
-                   "unknown m4 policy {value!r}", "--m4", {"choices": list(experiments.POLICIES)}),
+        "m4": _Key("present", lambda v: isinstance(v, str) and v in interferometer.POLICIES,
+                   "unknown m4 policy {value!r}", "--m4",
+                   {"choices": list(interferometer.POLICIES)}),
         "p": _Key(0.5, lambda v: not isinstance(v, bool) and isinstance(v, (int, float))
                   and 0.0 <= v <= 1.0,
                   "p must be a number in [0, 1], got {value!r}", "--p",

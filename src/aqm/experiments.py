@@ -207,15 +207,6 @@ def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int) -
 # Delayed choice
 
 
-# name -> constructor(p, seed) of each output-mirror choice policy
-POLICIES = {
-    "present": lambda p, seed: interferometer.Always(True),
-    "absent": lambda p, seed: interferometer.Always(False),
-    "delayed-random": lambda p, seed: interferometer.DelayedRandom(p=p, seed=seed),
-    "delayed-alternating": lambda p, seed: interferometer.DelayedAlternating(),
-}
-
-
 def delayed_choice_experiment(
     policy_name: str, n_events: int, seed: int, p: float, events_path=None
 ) -> dict:
@@ -226,11 +217,11 @@ def delayed_choice_experiment(
     on its disk, runs before the first draw; the CSV is renamed into place
     only when all of it is written.
     """
-    if policy_name not in POLICIES:
+    if policy_name not in interferometer.POLICIES:
         raise ConfigError(f"unknown choice policy {policy_name!r}")
     interferometer.check_event_count(n_events)
-    policy = POLICIES[policy_name](p, seed)
-    counts = np.zeros((2, 2), dtype=np.int64)
+    decide = interferometer.POLICIES[policy_name]
+    counts = np.zeros((2, 2, 2), dtype=np.int64)
     if events_path is None:
         sink = nullcontext()
     else:
@@ -238,9 +229,9 @@ def delayed_choice_experiment(
         sink = atomic_open(events_path, "wb", size=size)
     with sink as fh:
         for start, count in chunks(n_events):
-            events = interferometer.run_events(policy, count, seed, start)
-            counts += interferometer.count_events(events)
+            codes = interferometer.run_events(decide(p, seed, count, start), seed, start)
+            counts += interferometer.count_events(codes)
             if fh is not None:
-                interferometer.write_events_csv(events, fh)
+                interferometer.write_events_csv(codes, seed, start, fh)
     return {"policy": policy_name, "n_events": n_events,
             **interferometer.summarize_counts(counts)}

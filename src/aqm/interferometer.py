@@ -12,21 +12,23 @@ kernel's geometric path fixes the detector.  The output mirror may be
 inserted or removed after the photon has passed the first mirror; only
 the configuration at arrival matters.
 
-A run of photons is drawn, counted and written in the fixed chunks of
-rng.chunks, so its memory does not grow with the number of events.
+An event is one uint8 code, 4*path + 2*m4 + detector: the kernel's
+path at the first mirror, the output mirror's presence at arrival and the
+detector.  A run of photons is an array of codes, drawn, counted and
+written in the fixed chunks of rng.chunks, so its memory does not grow
+with the number of events.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from aqm.errors import ConfigError
 from aqm.rng import LANE_POLICY, event_uniforms
 
-# Codes in PhotonEvents.  They coincide because, with the output mirror
-# absent, path A lands on detector A and path B on detector B.
+# Path and detector bits of an event code.  They coincide because, with
+# the output mirror absent, path A lands on detector A and path B on
+# detector B.
 PATH_A, PATH_B = 0, 1
 DETECTOR_A, DETECTOR_B = 0, 1
 
@@ -58,82 +60,40 @@ _P_PATH_A = abs(_T) ** 2
 _P_STEERED_DB = wave_probabilities(True)[1]
 
 
-@dataclass(frozen=True)
-class Always:
-    """Mirror fixed present or absent for every event."""
-
-    present: bool
-
-    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
-        return np.full(n, self.present, dtype=bool)
-
-
-@dataclass(frozen=True)
-class DelayedRandom:
-    """Insert the mirror with probability p, decided per event in flight.
-
-    Decisions come from a dedicated counter stream, so they are
-    reproducible and do not disturb the photon's own randomness.  Event
-    i's decision is column 0 of its event_uniforms row on LANE_POLICY.
-    """
-
-    p: float
-    seed: int
-
-    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
-        return event_uniforms(self.seed, n, lane=LANE_POLICY, start=start)[:, 0] < self.p
+# --m4 name -> decide(p, seed, n, start): the output mirror's presence at
+# arrival, a bool array over events start..start+n-1.  delayed-random
+# inserts the mirror with probability p; event i's decision is column 0
+# of its event_uniforms row on LANE_POLICY, so it is reproducible and
+# does not disturb the photon's own randomness.
+POLICIES = {
+    "present": lambda p, seed, n, start: np.ones(n, dtype=bool),
+    "absent": lambda p, seed, n, start: np.zeros(n, dtype=bool),
+    "delayed-random": lambda p, seed, n, start: (
+        event_uniforms(seed, n, lane=LANE_POLICY, start=start)[:, 0] < p),
+    "delayed-alternating": lambda p, seed, n, start: np.arange(start, start + n) % 2 == 1,
+}
 
 
-@dataclass(frozen=True)
-class DelayedAlternating:
-    """Mirror present on odd events, absent on even ones, decided in flight."""
+def run_events(m4: np.ndarray, seed: int, start: int = 0) -> np.ndarray:
+    """Event codes of photons start..start+len(m4)-1 of the particle model.
 
-    def decide_batch(self, n: int, start: int = 0) -> np.ndarray:
-        return np.arange(start, start + n) % 2 == 1
+    m4[i] is the output mirror's presence when event start + i arrives.
+    It is decided after the photon has passed M1, so nothing it decides
+    can influence the kernel's path.
 
-
-@dataclass(frozen=True, eq=False)
-class PhotonEvents:
-    """Photon events as parallel arrays; entry i belongs to event start + i.
-
-    `kernel_path` and `detector` are uint8 codes, `m4_at_arrival` is bool.
-    """
-
-    kernel_path: np.ndarray
-    m4_at_arrival: np.ndarray
-    detector: np.ndarray
-    seed: int
-    start: int = 0
-
-    def __len__(self) -> int:
-        return len(self.detector)
-
-
-def run_events(policy, n: int, seed: int, start: int = 0) -> PhotonEvents:
-    """Photons start..start+n-1 of the particle model, one Philox block per event.
-
-    The policy (Always, DelayedRandom or DelayedAlternating) fixes the
-    output mirror's presence at arrival: its decide_batch(n, start) is a
-    bool array for events start..start+n-1.  The decision is taken after
-    the photon has passed M1, so nothing it decides can influence the
-    kernel's path.
-
-    Event i reads row i - start of event_uniforms(seed, n, start=start):
+    Event i reads row i - start of event_uniforms(seed, len(m4), start=start):
     column 0 picks the kernel's path at M1, and column 1 the detector when
     the mirror is present at arrival.
     """
-    u = event_uniforms(seed, n, start=start)
-    paths = (u[:, 0] >= _P_PATH_A).astype(np.uint8)
-    m4 = policy.decide_batch(n, start)
-    steered = (u[:, 1] < _P_STEERED_DB).astype(np.uint8)
-    detector = np.where(m4, steered, paths)
-    return PhotonEvents(kernel_path=paths, m4_at_arrival=m4, detector=detector, seed=seed,
-                        start=start)
+    u = event_uniforms(seed, len(m4), start=start)
+    path = u[:, 0] >= _P_PATH_A
+    detector = np.where(m4, u[:, 1] < _P_STEERED_DB, path)
+    return (4 * path + 2 * m4 + detector).astype(np.uint8)
 
 
-def count_events(events: PhotonEvents) -> np.ndarray:
-    """(2, 2) int64 event counts, indexed by [m4 at arrival, detector]."""
-    return np.bincount(2 * events.m4_at_arrival + events.detector, minlength=4).reshape(2, 2)
+def count_events(codes: np.ndarray) -> np.ndarray:
+    """(2, 2, 2) int64 event counts, indexed by [path, m4 at arrival, detector]."""
+    return np.bincount(codes, minlength=8).reshape(2, 2, 2)
 
 
 def check_event_count(n: int) -> None:
@@ -147,13 +107,14 @@ def check_event_count(n: int) -> None:
 def summarize_counts(counts: np.ndarray) -> dict:
     """Compare particle-model detector frequencies against the wave model.
 
-    `counts` is count_events' (2, 2) array, summed over a run.  Per mirror
+    `counts` is count_events' (2, 2, 2) array, summed over a run.  Per mirror
     sub-ensemble: deviation of the empirical detector frequencies from the
     wave probabilities, passed at a 4-sigma binomial tolerance (exact
     agreement required for deterministic outcomes).  Fewer than 1000
     events are rejected.  Returns the comparison as result.json reports it.
     """
     check_event_count(int(counts.sum()))
+    counts = counts.sum(axis=0)  # [m4 at arrival, detector]
     rows = []
     for m4 in (False, True):
         n = int(counts[int(m4)].sum())
@@ -188,7 +149,7 @@ _CSV_HEADER = b"event,seed,kernel_path,m4,detector\r\n"
 
 
 def _csv_suffixes(seed: int) -> np.ndarray:
-    """(8, L) bytes that follow a row's event index, by 4*path + 2*m4 + detector."""
+    """(8, L) bytes that follow a row's event index, by event code."""
     rows = [f",{seed},{k},{m},{d}\r\n" for k in "AB" for m in "01" for d in ("DA", "DB")]
     return np.frombuffer("".join(rows).encode(), dtype=np.uint8).reshape(8, -1)
 
@@ -208,24 +169,22 @@ def events_csv_bytes(n: int, seed: int) -> int:
     return len(_CSV_HEADER) + sum((hi - lo) * (d + width) for lo, hi, d in _digit_runs(0, n))
 
 
-def write_events_csv(events: PhotonEvents, fh) -> None:
-    """Append the events' rows, columns event,seed,kernel_path,m4,detector.
+def write_events_csv(codes: np.ndarray, seed: int, start: int, fh) -> None:
+    """Append the rows of events start onward, columns event,seed,kernel_path,m4,detector.
 
     `fh` is a file open for binary writing; the events that start at event
     0 are preceded by the header, so consecutive chunks written in order
     make one file.  Same bytes as csv.writer.  A row is its event index in
     ASCII digits followed by one of eight suffixes, indexed by the row's
-    (path, m4, detector) codes.
+    event code.
     """
-    if events.start == 0:
+    if start == 0:
         fh.write(_CSV_HEADER)
-    suffix = _csv_suffixes(events.seed)[
-        4 * events.kernel_path + 2 * events.m4_at_arrival + events.detector
-    ]
-    for lo, hi, digits in _digit_runs(events.start, events.start + len(events)):
+    suffix = _csv_suffixes(seed)[codes]
+    for lo, hi, digits in _digit_runs(start, start + len(codes)):
         rows = np.empty((hi - lo, digits + suffix.shape[1]), dtype=np.uint8)
         index = np.arange(lo, hi, dtype=np.min_scalar_type(hi - 1))  # narrow divides faster
         for p in range(digits):
             rows[:, digits - 1 - p] = index // 10**p % 10 + ord("0")
-        rows[:, digits:] = suffix[lo - events.start : hi - events.start]
+        rows[:, digits:] = suffix[lo - start : hi - start]
         fh.write(rows)

@@ -15,8 +15,8 @@ does not grow with their length, and chunk_map runs them on every CPU.
 The addresses each consumer reads:
 - postulate_suite: stream indices 0, 1 and 2;
 - khinchin_experiment: index 0 for its setup, 2j + 1 and 2j + 2 for seed j;
-- a run's events: index 0 on LANE_EVENTS, and on LANE_POLICY for
-  DelayedRandom's decisions.
+- a run's events: index 0 on LANE_EVENTS, and on LANE_POLICY for the
+  delayed-random policy's decisions.
 Two of them overlap, by convention and not by construction: stream(s, 0)
 reads the event rows of seed s, and the policy lane of seed s is the
 event lane of seed s ^ LANE_POLICY.

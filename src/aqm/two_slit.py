@@ -37,6 +37,10 @@ class SlitGeometry:
     slit_b: frozenset
 
     def __post_init__(self):
+        if self.grid_size > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"a lattice of {self.grid_size} sites is larger than an array can index"
+            )
         a = frozenset(int(i) for i in self.slit_a)
         b = frozenset(int(i) for i in self.slit_b)
         if not a or not b:

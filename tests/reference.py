@@ -155,6 +155,11 @@ def particle_run(m4_at_arrival: bool, rng: EventDraws) -> tuple[int, int]:
     return kernel_path, detector
 
 
+def event_bits(codes: np.ndarray) -> tuple:
+    """(path, m4 at arrival, detector) arrays of event codes 4*path + 2*m4 + detector."""
+    return codes >> 2, (codes >> 1 & 1).astype(bool), codes & 1
+
+
 class EventDraws:
     """The uniforms of one event, drawn through `random` as from a Generator.
 

@@ -8,18 +8,13 @@ import pytest
 
 from aqm import experiments, two_slit
 from aqm.experiments import random_density
-from aqm.interferometer import (
-    DETECTOR_B,
-    Always,
-    DelayedRandom,
-    run_events,
-    wave_probabilities,
-)
+from aqm.interferometer import DETECTOR_B, POLICIES, run_events, wave_probabilities
 from aqm.rng import stream
 from reference import (
     MomentumBin,
     condition_on_event,
     decompose_mean,
+    event_bits,
     momentum_projector,
     slit_projectors,
     verify_support_identities,
@@ -35,15 +30,15 @@ def test_criterion_1_mirror_present_certain_db():
     t0 = time.time()
     p_da, p_db = wave_probabilities(True)
     wave_ok = abs(p_db - 1.0) <= 1e-12 and abs(p_da) <= 1e-12
-    events = run_events(Always(True), 100_000, seed=7)
-    at_db = events.detector == DETECTOR_B
+    _, _, detector = event_bits(run_events(POLICIES["present"](0.5, 7, 100_000, 0), seed=7))
+    at_db = detector == DETECTOR_B
     particle_ok = bool(np.all(at_db))
     elapsed = time.time() - t0
     report(
         "1 delayed-choice position (b)",
         wave_ok and particle_ok and elapsed < 5.0,
         f"wave p_DB={p_db:.15f}, particle D_B frequency "
-        f"{np.count_nonzero(at_db) / len(events)}, "
+        f"{np.count_nonzero(at_db) / len(at_db)}, "
         f"runtime {elapsed:.2f}s",
     )
 
@@ -62,9 +57,9 @@ def test_criterion_2_mirror_absent_even_split():
 
 
 def test_criterion_3_delayed_random_reproduces_both():
-    events = run_events(DelayedRandom(0.5, seed=7), 100_000, seed=7)
-    present = events.m4_at_arrival
-    at_db = events.detector == DETECTOR_B
+    m4 = POLICIES["delayed-random"](0.5, 7, 100_000, 0)
+    _, present, detector = event_bits(run_events(m4, seed=7))
+    at_db = detector == DETECTOR_B
     n_absent = np.count_nonzero(~present)
     db_present = np.count_nonzero(at_db & present) / np.count_nonzero(present)
     da_absent = np.count_nonzero(~at_db & ~present) / n_absent

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -239,11 +240,11 @@ class TestEventsFile:
     def test_a_run_that_fails_midway_leaves_no_events_file(self, tmp_path, monkeypatch):
         run_events, starts = interferometer.run_events, []
 
-        def fails_on_chunk_2(policy, n, seed, start=0):
+        def fails_on_chunk_2(m4, seed, start=0):
             starts.append(start)
             if len(starts) == 2:
                 raise RuntimeError("killed midway")
-            return run_events(policy, n, seed, start)
+            return run_events(m4, seed, start)
 
         monkeypatch.setattr(interferometer, "run_events", fails_on_chunk_2)
         out = tmp_path / "run"
@@ -355,7 +356,12 @@ def test_cli_import_starts_no_thread_pool():
 
 
 def _public_code(module):
-    """name -> code object of each public function and method defined in `module`."""
+    """name -> code object of each public function and method defined in `module`.
+
+    A public class other than an exception also gives its own __init__,
+    the generated one of a dataclass included, so that a class no command
+    constructs is found.
+    """
     found = {}
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -365,15 +371,31 @@ def _public_code(module):
             member = getattr(member, "fget", member)  # a property runs its getter,
             member = getattr(member, "__func__", member)  # a classmethod its function,
             member = inspect.unwrap(member)  # and a decorated function the one it wraps
-            if not attr.startswith("_") and inspect.isfunction(member):
+            constructor = attr == "__init__" and not issubclass(obj, BaseException)
+            if (constructor or not attr.startswith("_")) and inspect.isfunction(member):
                 found[f"{name}.{attr}".rstrip(".")] = member.__code__
     return found
+
+
+def _not_run(modules, ran) -> list:
+    """Names of the modules' _public_code whose code object is not in `ran`."""
+    code = {f"{m.__name__.removeprefix('aqm.')}.{name}": c
+            for m in modules for name, c in _public_code(m).items()}
+    return [name for name, c in code.items() if c not in ran]
+
+
+def test_a_class_that_nothing_constructs_is_reported():
+    planted = types.ModuleType("aqm.planted")
+    exec("from dataclasses import dataclass\n"
+         "@dataclass(frozen=True)\nclass Unused:\n    x: int\n"
+         "class Failure(ValueError):\n    def __init__(self):\n        pass\n", vars(planted))
+    assert _not_run([planted], ran=set()) == ["planted.Unused.__init__"]
 
 
 def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
     # the package holds what the CLI runs; reference code lives in tests/reference.py
     runs = [("delayed-choice", "--m4", m4, "--n", "1000", "--write-events")
-            for m4 in experiments.POLICIES]
+            for m4 in interferometer.POLICIES]
     runs += [("two-slit", "--n", "1000"),
              ("two-slit", "--n-sites", "8", "--slit-a", "1", "--slit-b", "5", "--n", "1000"),
              ("postulates", "--dim", "3", "--trials", "2"),  # calls rng.stream on this thread
@@ -395,9 +417,7 @@ def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
         threading.setprofile(None)
         sys.setprofile(None)
     modules = (rng, algebra, ensemble, two_slit, interferometer, experiments, serialize, cli)
-    code = {f"{m.__name__.removeprefix('aqm.')}.{name}": c
-            for m in modules for name, c in _public_code(m).items()}
-    assert [name for name, c in code.items() if c not in ran] == []
+    assert _not_run(modules, ran) == []
 
 
 class TestPostulatesCommand:
@@ -519,6 +539,8 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
         ("two-slit", {"n_sites": 8, "slit_a": [1], "slit_b": [1]}, "slits overlap on sites [1]"),
         ("two-slit", {"n_sites": 8, "slit_a": [1], "slit_b": [8]}, "slit site index out of range"),
         ("two-slit", {"n_sites": 8, "slit_a": [], "slit_b": [5]}, "both slits must be non-empty"),
+        ("two-slit", {"n_sites": 2**64, "slit_a": [1], "slit_b": [5]},
+         "a lattice of 18446744073709551616 sites is larger than an array can index"),
         ("two-slit", {"preset": "bogus"}, "unknown preset 'bogus'"),
         ("two-slit", {"preset": "bogus", "n_sites": 8, "slit_a": [1], "slit_b": [5]},
          "unknown preset 'bogus'"),
@@ -527,7 +549,7 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
     ],
     ids=["slit-int", "n-sites-str", "n-sites-float", "slit-float", "p-str", "p-null",
          "m4-list", "write-events-str", "out-int", "out-is-a-file", "slits-overlap",
-         "slit-out-of-range", "slit-empty", "preset-bogus", "preset-bogus-custom",
+         "slit-out-of-range", "slit-empty", "n-sites-2**64", "preset-bogus", "preset-bogus-custom",
          "preset-int-custom"],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experiment,

@@ -8,10 +8,7 @@ from aqm.interferometer import (
     DETECTOR_A,
     DETECTOR_B,
     PATH_A,
-    Always,
-    DelayedAlternating,
-    DelayedRandom,
-    PhotonEvents,
+    POLICIES,
     count_events,
     run_events,
     summarize_counts,
@@ -19,14 +16,12 @@ from aqm.interferometer import (
     write_events_csv,
 )
 from aqm.rng import LANE_POLICY
-from reference import event_stream, events_csv, particle_run
+from reference import event_bits, event_stream, events_csv, particle_run
 
-POLICIES = {
-    "present": Always(True),
-    "absent": Always(False),
-    "delayed-alternating": DelayedAlternating(),
-    "delayed-random": DelayedRandom(0.5, seed=6),
-}
+
+def decide(name: str, n: int, seed: int = 6, p: float = 0.5) -> np.ndarray:
+    """The named policy's mirror presence for events 0..n-1."""
+    return POLICIES[name](p, seed, n, 0)
 
 
 class TestWaveProbabilities:
@@ -42,37 +37,39 @@ class TestWaveProbabilities:
 
 
 class TestParticleRun:
+    def test_codes_are_uint8_one_per_event(self):
+        codes = run_events(decide("delayed-random", 1000), seed=1)
+        assert codes.dtype == np.uint8 and codes.shape == (1000,)
+        assert set(np.unique(codes)) <= set(range(8))
+
     def test_mirror_absent_frequency(self):
-        events = run_events(Always(False), 100_000, seed=1)
-        freq = np.count_nonzero(events.detector == DETECTOR_A) / len(events)
+        _, _, detector = event_bits(run_events(decide("absent", 100_000), seed=1))
+        freq = np.count_nonzero(detector == DETECTOR_A) / len(detector)
         assert abs(freq - 0.5) <= 0.005
 
     def test_mirror_present_always_db(self):
-        events = run_events(Always(True), 20_000, seed=2)
-        assert np.all(events.detector == DETECTOR_B)
+        _, _, detector = event_bits(run_events(decide("present", 20_000), seed=2))
+        assert np.all(detector == DETECTOR_B)
 
     def test_kernel_locality_when_absent(self):
-        events = run_events(Always(False), 5000, seed=3)
-        expect = np.where(events.kernel_path == PATH_A, DETECTOR_A, DETECTOR_B)
-        assert np.array_equal(events.detector, expect)
+        path, _, detector = event_bits(run_events(decide("absent", 5000), seed=3))
+        assert np.array_equal(detector, np.where(path == PATH_A, DETECTOR_A, DETECTOR_B))
 
     def test_delayed_random_sub_ensembles(self):
-        events = run_events(DelayedRandom(0.5, seed=4), 100_000, seed=4)
-        present = events.m4_at_arrival
-        assert np.all(events.detector[present] == DETECTOR_B)
-        absent = events.detector[~present]
+        codes = run_events(decide("delayed-random", 100_000, seed=4), seed=4)
+        _, present, detector = event_bits(codes)
+        assert np.all(detector[present] == DETECTOR_B)
+        absent = detector[~present]
         freq = np.count_nonzero(absent == DETECTOR_A) / len(absent)
         assert abs(freq - 0.5) <= 0.008
 
     def test_batch_matches_single_event_runs(self):
-        batch = run_events(DelayedRandom(0.5, seed=9), 200, seed=9)
+        codes = run_events(decide("delayed-random", 200, seed=9), seed=9)
         for i in range(200):
-            # DelayedRandom's rule, one event at a time on the policy lane
+            # delayed-random's rule, one event at a time on the policy lane
             m4 = bool(event_stream(9, i, lane=LANE_POLICY).random() < 0.5)
             path, detector = particle_run(m4, event_stream(9, i))
-            assert batch.m4_at_arrival[i] == m4
-            assert batch.kernel_path[i] == path
-            assert batch.detector[i] == detector
+            assert codes[i] == 4 * path + 2 * m4 + detector
 
 
 class TestDelayedChoiceIndifference:
@@ -80,15 +77,15 @@ class TestDelayedChoiceIndifference:
         # the policy is consulted only after M1: it never changes the
         # kernel's path, and events whose mirror agrees at arrival replay
         # identically whichever policy set it
-        runs = [run_events(policy, 10_000, seed=6) for policy in POLICIES.values()]
-        for a, b in combinations(runs, 2):
-            assert np.array_equal(a.kernel_path, b.kernel_path)
-            agree = a.m4_at_arrival == b.m4_at_arrival
-            assert np.array_equal(a.detector[agree], b.detector[agree])
+        runs = [event_bits(run_events(decide(name, 10_000), seed=6)) for name in POLICIES]
+        for (path_a, m4_a, det_a), (path_b, m4_b, det_b) in combinations(runs, 2):
+            assert np.array_equal(path_a, path_b)
+            agree = m4_a == m4_b
+            assert np.array_equal(det_a[agree], det_b[agree])
 
     def test_alternating_policy_partitions_exactly(self):
-        events = run_events(DelayedAlternating(), 1000, seed=7)
-        assert np.array_equal(events.m4_at_arrival, np.arange(1000) % 2 == 1)
+        _, m4, _ = event_bits(run_events(decide("delayed-alternating", 1000), seed=7))
+        assert np.array_equal(m4, np.arange(1000) % 2 == 1)
 
 
 class TestEquivalenceReport:
@@ -106,28 +103,22 @@ class TestEquivalenceReport:
         # adversarial model: kernel path leaks into the mirror-present
         # outcome, so the D_B port is no longer certain
         leaked = (np.arange(10_000) % 2 == 0).astype(np.uint8)  # odd: A, DA
-        events = PhotonEvents(
-            kernel_path=leaked,
-            m4_at_arrival=np.ones(10_000, dtype=bool),
-            detector=leaked,
-            seed=0,
-        )
-        report = summarize_counts(count_events(events))
+        codes = 4 * leaked + 2 + leaked  # mirror present on every event
+        report = summarize_counts(count_events(codes))
         assert not report["passed"]
 
 
 @pytest.mark.parametrize("name", POLICIES)
 def test_events_csv(tmp_path, name):
     n = 300
-    policy = POLICIES[name]
-    events = run_events(policy, n, seed=3)
+    m4 = decide(name, n)
     path = tmp_path / "events.csv"
     with open(path, "wb") as fh:
-        write_events_csv(events, fh)
+        write_events_csv(run_events(m4, seed=3), 3, 0, fh)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "event,seed,kernel_path,m4,detector"
     assert len(lines) == n + 1
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "3"
     # reference: csv.writer over scalar particle_run rows
-    assert path.read_bytes() == events_csv(policy.decide_batch(n).tolist(), 3)
+    assert path.read_bytes() == events_csv(m4.tolist(), 3)

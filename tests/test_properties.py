@@ -31,6 +31,7 @@ from aqm.experiments import (
     random_hermitian,
     random_unitary,
 )
+from aqm.interferometer import POLICIES
 from aqm.rng import LANE_EVENTS, LANE_POLICY, event_uniforms, stream
 from aqm.two_slit import (
     CLAMP_BUDGET,
@@ -48,6 +49,7 @@ from reference import (
     events_csv,
     mode_diagonal,
     momentum_projector,
+    particle_run,
     pure,
     slit_projectors,
 )
@@ -388,6 +390,12 @@ def _scalar_m4(policy_name: str, p: float, seed: int, i: int) -> bool:
     return bool(event_stream(seed, i, lane=LANE_POLICY).random() < p)
 
 
+def _run(policy_name: str, p: float, seed: int, start: int, count: int) -> np.ndarray:
+    """Event codes of events start..start+count-1, drawn as one batch."""
+    m4 = POLICIES[policy_name](p, seed, count, start)
+    return interferometer.run_events(m4, seed, start)
+
+
 def _scalar_csv(policy_name: str, p: float, seed: int, start: int, count: int) -> bytes:
     """events.csv rows of events start..start+count-1, one event at a time."""
     m4 = [_scalar_m4(policy_name, p, seed, i) for i in range(start, start + count)]
@@ -409,51 +417,70 @@ def test_event_uniforms_from_start_are_the_event_streams(seed, start, count, lan
 
 @settings(max_examples=80, deadline=None)
 @given(
-    policy_name=st.sampled_from(sorted(experiments.POLICIES)),
+    policy_name=st.sampled_from(sorted(POLICIES)),
     p=st.floats(0.0, 1.0),
     seed=st.sampled_from([0, 7, 10, 12345, 2**40 + 3]),
     start=_NEAR_EDGE,
     count=st.integers(1, 25),
 )
 def test_events_csv_rows_are_csv_writer_over_particle_run(policy_name, p, seed, start, count):
-    policy = experiments.POLICIES[policy_name](p, seed)
+    codes = _run(policy_name, p, seed, start, count)
     buffer = io.BytesIO()
-    interferometer.write_events_csv(interferometer.run_events(policy, count, seed, start), buffer)
+    interferometer.write_events_csv(codes, seed, start, buffer)
     assert buffer.getvalue() == _scalar_csv(policy_name, p, seed, start, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    policy_name=st.sampled_from(sorted(POLICIES)),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    start=_NEAR_EDGE,
+    count=st.integers(1, 40),
+)
+def test_count_events_is_the_path_m4_detector_tally_of_particle_run(
+        policy_name, p, seed, start, count):
+    want = np.zeros((2, 2, 2), dtype=np.int64)
+    for i in range(start, start + count):
+        m4 = _scalar_m4(policy_name, p, seed, i)
+        path, detector = particle_run(m4, event_stream(seed, i))
+        want[path, int(m4), detector] += 1
+    counts = interferometer.count_events(_run(policy_name, p, seed, start, count))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == want.tolist()
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    policy_name=st.sampled_from(sorted(experiments.POLICIES)),
+    policy_name=st.sampled_from(sorted(POLICIES)),
     chunk=st.sampled_from([1, 3, 7, 64]),
     n=st.integers(1, 130),
     seed=st.integers(0, 2**31),
 )
 def test_small_chunks_write_the_scalar_file(policy_name, chunk, n, seed):
-    policy = experiments.POLICIES[policy_name](0.5, seed)
     buffer = io.BytesIO()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng, "_CHUNK", chunk)
         for start, count in rng.chunks(n):  # the delayed-choice driver's loop
             interferometer.write_events_csv(
-                interferometer.run_events(policy, count, seed, start), buffer)
+                _run(policy_name, 0.5, seed, start, count), seed, start, buffer)
     assert buffer.getvalue() == _scalar_csv(policy_name, 0.5, seed, 0, n)
     assert len(buffer.getvalue()) == interferometer.events_csv_bytes(n, seed)
 
 
 @settings(max_examples=16, deadline=None)
 @given(
-    policy_name=st.sampled_from(sorted(experiments.POLICIES)),
+    policy_name=st.sampled_from(sorted(POLICIES)),
     n=st.sampled_from([1000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
     seed=st.integers(0, 2**31),
 )
 def test_chunked_run_is_the_one_batch_run(policy_name, n, seed):
     # one run_events call over all n events is the unchunked reference,
     # itself the scalar path by the tests above
-    events = interferometer.run_events(experiments.POLICIES[policy_name](0.5, seed), n, seed)
+    codes = _run(policy_name, 0.5, seed, 0, n)
     want = io.BytesIO()
-    interferometer.write_events_csv(events, want)
-    report = interferometer.summarize_counts(interferometer.count_events(events))
+    interferometer.write_events_csv(codes, seed, 0, want)
+    report = interferometer.summarize_counts(interferometer.count_events(codes))
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "events.csv")
         result = experiments.delayed_choice_experiment(policy_name, n, seed, 0.5, path)
