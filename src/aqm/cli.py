@@ -83,10 +83,16 @@ class _Key(NamedTuple):
     options: dict = {}  # add_argument options of the flag besides dest and default
 
 
-def _count(default, minimum: int, flag: str) -> _Key:
-    """An integer key of at least `minimum`; None too, when that is its default."""
-    return _Key(default, lambda v: _is_int(v) and v >= minimum or v is None is default,
-                f"{{key}} must be an integer >= {minimum}, got {{value!r}}", flag, {"type": int})
+# binomial and multinomial draws take their number of trials as an int64
+_INT64_MAX = 2**63 - 1
+
+
+def _count(default, minimum: int, flag: str, maximum: int | None = None) -> _Key:
+    """An integer key in [minimum, maximum]; None too, when that is its default."""
+    bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    return _Key(default, lambda v: _is_int(v) and minimum <= v
+                and (maximum is None or v <= maximum) or v is None is default,
+                f"{{key}} must be an integer {bounds}, got {{value!r}}", flag, {"type": int})
 
 
 def _sites(flag: str, **options) -> _Key:
@@ -164,7 +170,7 @@ _COMMON = {
 _COMMANDS = {
     "two-slit": _Command("two-slit scattering experiment", _run_two_slit, {
         **_COMMON,
-        "n_events": _count(100_000, 1, "--n"),
+        "n_events": _count(100_000, 1, "--n", _INT64_MAX),
         "preset": _Key("symmetric64", lambda v: isinstance(v, str) and v in experiments.PRESETS,
                        "unknown preset {value!r}", "--preset",
                        {"choices": list(experiments.PRESETS)}),
@@ -195,8 +201,8 @@ _COMMANDS = {
                          _run_driver("khinchin_experiment"), {
         **_COMMON,
         "n_seeds": _count(50, 1, "--n-seeds"),
-        "n_small": _count(10_000, 1, "--n-small"),
-        "n_big": _count(1_000_000, 1, "--n-big"),
+        "n_small": _count(10_000, 1, "--n-small", _INT64_MAX),
+        "n_big": _count(1_000_000, 1, "--n-big", _INT64_MAX),
         "dim": _count(8, 2, "--dim"),
     }),
 }

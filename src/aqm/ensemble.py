@@ -25,11 +25,9 @@ from aqm.algebra import (
     is_hermitian,
 )
 from aqm.errors import NotHermitianError
-from aqm.rng import chunk_map, stream
+from aqm.rng import stream
 
 STATE_TOL = 1e-10
-# branch_counts counts comparisons up to this many branches, and sorts above
-_COUNT_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -62,11 +60,6 @@ def born_distribution(psi: QuantumState, q: Context) -> np.ndarray:
     return p / p.sum()
 
 
-def _cdf(probs):
-    """Running total of the weights, and the index of the last positive one."""
-    return np.cumsum(probs), np.flatnonzero(probs)[-1]
-
-
 def inverse_cdf(probs, u):
     """Index drawn from the non-negative weights `probs` for each uniform in `u`.
 
@@ -75,25 +68,23 @@ def inverse_cdf(probs, u):
     is clamped to the last branch with positive weight, so a
     zero-probability branch is never returned.
     """
-    cdf, last = _cdf(probs)
+    cdf = np.cumsum(probs)
+    last = np.flatnonzero(probs)[-1]
     return np.minimum(np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right"), last)
 
 
-def branch_counts(probs, u) -> np.ndarray:
-    """(k,) int64 tally of the branches inverse_cdf(probs, u) draws.
+def multinomial_counts(gen: np.random.Generator, n: int, probs) -> np.ndarray:
+    """(k,) int64 tally of n iid draws from the distribution `probs`, in one draw.
 
-    With x = u * total, branch j's tally is #(x >= cdf[j-1]) - #(x >= cdf[j]):
-    one count_nonzero per count up to _COUNT_MAX branches, one sort of x above.
+    The tally is Multinomial(n, probs), which gen draws by conditional
+    binomials in O(k), whatever n.  As in inverse_cdf, the last branch
+    with positive probability takes the mass that rounding leaves over, so
+    a zero-probability branch is never counted, at any n.
     """
-    cdf, last = _cdf(probs)
-    x = np.ravel(u) * cdf[-1]
-    at_least = np.full(last + 1, x.size)  # [j]: draws of branch j or above
-    if last > _COUNT_MAX:
-        x.sort()
-        at_least[1:] -= np.searchsorted(x, cdf[:last], side="left")
-    else:
-        at_least[1:] = [np.count_nonzero(x >= c) for c in cdf[:last]]
-    return -np.diff(at_least, append=np.zeros(len(cdf) - last, np.int64))
+    last = np.flatnonzero(probs)[-1]
+    counts = np.zeros(len(probs), dtype=np.int64)
+    counts[: last + 1] = gen.multinomial(n, probs[: last + 1])
+    return counts
 
 
 def measure_many(psi: QuantumState, a, q: Context, u):
@@ -131,23 +122,16 @@ def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index:
     """Arithmetic mean of n independent single-shot values, with stderr.
 
     Each trial measures a fresh copy of the state, so the draws are iid
-    over the Born distribution.  Draw i is made from draw i of
-    stream(seed, index).  The n draws are mapped over rng.chunk_map: each
-    chunk reads its own counter range of the stream, through stream's
-    `start`, and returns only its branch counts.  The estimate, sum_i
-    count_i v_i / n rounded once, and stderr come from the counts alone,
-    so the result depends neither on the number of threads nor on the
-    chunk length, and memory does not grow with n.
+    over the Born distribution, and the mean reads them only through their
+    branch counts.  Those are Multinomial(n, p): one multinomial_counts
+    draw from stream(seed, index).  The estimate, sum_i count_i v_i / n
+    rounded once, and stderr come from the counts alone, so neither time
+    nor memory grows with n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     values = _branch_values(q, a)
-    probs = born_distribution(psi, q)
-
-    def chunk(lo, count):
-        return branch_counts(probs, stream(seed, index, start=lo).random(count))
-
-    counts = sum(chunk_map(chunk, n))
+    counts = multinomial_counts(stream(seed, index), n, born_distribution(psi, q))
     ratios = map(float.as_integer_ratio, values.tolist())  # each d a power of two <= 2**1074
     total = sum(c * m * (1 << 1074) // d for c, (m, d) in zip(counts.tolist(), ratios))
     estimate = total / (n << 1074)  # exact int true division: correctly rounded

@@ -9,23 +9,23 @@ One address rule: draw j of stream (seed, index, lane) is in the Philox
 block at counter (index << 128) + floor(j / 4) + 1 under the key
 seed ^ lane, and event i of a run is draws 4i to 4i + 3 of stream (seed,
 0, lane).  So any block-aligned range of draws, and any range of events,
-is drawn on its own; runs walk the fixed ranges of chunks, in memory that
-does not grow with their length, and chunk_map runs them on every CPU.
+is drawn on its own; a photon run walks the fixed ranges of chunks, in
+memory that does not grow with its length.
 
 The addresses each consumer reads:
 - postulate_suite: stream indices 0, 1 and 2;
-- khinchin_experiment: index 0 for its setup, 2j + 1 and 2j + 2 for seed j;
-- a run's events: index 0 on LANE_EVENTS, and on LANE_POLICY for the
-  delayed-random policy's decisions.
+- khinchin_experiment: index 0 for its setup, 2j + 1 and 2j + 2 for seed j,
+  each one multinomial draw of a mean's branch counts;
+- two_slit_experiment: index 0 for its binomial slit tally and then its
+  two per-slit multinomial histograms;
+- a photon run's events: index 0 on LANE_EVENTS, and on LANE_POLICY for
+  the delayed-random policy's decisions.
 Two of them overlap, by convention and not by construction: stream(s, 0)
 reads the event rows of seed s, and the policy lane of seed s is the
 event lane of seed s ^ LANE_POLICY.
 """
 
 from __future__ import annotations
-
-import functools
-import os
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def event_uniforms(
     return gen.random(DRAWS_PER_EVENT * n_events).reshape(n_events, DRAWS_PER_EVENT)
 
 
-# Events, or Born draws, per chunk of a run.  A multiple of DRAWS_PER_EVENT,
-# so a chunk of draws starts on a Philox block, as stream's `start` requires.
+# Events per chunk of a photon run.
 _CHUNK = 1 << 16
 
 
@@ -85,36 +84,3 @@ def chunks(n: int):
     """(start, count) of the consecutive chunks that cover 0..n-1."""
     for start in range(0, n, _CHUNK):
         yield start, min(_CHUNK, n - start)
-
-
-# threads chunk_map runs chunks on: the CPUs the process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-@functools.cache
-def _executor():  # started on first use
-    from concurrent.futures import ThreadPoolExecutor  # kept off aqm.cli's import path
-    return ThreadPoolExecutor(max_workers=_WORKERS)
-
-
-def chunk_map(fn, n: int):
-    """Yield fn(start, count) for each chunk of chunks(n), in chunk order.
-
-    The chunks run on one pool of _WORKERS threads, with at most
-    2 * _WORKERS of them submitted and not yet yielded.  A chunk's error
-    reaches the consumer; then, or when the consumer stops, the chunks not
-    yet started are cancelled.  fn runs on the pool, so it must not call
-    chunk_map: its chunks would wait behind the ones that wait for them.
-    """
-    pending = []
-    try:
-        for start, count in chunks(n):
-            if len(pending) == 2 * _WORKERS:
-                yield pending.pop(0).result()
-            pending.append(_executor().submit(fn, start, count))
-        while pending:
-            yield pending.pop(0).result()
-    finally:
-        for future in pending:
-            future.cancel()

@@ -7,10 +7,11 @@ screen observable is a projector onto a bin of discrete-Fourier modes,
 standing in for a small solid angle of outgoing momenta.  Its ensemble
 mean splits exactly into a slit-a term, a slit-b term, and a cross
 (interference) term.  The stacked-screens sampler, sample_screens,
-realizes the same statistics one event at a time, with each particle
-localized at exactly one slit; the cross term's mass is shared equally
-between the two slit labels, the unique symmetric split consistent with
-the ensemble decomposition.  The pattern and the split come per DFT mode
+realizes the same statistics with each particle localized at exactly one
+slit, and draws the tallies of the events rather than the events one by
+one; the cross term's mass is shared equally between the two slit
+labels, the unique symmetric split consistent with the ensemble
+decomposition.  The pattern and the split come per DFT mode
 from one FFT of each slit's masked amplitudes; no N x N matrix is built.
 """
 
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.ensemble import branch_counts
+from aqm.ensemble import multinomial_counts
 from aqm.errors import ConfigError, ImpossibleEventError, ModelViolationError
-from aqm.rng import chunk_map, event_uniforms
+from aqm.rng import stream
 
 CLOSURE_TOL = 1e-10
 CLAMP_BUDGET = 1e-6  # per lattice site, see screen_split
@@ -146,27 +147,20 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
     """Accumulate independent single-particle events into one histogram.
 
     Each event localizes the particle at exactly one slit, then draws a
-    momentum site from that slit's conditional distribution.  Events are
-    addressed by (seed, event index) counter streams, so the histogram is
-    reproducible and independent of execution order.  They are drawn in the
-    chunks of rng.chunk_map, on every CPU; each returns its histogram and
-    slit-b tally, so memory does not grow with n_events.
+    momentum site from that slit's conditional distribution.  The result
+    reads the events only through their tallies, so it draws those: the
+    slit-a tally n_a ~ Binomial(n_events, p_a), then one multinomial_counts
+    histogram per slit over its conditional distribution, all three in that
+    order from stream(seed, 0).  The histogram replays exactly, and time
+    and memory grow with the lattice, not with n_events.
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
-
-    def chunk(start, count):
-        u = event_uniforms(seed, count, start=start)  # per event: (slit, site, _, _)
-        slit_b, site = u[:, 0] >= split.slit_probs[0], u[:, 1].copy()
-        del u  # the (count, 4) block is most of a chunk's memory: drop it before tallying
-        hist = branch_counts(split.conds[0], site[~slit_b])
-        return hist + branch_counts(split.conds[1], site[slit_b]), int(np.count_nonzero(slit_b))
-
-    histogram, n_b = np.zeros(len(split.conds[0]), dtype=np.int64), 0
-    for hist, b in chunk_map(chunk, n_events):
-        histogram += hist
-        n_b += b
-    return histogram, (n_events - n_b, n_b)
+    gen = stream(seed)
+    n_a = int(gen.binomial(n_events, split.slit_probs[0]))
+    tallies = (n_a, n_events - n_a)
+    histogram = sum(multinomial_counts(gen, n, cond) for n, cond in zip(tallies, split.conds))
+    return histogram, tallies
 
 
 def total_variation(histogram: np.ndarray, probs: np.ndarray) -> float:

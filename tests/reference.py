@@ -2,9 +2,10 @@
 
 No command-line run reaches them.  The package conditions the pure
 two-slit source as one amplitude vector, takes the pattern by FFT of its
-slit-masked amplitudes, and draws events in batches of event_uniforms
-rows; these references condition and decompose N x N density matrices,
-and draw one event at a time.
+slit-masked amplitudes, draws photon events in batches of
+event_uniforms rows, and draws Born tallies as one multinomial; these
+references condition and decompose N x N density matrices, draw one
+event at a time, and tally Born draws one uniform at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ def condition_on_event(psi: QuantumState, event) -> QuantumState:
     if weight <= 1e-12:
         raise ImpossibleEventError("conditioning on an event of probability zero")
     return _lueders(psi, e, weight)
+
+
+def branch_counts(probs, u) -> np.ndarray:
+    """(k,) int64 tally of the branches inverse_cdf(probs, u) draws, one per uniform.
+
+    With x = u * total, branch j's tally is #(x >= cdf[j-1]) - #(x >= cdf[j]):
+    one count_nonzero per count up to 32 branches, one sort of x above.
+    """
+    cdf = np.cumsum(probs)
+    last = np.flatnonzero(probs)[-1]
+    x = np.ravel(u) * cdf[-1]
+    at_least = np.full(last + 1, x.size)  # [j]: draws of branch j or above
+    if last > 32:
+        x.sort()
+        at_least[1:] -= np.searchsorted(x, cdf[:last], side="left")
+    else:
+        at_least[1:] = [np.count_nonzero(x >= c) for c in cdf[:last]]
+    return -np.diff(at_least, append=np.zeros(len(cdf) - last, np.int64))
 
 
 def slit_projectors(geom: SlitGeometry):

@@ -9,7 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
-import threading
+import time
 import types
 from pathlib import Path
 from unittest import mock
@@ -22,7 +22,6 @@ import aqm
 from aqm import algebra, cli, ensemble, experiments, interferometer, rng, serialize, two_slit
 from aqm.cli import main, resolve_config
 from aqm.errors import ConfigError
-from conftest import pool_of
 
 
 def run_cli(*argv):
@@ -348,7 +347,7 @@ def test_cli_import_does_not_load_numpy_fft():
 
 
 def test_cli_import_starts_no_thread_pool():
-    # rng.chunk_map starts its worker threads on first use
+    # importing the CLI starts no thread and loads no executor module
     code = ("import sys, threading, aqm.cli; "
             "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
@@ -398,7 +397,7 @@ def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
             for m4 in interferometer.POLICIES]
     runs += [("two-slit", "--n", "1000"),
              ("two-slit", "--n-sites", "8", "--slit-a", "1", "--slit-b", "5", "--n", "1000"),
-             ("postulates", "--dim", "3", "--trials", "2"),  # calls rng.stream on this thread
+             ("postulates", "--dim", "3", "--trials", "2"),
              ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2")]
     ran = set()
 
@@ -406,15 +405,11 @@ def test_every_public_function_of_the_run_path_modules_runs(tmp_path):
         if event == "call":
             ran.add(frame.f_code)
 
-    # the pool is rebuilt inside the hooks, so its threads start traced
     sys.setprofile(profile)
-    threading.setprofile(profile)
     try:
-        with pool_of(rng._WORKERS):
-            for i, argv in enumerate(runs):
-                assert run_cli(*argv, "--out", str(tmp_path / str(i))) == 0
+        for i, argv in enumerate(runs):
+            assert run_cli(*argv, "--out", str(tmp_path / str(i))) == 0
     finally:
-        threading.setprofile(None)
         sys.setprofile(None)
     modules = (rng, algebra, ensemble, two_slit, interferometer, experiments, serialize, cli)
     assert _not_run(modules, ran) == []
@@ -486,6 +481,8 @@ class TestKhinchinCommand:
         (("khinchin", "--n-small", "0"), "n_small"),
         (("khinchin", "--n-big", "0"), "n_big"),
         (("khinchin", "--dim", "1"), "dim"),
+        (("khinchin", "--n-small", str(2**63)), "n_small"),
+        (("khinchin", "--n-big", str(2**63)), "n_big"),
     ],
 )
 def test_bad_experiment_size_is_config_error(tmp_path, capsys, argv, key):
@@ -561,6 +558,25 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experim
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing run
+
+
+def test_two_slit_takes_any_int64_number_of_particles_and_no_more(tmp_path, capsys):
+    # the slit tally and the histograms are binomial and multinomial draws of
+    # an int64 count: the largest costs what a small one does, a larger one is refused
+    argv = ("two-slit", "--n-sites", "8", "--slit-a", "1", "--slit-b", "5", "--seed", "1")
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--n", str(2**70), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: n_events must be an integer in [1, {2**63 - 1}], "
+                          f"got {2**70}")
+    assert "Traceback" not in err
+    assert not out.exists()
+    start = time.perf_counter()
+    assert run_cli(*argv, "--n", str(2**63 - 1), "--out", str(out)) == 0
+    assert time.perf_counter() - start < 2.0
+    result = json.loads((out / "result.json").read_text())["result"]
+    assert sum(result["histogram"]) == sum(result["slit_tally"].values()) == 2**63 - 1
+    assert [c for p, c in zip(result["pattern"], result["histogram"]) if p == 0.0] == [0] * 4
 
 
 @pytest.mark.parametrize(

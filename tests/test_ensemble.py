@@ -1,8 +1,10 @@
+import itertools
+import math
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +14,12 @@ from aqm.algebra import Context, evaluate, masa_from
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
-    branch_counts,
     check_postulate5,
     check_postulate6,
     inverse_cdf,
     measure_many,
     monte_carlo_mean,
+    multinomial_counts,
 )
 from aqm.errors import ImpossibleEventError, IncompatibleObservableError
 from aqm.experiments import (
@@ -27,8 +29,8 @@ from aqm.experiments import (
     random_unitary,
 )
 from aqm.rng import stream
-from conftest import SIGMA_X, SIGMA_Z, pool_of
-from reference import condition_on_event, pure
+from conftest import SIGMA_X, SIGMA_Z, chi_square_test
+from reference import branch_counts, condition_on_event, pure
 
 KET0 = pure([1.0, 0.0])
 PLUS = pure([1.0, 1.0])
@@ -227,66 +229,96 @@ class TestMonteCarloMean:
         est, err = monte_carlo_mean(PLUS, a, ctx, 100_000, 2, 0)
         assert abs(est - 2.0) <= 4 * err
 
-    @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
-    def test_chunked_draws_replay_one_vectorized_call(self, n):
-        setup = stream(4, 0)
-        a = random_hermitian(3, setup)
+    def test_a_mean_of_10_to_the_15_draws_is_one_tally(self):
+        # the multinomial tally costs O(k), whatever n
+        setup = stream(8, 0)
+        a = random_hermitian(8, setup)
         q = masa_from(a)
-        psi = random_density(3, setup)
-        est, err = monte_carlo_mean(psi, a, q, n, 4, 1)
-        u = stream(4, 1).random(n)
-        draws = algebra._branch_values(q, a)[inverse_cdf(born_distribution(psi, q), u)]
-        # the estimate is the exact mean of the draws, rounded once
-        assert est == float(sum(Fraction(v) * c for v, c in Counter(draws.tolist()).items()) / n)
-        assert abs(est - draws.mean()) <= 4 * np.spacing(abs(draws.mean()))
-        if n == 1:
-            assert err == 0.0
-        else:
-            assert err == pytest.approx(draws.std(ddof=1) / np.sqrt(n), rel=1e-12)
-
-    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
-        def fails_off_the_main_thread(probs, u):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker failed")
-            return branch_counts(probs, u)
-
-        monkeypatch.setattr(ensemble, "branch_counts", fails_off_the_main_thread)
-        with pool_of(2), pytest.raises(FloatingPointError, match="worker failed"):
-            monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 2 * 2**16, 0, 0)
+        psi = random_density(8, setup)
+        start = time.perf_counter()
+        est, err = monte_carlo_mean(psi, a, q, 10**15, 8, 1)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < err < 1e-7
+        assert abs(est - psi.mean(a)) <= 6 * err
 
     def test_more_threads_than_cpus_under_fast_switching(self):
-        # each chunk returns the branch counts of its own draws; a lost or
-        # doubled chunk would change the estimate or the stderr
+        # each call draws from a generator of its own, so eight calls made
+        # at once share no state and each returns the one-thread result
         a = SIGMA_Z + 2.0 * SIGMA_X
         ctx = masa_from(a)
         n = 9 * 2**16 + 7
-        with pool_of(1):
-            expected = monte_carlo_mean(PLUS, a, ctx, n, 6, 0)
+        expected = monte_carlo_mean(PLUS, a, ctx, n, 6, 0)
+        results = [None] * 8
+
+        def call(i):
+            for _ in range(20):
+                results[i] = monte_carlo_mean(PLUS, a, ctx, n, 6, 0)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with pool_of(8):
-                results = [monte_carlo_mean(PLUS, a, ctx, n, 6, 0) for _ in range(5)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert results == [expected] * 5
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 8
 
-    @pytest.mark.parametrize("dim", [3, 40])  # the counting and the bisecting sampler
+    @pytest.mark.parametrize("dim", [3, 40])
     def test_memory_does_not_grow_with_n(self, dim):
-        # 2**22 values would take 32 MB; each chunk keeps only its branch counts
+        # 2**22 values would take 32 MB; the mean keeps only its branch counts
         setup = stream(5, 0)
         a = random_hermitian(dim, setup)
         q = masa_from(a)
         psi = random_density(dim, setup)
-        with pool_of(2):
-            monte_carlo_mean(psi, a, q, 2**16, 5, 1)  # the pool starts outside the trace
-            tracemalloc.start()
-            try:
-                monte_carlo_mean(psi, a, q, 2**22, 5, 1)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            monte_carlo_mean(psi, a, q, 2**22, 5, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+_PROBS = np.array([0.2, 0.5, 0.3, 0.0])  # the trailing zero branch is never counted
+
+
+@pytest.mark.parametrize("tally", [
+    lambda seed: multinomial_counts(stream(seed, 1), 3, _PROBS),
+    lambda seed: branch_counts(_PROBS, stream(seed, 1).random(3)),
+], ids=["multinomial", "per-draw-oracle"])
+def test_tallies_of_three_draws_follow_the_multinomial_pmf(tally):
+    # 4000 seeds, each one tally of n = 3 draws; the per-draw oracle passes the same test
+    n, seeds = 3, 4000
+    cells = [c for c in itertools.product(range(n + 1), repeat=3) if sum(c) == n]
+    pmf = [math.factorial(n) * math.prod(p**c / math.factorial(c) for p, c in zip(_PROBS, cell))
+           for cell in cells]
+    seen = Counter()
+    for seed in range(seeds):
+        counts = tally(seed)
+        assert counts.dtype == np.int64 and counts.tolist()[3] == 0
+        seen[tuple(counts.tolist()[:3])] += 1
+    assert set(seen) <= set(cells)
+    stat, critical = chi_square_test([seen[c] for c in cells], seeds * np.array(pmf))
+    assert stat < critical
+
+
+def test_a_zero_probability_branch_is_never_counted_at_any_n():
+    # the conditional binomials round; without the clamp to the last positive
+    # branch, about n * 2**-53 draws would land on the trailing zeros
+    n = 2**63 - 1
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        probs = gen.random(8) * (gen.random(8) < 0.6)
+        probs[gen.integers(0, 4)] = 1.0
+        probs[6:] = 0.0
+        probs /= probs.sum()
+        counts = multinomial_counts(stream(seed, 1), n, probs)
+        assert counts.sum() == n
+        assert counts[probs == 0.0].tolist() == [0] * int(np.sum(probs == 0.0))
 
 
 class TestPostulate5:

@@ -16,13 +16,13 @@ from aqm.algebra import (
     masa_from,
     spectral_decompose,
 )
-from aqm import ensemble, experiments, interferometer, rng, two_slit
+from aqm import experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
     born_distribution,
-    branch_counts,
     inverse_cdf,
     measure_many,
     monte_carlo_mean,
+    multinomial_counts,
 )
 from aqm.errors import IncompatibleObservableError, ModelViolationError
 from aqm.experiments import (
@@ -37,13 +37,11 @@ from aqm.two_slit import (
     CLAMP_BUDGET,
     SlitGeometry,
     prepare_conditioned,
-    sample_screens,
     screen_split,
-    uniform_source,
 )
-from conftest import pool_of
 from reference import (
     MomentumBin,
+    branch_counts,
     decompose_mean,
     event_stream,
     events_csv,
@@ -157,67 +155,18 @@ def test_measure_many_never_draws_a_zero_probability_branch():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.sampled_from([1, 2**16 - 1, 2**16, 2 * 2**16 + 3, 4 * 2**16 + 5]),
-    dim=st.sampled_from([3, 40]),  # the counting and the bisecting sampler
-    seed=st.integers(0, 2**64 - 1),
-    index=st.integers(1, 2**20),
-)
-def test_monte_carlo_mean_does_not_depend_on_the_worker_count(n, dim, seed, index):
-    psi, a, q = _born_instance(dim, seed)
-    expected = _serial_mean(psi, a, q, n, seed, index)
-    for threads in (1, 2, 3):
-        with pool_of(threads):
-            assert monte_carlo_mean(psi, a, q, n, seed, index) == expected
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    # 32 sites tally by counting comparisons, 256 by sorting
-    geom=st.sampled_from([SlitGeometry(32, {10, 11}, {18, 19}),
-                          SlitGeometry(256, {120, 121}, {134, 135})]),
-    n=st.integers(1, 12 * 4096),
-    seed=st.integers(0, 2**64 - 1),
-)
-def test_sample_screens_does_not_depend_on_the_worker_count(geom, n, seed):
-    split = screen_split(prepare_conditioned(uniform_source(geom.grid_size), geom), geom)
-    last = max(np.flatnonzero(c)[-1] for c in split.conds)
-    assert (last > ensemble._COUNT_MAX) == (geom.grid_size == 256)
-    expected = _serial_screens(split, n, seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "_CHUNK", 4096)  # more chunks than the 2W in flight
-        for threads in (1, 2, 3):
-            with pool_of(threads):
-                histogram, tally = sample_screens(split, n, seed)
-            assert histogram.dtype == np.int64
-            assert (histogram.tolist(), tally) == expected
-
-
-def _serial_screens(split, n: int, seed: int):
-    """sample_screens' reference: every event in one block, each drawn by inverse_cdf."""
-    u = event_uniforms(seed, n)
-    slit_b = u[:, 0] >= split.slit_probs[0]
-    histogram = sum(np.bincount(inverse_cdf(split.conds[s], u[slit_b == s, 1]),
-                                minlength=len(split.conds[s])) for s in (0, 1))
-    n_b = int(np.count_nonzero(slit_b))
-    return histogram.tolist(), (n - n_b, n_b)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(1, 300),
-    chunk=st.sampled_from([4, 8, 12, 2**16]),
+    n=st.one_of(st.integers(1, 300), st.integers(1, 2**63 - 1)),
     dim=st.sampled_from([3, 40]),
     seed=st.integers(0, 2**64 - 1),
     index=st.integers(1, 2**20),
 )
-def test_monte_carlo_mean_does_not_depend_on_the_chunk_length(n, chunk, dim, seed, index):
-    # a chunk of Born draws must start on a Philox block, as stream's start requires
-    assert rng._CHUNK % rng.DRAWS_PER_EVENT == 0
+def test_monte_carlo_mean_is_the_exact_mean_of_its_multinomial_counts(n, dim, seed, index):
     psi, a, q = _born_instance(dim, seed)
-    expected = _serial_mean(psi, a, q, n, seed, index)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "_CHUNK", chunk)
-        assert monte_carlo_mean(psi, a, q, n, seed, index) == expected
+    values = _branch_values(q, a)
+    counts = multinomial_counts(stream(seed, index), n, born_distribution(psi, q))
+    mean = float(sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist())) / n)
+    stderr = 0.0 if n == 1 else np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n)
+    assert monte_carlo_mean(psi, a, q, n, seed, index) == (mean, stderr)
 
 
 def _born_instance(dim: int, seed: int):
@@ -225,19 +174,6 @@ def _born_instance(dim: int, seed: int):
     a = random_hermitian(dim, setup)
     q = masa_from(a)
     return random_density(dim, setup), a, q
-
-
-def _serial_mean(psi, a, q, n: int, seed: int, index: int):
-    """monte_carlo_mean's reference: one draw of the stream per trial, in order.
-
-    The mean is exact, rounded once to a float.
-    """
-    values = _branch_values(q, a)
-    idx = inverse_cdf(born_distribution(psi, q), stream(seed, index).random(n))
-    counts = np.bincount(idx, minlength=len(values))
-    mean = float(sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist())) / n)
-    stderr = 0.0 if n == 1 else np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n)
-    return mean, stderr
 
 
 _POSITIVE_WEIGHT = st.one_of(st.integers(1, 8).map(float), st.floats(1e-6, 1.0))
@@ -489,32 +425,3 @@ def test_chunked_run_is_the_one_batch_run(policy_name, n, seed):
     assert len(want.getvalue()) == interferometer.events_csv_bytes(n, seed)
     assert result["max_deviation"] == report["max_deviation"]
     assert result["sub_ensembles"] == report["sub_ensembles"]
-
-
-_GEOM = SlitGeometry(32, {4, 5}, {20, 21})
-_SPLIT = screen_split(prepare_conditioned(uniform_source(32), _GEOM), _GEOM)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n_chunk=st.one_of(
-        st.tuples(st.integers(1, 40), st.sampled_from([1, 3, 7])),
-        st.tuples(st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]),
-                  st.just(_CHUNK)),
-    ),
-    seed=st.integers(0, 2**31),
-)
-def test_chunked_screens_are_inverse_cdf_over_the_unchunked_uniforms(n_chunk, seed):
-    n, chunk = n_chunk
-    u = event_uniforms(seed, n)
-    slit_b = u[:, 0] >= _SPLIT.slit_probs[0]
-    want = sum(
-        np.bincount(inverse_cdf(_SPLIT.conds[s], u[slit_b == bool(s), 1]), minlength=32)
-        for s in (0, 1)
-    )
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rng, "_CHUNK", chunk)
-        histogram, (n_a, n_b) = two_slit.sample_screens(_SPLIT, n, seed)
-    assert histogram.dtype == np.int64
-    assert histogram.tolist() == want.tolist()
-    assert (n_a, n_b) == (n - int(slit_b.sum()), int(slit_b.sum()))

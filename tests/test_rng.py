@@ -1,12 +1,8 @@
-import threading
-import time
-
 import numpy as np
 import pytest
 
 from aqm import rng
-from aqm.rng import LANE_EVENTS, LANE_POLICY, chunk_map, chunks, event_uniforms, stream
-from conftest import pool_of
+from aqm.rng import LANE_EVENTS, LANE_POLICY, chunks, event_uniforms, stream
 from reference import event_stream
 
 
@@ -50,7 +46,7 @@ def test_an_event_stream_has_four_draws(draws):
 
 
 def test_a_stream_started_at_draw_4k_draws_from_draw_4k():
-    # the layout monte_carlo_mean reads each chunk of its draws by
+    # the layout event_uniforms reads a chunk of events by
     for k in (0, 1, 2, 100, 249):
         expected = stream(7, 3).random(4 * k + 12)[4 * k :]
         assert np.array_equal(stream(7, 3, start=4 * k).random(12), expected)
@@ -71,58 +67,8 @@ def test_seeds_outside_64_bits_are_rejected():
                 draw(seed, 0)
 
 
-class TestChunkMap:
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_at_most_two_chunks_per_thread_start_before_the_first_result(
-            self, monkeypatch, threads):
-        # a million chunks: submitting them all up front would queue a future for each
-        monkeypatch.setattr(rng, "_CHUNK", 4)
-        calls, lock = [], threading.Lock()
-
-        def fn(start, count):
-            with lock:
-                calls.append(start)
-            if start == 0:
-                time.sleep(0.05)  # the other threads run whatever was submitted meanwhile
-            return start
-
-        with pool_of(threads):
-            results = chunk_map(fn, 4 * 10**6)
-            assert next(results) == 0
-            assert len(calls) <= 2 * threads + 1
-            results.close()
-        assert len(calls) <= 2 * threads + 1
-
-    def test_results_come_in_chunk_order_when_later_chunks_finish_first(self, monkeypatch):
-        monkeypatch.setattr(rng, "_CHUNK", 4)
-        n = 4 * 12 + 3
-        finished, lock = [], threading.Lock()
-
-        def fn(start, count):
-            time.sleep((n - start) * 1e-3)  # later chunks sleep less
-            with lock:
-                finished.append(start)
-            return start, count
-
-        with pool_of(3):
-            assert list(chunk_map(fn, n)) == list(chunks(n))
-        assert finished != sorted(finished)
-
-    def test_a_raising_chunk_reaches_the_caller_and_no_queued_chunk_starts(self):
-        started, lock, release = [], threading.Lock(), threading.Event()
-
-        def fn(start, count):
-            with lock:
-                started.append(start)
-            if start == 0:
-                raise FloatingPointError("chunk 0 failed")
-            release.wait(timeout=10)  # hold both threads while the error reaches the caller
-            return start
-
-        with pool_of(2):
-            with pytest.raises(FloatingPointError, match="chunk 0 failed"):
-                list(chunk_map(fn, 10**6 * rng._CHUNK))
-            at_the_caller = sorted(started)
-            release.set()
-        assert sorted(started) == at_the_caller  # the queued chunks were cancelled
-        assert len(at_the_caller) <= 2 * 2
+def test_chunks_cover_the_events_once_in_order(monkeypatch):
+    monkeypatch.setattr(rng, "_CHUNK", 4)
+    assert list(chunks(11)) == [(0, 4), (4, 4), (8, 3)]
+    assert list(chunks(8)) == [(0, 4), (4, 4)]
+    assert list(chunks(0)) == []

@@ -1,15 +1,17 @@
-import threading
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from aqm import experiments, two_slit
-from aqm.ensemble import QuantumState, branch_counts
+from aqm.ensemble import QuantumState
 from aqm.errors import ImpossibleEventError, ModelViolationError
 from aqm.experiments import random_density
 from aqm.rng import stream
 from aqm.two_slit import (
+    ScreenSplit,
     SlitGeometry,
     _mode_statistics,
     prepare_conditioned,
@@ -18,7 +20,7 @@ from aqm.two_slit import (
     total_variation,
     uniform_source,
 )
-from conftest import pool_of
+from conftest import chi_square_test
 from reference import (
     MomentumBin,
     condition_on_event,
@@ -241,6 +243,12 @@ class TestPattern:
             assert total.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _split_on_disjoint_supports() -> ScreenSplit:
+    """A split over 6 sites with p_a = 0.3: slit a's events land on sites 0-2, slit b's on 3-5."""
+    conds = (np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, 0.1, 0.6, 0.3]))
+    return ScreenSplit(None, np.array([0.3, 0.7]), conds, (0.0, 0.0), 0.0)
+
+
 class TestStackedScreens:
     def test_single_open_slit(self):
         # source supported on slit a only: every event tallies slit a and
@@ -261,17 +269,26 @@ class TestStackedScreens:
         h2, t2 = sample_screens(split, 5000, seed=11)
         assert np.array_equal(h1, h2) and t1 == t2
 
-    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
-        def fails_off_the_main_thread(probs, u):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker failed")
-            return branch_counts(probs, u)
+    def test_the_slit_tally_is_binomial(self):
+        split, n, seeds = _split_on_disjoint_supports(), 10, 2000
+        tallies = Counter(sample_screens(split, n, seed)[1][0] for seed in range(seeds))
+        pmf = [math.comb(n, k) * 0.3**k * 0.7 ** (n - k) for k in range(n + 1)]
+        stat, critical = chi_square_test([tallies[k] for k in range(n + 1)], seeds * np.array(pmf))
+        assert stat < critical
 
-        monkeypatch.setattr(two_slit, "branch_counts", fails_off_the_main_thread)
-        geom = SlitGeometry(8, frozenset({1}), frozenset({5}))
-        split = screen_split(prepare_conditioned(uniform_source(8), geom), geom)
-        with pool_of(2), pytest.raises(FloatingPointError, match="worker failed"):
-            sample_screens(split, 3 * 2**16, seed=11)
+    def test_each_slit_histogram_follows_its_conditional_distribution(self):
+        # the supports are disjoint, so each slit's histogram is read off the sum;
+        # given the slit tallies, the sums over the seeds are multinomial
+        split, n = _split_on_disjoint_supports(), 10
+        histograms, tallies = np.zeros(6, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        for seed in range(2000):
+            histogram, tally = sample_screens(split, n, seed)
+            assert (histogram[:3].sum(), histogram[3:].sum()) == tally
+            histograms += histogram
+            tallies += tally
+        for s, sites in enumerate((slice(0, 3), slice(3, 6))):
+            stat, critical = chi_square_test(histograms[sites], tallies[s] * split.conds[s][sites])
+            assert stat < critical
 
     def test_infeasible_split_raises(self):
         # uneven slits: the equal split of the cross term goes negative
