@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,27 @@ class TestMonteCarloMean:
         ctx = masa_from(a)
         est, err = monte_carlo_mean(PLUS, a, ctx, 100_000, 2, 0)
         assert abs(est - 2.0) <= 4 * err
+
+    @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_chunked_draws_replay_one_vectorized_call(self, n):
+        # n straddles rng._CHUNK, the chunk length of a photon run; a mean is
+        # drawn in no chunks: it replays one multinomial call of its stream
+        setup = stream(4, 0)
+        a = random_hermitian(3, setup)
+        q = masa_from(a)
+        psi = random_density(3, setup)
+        est, err = monte_carlo_mean(psi, a, q, n, 4, 1)
+        values = algebra._branch_values(q, a)
+        counts = multinomial_counts(stream(4, 1), n, born_distribution(psi, q))
+        draws = np.repeat(values, counts)
+        assert len(draws) == n
+        # the estimate is the exact mean of the draws, rounded once
+        assert est == float(sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist())) / n)
+        assert abs(est - draws.mean()) <= 4 * np.spacing(abs(draws.mean()))
+        if n == 1:
+            assert err == 0.0
+        else:
+            assert err == pytest.approx(draws.std(ddof=1) / np.sqrt(n), rel=1e-12)
 
     def test_a_mean_of_10_to_the_15_draws_is_one_tally(self):
         # the multinomial tally costs O(k), whatever n

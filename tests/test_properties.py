@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,9 @@ from aqm.two_slit import (
     CLAMP_BUDGET,
     SlitGeometry,
     prepare_conditioned,
+    sample_screens,
     screen_split,
+    uniform_source,
 )
 from reference import (
     MomentumBin,
@@ -167,6 +170,76 @@ def test_monte_carlo_mean_is_the_exact_mean_of_its_multinomial_counts(n, dim, se
     mean = float(sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist())) / n)
     stderr = 0.0 if n == 1 else np.sqrt(np.dot(counts, (values - mean) ** 2) / (n - 1) / n)
     assert monte_carlo_mean(psi, a, q, n, seed, index) == (mean, stderr)
+
+
+def _on_threads(threads: int, call) -> list:
+    """call() run on `threads` threads at once; their results in thread order."""
+    results = [None] * threads
+    start = threading.Barrier(threads)
+
+    def run(i):
+        start.wait(timeout=60)
+        results[i] = call()
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in workers)
+    return results
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2**16 - 1, 2**16, 2 * 2**16 + 3, 4 * 2**16 + 5]),
+    dim=st.sampled_from([3, 40]),
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(1, 2**20),
+)
+def test_monte_carlo_mean_does_not_depend_on_the_worker_count(n, dim, seed, index):
+    # each call draws from a generator of its own, so calls made on 1, 2 or 3
+    # threads at once each return the result of a call made alone
+    psi, a, q = _born_instance(dim, seed)
+    expected = monte_carlo_mean(psi, a, q, n, seed, index)
+    for threads in (1, 2, 3):
+        assert _on_threads(threads, lambda: monte_carlo_mean(psi, a, q, n, seed, index)) == (
+            [expected] * threads)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    geom=st.sampled_from([SlitGeometry(32, {10, 11}, {18, 19}),
+                          SlitGeometry(256, {120, 121}, {134, 135})]),
+    n=st.integers(1, 12 * 4096),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sample_screens_does_not_depend_on_the_worker_count(geom, n, seed):
+    split = screen_split(prepare_conditioned(uniform_source(geom.grid_size), geom), geom)
+    histogram, tally = sample_screens(split, n, seed)
+    expected = (histogram.tolist(), tally)
+    assert histogram.dtype == np.int64 and histogram.sum() == n == sum(tally)
+    for threads in (1, 2, 3):
+        for histogram, tally in _on_threads(threads, lambda: sample_screens(split, n, seed)):
+            assert histogram.dtype == np.int64
+            assert (histogram.tolist(), tally) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 300), st.sampled_from([2**16 - 1, 2**16 + 1, 3 * 2**16 + 5])),
+    chunk=st.sampled_from([4, 8, 12, 2**16]),
+    dim=st.sampled_from([3, 40]),
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(1, 2**20),
+)
+def test_monte_carlo_mean_does_not_depend_on_the_chunk_length(n, chunk, dim, seed, index):
+    # rng._CHUNK cuts a photon run into chunks; a mean is one tally at any chunk length
+    psi, a, q = _born_instance(dim, seed)
+    expected = monte_carlo_mean(psi, a, q, n, seed, index)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "_CHUNK", chunk)
+        assert monte_carlo_mean(psi, a, q, n, seed, index) == expected
 
 
 def _born_instance(dim: int, seed: int):
