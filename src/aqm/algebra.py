@@ -26,6 +26,7 @@ from aqm.errors import (
 HERM_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
+VALUE_TOL = 1e-8  # values this close are one value of an observable
 
 
 def as_matrix(a) -> np.ndarray:
@@ -43,9 +44,9 @@ def _check_same_dim(*mats: np.ndarray) -> int:
     return dims.pop()
 
 
-def is_hermitian(a, tol: float = HERM_TOL) -> bool:
+def is_hermitian(a) -> bool:
     m = as_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERM_TOL)
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
@@ -53,9 +54,9 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(1, 2))
 
 
-def _clusters(values: np.ndarray, tol: float) -> list:
-    """[start, stop) index ranges of sorted values, split where a gap exceeds tol."""
-    cuts = (np.flatnonzero(np.abs(np.diff(values)) > tol) + 1).tolist()
+def _clusters(values: np.ndarray, gap: float) -> list:
+    """[start, stop) index ranges of sorted values, split where neighbours are over gap apart."""
+    cuts = (np.flatnonzero(np.abs(np.diff(values)) > gap) + 1).tolist()
     return list(zip([0, *cuts], [*cuts, len(values)]))
 
 
@@ -115,9 +116,9 @@ def spectral_decompose(a):
     if not is_hermitian(m):
         raise NotHermitianError("spectral decomposition requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
-    tol = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
+    gap = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
     out = []
-    for start, stop in _clusters(w, tol):
+    for start, stop in _clusters(w, gap):
         block = v[:, start:stop]
         proj = block @ block.conj().T
         out.append((float(np.mean(w[start:stop])), 0.5 * (proj + proj.conj().T)))
@@ -173,35 +174,30 @@ def masa_from(a, refinement=None) -> Context:
     return Context(projectors=tuple(projs))
 
 
-def contains(q: Context, a, tol: float = COMMUTE_TOL) -> bool:
+def contains(q: Context, a) -> bool:
     """True iff the observable commutes with every projector of the context."""
     m = as_matrix(a)
     _check_same_dim(m, q.projectors[0])
-    return bool(np.max(np.abs(m @ q.projectors - q.projectors @ m)) <= tol)
+    return bool(np.max(np.abs(m @ q.projectors - q.projectors @ m)) <= COMMUTE_TOL)
 
 
-def _branch_values(
-    q: Context, a, tol: float = COMMUTE_TOL, const_tol: float = 1e-8, branch=None
-) -> np.ndarray:
+def _branch_values(q: Context, a) -> np.ndarray:
     """Eigenvalue of the observable on each branch of the context.
 
-    Raises IncompatibleObservableError unless the observable commutes with
-    the context within `tol` (max-abs commutator) and is constant, within
-    `const_tol`, on every branch, or only on the branches in `branch` (an
-    index or an array of them) when given: a commuting observable can
-    still vary inside a rank > 1 branch.
+    The one test of measurability: raises IncompatibleObservableError
+    unless the observable commutes with the context (max-abs commutator
+    within COMMUTE_TOL) and is constant, within VALUE_TOL, on every branch;
+    a commuting observable can still vary inside a rank > 1 branch.
     """
     m = as_matrix(a)
-    if not contains(q, m, tol):
+    if not contains(q, m):
         raise IncompatibleObservableError("observable is not measurable with this context")
     p = q.projectors
     pm = p @ m
     values = (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
     # p m stands in for m p: the commutator check above bounds their difference
     drift = _max_abs(pm - values[:, None, None] * p)
-    varies = np.flatnonzero(drift > const_tol * np.maximum(1.0, np.abs(values)))
-    if branch is not None:
-        varies = varies[np.isin(varies, branch)]
+    varies = np.flatnonzero(drift > VALUE_TOL * np.maximum(1.0, np.abs(values)))
     if varies.size:
         raise IncompatibleObservableError(
             f"observable is not constant on branch {varies[0]} of the context"
@@ -209,31 +205,31 @@ def _branch_values(
     return values
 
 
-def evaluate(q: Context, a, branches, tol: float = 1e-8) -> np.ndarray:
+def evaluate(q: Context, a, branches) -> np.ndarray:
     """Eigenvalue of the observable on each character's branch of q.
 
     `branches` holds branch indices of q, one per character.  Raises
     ValueError for indices that are not integers (numpy would read booleans
     as a mask) or lie outside [0, k), and IncompatibleObservableError
-    when the observable is not diagonal in q (its value would depend on the
-    device type) or is not constant on a picked branch.
+    when the observable is not measurable with q (see _branch_values): its
+    value would depend on the device type, or on more than the branch.
     """
     branches = np.asarray(branches)
     if branches.size and branches.dtype.kind not in "iu":  # [] is an empty float array
         raise ValueError(f"branch indices must be integers, got dtype {branches.dtype}")
     if np.any((branches < 0) | (branches >= q.n_branches)):
         raise ValueError(f"branch index out of range for a context with {q.n_branches} branches")
-    return _branch_values(q, a, tol, tol, branch=branches)[branches.astype(np.intp, copy=False)]
+    return _branch_values(q, a)[branches.astype(np.intp, copy=False)]
 
 
-def is_stable(a, contexts, branches, tol: float = 1e-8) -> np.ndarray:
+def is_stable(a, contexts, branches) -> np.ndarray:
     """True where an elementary state's characters agree on the observable.
 
     branches[j] holds the characters of contexts[j], one per elementary
     state; every context must contain the observable.  The characters
-    agree when their values span at most `tol`.
+    agree when their values span at most VALUE_TOL.
     """
     if not contexts:
         raise IndeterminateValueError("no context to evaluate the observable in")
-    values = [evaluate(q, a, b, tol) for q, b in zip(contexts, branches, strict=True)]
-    return np.ptp(values, axis=0) <= tol
+    values = [evaluate(q, a, b) for q, b in zip(contexts, branches, strict=True)]
+    return np.ptp(values, axis=0) <= VALUE_TOL

@@ -1,13 +1,14 @@
 """Quantum states as probability spaces over measurement branches.
 
 A quantum state is a density matrix standing for an equivalence class of
-elementary states.  measure_many measures an observable with a device
-of a given context on a batch of fresh copies of the state: each copy
-samples one branch by the Born rule, evaluates the observable there, and
-applies the Lueders update so that the measurement is reproducible.
-Monte Carlo means converge to tr(rho A) at the law-of-large-numbers
-rate; the postulate checkers below verify device-type independence,
-functional linearity, and reproducibility numerically.
+elementary states.  measure_many measures a batch of fresh copies of the
+state with a device of a given context: each copy draws one branch by the
+Born rule and takes the Lueders update, so that the measurement is
+reproducible.  A measurement takes no observable; algebra.evaluate reads
+an observable's value on the drawn branches.  Monte Carlo means converge
+to tr(rho A) at the law-of-large-numbers rate; the postulate checkers
+below verify device-type independence, functional linearity, and
+reproducibility numerically.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqm.algebra import (
+    VALUE_TOL,
     Context,
     _branch_values,
     _check_same_dim,
@@ -38,7 +40,7 @@ class QuantumState:
 
     def __post_init__(self):
         m = np.array(as_matrix(self.rho), dtype=complex)
-        if not is_hermitian(m, STATE_TOL):
+        if not is_hermitian(m):
             raise NotHermitianError("density matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > STATE_TOL:
             raise ValueError(f"density matrix trace is {np.trace(m).real}, expected 1")
@@ -87,29 +89,25 @@ def multinomial_counts(gen: np.random.Generator, n: int, probs) -> np.ndarray:
     return counts
 
 
-def measure_many(psi: QuantumState, a, q: Context, u):
+def measure_many(psi: QuantumState, q: Context, u):
     """Projective measurements of fresh copies of the state, one per uniform in u.
 
-    Returns (values, branches, posts): the value and the branch drawn for
-    each uniform, and a dict from each drawn branch to its Lueders
-    post-state.  Uniform u_i draws branch inverse_cdf(born_distribution,
-    u_i); its value is the observable's eigenvalue on that branch, and its
-    post-state P rho P / tr(rho P).  The observable must commute with the
-    context and be constant on every branch; the pair is checked once,
-    before any branch is drawn, and a post-state is built only for a
-    branch that was drawn.
+    Returns (branches, posts): the branch drawn for each uniform, and a
+    dict from each drawn branch to its Lueders post-state.  Uniform u_i
+    draws branch inverse_cdf(born_distribution, u_i), with post-state
+    P rho P / tr(rho P); a post-state is built only for a branch that was
+    drawn.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError("uniforms must lie in [0, 1]")
-    values = _branch_values(q, a)
     branches = inverse_cdf(born_distribution(psi, q), u)
     drawn = np.flatnonzero(np.bincount(branches, minlength=q.n_branches))
     posts = {}
     for j in drawn.tolist():
         proj = q.projectors[j]
         posts[j] = _lueders(psi, proj, np.trace(psi.rho @ proj).real)
-    return values[branches], branches, posts
+    return branches, posts
 
 
 def _lueders(psi: QuantumState, proj: np.ndarray, weight: float) -> QuantumState:
@@ -118,15 +116,15 @@ def _lueders(psi: QuantumState, proj: np.ndarray, weight: float) -> QuantumState
     return QuantumState(0.5 * (rho + rho.conj().T))
 
 
-def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index: int):
-    """Arithmetic mean of n independent single-shot values, with stderr.
+def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index: int) -> float:
+    """Arithmetic mean of n independent single-shot values.
 
     Each trial measures a fresh copy of the state, so the draws are iid
     over the Born distribution, and the mean reads them only through their
     branch counts.  Those are Multinomial(n, p): one multinomial_counts
     draw from stream(seed, index).  The estimate, sum_i count_i v_i / n
-    rounded once, and stderr come from the counts alone, so neither time
-    nor memory grows with n.
+    rounded once, comes from the counts alone, so neither time nor memory
+    grows with n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -134,11 +132,7 @@ def monte_carlo_mean(psi: QuantumState, a, q: Context, n: int, seed: int, index:
     counts = multinomial_counts(stream(seed, index), n, born_distribution(psi, q))
     ratios = map(float.as_integer_ratio, values.tolist())  # each d a power of two <= 2**1074
     total = sum(c * m * (1 << 1074) // d for c, (m, d) in zip(counts.tolist(), ratios))
-    estimate = total / (n << 1074)  # exact int true division: correctly rounded
-    if n == 1:
-        return estimate, 0.0
-    var = np.dot(counts, (values - estimate) ** 2) / (n - 1)
-    return estimate, float(np.sqrt(var / n))
+    return total / (n << 1074)  # exact int true division: correctly rounded
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +143,17 @@ def _pushforward(probs: np.ndarray, values: np.ndarray):
     """Exact value distribution: branch probabilities summed per distinct value."""
     order = np.argsort(values)
     values, probs = values[order], probs[order]
-    bounds = _clusters(values, 1e-8)
+    bounds = _clusters(values, VALUE_TOL)
     # cumsum adds each cluster's probabilities in sorted order, one at a time
     mass = [np.cumsum(probs[start:stop])[-1] for start, stop in bounds]
     return values[[start for start, _ in bounds]], np.array(mass)
 
 
-def _distribution_distance(v1, p1, v2, p2, tol: float = 1e-8) -> float:
+def _distribution_distance(v1, p1, v2, p2) -> float:
     """Max CDF gap between two discrete distributions on the reals."""
     points = np.sort(np.concatenate([v1, v2]))
-    c1 = np.array([p1[v1 <= x + tol].sum() for x in points])
-    c2 = np.array([p2[v2 <= x + tol].sum() for x in points])
+    c1 = np.array([p1[v1 <= x + VALUE_TOL].sum() for x in points])
+    c2 = np.array([p2[v2 <= x + VALUE_TOL].sum() for x in points])
     return float(np.max(np.abs(c1 - c2)))
 
 
@@ -202,11 +196,11 @@ def check_postulate5(
     v2, p2 = _pushforward(probs_p, values_p)
     exact = _distribution_distance(v1, p1, v2, p2)
 
-    # snap sampled values onto one merged value grid; without this, float
+    # snap the branch values onto one merged value grid; without this, float
     # jitter between the two contexts' branch eigenvalues breaks the KS
     # statistic for what are physically identical discrete values
     grid = np.sort(np.concatenate([v1, v2]))
-    grid = grid[[start for start, _ in _clusters(grid, 1e-8)]]
+    grid = grid[[start for start, _ in _clusters(grid, VALUE_TOL)]]
 
     def snap(vals):
         idx = np.clip(np.searchsorted(grid, vals), 0, len(grid) - 1)
@@ -214,8 +208,8 @@ def check_postulate5(
         use_left = np.abs(grid[left] - vals) < np.abs(grid[idx] - vals)
         return grid[np.where(use_left, left, idx)]
 
-    x = snap(values[inverse_cdf(probs, rng.random(n))])
-    y = snap(values_p[inverse_cdf(probs_p, rng.random(n))])
+    x = snap(values)[inverse_cdf(probs, rng.random(n))]
+    y = snap(values_p)[inverse_cdf(probs_p, rng.random(n))]
     stat = ks_statistic(x, y)
     critical = 1.6276 * np.sqrt(2.0 / n)  # alpha = 0.01
     passed = exact <= 1e-10 and stat < critical

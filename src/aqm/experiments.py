@@ -43,7 +43,11 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_degenerate_observable(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with at least one repeated eigenvalue."""
+    """Hermitian matrix with at least two distinct eigenvalues.
+
+    For dim > 2 one eigenvalue repeats; at dim = 2 none does, and the
+    reproducibility loop of postulate_suite does draw dim = 2.
+    """
     n_distinct = int(rng.integers(2, max(dim - 1, 2) + 1))
     levels = rng.standard_normal(n_distinct) * 3
     values = levels[rng.integers(0, n_distinct, size=dim)]
@@ -62,16 +66,21 @@ _KS_DRAWS = 400  # draws per context of each Postulate 5 smoke test
 _REPRODUCIBILITY_TRIALS = 10_000  # re-measurements, over 50 random instances
 
 
+def _instance(dim: int, rng: np.random.Generator):
+    """(a, q, qp, psi): a random_degenerate_observable, two MASAs containing it, a state."""
+    a = random_degenerate_observable(dim, rng)
+    q = masa_from(a, refinement=random_unitary(dim, rng))
+    qp = masa_from(a, refinement=random_unitary(dim, rng))
+    return a, q, qp, random_density(dim, rng)
+
+
 def postulate_suite(dim: int, trials: int, seed: int) -> dict:
     """Numerical checks of device independence, linearity, reproducibility."""
     exact_distances = []
     ks_failures = 0
     rng = stream(seed, 0)
     for _ in range(trials):
-        a = random_degenerate_observable(dim, rng)
-        q = masa_from(a, refinement=random_unitary(dim, rng))
-        qp = masa_from(a, refinement=random_unitary(dim, rng))
-        psi = random_density(dim, rng)
+        a, q, qp, psi = _instance(dim, rng)
         report = check_postulate5(psi, a, q, qp, n=_KS_DRAWS, rng=rng)
         exact_distances.append(report.exact_distance)
         if report.ks_stat >= report.ks_critical:
@@ -92,19 +101,15 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
     n_instances = 50
     per_instance = _REPRODUCIBILITY_TRIALS // n_instances
     for _ in range(n_instances):
-        d = int(rng.integers(2, dim + 1))
-        a = random_degenerate_observable(d, rng)
-        q = masa_from(a, refinement=random_unitary(d, rng))
-        qp = masa_from(a, refinement=random_unitary(d, rng))
-        psi = random_density(d, rng)
+        a, q, qp, psi = _instance(int(rng.integers(2, dim + 1)), rng)
         # column 0 drives the first measurement and column 1 the second;
         # b1 and b2 are each trial's characters on q and on qp
         u = rng.random((per_instance, 2))
-        _, b1, posts = measure_many(psi, a, q, u[:, 0])
+        b1, posts = measure_many(psi, q, u[:, 0])
         b2 = np.empty_like(b1)
         for j, post in posts.items():
             drawn = b1 == j
-            b2[drawn] = measure_many(post, a, qp, u[drawn, 1])[1]
+            b2[drawn] = measure_many(post, qp, u[drawn, 1])[0]
         agreements += int(np.count_nonzero(is_stable(a, (q, qp), (b1, b2))))
         done += per_instance
     repro_prob = agreements / done
@@ -145,10 +150,8 @@ def khinchin_experiment(n_seeds: int, n_small: int, n_big: int, dim: int, seed: 
     exact = psi.mean(a)
     err_small, err_big = [], []
     for j in range(n_seeds):
-        est_s, _ = monte_carlo_mean(psi, a, q, n_small, seed, 2 * j + 1)
-        est_b, _ = monte_carlo_mean(psi, a, q, n_big, seed, 2 * j + 2)
-        err_small.append(abs(est_s - exact))
-        err_big.append(abs(est_b - exact))
+        err_small.append(abs(monte_carlo_mean(psi, a, q, n_small, seed, 2 * j + 1) - exact))
+        err_big.append(abs(monte_carlo_mean(psi, a, q, n_big, seed, 2 * j + 2) - exact))
     med_s = float(np.median(err_small))
     med_b = float(np.median(err_big))
     ratio = med_s / med_b if med_b > 0 else float("inf")

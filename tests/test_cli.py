@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -14,6 +15,7 @@ import types
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,6 +328,26 @@ class TestTwoSlitCommand:
         entry = result["result"]["decomposition"][0]
         assert set(entry) == {"direct_a", "direct_b", "interference", "total"}
 
+    def test_a_sampler_without_interference_fails(self, tmp_path, monkeypatch):
+        # both conditionals flat: the histogram loses the fringes, though the
+        # exact pattern and its closure are untouched; only the TV check sees it
+        real = two_slit.screen_split
+
+        def flat(psi_ab, geom):
+            split = real(psi_ab, geom)
+            n = geom.grid_size
+            return dataclasses.replace(split, conds=(np.full(n, 1.0 / n),) * 2)
+
+        monkeypatch.setattr(two_slit, "screen_split", flat)
+        out = tmp_path / "run"
+        args = ("two-slit", "--n-sites", "256", "--slit-a", "120,121", "--slit-b", "134,135",
+                "--n", "1000000", "--seed", "1", "--out", str(out))
+        assert run_cli(*args) == 2
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["max_closure_residual"] <= two_slit.CLOSURE_TOL
+        assert result["tv_distance"] > 10 * result["tv_bound"]
+        assert not result["passed"]
+
     def test_infeasible_split_is_exit_2_with_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli(
@@ -444,6 +466,19 @@ class TestPostulatesCommand:
         reproducibility = json.loads((out / "result.json").read_text())["result"]["reproducibility"]
         assert reproducibility["agreement_probability"] < 1.0
         assert not reproducibility["passed"]
+
+    def test_the_suite_fails_on_ks_failures_alone(self, tmp_path, monkeypatch):
+        # every smoke test fails while the exact distributions still agree,
+        # so only the KS-failure gate can fail Postulate 5
+        monkeypatch.setattr(ensemble, "ks_statistic", lambda x, y: 1.0)
+        out = tmp_path / "run"
+        args = ("postulates", "--dim", "3", "--trials", "20", "--seed", "1", "--out", str(out))
+        assert run_cli(*args) == 2
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["postulate5"]["ks_failures"] == 20
+        assert result["postulate5"]["max_exact_distance"] <= 1e-10
+        assert not result["postulate5"]["passed"]
+        assert result["postulate6"]["passed"] and result["reproducibility"]["passed"]
 
     def test_event_count_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

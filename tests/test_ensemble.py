@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from aqm import algebra, ensemble
-from aqm.algebra import Context, evaluate, masa_from
+from aqm.algebra import Context, evaluate, is_stable, masa_from
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
@@ -77,7 +77,7 @@ def _z_branch(value):
 
 class TestSampleCharacter:
     def test_deterministic_distribution(self):
-        branches = measure_many(KET0, SIGMA_Z, Z_CTX, stream(0).random(50))[1]
+        branches = measure_many(KET0, Z_CTX, stream(0).random(50))[0]
         assert branches.tolist() == [_z_branch(1)] * 50
         # zero-probability branches are never drawn, even when u * total
         # rounds up to the total (u = 1 here)
@@ -93,7 +93,7 @@ class TestSampleCharacter:
 
     def test_replay_with_fixed_seed(self):
         def branches():
-            return [measure_many(PLUS, SIGMA_Z, Z_CTX, stream(42, i).random(1))[1][0]
+            return [measure_many(PLUS, Z_CTX, stream(42, i).random(1))[0][0]
                     for i in range(20)]
 
         assert branches() == branches()
@@ -107,56 +107,68 @@ def _count_contains(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (algebra, ensemble):  # wherever measure_many could look it up
-        monkeypatch.setattr(module, "contains", counted, raising=False)
+    monkeypatch.setattr(algebra, "contains", counted)
     return calls
 
 
+_FAT = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
+
+
+def test_evaluate_means_and_postulate5_reject_the_same_pairs(monkeypatch):
+    # one measurability rule: a commutator of 1e-9, above COMMUTE_TOL, and
+    # diag(1, 2, 3), which varies inside the rank-2 branch 0 of _FAT while
+    # the state sits on branch 1, where the observable is 3
+    pairs = [(PLUS, SIGMA_Z + 1e-9 * SIGMA_X, Z_CTX),
+             (pure([0.0, 0.0, 1.0]), np.diag([1.0, 2.0, 3.0]), _FAT)]
+    for psi, a, q in pairs:
+        branches = measure_many(psi, q, stream(0).random(100))[0]
+        if q is _FAT:
+            assert branches.tolist() == [1] * 100
+        for check in (
+            lambda: evaluate(q, a, branches),
+            lambda: is_stable(a, (q,), (branches,)),
+            lambda: monte_carlo_mean(psi, a, q, 10, 0, 0),
+            lambda: check_postulate5(psi, a, q, q, 10, stream(0)),
+        ):
+            with pytest.raises(IncompatibleObservableError):
+                check()
+    # a measurement checks no observable, and evaluate checks the pair once
+    # for a whole batch of characters
+    calls = _count_contains(monkeypatch)
+    branches = measure_many(PLUS, Z_CTX, stream(0).random(100))[0]
+    assert calls == []
+    evaluate(Z_CTX, SIGMA_Z, branches)
+    assert len(calls) == 1
+
+
 class TestMeasure:
+    # measuring an observable is measure_many, then evaluate on the drawn branches
     def test_eigenstate(self):
-        values, branches, posts = measure_many(KET0, SIGMA_Z, Z_CTX, stream(0).random(1))
-        assert values[0] == pytest.approx(1.0)
+        branches, posts = measure_many(KET0, Z_CTX, stream(0).random(1))
+        assert evaluate(Z_CTX, SIGMA_Z, branches)[0] == pytest.approx(1.0)
         assert np.allclose(posts[branches[0]].rho, KET0.rho)
 
     def test_reproducibility(self):
         # column 0 drives the first measurement, column 1 the re-measurement
         u = stream(2).random((200, 2))
-        v1, b1, posts = measure_many(PLUS, SIGMA_Z, Z_CTX, u[:, 0])
-        assert set(v1.tolist()) <= {1.0, -1.0}
+        b1, posts = measure_many(PLUS, Z_CTX, u[:, 0])
+        v1 = evaluate(Z_CTX, SIGMA_Z, b1)
+        assert set(v1.tolist()) == {1.0, -1.0}
         for j, post in posts.items():
             drawn = b1 == j
-            v2 = measure_many(post, SIGMA_Z, Z_CTX, u[drawn, 1])[0]
-            assert np.allclose(v2, v1[drawn], rtol=0.0, atol=1e-12)
+            b2 = measure_many(post, Z_CTX, u[drawn, 1])[0]
+            assert b2.tolist() == [j] * int(np.count_nonzero(drawn))
+            assert np.allclose(evaluate(Z_CTX, SIGMA_Z, b2), v1[drawn], rtol=0.0, atol=1e-12)
 
     def test_incompatible_raises(self):
-        # the pair is checked even when no branch is to be drawn
-        with pytest.raises(IncompatibleObservableError):
-            measure_many(PLUS, SIGMA_X, Z_CTX, [])
+        # the pair is checked even when no branch was drawn
+        with pytest.raises(IncompatibleObservableError, match="not measurable"):
+            evaluate(Z_CTX, SIGMA_X, [])
 
     def test_rejects_observable_varying_inside_a_branch_before_drawing(self):
-        # diag(1, 2, 3) commutes with the context but is not constant on its
-        # rank-2 branch; the state sits on the rank-1 branch, where it is 3
-        ctx = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
-        a = np.diag([1.0, 2.0, 3.0])
-        with pytest.raises(IncompatibleObservableError):
-            measure_many(pure([0.0, 0.0, 1.0]), a, ctx, [])
-        assert evaluate(ctx, a, 1) == 3.0
-
-    def test_commutator_tolerance_is_tighter_than_evaluate(self):
-        # a commutator of 1e-9 passes evaluate's 1e-8 but not measurement's 1e-10
-        a = SIGMA_Z + 1e-9 * SIGMA_X
-        assert evaluate(Z_CTX, a, _z_branch(-1)) == -1.0
-        with pytest.raises(IncompatibleObservableError):
-            measure_many(PLUS, a, Z_CTX, [0.5])
-        with pytest.raises(IncompatibleObservableError):
-            monte_carlo_mean(PLUS, a, Z_CTX, 10, 0, 0)
-        with pytest.raises(IncompatibleObservableError):
-            check_postulate5(PLUS, a, Z_CTX, Z_CTX, 10, stream(0))
-
-    def test_checks_the_observable_against_the_context_once(self, monkeypatch):
-        calls = _count_contains(monkeypatch)
-        measure_many(PLUS, SIGMA_Z, Z_CTX, [0.5])
-        assert len(calls) == 1
+        # diag(1, 2, 3) commutes with _FAT but is not constant on its rank-2 branch
+        with pytest.raises(IncompatibleObservableError, match="not constant on branch 0"):
+            evaluate(_FAT, np.diag([1.0, 2.0, 3.0]), [])
 
     def test_same_distribution_under_two_contexts_dim4(self):
         # A = sigma_z on a doubled register; two refinements of its
@@ -183,8 +195,8 @@ class TestMeasure:
         # 20 000 uniforms of stream(3) measure in q, the next 20 000 in qp
         n = 20_000
         u = stream(3).random(2 * n)
-        f1 = np.count_nonzero(measure_many(psi, a, q, u[:n])[0] > 0) / n
-        f2 = np.count_nonzero(measure_many(psi, a, qp, u[n:])[0] > 0) / n
+        f1 = np.count_nonzero(evaluate(q, a, measure_many(psi, q, u[:n])[0]) > 0) / n
+        f2 = np.count_nonzero(evaluate(qp, a, measure_many(psi, qp, u[n:])[0]) > 0) / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert abs(f1 - expected) <= 4 * sigma + 1e-12
         assert abs(f2 - expected) <= 4 * sigma + 1e-12
@@ -192,34 +204,37 @@ class TestMeasure:
 
 class TestMeasureMany:
     def test_incompatible_raises(self):
+        branches = measure_many(PLUS, Z_CTX, [0.5])[0]
         with pytest.raises(IncompatibleObservableError):
-            measure_many(PLUS, SIGMA_X, Z_CTX, [0.5])
+            evaluate(Z_CTX, SIGMA_X, branches)
 
     def test_rejects_observable_varying_inside_a_branch(self):
-        # the state sits on branch 0; diag(1, 2, 3) varies only on branch 1
+        # the state sits on branch 0; diag(1, 2, 3) varies only on branch 1,
+        # which is never drawn
         ctx = Context(projectors=(np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0])))
-        with pytest.raises(IncompatibleObservableError):
-            measure_many(pure([0.0, 0.0, 1.0]), np.diag([1.0, 2.0, 3.0]), ctx, [0.5])
-
-    def test_checks_the_observable_against_the_context_once(self, monkeypatch):
-        calls = _count_contains(monkeypatch)
-        measure_many(PLUS, SIGMA_Z, Z_CTX, stream(0).random(100))
-        assert len(calls) == 1
+        branches = measure_many(pure([0.0, 0.0, 1.0]), ctx, [0.5])[0]
+        assert branches.tolist() == [0]
+        with pytest.raises(IncompatibleObservableError, match="not constant on branch 1"):
+            evaluate(ctx, np.diag([1.0, 2.0, 3.0]), branches)
 
     @pytest.mark.parametrize("u", [[-0.1], [1.5], [np.nan]])
     def test_rejects_uniforms_outside_the_unit_interval(self, u):
         with pytest.raises(ValueError):
-            measure_many(PLUS, SIGMA_Z, Z_CTX, u)
+            measure_many(PLUS, Z_CTX, u)
+
+
+def _sigma(psi: QuantumState, a, n: int) -> float:
+    """Standard deviation sqrt(Var_rho(A) / n) of the mean of n single-shot values."""
+    a = np.asarray(a)
+    return math.sqrt((psi.mean(a @ a) - psi.mean(a) ** 2) / n)
 
 
 class TestMonteCarloMean:
     def test_deterministic_value(self):
-        est, err = monte_carlo_mean(KET0, SIGMA_Z, Z_CTX, 500, 0, 0)
-        assert est == pytest.approx(1.0)
-        assert err == pytest.approx(0.0)
+        assert monte_carlo_mean(KET0, SIGMA_Z, Z_CTX, 500, 0, 0) == 1.0
 
     def test_symmetric_mean(self):
-        est, err = monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 1_000_000, 1, 0)
+        est = monte_carlo_mean(PLUS, SIGMA_Z, Z_CTX, 1_000_000, 1, 0)
         assert abs(est) <= 0.004  # 4 sigma at unit variance
 
     def test_shifted_observable(self):
@@ -227,8 +242,8 @@ class TestMonteCarloMean:
         a = SIGMA_Z + 2.0 * SIGMA_X
         assert np.trace(PLUS.rho @ a).real == pytest.approx(2.0)
         ctx = masa_from(a)
-        est, err = monte_carlo_mean(PLUS, a, ctx, 100_000, 2, 0)
-        assert abs(est - 2.0) <= 4 * err
+        est = monte_carlo_mean(PLUS, a, ctx, 100_000, 2, 0)
+        assert abs(est - 2.0) <= 4 * _sigma(PLUS, a, 100_000)
 
     @pytest.mark.parametrize("n", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
     def test_chunked_draws_replay_one_vectorized_call(self, n):
@@ -238,7 +253,7 @@ class TestMonteCarloMean:
         a = random_hermitian(3, setup)
         q = masa_from(a)
         psi = random_density(3, setup)
-        est, err = monte_carlo_mean(psi, a, q, n, 4, 1)
+        est = monte_carlo_mean(psi, a, q, n, 4, 1)
         values = algebra._branch_values(q, a)
         counts = multinomial_counts(stream(4, 1), n, born_distribution(psi, q))
         draws = np.repeat(values, counts)
@@ -246,10 +261,6 @@ class TestMonteCarloMean:
         # the estimate is the exact mean of the draws, rounded once
         assert est == float(sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist())) / n)
         assert abs(est - draws.mean()) <= 4 * np.spacing(abs(draws.mean()))
-        if n == 1:
-            assert err == 0.0
-        else:
-            assert err == pytest.approx(draws.std(ddof=1) / np.sqrt(n), rel=1e-12)
 
     def test_a_mean_of_10_to_the_15_draws_is_one_tally(self):
         # the multinomial tally costs O(k), whatever n
@@ -258,10 +269,11 @@ class TestMonteCarloMean:
         q = masa_from(a)
         psi = random_density(8, setup)
         start = time.perf_counter()
-        est, err = monte_carlo_mean(psi, a, q, 10**15, 8, 1)
+        est = monte_carlo_mean(psi, a, q, 10**15, 8, 1)
         assert time.perf_counter() - start < 1.0
-        assert 0.0 < err < 1e-7
-        assert abs(est - psi.mean(a)) <= 6 * err
+        sigma = _sigma(psi, a, 10**15)
+        assert 0.0 < sigma < 1e-7
+        assert abs(est - psi.mean(a)) <= 6 * sigma
 
     def test_more_threads_than_cpus_under_fast_switching(self):
         # each call draws from a generator of its own, so eight calls made
@@ -436,7 +448,7 @@ def test_lueders_post_states_are_exactly_hermitian():
         psi = random_density(dim, rng)
         a = random_degenerate_observable(dim, rng)
         q = masa_from(a, refinement=random_unitary(dim, rng))
-        posts = list(measure_many(psi, a, q, rng.random(50))[2].values())
+        posts = list(measure_many(psi, q, rng.random(50))[1].values())
         u = random_unitary(dim, rng)
         k = int(rng.integers(1, dim))
         posts.append(condition_on_event(psi, u[:, :k] @ u[:, :k].conj().T))

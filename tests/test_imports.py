@@ -96,3 +96,32 @@ def test_a_pool_use_is_reported():
     assert sorted(_pool_uses(source)) == [".map", ".submit", "ThreadPoolExecutor",
                                           "ThreadPoolExecutor", "_executor",
                                           "concurrent.futures", "multiprocessing.pool"]
+
+
+def _tolerance_parameters(source: str) -> list:
+    """function:parameter of each parameter named `tol` or ending in `_tol`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}:{a.arg}" for a in params
+                      if a is not None and (a.arg == "tol" or a.arg.endswith("_tol"))]
+    return found
+
+
+def test_no_function_takes_a_tolerance():
+    # each tolerance is one named constant of the module that owns the decision
+    modules = sorted(Path(aqm.__file__).parent.glob("*.py"))
+    found = {m.name: _tolerance_parameters(m.read_text()) for m in modules}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
+def test_a_tolerance_parameter_is_reported():
+    source = ("def f(a, tol=1e-8):\n    pass\n"
+              "async def g(*, const_tol):\n    pass\n"
+              "class C:\n    def m(self, x, /, herm_tol, tolerance, stol=1):\n        pass\n"
+              "h = lambda *tol, **rel_tol: 0\n")
+    assert _tolerance_parameters(source) == ["f:tol", "g:const_tol", "m:herm_tol",
+                                             "<lambda>:tol", "<lambda>:rel_tol"]
