@@ -114,7 +114,7 @@ def _count_contains(monkeypatch):
 _FAT = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
 
 
-def test_evaluate_means_and_postulate5_reject_the_same_pairs(monkeypatch):
+def test_evaluate_means_and_postulate5_reject_the_same_pairs():
     # one measurability rule: a commutator of 1e-9, above COMMUTE_TOL, and
     # diag(1, 2, 3), which varies inside the rank-2 branch 0 of _FAT while
     # the state sits on branch 1, where the observable is 3
@@ -132,13 +132,6 @@ def test_evaluate_means_and_postulate5_reject_the_same_pairs(monkeypatch):
         ):
             with pytest.raises(IncompatibleObservableError):
                 check()
-    # a measurement checks no observable, and evaluate checks the pair once
-    # for a whole batch of characters
-    calls = _count_contains(monkeypatch)
-    branches = measure_many(PLUS, Z_CTX, stream(0).random(100))[0]
-    assert calls == []
-    evaluate(Z_CTX, SIGMA_Z, branches)
-    assert len(calls) == 1
 
 
 class TestMeasure:
@@ -169,6 +162,14 @@ class TestMeasure:
         # diag(1, 2, 3) commutes with _FAT but is not constant on its rank-2 branch
         with pytest.raises(IncompatibleObservableError, match="not constant on branch 0"):
             evaluate(_FAT, np.diag([1.0, 2.0, 3.0]), [])
+
+    def test_checks_the_observable_against_the_context_once(self, monkeypatch):
+        # drawing the branch checks no observable; reading its value checks the pair
+        calls = _count_contains(monkeypatch)
+        branches = measure_many(PLUS, Z_CTX, [0.5])[0]
+        assert calls == []
+        evaluate(Z_CTX, SIGMA_Z, branches)
+        assert len(calls) == 1
 
     def test_same_distribution_under_two_contexts_dim4(self):
         # A = sigma_z on a doubled register; two refinements of its
@@ -216,6 +217,14 @@ class TestMeasureMany:
         assert branches.tolist() == [0]
         with pytest.raises(IncompatibleObservableError, match="not constant on branch 1"):
             evaluate(ctx, np.diag([1.0, 2.0, 3.0]), branches)
+
+    def test_checks_the_observable_against_the_context_once(self, monkeypatch):
+        # evaluate checks the pair once for a whole batch of characters
+        calls = _count_contains(monkeypatch)
+        branches = measure_many(PLUS, Z_CTX, stream(0).random(100))[0]
+        assert calls == []
+        evaluate(Z_CTX, SIGMA_Z, branches)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("u", [[-0.1], [1.5], [np.nan]])
     def test_rejects_uniforms_outside_the_unit_interval(self, u):
