@@ -7,8 +7,9 @@ for a batch), and quantum states as density matrices sampled through the
 Born rule.  Experiment drivers cover the two-slit interference
 decomposition and the delayed-choice Mach-Zehnder interferometer, each
 under both a wave model and a per-event-local particle model.
+
+Importing the package loads no submodule and so no numpy: the CLI sets
+its BLAS thread count before numpy starts (see aqm.cli).
 """
 
 __version__ = "0.1.0"
-
-from aqm import algebra, ensemble, interferometer, two_slit  # noqa: F401

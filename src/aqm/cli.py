@@ -19,10 +19,18 @@ import sys
 from collections.abc import Callable
 from typing import NamedTuple
 
-import aqm
-from aqm import experiments, interferometer, two_slit
-from aqm.errors import ConfigError, ModelViolationError
-from aqm.serialize import atomic_open, write_json_atomic
+# Every BLAS call of a run is small (matrices of side `dim`, a vector dot
+# product in two-slit, 2x2 products in delayed-choice), too small for a
+# second thread to help: OpenBLAS's idle workers only spin.  At large `dim`
+# the thread count also changes the last bits of QR and eigh, so the bytes
+# written would depend on the machine's core count.  This must run before
+# numpy is first imported; a user's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import aqm  # noqa: E402
+from aqm import experiments, interferometer, two_slit  # noqa: E402
+from aqm.errors import ConfigError, ModelViolationError  # noqa: E402
+from aqm.serialize import atomic_open, write_json_atomic  # noqa: E402
 
 
 def _load_config_file(path: str) -> dict:

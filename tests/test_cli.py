@@ -368,12 +368,43 @@ def test_cli_import_does_not_load_numpy_fft():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_cli_import_starts_no_thread_pool():
-    # importing the CLI starts no thread and loads no executor module
-    code = ("import sys, threading, aqm.cli; "
-            "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)")
+def _import_cli_in_child(openblas_threads=None) -> list:
+    """What a fresh interpreter holds after `import aqm.cli`.
+
+    [OPENBLAS_NUM_THREADS as it reads it, its Python threads, its OS
+    threads (None without /proc/self/task), whether an executor module is
+    loaded, and the name of numpy's BLAS].  The child gets
+    OPENBLAS_NUM_THREADS only when `openblas_threads` is given.
+    """
+    code = ("import json, os, sys, threading, aqm.cli, numpy\n"
+            "task = '/proc/self/task'\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threading.active_count(),\n"
+            "                  len(os.listdir(task)) if os.path.isdir(task) else None,\n"
+            "                  'concurrent.futures' in sys.modules,\n"
+            "                  numpy.__config__.CONFIG['Build Dependencies']['blas']['name']]))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def test_cli_import_starts_no_thread_pool():
+    # importing the CLI starts no thread, neither a Python one nor a native
+    # BLAS worker, and loads no executor module
+    blas_threads, python_threads, os_threads, executor, _ = _import_cli_in_child()
+    assert (blas_threads, python_threads, executor) == ("1", 1, False)
+    if os_threads is not None:
+        assert os_threads == 1
+
+
+def test_cli_import_keeps_the_users_blas_thread_count():
+    blas_threads, _, os_threads, _, blas = _import_cli_in_child("2")
+    assert blas_threads == "2"
+    if os_threads is not None and "openblas" in blas and len(os.sched_getaffinity(0)) >= 2:
+        assert os_threads == 2  # the main thread and one OpenBLAS worker
 
 
 def _public_code(module):

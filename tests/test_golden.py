@@ -7,9 +7,13 @@ purpose re-records them and says so in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import aqm
 from aqm.cli import main
 
 GOLDEN = {
@@ -115,5 +119,25 @@ def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
     argv, code, digests = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "--out", "run"]) == code
-    written = (tmp_path / "run").iterdir()
-    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in written} == digests
+    assert _digests(tmp_path / "run") == digests
+
+
+def _digests(directory) -> dict:
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in directory.iterdir()}
+
+
+# The cases whose setup runs BLAS (QR, eigh, matrix products), replayed by
+# the real entry point: with OPENBLAS_NUM_THREADS unset the CLI runs BLAS on
+# one thread, and a user's 2 must write the same bytes at these sizes.
+@pytest.mark.parametrize("openblas_threads", [None, "2"], ids=["unset", "2"])
+@pytest.mark.parametrize("name", ["khinchin", "khinchin-dim40", "postulates"])
+def test_cli_process_writes_recorded_digests(name, openblas_threads, tmp_path):
+    argv, code, digests = GOLDEN[name]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    child = subprocess.run([sys.executable, "-m", "aqm.cli", *argv, "--out", "run"],
+                           cwd=tmp_path, env=env)
+    assert child.returncode == code
+    assert _digests(tmp_path / "run") == digests

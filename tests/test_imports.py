@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import aqm
@@ -17,10 +20,17 @@ def _unused_imports(source: str) -> list:
     return sorted(imported - read)
 
 
+def test_importing_the_package_loads_no_numpy():
+    # the CLI sets OPENBLAS_NUM_THREADS before numpy loads; both entry
+    # points import the package first, so the package must not load it
+    code = "import sys, aqm; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_every_module_uses_what_it_imports():
-    # aqm/__init__.py imports its submodules to re-export them
     modules = sorted(Path(aqm.__file__).parent.glob("*.py"))
-    unused = {m.name: _unused_imports(m.read_text()) for m in modules if m.name != "__init__.py"}
+    unused = {m.name: _unused_imports(m.read_text()) for m in modules}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
