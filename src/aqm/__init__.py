@@ -1,7 +1,7 @@
 """Finite-dimensional simulator of contextual algebraic quantum mechanics.
 
 Observables live in a full complex matrix algebra.  Measurement devices are
-modeled as contexts (complete orthogonal projector families), individual
+modeled as contexts (orthonormal bases grouped into branches), individual
 outcomes as characters (branch indices of a context, one array per context
 for a batch), and quantum states as density matrices sampled through the
 Born rule.  Experiment drivers cover the two-slit interference

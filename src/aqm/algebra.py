@@ -2,12 +2,13 @@
 
 The abstract C*-algebra is modeled as the full matrix algebra M_n(C),
 its elements as square complex arrays.  A measurement device type is a
-Context: a complete family of mutually orthogonal Hermitian projectors (a
-maximal abelian subalgebra when all projectors are rank one).  A
-character of a context is one of its branch indices: it evaluates every
-observable diagonal in that context to the eigenvalue on that branch.  An
-elementary state carries one character per context, so a batch of n
-elementary states is one (n,) branch array per context.
+Context: an orthonormal basis whose columns are grouped into branches, one
+block of columns per branch (a maximal abelian subalgebra when every
+branch is one column).  A character of a context is one of its branch
+indices: it evaluates every observable diagonal in that context to the
+eigenvalue on that branch.  An elementary state carries one character per
+context, so a batch of n elementary states is one (n,) branch array per
+context.
 """
 
 from __future__ import annotations
@@ -49,9 +50,14 @@ def is_hermitian(a) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= HERM_TOL)
 
 
-def _max_abs(stack: np.ndarray) -> np.ndarray:
-    """Largest entry modulus of each matrix in a (k, d, d) stack."""
-    return np.abs(stack).max(axis=(1, 2))
+def _orthonormal(basis, dim: int, what: str) -> np.ndarray:
+    """A complex copy of `basis`, a dim x dim matrix with max |V^dagger V - I| <= PROJECTOR_TOL."""
+    v = np.array(basis, dtype=complex)
+    if v.shape != (dim, dim):
+        raise DimensionMismatchError(f"{what} must be {dim}x{dim}, got shape {v.shape}")
+    if np.max(np.abs(v.conj().T @ v - np.eye(dim))) > PROJECTOR_TOL:
+        raise ValueError(f"{what} is not orthonormal")
+    return v
 
 
 def _clusters(values: np.ndarray, gap: float) -> list:
@@ -62,142 +68,121 @@ def _clusters(values: np.ndarray, gap: float) -> list:
 
 @dataclass(frozen=True)
 class Context:
-    """Complete family of orthogonal projectors; one measurement device type.
+    """One measurement device type: an orthonormal basis, its columns grouped by branch.
 
-    The projectors are stored as one read-only (k, d, d) array, one
-    projector per branch.  Maximal (a MASA) when every projector has rank one.
+    `basis` is a read-only d x d unitary V; branch j is the block of
+    ranks[j] consecutive columns after the first sum(ranks[:j]), and its
+    projector is V_j V_j^dagger.  Maximal (a MASA) when every rank is one.
     """
 
-    projectors: np.ndarray
+    basis: np.ndarray
+    ranks: tuple
 
     def __post_init__(self):
-        mats = [as_matrix(p) for p in self.projectors]
-        if not mats:
-            raise ValueError("context needs at least one projector")
-        dim = _check_same_dim(*mats)
-        p = np.array(mats, dtype=complex)
-        not_hermitian = _max_abs(p - p.conj().transpose(0, 2, 1)) > PROJECTOR_TOL
-        not_idempotent = _max_abs(p @ p - p) > PROJECTOR_TOL
-        bad = np.flatnonzero(not_hermitian | not_idempotent)
-        if bad.size:
-            i = bad[0]
-            if not_hermitian[i]:
-                raise NotHermitianError(f"projector {i} is not Hermitian")
-            raise ValueError(f"projector {i} is not idempotent")
-        # pairs in batches of k, so the products take no more memory than p
-        rows, cols = np.triu_indices(len(p), 1)
-        for lo in range(0, rows.size, len(p)):
-            i, j = rows[lo:lo + len(p)], cols[lo:lo + len(p)]
-            overlap = np.flatnonzero(_max_abs(p[i] @ p[j]) > PROJECTOR_TOL)
-            if overlap.size:
-                n = overlap[0]
-                raise ValueError(f"projectors {i[n]} and {j[n]} are not orthogonal")
-        if np.max(np.abs(p.sum(axis=0) - np.eye(dim))) > PROJECTOR_TOL:
-            raise ValueError("projectors do not sum to the identity")
-        p.setflags(write=False)
-        object.__setattr__(self, "projectors", p)
+        v = as_matrix(self.basis)
+        ranks = np.asarray(self.ranks)
+        if ranks.ndim != 1 or not ranks.size or ranks.dtype.kind not in "iu" or np.any(ranks < 1):
+            raise ValueError(f"branch ranks must be one or more positive integers, got {self.ranks}")
+        if ranks.sum() != len(v):
+            raise ValueError(f"branch ranks {self.ranks} do not sum to the dimension {len(v)}")
+        v = _orthonormal(v, len(v), "context basis")
+        v.setflags(write=False)
+        object.__setattr__(self, "basis", v)
+        object.__setattr__(self, "ranks", tuple(ranks.tolist()))
 
     @property
     def n_branches(self) -> int:
-        return self.projectors.shape[0]
+        return len(self.ranks)
+
+
+def _starts(q: Context) -> np.ndarray:
+    """Index of the first column of each branch of q.basis."""
+    return np.cumsum((0, *q.ranks[:-1]))
 
 
 # ---------------------------------------------------------------------------
 # Operations
 
 
-def spectral_decompose(a):
-    """Eigenvalue clusters and their eigenprojectors, as [(value, projector)].
+def _gram_schmidt(coords: np.ndarray) -> np.ndarray:
+    """Orthonormal r x r coordinates that split a rank-r eigenspace into rank-1 branches.
 
-    Eigenvalues within 1e-8 times the spectral norm of one another are
-    merged into a single degenerate cluster.
+    Gram-Schmidt on the columns of `coords`, the refinement basis in the
+    eigenspace's coordinates, in order: a column whose remainder has norm
+    1e-8 or less is skipped, a deterministic tie-break for degeneracies.
     """
-    m = as_matrix(a)
-    if not is_hermitian(m):
-        raise NotHermitianError("spectral decomposition requires a Hermitian matrix")
-    w, v = np.linalg.eigh(m)
-    gap = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
-    out = []
-    for start, stop in _clusters(w, gap):
-        block = v[:, start:stop]
-        proj = block @ block.conj().T
-        out.append((float(np.mean(w[start:stop])), 0.5 * (proj + proj.conj().T)))
-    return out
-
-
-def _check_orthonormal(basis: np.ndarray, dim: int) -> np.ndarray:
-    b = np.asarray(basis, dtype=complex)
-    if b.shape != (dim, dim):
-        raise ValueError(f"refinement basis must be {dim}x{dim}, got {b.shape}")
-    if np.max(np.abs(b.conj().T @ b - np.eye(dim))) > 1e-10:
-        raise ValueError("refinement basis is not orthonormal")
-    return b
-
-
-def _split_eigenspace(proj: np.ndarray, basis: np.ndarray) -> list:
-    """Split a rank-r eigenprojector into r rank-1 projectors.
-
-    Gram-Schmidt on the basis columns projected into the eigenspace; the
-    standard basis gives a deterministic tie-break for degeneracies.
-    """
-    rank = round(np.trace(proj).real)
-    if rank == 1:
-        return [proj]
     chosen = []
-    for col in basis.T:
-        v = proj @ col
+    for c in coords.T:
         for u in chosen:
-            v = v - u * (u.conj() @ v)
-        norm = np.linalg.norm(v)
+            c = c - u * (u.conj() @ c)
+        norm = np.linalg.norm(c)
         if norm > 1e-8:
-            chosen.append(v / norm)
-        if len(chosen) == rank:
-            break
-    if len(chosen) != rank:
-        raise ValueError("refinement basis does not span the degenerate eigenspace")
-    return [np.outer(u, u.conj()) for u in chosen]
+            chosen.append(c / norm)
+            if len(chosen) == len(coords):
+                break
+    return np.column_stack(chosen)
 
 
 def masa_from(a, refinement=None) -> Context:
     """Maximal abelian context containing the observable.
 
-    Degenerate eigenspaces are split into rank-1 projectors using the
-    `refinement` orthonormal basis (default: standard basis), restricted to
-    each eigenspace.
+    Eigenvalues within 1e-8 times the spectral norm of one another form
+    one degenerate eigenspace, which the `refinement` orthonormal basis
+    (default: standard basis), restricted to it, splits into rank-1
+    branches.  Branches follow the eigenvalues in ascending order.
     """
     m = as_matrix(a)
+    if not is_hermitian(m):
+        raise NotHermitianError("a maximal context needs a Hermitian observable")
     dim = m.shape[0]
-    basis = np.eye(dim, dtype=complex) if refinement is None else _check_orthonormal(refinement, dim)
-    projs = []
-    for _val, proj in spectral_decompose(m):
-        projs.extend(_split_eigenspace(proj, basis))
-    return Context(projectors=tuple(projs))
+    basis = (np.eye(dim, dtype=complex) if refinement is None
+             else _orthonormal(refinement, dim, "refinement basis"))
+    w, v = np.linalg.eigh(m)
+    gap = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
+    columns = []
+    for start, stop in _clusters(w, gap):
+        block = v[:, start:stop]
+        columns.append(block if stop - start == 1 else block @ _gram_schmidt(block.conj().T @ basis))
+    return Context(np.hstack(columns), (1,) * dim)
+
+
+def _in_basis(q: Context, a) -> np.ndarray:
+    """The observable in the context's basis, V^dagger A V."""
+    m = as_matrix(a)
+    _check_same_dim(m, q.basis)
+    return q.basis.conj().T @ m @ q.basis
 
 
 def contains(q: Context, a) -> bool:
-    """True iff the observable commutes with every projector of the context."""
-    m = as_matrix(a)
-    _check_same_dim(m, q.projectors[0])
-    return bool(np.max(np.abs(m @ q.projectors - q.projectors @ m)) <= COMMUTE_TOL)
+    """True iff the observable commutes with the context.
+
+    It does when V^dagger A V is block-diagonal over the branches: every
+    entry between two branches is within COMMUTE_TOL.
+    """
+    m = _in_basis(q, a)
+    branch = np.repeat(np.arange(q.n_branches), q.ranks)
+    return bool(np.max(np.abs(m[branch[:, None] != branch]), initial=0.0) <= COMMUTE_TOL)
 
 
 def _branch_values(q: Context, a) -> np.ndarray:
     """Eigenvalue of the observable on each branch of the context.
 
     The one test of measurability: raises IncompatibleObservableError
-    unless the observable commutes with the context (max-abs commutator
-    within COMMUTE_TOL) and is constant, within VALUE_TOL, on every branch;
-    a commuting observable can still vary inside a rank > 1 branch.
+    unless the observable commutes with the context (see contains) and is
+    constant on every branch: the branch's block of V^dagger A V is its
+    value times the identity, within VALUE_TOL * max(1, |value|).  A
+    commuting observable can still vary inside a rank > 1 branch.
     """
-    m = as_matrix(a)
-    if not contains(q, m):
+    if not contains(q, a):
         raise IncompatibleObservableError("observable is not measurable with this context")
-    p = q.projectors
-    pm = p @ m
-    values = (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
-    # p m stands in for m p: the commutator check above bounds their difference
-    drift = _max_abs(pm - values[:, None, None] * p)
-    varies = np.flatnonzero(drift > VALUE_TOL * np.maximum(1.0, np.abs(values)))
+    m = _in_basis(q, a)
+    starts = _starts(q)
+    values = np.add.reduceat(np.diagonal(m).real, starts) / q.ranks
+    # a branch's rows stand in for its block: contains bounds the entries
+    # between branches by COMMUTE_TOL, far below VALUE_TOL
+    drift = np.abs(m - np.diag(np.repeat(values, q.ranks))).max(axis=1)
+    varies = np.flatnonzero(np.maximum.reduceat(drift, starts)
+                            > VALUE_TOL * np.maximum(1.0, np.abs(values)))
     if varies.size:
         raise IncompatibleObservableError(
             f"observable is not constant on branch {varies[0]} of the context"

@@ -23,6 +23,7 @@ from aqm.algebra import (
     _branch_values,
     _check_same_dim,
     _clusters,
+    _starts,
     as_matrix,
     is_hermitian,
 )
@@ -55,10 +56,15 @@ class QuantumState:
 
 
 def born_distribution(psi: QuantumState, q: Context) -> np.ndarray:
-    """Branch probabilities p_i = tr(rho P_i), clamped to [0, 1] and renormalized."""
-    _check_same_dim(psi.rho, q.projectors[0])
-    p = np.trace(psi.rho @ q.projectors, axis1=1, axis2=2).real
-    p = np.clip(p, 0.0, 1.0)
+    """Branch probabilities p_j = tr(V_j^dagger rho V_j), clamped to [0, 1] and renormalized.
+
+    V_j is branch j's block of the context's basis; p_j sums the diagonal
+    of V^dagger rho V over the block.
+    """
+    v = q.basis
+    _check_same_dim(psi.rho, v)
+    diagonal = (v.conj() * (psi.rho @ v)).sum(axis=0).real
+    p = np.clip(np.add.reduceat(diagonal, _starts(q)), 0.0, 1.0)
     return p / p.sum()
 
 
@@ -95,24 +101,30 @@ def measure_many(psi: QuantumState, q: Context, u):
     Returns (branches, posts): the branch drawn for each uniform, and a
     dict from each drawn branch to its Lueders post-state.  Uniform u_i
     draws branch inverse_cdf(born_distribution, u_i), with post-state
-    P rho P / tr(rho P); a post-state is built only for a branch that was
-    drawn.
+    P rho P / tr(rho P) for the branch's projector P; a post-state is built
+    only for a branch that was drawn.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u <= 1.0)):
         raise ValueError("uniforms must lie in [0, 1]")
     branches = inverse_cdf(born_distribution(psi, q), u)
     drawn = np.flatnonzero(np.bincount(branches, minlength=q.n_branches))
+    starts = _starts(q)
     posts = {}
     for j in drawn.tolist():
-        proj = q.projectors[j]
-        posts[j] = _lueders(psi, proj, np.trace(psi.rho @ proj).real)
+        posts[j] = _lueders(psi, q.basis[:, starts[j]:starts[j] + q.ranks[j]])
     return branches, posts
 
 
-def _lueders(psi: QuantumState, proj: np.ndarray, weight: float) -> QuantumState:
-    """Lueders post-state P rho P / tr(rho P), symmetrized against rounding."""
-    rho = proj @ psi.rho @ proj / weight
+def _lueders(psi: QuantumState, block: np.ndarray) -> QuantumState:
+    """Lueders post-state P rho P / tr(rho P) of the projector P = B B^dagger.
+
+    B is a block of orthonormal columns, and the state is built as
+    B (B^dagger rho B) B^dagger / tr(B^dagger rho B), symmetrized against
+    rounding.
+    """
+    inner = block.conj().T @ psi.rho @ block
+    rho = block @ inner @ block.conj().T / np.trace(inner).real
     return QuantumState(0.5 * (rho + rho.conj().T))
 
 
@@ -171,7 +183,6 @@ class Postulate5Report:
     exact_distance: float
     ks_stat: float
     ks_critical: float
-    passed: bool
 
 
 def check_postulate5(
@@ -184,9 +195,10 @@ def check_postulate5(
 ) -> Postulate5Report:
     """Device-type independence of the value distribution of an observable.
 
-    Primary criterion: the exact pushforward distributions under the two
-    contexts coincide (<= 1e-10).  A two-sample KS test on n draws per
-    context is run as a smoke test at alpha = 0.01.
+    Reports the max CDF gap between the exact pushforward distributions
+    under the two contexts, which Postulate 5 needs within 1e-10, and, as
+    a smoke test, a two-sample KS statistic on n draws per context with
+    its critical value at alpha = 0.01.  postulate_suite decides from both.
     """
     values = _branch_values(q, a)
     values_p = _branch_values(qp, a)
@@ -212,8 +224,7 @@ def check_postulate5(
     y = snap(values_p)[inverse_cdf(probs_p, rng.random(n))]
     stat = ks_statistic(x, y)
     critical = 1.6276 * np.sqrt(2.0 / n)  # alpha = 0.01
-    passed = exact <= 1e-10 and stat < critical
-    return Postulate5Report(exact, stat, float(critical), passed)
+    return Postulate5Report(exact, stat, float(critical))
 
 
 def check_postulate6(psi: QuantumState, a, b) -> bool:

@@ -1,11 +1,13 @@
 """Dense and one-event-at-a-time references that the tests compare the package with.
 
-No command-line run reaches them.  The package conditions the pure
+No command-line run reaches them.  The package holds a context as one
+orthonormal basis with its columns grouped by branch, conditions the pure
 two-slit source as one amplitude vector, takes the pattern by FFT of its
 slit-masked amplitudes, draws photon events in batches of
 event_uniforms rows, and draws Born tallies as one multinomial; these
-references condition and decompose N x N density matrices, draw one
-event at a time, and tally Born draws one uniform at a time.
+references hold a context as a (k, d, d) stack of projectors, condition
+and decompose N x N density matrices, draw one event at a time, and
+tally Born draws one uniform at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.algebra import _check_same_dim, as_matrix
-from aqm.ensemble import QuantumState, _lueders
-from aqm.errors import ImpossibleEventError
+from aqm.algebra import (
+    COMMUTE_TOL,
+    PROJECTOR_TOL,
+    VALUE_TOL,
+    Context,
+    _check_same_dim,
+    _clusters,
+    as_matrix,
+    is_hermitian,
+)
+from aqm.ensemble import QuantumState
+from aqm.errors import ImpossibleEventError, IncompatibleObservableError, NotHermitianError
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
 from aqm.rng import DRAWS_PER_EVENT, LANE_EVENTS, _key
 from aqm.two_slit import SlitGeometry, _slit_masks
@@ -36,6 +47,85 @@ class MomentumBin:
     def __post_init__(self):
         if self.stop <= self.start:
             raise ValueError("momentum bin must be non-empty")
+
+
+def projectors(q: Context) -> np.ndarray:
+    """(k, d, d) stack of the context's branch projectors V_j V_j^dagger."""
+    blocks = np.split(q.basis, np.cumsum(q.ranks)[:-1], axis=1)
+    return np.array([b @ b.conj().T for b in blocks])
+
+
+def context_from_projectors(projectors) -> Context:
+    """Context of a complete family of orthogonal projectors, checked as a stack.
+
+    Each projector must be Hermitian and idempotent, each pair orthogonal,
+    and their sum the identity, every entry within PROJECTOR_TOL.  Branch
+    j's columns are the eigenvectors of projector j with eigenvalue one.
+    """
+    mats = [as_matrix(p) for p in projectors]
+    if not mats:
+        raise ValueError("context needs at least one projector")
+    dim = _check_same_dim(*mats)
+    for i, p in enumerate(mats):
+        if np.max(np.abs(p - p.conj().T)) > PROJECTOR_TOL:
+            raise NotHermitianError(f"projector {i} is not Hermitian")
+        if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
+            raise ValueError(f"projector {i} is not idempotent")
+    for i, j in zip(*np.triu_indices(len(mats), 1)):
+        if np.max(np.abs(mats[i] @ mats[j])) > PROJECTOR_TOL:
+            raise ValueError(f"projectors {i} and {j} are not orthogonal")
+    if np.max(np.abs(sum(mats) - np.eye(dim))) > PROJECTOR_TOL:
+        raise ValueError("projectors do not sum to the identity")
+    blocks = []
+    for p in mats:
+        w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
+        blocks.append(v[:, w > 0.5])
+    return Context(np.hstack(blocks), tuple(b.shape[1] for b in blocks))
+
+
+def spectral_decompose(a):
+    """Eigenvalue clusters and their eigenprojectors, as [(value, projector)].
+
+    Eigenvalues within 1e-8 times the spectral norm of one another are
+    merged into a single degenerate cluster, as masa_from merges them.
+    """
+    m = as_matrix(a)
+    if not is_hermitian(m):
+        raise NotHermitianError("spectral decomposition requires a Hermitian matrix")
+    w, v = np.linalg.eigh(m)
+    gap = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
+    out = []
+    for start, stop in _clusters(w, gap):
+        block = v[:, start:stop]
+        proj = block @ block.conj().T
+        out.append((float(np.mean(w[start:stop])), 0.5 * (proj + proj.conj().T)))
+    return out
+
+
+def stack_contains(p: np.ndarray, a) -> bool:
+    """True iff the observable commutes with every projector of the stack, within COMMUTE_TOL."""
+    m = as_matrix(a)
+    return bool(np.max(np.abs(m @ p - p @ m)) <= COMMUTE_TOL)
+
+
+def stack_branch_values(p: np.ndarray, a) -> np.ndarray:
+    """Value tr(P_j A) / tr(P_j) of the observable on each projector of the stack.
+
+    Raises IncompatibleObservableError, as algebra._branch_values does,
+    unless stack_contains holds and max |P_j A - value_j P_j| is within
+    VALUE_TOL * max(1, |value_j|) on every branch.
+    """
+    if not stack_contains(p, a):
+        raise IncompatibleObservableError("observable is not measurable with this context")
+    pm = p @ as_matrix(a)
+    values = (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
+    drift = np.abs(pm - values[:, None, None] * p).max(axis=(1, 2))
+    varies = np.flatnonzero(drift > VALUE_TOL * np.maximum(1.0, np.abs(values)))
+    if varies.size:
+        raise IncompatibleObservableError(
+            f"observable is not constant on branch {varies[0]} of the context"
+        )
+    return values
 
 
 def pure(vec) -> QuantumState:
@@ -58,7 +148,8 @@ def condition_on_event(psi: QuantumState, event) -> QuantumState:
     weight = np.trace(psi.rho @ e).real
     if weight <= 1e-12:
         raise ImpossibleEventError("conditioning on an event of probability zero")
-    return _lueders(psi, e, weight)
+    rho = e @ psi.rho @ e / weight
+    return QuantumState(0.5 * (rho + rho.conj().T))
 
 
 def branch_counts(probs, u) -> np.ndarray:

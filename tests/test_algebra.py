@@ -7,7 +7,6 @@ from aqm.algebra import (
     evaluate,
     is_stable,
     masa_from,
-    spectral_decompose,
 )
 from aqm.errors import (
     DimensionMismatchError,
@@ -17,9 +16,11 @@ from aqm.errors import (
 )
 from aqm.experiments import random_hermitian
 from conftest import SIGMA_X, SIGMA_Z
+from reference import context_from_projectors, projectors, spectral_decompose
 
 
 class TestSpectralDecompose:
+    # the reference's eigenprojectors, the oracle for masa_from's eigenspaces
     def test_sigma_z(self):
         decomp = spectral_decompose(SIGMA_Z)
         got = {val: proj for val, proj in decomp}
@@ -60,22 +61,20 @@ class TestMasaFrom:
     def test_sigma_z_context(self):
         ctx = masa_from(SIGMA_Z)
         assert ctx.n_branches == 2
-        mats = sorted((p for p in ctx.projectors), key=lambda p: -p[0, 0].real)
+        mats = sorted(projectors(ctx), key=lambda p: -p[0, 0].real)
         assert np.allclose(mats[0], np.diag([1.0, 0.0]))
         assert np.allclose(mats[1], np.diag([0.0, 1.0]))
 
     def test_identity_default_refinement_standard_basis(self):
         ctx = masa_from(np.eye(2))
-        assert np.allclose(ctx.projectors[0], np.diag([1.0, 0.0]))
-        assert np.allclose(ctx.projectors[1], np.diag([0.0, 1.0]))
+        assert np.allclose(projectors(ctx), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
     def test_identity_sigma_x_refinement_gives_distinct_masa(self):
         basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         ctx = masa_from(np.eye(2), refinement=basis)
         p_plus = 0.5 * (np.eye(2) + SIGMA_X)
         p_minus = 0.5 * (np.eye(2) - SIGMA_X)
-        assert np.allclose(ctx.projectors[0], p_plus, atol=1e-12)
-        assert np.allclose(ctx.projectors[1], p_minus, atol=1e-12)
+        assert np.allclose(projectors(ctx), [p_plus, p_minus], atol=1e-12)
         # both MASAs contain the identity: the contextuality seed
         assert contains(ctx, np.eye(2)) and contains(masa_from(np.eye(2)), np.eye(2))
 
@@ -86,8 +85,10 @@ class TestMasaFrom:
             assert contains(masa_from(a), a)
 
     def test_rejects_bad_refinement(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="refinement basis is not orthonormal"):
             masa_from(np.eye(2), refinement=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"refinement basis must be 2x2, got shape \(3, 3\)"):
+            masa_from(np.eye(2), refinement=np.eye(3))
 
 
 class TestContextInvariants:
@@ -95,30 +96,34 @@ class TestContextInvariants:
     def test_completeness_and_orthogonality(self, dim):
         rng = np.random.default_rng(dim)
         ctx = masa_from(random_hermitian(dim, rng))
-        total = sum(ctx.projectors)
+        total = sum(projectors(ctx))
         assert np.max(np.abs(total - np.eye(dim))) <= 1e-10
-        for i, p in enumerate(ctx.projectors):
-            for j, q in enumerate(ctx.projectors):
+        for i, p in enumerate(projectors(ctx)):
+            for j, q in enumerate(projectors(ctx)):
                 expect = p if i == j else np.zeros_like(p)
                 assert np.max(np.abs(p @ q - expect)) <= 1e-10
 
     def test_maximality_flag(self):
-        # a context is maximal when every projector's trace, its rank, is one
-        def ranks(ctx):
-            return np.rint(np.trace(ctx.projectors, axis1=1, axis2=2).real).tolist()
+        # a context is maximal when every branch's rank, its projector's trace, is one
+        def traces(ctx):
+            return np.rint(np.trace(projectors(ctx), axis1=1, axis2=2).real).tolist()
 
-        assert ranks(masa_from(np.diag([1.0, 1.0, 2.0]))) == [1.0, 1.0, 1.0]
-        fat = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
-        assert ranks(fat) == [2.0, 1.0]
+        masa = masa_from(np.diag([1.0, 1.0, 2.0]))
+        assert masa.ranks == (1, 1, 1) and traces(masa) == [1.0, 1.0, 1.0]
+        fat = Context(np.eye(3), (2, 1))
+        assert fat.ranks == (2, 1) and traces(fat) == [2.0, 1.0]
 
     def test_rejects_incomplete_family(self):
+        # one branch of one column leaves the second basis vector out
         with pytest.raises(ValueError):
-            Context(projectors=(np.diag([1.0, 0.0]),))
+            Context(np.eye(2), (1,))
 
-    def test_projectors_are_one_read_only_stack(self):
-        ctx = masa_from(np.diag([1.0, 1.0, 2.0]))
-        assert ctx.projectors.shape == (3, 3, 3)
-        assert not ctx.projectors.flags.writeable
+    def test_basis_is_one_read_only_matrix(self):
+        source = np.eye(3)
+        ctx = Context(source, (1, 1, 1))
+        source[0, 0] = 2.0  # the context holds a copy
+        assert ctx.basis.shape == (3, 3) and ctx.basis[0, 0] == 1.0
+        assert not ctx.basis.flags.writeable
         assert ctx.n_branches == 3
 
 
@@ -127,23 +132,41 @@ _V = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
 
 
 @pytest.mark.parametrize(
-    "projectors, error, message",
+    "stack, error, message",
     [
         ((), ValueError, "at least one projector"),
         # an oblique (idempotent, non-Hermitian) projector
         ((np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 1.0]])), NotHermitianError,
          "projector 1 is not Hermitian"),
         ((np.diag([1.0, 0.0]), np.diag([0.0, 2.0])), ValueError, "projector 1 is not idempotent"),
-        # the offending pair (1, 3) lies in the second batch of pairs
+        # (1, 3) is the first pair that is not orthogonal
         ((np.diag(_E[0]), np.diag(_E[1]), np.diag(_E[2]), np.outer(_V, _V)), ValueError,
          "projectors 1 and 3 are not orthogonal"),
         ((np.diag([1.0, 0.0]),), ValueError, "do not sum to the identity"),
     ],
     ids=["empty", "not-hermitian", "not-idempotent", "not-orthogonal", "incomplete"],
 )
-def test_context_rejects_bad_projectors(projectors, error, message):
+def test_context_rejects_bad_projectors(stack, error, message):
+    # the reference's projector-stack checks, the oracle for Context's one check
     with pytest.raises(error, match=message):
-        Context(projectors=projectors)
+        context_from_projectors(stack)
+
+
+@pytest.mark.parametrize(
+    "basis, ranks, error, message",
+    [
+        (np.eye(3)[:, :2], (1, 1), DimensionMismatchError, "expected a square matrix"),
+        (np.diag([1.0, 1.0 + 1e-9]), (1, 1), ValueError, "context basis is not orthonormal"),
+        (np.eye(3), (1, 1), ValueError, r"branch ranks \(1, 1\) do not sum to the dimension 3"),
+        (np.eye(3), (2, 0, 1), ValueError, "positive integers"),
+        (np.eye(3), (), ValueError, "one or more positive integers"),
+        (np.eye(3), (1.5, 1.5), ValueError, "positive integers"),
+    ],
+    ids=["not-square", "not-unitary", "ranks-not-summing", "zero-rank", "no-branch", "float-ranks"],
+)
+def test_context_rejects_bad_basis(basis, ranks, error, message):
+    with pytest.raises(error, match=message):
+        Context(basis, ranks)
 
 
 class TestContains:
@@ -154,7 +177,7 @@ class TestContains:
         assert contains(ctx, np.eye(2))
 
 
-_FAT = Context(projectors=(np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])))
+_FAT = Context(np.eye(3), (2, 1))
 
 
 class TestEvaluate:
@@ -201,9 +224,9 @@ class TestEvaluate:
                 return evaluate(ctx, m, branches)
 
             # random elements of the abelian subalgebra
-            ca = ctx.projectors[0] * 0
+            ca = np.zeros((dim, dim), dtype=complex)
             cb = ca.copy()
-            for p in ctx.projectors:
+            for p in projectors(ctx):
                 ca = ca + rng.standard_normal() * p
                 cb = cb + rng.standard_normal() * p
             assert np.max(np.abs(chi(ca @ cb) - chi(ca) * chi(cb))) <= 1e-9

@@ -490,7 +490,7 @@ class TestPostulatesCommand:
 
     def test_reproducibility_fails_without_the_lueders_update(self, tmp_path, monkeypatch):
         # each re-measurement then starts from the state before the first
-        monkeypatch.setattr(ensemble, "_lueders", lambda psi, proj, weight: psi)
+        monkeypatch.setattr(ensemble, "_lueders", lambda psi, block: psi)
         out = tmp_path / "run"
         args = ("postulates", "--dim", "3", "--trials", "2", "--seed", "1", "--out", str(out))
         assert run_cli(*args) == 2

@@ -94,14 +94,14 @@ GOLDEN = {
     "khinchin": (
         ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2"),
         0,
-        {"result.json": "bdb45f40c0fb8d22b685ee7dd0da5b2a5f147ee2708701fee05457032b10e54d"},
+        {"result.json": "429fcf17d01865f2247f6fe011ee206d247d277ae1e9df4d77320c460888939d"},
     ),
     # 40 branches, each mean one multinomial draw over them
     "khinchin-dim40": (
         ("khinchin", "--n-seeds", "2", "--dim", "40", "--n-small", "1000", "--n-big", "150000",
          "--seed", "3"),
         0,
-        {"result.json": "d777ae9dcd17190e74051ec71e21bafe58eabc92fe1e2f8c6a9cb74554b02cd7"},
+        {"result.json": "8bd2cd077a7fbe06fa223a01932eceb7d1ce4d56cd56fbe53d38c1f191e09a77"},
     ),
     # a rate check that fails: the median of two seeds' errors puts the
     # ratio at 34.6, above the band, so the run exits 2 with its result written

@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqm.algebra import (
+    COMMUTE_TOL,
+    PROJECTOR_TOL,
+    VALUE_TOL,
     Context,
     _branch_values,
+    contains,
     evaluate,
     is_stable,
     masa_from,
-    spectral_decompose,
 )
 from aqm import experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
@@ -45,15 +48,24 @@ from aqm.two_slit import (
 from reference import (
     MomentumBin,
     branch_counts,
+    context_from_projectors,
     decompose_mean,
     event_stream,
     events_csv,
     mode_diagonal,
     momentum_projector,
     particle_run,
+    projectors,
     pure,
     slit_projectors,
+    spectral_decompose,
+    stack_branch_values,
+    stack_contains,
 )
+
+# the rounding allowed between the basis arithmetic and the projector-stack
+# oracle, relative to the largest entry involved
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,8 +89,8 @@ def test_character_homomorphism(seed, dim):
         return evaluate(ctx, m, branches)
 
     coeffs = rng.standard_normal((2, ctx.n_branches))
-    a = sum(c * p for c, p in zip(coeffs[0], ctx.projectors))
-    b = sum(c * p for c, p in zip(coeffs[1], ctx.projectors))
+    a = sum(c * p for c, p in zip(coeffs[0], projectors(ctx)))
+    b = sum(c * p for c, p in zip(coeffs[1], projectors(ctx)))
     assert np.max(np.abs(chi(a @ b) - chi(a) * chi(b))) <= 1e-9
     assert np.max(np.abs(chi(a + b) - chi(a) - chi(b))) <= 1e-9
 
@@ -90,10 +102,11 @@ def test_stacked_context_matches_the_per_projector_loop(seed, dim):
     a = random_degenerate_observable(dim, rng)
     ctx = masa_from(a, refinement=random_unitary(dim, rng))
     psi = random_density(dim, rng)
-    weights = np.clip([np.trace(psi.rho @ p).real for p in ctx.projectors], 0.0, 1.0)
-    assert born_distribution(psi, ctx).tolist() == (weights / weights.sum()).tolist()
-    values = [float((np.trace(p @ a) / np.trace(p)).real) for p in ctx.projectors]
-    assert evaluate(ctx, a, np.arange(ctx.n_branches)).tolist() == values
+    weights = np.clip([np.trace(psi.rho @ p).real for p in projectors(ctx)], 0.0, 1.0)
+    assert np.max(np.abs(born_distribution(psi, ctx) - weights / weights.sum())) <= _ROUNDING
+    values = [float((np.trace(p @ a) / np.trace(p)).real) for p in projectors(ctx)]
+    got = evaluate(ctx, a, np.arange(ctx.n_branches))
+    assert np.max(np.abs(got - values)) <= _ROUNDING * np.abs(a).max()
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,10 +122,10 @@ def test_characters_are_branch_arrays(seed, dim, n):
     assert is_stable(a, (q, qp), (b1, b2)).tolist() == (np.abs(vq[b1] - vqp[b2]) <= 1e-8).tolist()
     # the eigenspaces of a: a context with a rank > 1 branch, on which an
     # observable diagonal in q may vary
-    fat = Context(projectors=tuple(p for _, p in spectral_decompose(a)))
+    fat = context_from_projectors(p for _, p in spectral_decompose(a))
     coeffs = rng.integers(0, 3, q.n_branches).astype(float)
-    obs = sum(c * p for c, p in zip(coeffs, q.projectors))
-    inside = np.rint(np.einsum("jab,iba->ji", fat.projectors, q.projectors).real) == 1
+    obs = sum(c * p for c, p in zip(coeffs, projectors(q)))
+    inside = np.rint(np.einsum("jab,iba->ji", projectors(fat), projectors(q)).real) == 1
     varies = [np.ptp(coeffs[row]) > 0 for row in inside]
     picks = rng.integers(0, fat.n_branches, n)
     # the observable must be constant on every branch, picked or not
@@ -122,6 +135,98 @@ def test_characters_are_branch_arrays(seed, dim, n):
     else:
         got = evaluate(fat, obs, picks)
         assert np.max(np.abs(got - [coeffs[inside[j]][0] for j in picks.tolist()])) <= 1e-9
+
+
+def _random_context(dim: int, n_cuts: int, rng: np.random.Generator) -> Context:
+    """A random unitary basis cut into n_cuts + 1 branches of random ranks."""
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=n_cuts, replace=False))
+    return Context(random_unitary(dim, rng), tuple(np.diff([0, *cuts, dim]).tolist()))
+
+
+def _pair(dim: int, i: int, j: int, phase: float) -> np.ndarray:
+    """Hermitian matrix of max-abs entry 1, nonzero only at (i, j) and (j, i)."""
+    e = np.zeros((dim, dim), dtype=complex)
+    e[i, j] = np.exp(1j * phase) if i != j else 1.0
+    e[j, i] = e[i, j].conj()
+    return e
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
+
+
+# Each check below is a max-abs bound, and the basis and the projector stack
+# see a perturbation in different bases.  A perturbation of max-abs size s
+# at one entry pair has Frobenius norm f between s and 2 s, and a d x d
+# matrix's max-abs entry lies between f / d and f: so at 0.1 times a
+# tolerance both sides accept, and at 10 sqrt(d) times it both reject,
+# for every d up to 100.
+_SCALE = {"accept": lambda dim: 0.1, "reject": lambda dim: 10.0 * np.sqrt(dim)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 12),
+       where=st.sampled_from(["between", "within"]), verdict=st.sampled_from(sorted(_SCALE)))
+def test_measurability_verdicts_match_the_projector_stack_near_the_tolerances(
+        seed, dim, where, verdict):
+    # an observable constant on every branch, perturbed at one entry pair
+    # of V^dagger A V: between two branches it breaks commutation (against
+    # COMMUTE_TOL), within one it varies on that branch (against VALUE_TOL)
+    rng = np.random.default_rng(seed)
+    between = where == "between"
+    q = _random_context(dim, int(rng.integers(1, dim) if between else rng.integers(0, dim - 1)),
+                        rng)
+    branch = np.repeat(np.arange(q.n_branches), q.ranks)
+    values = 3.0 * rng.standard_normal(q.n_branches)
+    if between:
+        i = int(rng.integers(dim))
+        j = int(rng.choice(np.flatnonzero(branch != branch[i])))
+        size = COMMUTE_TOL
+    else:
+        b = int(rng.choice(np.flatnonzero(np.array(q.ranks) > 1)))
+        i, j = rng.choice(np.flatnonzero(branch == b), size=2, replace=False).tolist()
+        size = VALUE_TOL * max(1.0, abs(values[b]))
+    m = np.diag(values[branch]) + _SCALE[verdict](dim) * size * _pair(dim, i, j, rng.uniform(0, 6.3))
+    a = q.basis @ m @ q.basis.conj().T
+    stack = projectors(q)
+    commutes = verdict == "accept" or not between
+    assert contains(q, a) == stack_contains(stack, a) == commutes
+    if verdict == "accept":
+        got, expected = _branch_values(q, a), stack_branch_values(stack, a)
+        assert np.max(np.abs(got - expected)) <= _ROUNDING * np.abs(a).max()
+    else:
+        with pytest.raises(IncompatibleObservableError):
+            _branch_values(q, a)
+        with pytest.raises(IncompatibleObservableError):
+            stack_branch_values(stack, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 12), verdict=st.sampled_from(sorted(_SCALE)))
+def test_basis_check_matches_the_projector_stack_near_its_tolerance(seed, dim, verdict):
+    # V' = V (I + S) for a Hermitian S at one entry pair: V'^dagger V' - I is
+    # 2 S to first order, and the stack's deviations are 2 S in V's basis
+    rng = np.random.default_rng(seed)
+    q = _random_context(dim, int(rng.integers(0, dim)), rng)
+    i, j = rng.integers(0, dim, 2).tolist()
+    s = 0.5 * _SCALE[verdict](dim) * PROJECTOR_TOL * _pair(dim, i, j, rng.uniform(0, 6.3))
+    v = q.basis @ (np.eye(dim) + s)
+    stack = [b @ b.conj().T for b in np.split(v, np.cumsum(q.ranks)[:-1], axis=1)]
+    accepted = _accepts(lambda: Context(v, q.ranks))
+    assert accepted == _accepts(lambda: context_from_projectors(stack)) == (verdict == "accept")
+
+
+def test_contains_rejects_a_single_entry_between_two_branches():
+    # 1e-9 at one entry pair between two branches of V^dagger A V, with
+    # every diagonal block exactly constant
+    for q in (Context(np.eye(3), (2, 1)), masa_from(np.diag([1.0, 2.0, 3.0]))):
+        a = np.diag([1.0, 1.0, 3.0]) + 1e-9 * _pair(3, 1, 2, 0.0)
+        assert not contains(q, a)
+        assert not stack_contains(projectors(q), a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,9 +247,11 @@ def test_measure_many_is_the_scalar_loop(seed, dim, n):
         assert evaluate(ctx, a, got_branches).tolist() == [values[b] for b in branches]
         assert sorted(posts) == sorted(set(branches))
         for b in set(branches):
-            p = ctx.projectors[b]
-            rho = p @ psi.rho @ p / np.trace(psi.rho @ p).real
-            assert np.array_equal(posts[b].rho, 0.5 * (rho + rho.conj().T))
+            p = projectors(ctx)[b]
+            weight = np.trace(psi.rho @ p).real
+            rho = p @ psi.rho @ p / weight
+            assert np.max(np.abs(posts[b].rho - rho)) <= _ROUNDING / weight
+            assert np.array_equal(posts[b].rho, posts[b].rho.conj().T)
 
 
 def test_measure_many_never_draws_a_zero_probability_branch():
