@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -30,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import aqm  # noqa: E402
 from aqm import experiments, interferometer, two_slit  # noqa: E402
 from aqm.errors import ConfigError, ModelViolationError  # noqa: E402
-from aqm.serialize import atomic_open, write_json_atomic  # noqa: E402
+from aqm.serialize import write_json_atomic  # noqa: E402
 
 
 def _load_config_file(path: str) -> dict:
@@ -127,23 +126,9 @@ def _geometry(config: dict) -> two_slit.SlitGeometry:
     return experiments.PRESETS[config["preset"]]
 
 
-def _write_pattern_csv(path, probs, histogram) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "prob", "count"])
-        for k, (p, c) in enumerate(zip(probs, histogram)):
-            writer.writerow([k, repr(p), c])
-
-
 def _run_two_slit(config: dict, out_dir: str) -> dict:
-    geom = _geometry(config)
-    result = experiments.two_slit_experiment(
-        geom, n_events=config["n_events"], seed=config["seed"]
-    )
-    _write_pattern_csv(
-        os.path.join(out_dir, "pattern.csv"), result["pattern"], result["histogram"]
-    )
-    return result
+    return experiments.two_slit_experiment(_geometry(config), config["n_events"], config["seed"],
+                                           os.path.join(out_dir, "pattern.csv"))
 
 
 def _run_delayed_choice(config: dict, out_dir: str) -> dict:

@@ -1,8 +1,8 @@
 """End-to-end experiment drivers shared by the CLI and the test suite.
 
 Each driver returns a plain dict of summary statistics with a `passed`
-flag, suitable for direct JSON serialization.  The delayed-choice driver
-also writes its photon events, as it draws them, when given a path.
+flag, suitable for direct JSON serialization.  Given a path, the two-slit
+driver also writes its per-mode table, and delayed-choice its photon events.
 """
 
 from __future__ import annotations
@@ -177,32 +177,39 @@ def khinchin_experiment(n_seeds: int, n_small: int, n_big: int, dim: int, seed: 
 PRESETS = {"symmetric64": two_slit.SlitGeometry(64, frozenset({16}), frozenset({48}))}
 
 
-def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int) -> dict:
-    """Ensemble pattern, its three-term decomposition, and the event sampler."""
+def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int, pattern_path=None) -> dict:
+    """Summary dict of the pattern, its decomposition and the event sampler.
+
+    With `pattern_path`, also pattern.csv, one row per mode, a block at a time.
+    """
     psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), geom)
     split = two_slit.screen_split(psi_ab, geom)  # an infeasible split fails here
     direct_a, direct_b, cross, probs = split.modes
     histogram, (n_a, n_b) = two_slit.sample_screens(split, n_events, seed)
-    tv = two_slit.total_variation(histogram, probs)
+    if pattern_path is not None:
+        with atomic_open(pattern_path, newline="") as fh:
+            fh.write("k,prob,count,direct_a,direct_b,interference\r\n")
+            columns = (probs, histogram, direct_a, direct_b, cross)
+            for lo, n in chunks(geom.grid_size):
+                rows = zip(range(lo, lo + n), *(m[lo:lo + n].tolist() for m in columns))
+                fh.write("".join(f"{k},{p!r},{c},{a!r},{b!r},{x!r}\r\n" for k, p, c, a, b, x in rows))
+    tv = float(0.5 * np.sum(np.abs(histogram / n_events - probs)))
     tv_bound = 2.0 * np.sqrt(geom.grid_size / n_events)
     closure = np.max(np.abs(direct_a + direct_b + cross - probs))
+    law, law_bound = two_slit.sampler_law_residual(split)
     return {
         "grid_size": geom.grid_size,
         "slit_a": sorted(geom.slit_a),
         "slit_b": sorted(geom.slit_b),
         "n_events": n_events,
-        "pattern": probs.tolist(),
-        "decomposition": [
-            {"direct_a": a, "direct_b": b, "interference": c, "total": t}
-            for a, b, c, t in zip(*(m.tolist() for m in split.modes))
-        ],
-        "histogram": histogram.tolist(),
         "slit_tally": {"a": n_a, "b": n_b},
         "split_clamp": {"a": split.clamped[0], "b": split.clamped[1], "budget": split.budget},
         "tv_distance": tv,
         "tv_bound": float(tv_bound),
         "max_closure_residual": float(closure),
-        "passed": bool(tv <= tv_bound and closure <= two_slit.CLOSURE_TOL),
+        "sampler_law_residual": law,
+        "sampler_law_bound": law_bound,
+        "passed": bool(tv <= tv_bound and closure <= two_slit.CLOSURE_TOL and law <= law_bound),
     }
 
 

@@ -5,14 +5,14 @@ is diag(mask).  The source is pure and the slit event diagonal, so the
 sub-ensemble that passed the slits is one unit amplitude vector psi.  The
 screen observable is a projector onto a bin of discrete-Fourier modes,
 standing in for a small solid angle of outgoing momenta.  Its ensemble
-mean splits exactly into a slit-a term, a slit-b term, and a cross
-(interference) term.  The stacked-screens sampler, sample_screens,
-realizes the same statistics with each particle localized at exactly one
-slit, and draws the tallies of the events rather than the events one by
-one; the cross term's mass is shared equally between the two slit
-labels, the unique symmetric split consistent with the ensemble
-decomposition.  The pattern and the split come per DFT mode
-from one FFT of each slit's masked amplitudes; no N x N matrix is built.
+mean splits exactly into a slit-a term, a slit-b term and a cross
+(interference) term, per DFT mode from one FFT of each slit's masked
+amplitudes; no N x N matrix is built.  The stacked-screens sampler,
+sample_screens, draws the tallies of events that each localize the
+particle at exactly one slit; the cross term's mass is shared equally
+between the two slit labels, the unique symmetric split consistent with
+the decomposition, and sampler_law_residual checks the sampler's exact
+law against the pattern without a draw.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from aqm.rng import stream
 
 CLOSURE_TOL = 1e-10
 CLAMP_BUDGET = 1e-6  # per lattice site, see screen_split
+LAW_FLOOR = 1e-12  # rounding allowance of sampler_law_residual
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,15 @@ def _mode_statistics(psi_ab: np.ndarray, geom: SlitGeometry) -> tuple:
     With f_s = F^dagger (mask_s psi) the amplitude of slit s in each mode,
     F[j, k] = exp(-2 pi i jk/N)/sqrt(N), the terms are |f_a|^2, |f_b|^2,
     2 Re(conj(f_a) f_b) and |f_a + f_b|^2; the total is formed on its own,
-    so the closure check compares two separately rounded results.
+    so the closure check compares two separately rounded results.  Real
+    arithmetic, one IEEE operation per ufunc call, so SIMD dispatch moves no bit.
     """
     a, b = _slit_masks(psi_ab, geom)
     scale = np.sqrt(len(psi_ab))
     f_a, f_b = (scale * np.fft.ifft(m * psi_ab) for m in (a, b))
-    return (np.abs(f_a) ** 2, np.abs(f_b) ** 2,
-            2.0 * (f_a.conj() * f_b).real, np.abs(f_a + f_b) ** 2)
+    ra, ia, rb, ib = f_a.real, f_a.imag, f_b.real, f_b.imag
+    return (ra * ra + ia * ia, rb * rb + ib * ib, 2.0 * (ra * rb + ia * ib),
+            (ra + rb) * (ra + rb) + (ia + ib) * (ia + ib))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +127,8 @@ def screen_split(psi_ab: np.ndarray, geom: SlitGeometry) -> ScreenSplit:
     """
     modes = _mode_statistics(psi_ab, geom)
     direct_a, direct_b, cross, _ = modes
-    n = len(cross)
-    budget = CLAMP_BUDGET * n
-    slit_probs = np.array([np.sum(np.abs(psi_ab) ** 2 * m) for m in geom.masks])
+    budget = CLAMP_BUDGET * len(cross)
+    slit_probs = np.array([np.sum((psi_ab.real ** 2 + psi_ab.imag ** 2) * m) for m in geom.masks])
     conds, clamped = [], []
     for direct in (direct_a, direct_b):
         mass = direct + 0.5 * cross
@@ -139,7 +141,7 @@ def screen_split(psi_ab: np.ndarray, geom: SlitGeometry) -> ScreenSplit:
             )
         mass = np.clip(mass, 0.0, None)
         # a slit of zero Born weight is never sampled: a flat placeholder
-        conds.append(mass / mass.sum() if mass.sum() > 0.0 else np.full(n, 1.0 / n))
+        conds.append(mass / mass.sum() if mass.sum() > 0.0 else np.full_like(mass, 1 / len(mass)))
     return ScreenSplit(modes, slit_probs / slit_probs.sum(), tuple(conds), tuple(clamped), budget)
 
 
@@ -163,7 +165,13 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
     return histogram, tallies
 
 
-def total_variation(histogram: np.ndarray, probs: np.ndarray) -> float:
-    """TV distance between an empirical histogram and a probability vector."""
-    freq = histogram / histogram.sum()
-    return float(0.5 * np.sum(np.abs(freq - probs)))
+def sampler_law_residual(split: ScreenSplit) -> tuple:
+    """(residual, bound): L1 distance of the sampler's exact law p_a cond_a + p_b cond_b from P.
+
+    With m_s = direct_s + cross/2, c_s >= 0 what the clamp adds and C_s = sum(c_s):
+    sum(m_s) = p_s (Parseval; disjoint slits give sum(cross) = 0), so p_s cond_s =
+    p_s (m_s + c_s) / (p_s + C_s) = m_s + c_s - C_s cond_s lies within 2 C_s of m_s
+    in L1.  As m_a + m_b = P, the bound is 2 (C_a + C_b), plus LAW_FLOOR for rounding.
+    """
+    law = split.slit_probs[0] * split.conds[0] + split.slit_probs[1] * split.conds[1]
+    return float(np.sum(np.abs(law - split.modes[3]))), 2.0 * sum(split.clamped) + LAW_FLOOR

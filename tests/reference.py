@@ -231,7 +231,7 @@ def verify_support_identities(
 def decompose_mean(psi_ab: QuantumState, k, p_a, p_b) -> dict:
     """Split the mean of the screen observable into direct and cross terms.
 
-    The keys are those of a `decomposition` row of result.json.
+    The keys are the columns of a pattern.csv row, `total` being its `prob`.
     """
     mk, ma, mb = as_matrix(k), as_matrix(p_a), as_matrix(p_b)
     rho = psi_ab.rho

@@ -294,28 +294,38 @@ class TestTwoSlitCommand:
             "--n", "5000", "--seed", "3", "--out", str(out),
         )
         lines = (out / "pattern.csv").read_text().strip().splitlines()
-        assert lines[0] == "k,prob,count"
+        assert lines[0] == "k,prob,count,direct_a,direct_b,interference"
         assert len(lines) == 9
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 5000
 
     def test_a_failed_pattern_write_leaves_no_file(self, tmp_path, monkeypatch):
-        real_writer = csv.writer
+        # 2**17 modes are two blocks of rows: the header and the first block
+        # are written, and the write of the second block fails
+        real_open = experiments.atomic_open
+        writes = []
 
-        class FailsOnRow3:
+        class FailsOnTheSecondBlock:
             def __init__(self, fh):
-                self.writer, self.rows = real_writer(fh), 0
+                self.fh = fh
 
-            def writerow(self, row):
-                self.rows += 1
-                if self.rows == 3:
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == 3:
                     raise OSError("disk full")
-                self.writer.writerow(row)
+                return self.fh.write(text)
 
-        monkeypatch.setattr(csv, "writer", FailsOnRow3)
+        @contextlib.contextmanager
+        def failing_open(*args, **kwargs):
+            with real_open(*args, **kwargs) as fh:
+                yield FailsOnTheSecondBlock(fh)
+
+        monkeypatch.setattr(experiments, "atomic_open", failing_open)
         out = tmp_path / "run"
         with pytest.raises(OSError, match="disk full"):
-            run_cli("two-slit", "--n", "2000", "--seed", "3", "--out", str(out))
+            run_cli("two-slit", "--n-sites", str(2**17), "--slit-a", "1000", "--slit-b", "1010",
+                    "--n", "2000", "--seed", "3", "--out", str(out))
+        assert len(writes) == 3 and writes[1].count("\r\n") == 2**16
         assert not out.exists()
 
     def test_decomposition_fields_present(self, tmp_path):
@@ -324,9 +334,40 @@ class TestTwoSlitCommand:
             "two-slit", "--n-sites", "8", "--slit-a", "1", "--slit-b", "5",
             "--n", "2000", "--seed", "3", "--out", str(out),
         )
-        result = json.loads((out / "result.json").read_text())
-        entry = result["result"]["decomposition"][0]
-        assert set(entry) == {"direct_a", "direct_b", "interference", "total"}
+        with open(out / "pattern.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert {"direct_a", "direct_b", "interference"} <= set(header)
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert not {"decomposition", "pattern", "histogram"} & set(result)
+
+    @pytest.mark.parametrize("n_sites", [64, 65_536])
+    def test_result_json_does_not_grow_with_the_lattice(self, tmp_path, n_sites):
+        out = tmp_path / "run"
+        assert run_cli("two-slit", "--n-sites", str(n_sites), "--slit-a", "20",
+                       "--slit-b", "30", "--n", "10000", "--seed", "1", "--out", str(out)) == 0
+        assert (out / "result.json").stat().st_size < 2048
+        assert len((out / "pattern.csv").read_bytes().splitlines()) == n_sites + 1
+
+    def test_pattern_csv_holds_each_per_mode_number_of_the_run(self, tmp_path):
+        # one row per mode, over more than one block of rows
+        n_sites, n, seed = 2**16 + 7, 100_000, 5
+        geom = two_slit.SlitGeometry(n_sites, frozenset({1000}), frozenset({1010}))
+        out = tmp_path / "run"
+        assert run_cli("two-slit", "--n-sites", str(n_sites), "--slit-a", "1000",
+                       "--slit-b", "1010", "--n", str(n), "--seed", str(seed),
+                       "--out", str(out)) == 0
+        with open(out / "pattern.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["k", "prob", "count", "direct_a", "direct_b", "interference"]
+        k, prob, count, direct_a, direct_b, cross = zip(*rows[1:])
+        split = two_slit.screen_split(
+            two_slit.prepare_conditioned(two_slit.uniform_source(n_sites), geom), geom)
+        histogram, _ = two_slit.sample_screens(split, n, seed)
+        assert list(map(int, k)) == list(range(n_sites))
+        assert list(map(int, count)) == histogram.tolist()
+        assert sum(map(int, count)) == n
+        for column, values in zip((direct_a, direct_b, cross, prob), split.modes):
+            assert list(map(float, column)) == values.tolist()
 
     def test_a_sampler_without_interference_fails(self, tmp_path, monkeypatch):
         # both conditionals flat: the histogram loses the fringes, though the
@@ -346,7 +387,42 @@ class TestTwoSlitCommand:
         result = json.loads((out / "result.json").read_text())["result"]
         assert result["max_closure_residual"] <= two_slit.CLOSURE_TOL
         assert result["tv_distance"] > 10 * result["tv_bound"]
+        assert result["sampler_law_residual"] > result["sampler_law_bound"]
         assert not result["passed"]
+
+    @pytest.mark.parametrize("conds", [
+        lambda direct_a, direct_b: (np.full(len(direct_a), 1.0 / len(direct_a)),) * 2,
+        lambda direct_a, direct_b: (direct_a / direct_a.sum(), direct_b / direct_b.sum()),
+    ], ids=["flat", "no-cross-term"])
+    def test_a_sampler_without_interference_fails_the_exact_law_check(self, tmp_path,
+                                                                     monkeypatch, conds):
+        # at N = 4096 and n = 1e4 the TV bound is 1.28, above any TV distance;
+        # the exact law of the sampler still misses the pattern
+        real = two_slit.screen_split
+
+        def broken(psi_ab, geom):
+            split = real(psi_ab, geom)
+            return dataclasses.replace(split, conds=conds(*split.modes[:2]))
+
+        monkeypatch.setattr(two_slit, "screen_split", broken)
+        out = tmp_path / "run"
+        args = ("two-slit", "--n-sites", "4096", "--slit-a", "2000,2001", "--slit-b",
+                "2014,2015", "--n", "10000", "--seed", "1", "--out", str(out))
+        assert run_cli(*args) == 2
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["tv_bound"] > 1.0 >= result["tv_distance"]
+        assert result["max_closure_residual"] <= two_slit.CLOSURE_TOL
+        assert result["sampler_law_residual"] > 0.5 > result["sampler_law_bound"]
+        assert not result["passed"]
+
+    def test_the_true_sampler_meets_its_exact_law(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("two-slit", "--n-sites", "4096", "--slit-a", "2000,2001", "--slit-b",
+                       "2014,2015", "--n", "10000", "--seed", "1", "--out", str(out)) == 0
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["split_clamp"]["a"] == result["split_clamp"]["b"] == 0.0
+        assert result["sampler_law_bound"] == two_slit.LAW_FLOOR
+        assert result["sampler_law_residual"] <= 1e-15
 
     def test_infeasible_split_is_exit_2_with_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -641,8 +717,11 @@ def test_two_slit_takes_any_int64_number_of_particles_and_no_more(tmp_path, caps
     assert run_cli(*argv, "--n", str(2**63 - 1), "--out", str(out)) == 0
     assert time.perf_counter() - start < 2.0
     result = json.loads((out / "result.json").read_text())["result"]
-    assert sum(result["histogram"]) == sum(result["slit_tally"].values()) == 2**63 - 1
-    assert [c for p, c in zip(result["pattern"], result["histogram"]) if p == 0.0] == [0] * 4
+    with open(out / "pattern.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    counts = [int(row["count"]) for row in rows]
+    assert sum(counts) == sum(result["slit_tally"].values()) == 2**63 - 1
+    assert [c for row, c in zip(rows, counts) if float(row["prob"]) == 0.0] == [0] * 4
 
 
 @pytest.mark.parametrize(

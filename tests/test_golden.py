@@ -21,8 +21,8 @@ GOLDEN = {
         ("two-slit", "--preset", "symmetric64", "--n", "20000", "--seed", "7"),
         0,
         {
-            "pattern.csv": "7e7cc031469cefc8b831300fcbe18d63f2ed8ba35fc704b32983650d1ec9c9c3",
-            "result.json": "bf83dc3f30ad67c9c8d1006e0781a6b0d187ff513aa6949f85385f4a01b59d3b",
+            "pattern.csv": "b2bd7eb9099a14b23b5fbca4fb2f1ba90aed200259c7b7808be0ef4ef50542db",
+            "result.json": "81f5361fd38d85fc72d054b79a961a6e5b2a8d45cfa337918eeb9f307cfd3bbf",
         },
     ),
     "two-slit-custom": (
@@ -30,8 +30,8 @@ GOLDEN = {
          "--n", "5000", "--seed", "1"),
         0,
         {
-            "pattern.csv": "ea710831af9739cea685e3ae40280ae5259e1166d8f0df51b5785d19763f01c9",
-            "result.json": "a1accd88dc59986237f11a3cd2e05547df943afaf7cc7efb812102c7dca33fbb",
+            "pattern.csv": "5e47ed67108b04a957b34ecbe51e828841783902d9c932af5a96ae45039f5256",
+            "result.json": "23f185c2a68f854357245d06a9cefeb48cde40931a2527498b86e863c245aa51",
         },
     ),
     # an odd number of particles, each slit's histogram one multinomial draw
@@ -40,8 +40,8 @@ GOLDEN = {
          "--n", "200003", "--seed", "3"),
         0,
         {
-            "pattern.csv": "ecaf0dbc726eb8d59338ebbdbbf2985a6ac8159986f578af21169548cfe3c9d0",
-            "result.json": "13afb568ace1c8f71e5cce2357b93a83b63e23699159c402bf31fe1aeee24854",
+            "pattern.csv": "1fee4807bcb1843041c9efa46602c8567f1b0f2d0de67abb1ebe9c4033fa839c",
+            "result.json": "9cbc611229e56fc250ceedd132fac65979f27aa798cf783275f905705f6683a5",
         },
     ),
     "two-slit-split-violation": (
@@ -126,18 +126,41 @@ def _digests(directory) -> dict:
     return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in directory.iterdir()}
 
 
+def _replay(name, tmp_path, **env_changes):
+    """Run golden `name` through `python -m aqm.cli`; each change sets a variable, None unsets it."""
+    argv, code, digests = GOLDEN[name]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
+    for key, value in env_changes.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    child = subprocess.run([sys.executable, "-m", "aqm.cli", *argv, "--out", "run"],
+                           cwd=tmp_path, env=env)
+    assert child.returncode == code
+    assert _digests(tmp_path / "run") == digests
+
+
 # The cases whose setup runs BLAS (QR, eigh, matrix products), replayed by
 # the real entry point: with OPENBLAS_NUM_THREADS unset the CLI runs BLAS on
 # one thread, and a user's 2 must write the same bytes at these sizes.
 @pytest.mark.parametrize("openblas_threads", [None, "2"], ids=["unset", "2"])
 @pytest.mark.parametrize("name", ["khinchin", "khinchin-dim40", "postulates"])
 def test_cli_process_writes_recorded_digests(name, openblas_threads, tmp_path):
-    argv, code, digests = GOLDEN[name]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aqm.__file__)))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    child = subprocess.run([sys.executable, "-m", "aqm.cli", *argv, "--out", "run"],
-                           cwd=tmp_path, env=env)
-    assert child.returncode == code
-    assert _digests(tmp_path / "run") == digests
+    _replay(name, tmp_path, OPENBLAS_NUM_THREADS=openblas_threads)
+
+
+# numpy's x86 baseline: no SIMD dispatch target beyond X86_V2 (SSE4.2).  The
+# two-slit terms are real arithmetic, one IEEE operation per ufunc call, so
+# every dispatch target writes the same bytes.
+BASELINE_DISPATCH = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if n.startswith("two-slit")))
+def test_two_slit_digests_under_baseline_simd_dispatch(name, tmp_path):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH)
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={BASELINE_DISPATCH!r}: "
+                    f"{probe.stderr.strip()}")
+    _replay(name, tmp_path, NPY_DISABLE_CPU_FEATURES=BASELINE_DISPATCH)
