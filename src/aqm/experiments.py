@@ -17,6 +17,7 @@ from aqm.ensemble import (
     QuantumState,
     check_postulate5,
     check_postulate6,
+    lueders,
     measure_many,
     monte_carlo_mean,
 )
@@ -97,7 +98,6 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
     # Lueders reproducibility: re-measure in a second context containing A
     rng = stream(seed, 2)
     agreements = 0
-    done = 0
     n_instances = 50
     per_instance = _REPRODUCIBILITY_TRIALS // n_instances
     for _ in range(n_instances):
@@ -105,13 +105,13 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
         # column 0 drives the first measurement and column 1 the second;
         # b1 and b2 are each trial's characters on q and on qp
         u = rng.random((per_instance, 2))
-        b1, posts = measure_many(psi, q, u[:, 0])
+        b1 = measure_many(psi, q, u[:, 0])
         b2 = np.empty_like(b1)
-        for j, post in posts.items():
+        for j in np.flatnonzero(np.bincount(b1)).tolist():
             drawn = b1 == j
-            b2[drawn] = measure_many(post, qp, u[drawn, 1])[0]
+            b2[drawn] = measure_many(lueders(psi, q, j), qp, u[drawn, 1])
         agreements += int(np.count_nonzero(is_stable(a, (q, qp), (b1, b2))))
-        done += per_instance
+    done = n_instances * per_instance
     repro_prob = agreements / done
 
     return {

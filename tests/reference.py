@@ -4,10 +4,12 @@ No command-line run reaches them.  The package holds a context as one
 orthonormal basis with its columns grouped by branch, conditions the pure
 two-slit source as one amplitude vector, takes the pattern by FFT of its
 slit-masked amplitudes, draws photon events in batches of
-event_uniforms rows, and draws Born tallies as one multinomial; these
-references hold a context as a (k, d, d) stack of projectors, condition
-and decompose N x N density matrices, draw one event at a time, and
-tally Born draws one uniform at a time.
+event_uniforms rows, draws Born tallies as one multinomial, and compares
+Postulate 5 value distributions on one grid of integer value levels;
+these references hold a context as a (k, d, d) stack of projectors,
+condition and decompose N x N density matrices, draw one event at a time,
+tally Born draws one uniform at a time, and compare each context's own
+value distribution on the values themselves.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from aqm.algebra import (
     PROJECTOR_TOL,
     VALUE_TOL,
     Context,
+    _branch_values,
     _check_same_dim,
     _clusters,
     as_matrix,
     is_hermitian,
 )
-from aqm.ensemble import QuantumState
+from aqm.ensemble import QuantumState, born_distribution, inverse_cdf
 from aqm.errors import ImpossibleEventError, IncompatibleObservableError, NotHermitianError
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
 from aqm.rng import DRAWS_PER_EVENT, LANE_EVENTS, _key
@@ -126,6 +129,60 @@ def stack_branch_values(p: np.ndarray, a) -> np.ndarray:
             f"observable is not constant on branch {varies[0]} of the context"
         )
     return values
+
+
+def pushforward(probs: np.ndarray, values: np.ndarray):
+    """Exact value distribution: branch probabilities summed per distinct value."""
+    order = np.argsort(values)
+    values, probs = values[order], probs[order]
+    bounds = _clusters(values, VALUE_TOL)
+    # cumsum adds each cluster's probabilities in sorted order, one at a time
+    mass = [np.cumsum(probs[start:stop])[-1] for start, stop in bounds]
+    return values[[start for start, _ in bounds]], np.array(mass)
+
+
+def distribution_distance(v1, p1, v2, p2) -> float:
+    """Max CDF gap between two discrete distributions on the reals."""
+    points = np.sort(np.concatenate([v1, v2]))
+    c1 = np.array([p1[v1 <= x + VALUE_TOL].sum() for x in points])
+    c2 = np.array([p2[v2 <= x + VALUE_TOL].sum() for x in points])
+    return float(np.max(np.abs(c1 - c2)))
+
+
+def sample_ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic of two samples of reals."""
+    xs, ys = np.sort(x), np.sort(y)
+    grid = np.concatenate([xs, ys])
+    cx = np.searchsorted(xs, grid, side="right") / len(xs)
+    cy = np.searchsorted(ys, grid, side="right") / len(ys)
+    return float(np.max(np.abs(cx - cy)))
+
+
+def postulate5(psi: QuantumState, a, q: Context, qp: Context, n: int, rng: np.random.Generator):
+    """(exact_distance, ks_stat) of ensemble.check_postulate5, on the values themselves.
+
+    Each context's value distribution is its own pushforward, compared at
+    every value of either with a VALUE_TOL shift; the n draws per context
+    are snapped to the nearest point of one merged value grid before the
+    KS statistic.
+    """
+    values, values_p = _branch_values(q, a), _branch_values(qp, a)
+    probs, probs_p = born_distribution(psi, q), born_distribution(psi, qp)
+    v1, p1 = pushforward(probs, values)
+    v2, p2 = pushforward(probs_p, values_p)
+    exact = distribution_distance(v1, p1, v2, p2)
+    grid = np.sort(np.concatenate([v1, v2]))
+    grid = grid[[start for start, _ in _clusters(grid, VALUE_TOL)]]
+
+    def snap(vals):
+        idx = np.clip(np.searchsorted(grid, vals), 0, len(grid) - 1)
+        left = np.clip(idx - 1, 0, len(grid) - 1)
+        use_left = np.abs(grid[left] - vals) < np.abs(grid[idx] - vals)
+        return grid[np.where(use_left, left, idx)]
+
+    x = snap(values)[inverse_cdf(probs, rng.random(n))]
+    y = snap(values_p)[inverse_cdf(probs_p, rng.random(n))]
+    return exact, sample_ks_statistic(x, y)
 
 
 def pure(vec) -> QuantumState:

@@ -566,13 +566,44 @@ class TestPostulatesCommand:
 
     def test_reproducibility_fails_without_the_lueders_update(self, tmp_path, monkeypatch):
         # each re-measurement then starts from the state before the first
-        monkeypatch.setattr(ensemble, "_lueders", lambda psi, block: psi)
+        monkeypatch.setattr(experiments, "lueders", lambda psi, q, j: psi)
         out = tmp_path / "run"
         args = ("postulates", "--dim", "3", "--trials", "2", "--seed", "1", "--out", str(out))
         assert run_cli(*args) == 2
         reproducibility = json.loads((out / "result.json").read_text())["result"]["reproducibility"]
         assert reproducibility["agreement_probability"] < 1.0
         assert not reproducibility["passed"]
+
+    def test_builds_one_post_state_per_drawn_branch(self, monkeypatch):
+        # each instance's first measurement is followed by one lueders call
+        # for each distinct branch it drew, and the re-measurement by none
+        log = []
+        posts = []
+        measure, build = experiments.measure_many, experiments.lueders
+
+        def measured(psi, q, u):
+            branches = measure(psi, q, u)
+            log.append(("measure", psi, q, branches))
+            return branches
+
+        def built(psi, q, j):
+            posts.append(build(psi, q, j))
+            log.append(("lueders", psi, q, j))
+            return posts[-1]
+
+        monkeypatch.setattr(experiments, "measure_many", measured)
+        monkeypatch.setattr(experiments, "lueders", built)
+        # two trials per instance, so most instances leave a branch undrawn
+        monkeypatch.setattr(experiments, "_REPRODUCIBILITY_TRIALS", 100)
+        assert experiments.postulate_suite(dim=4, trials=2, seed=5)["passed"]
+        first = [(psi, q, b) for kind, psi, q, b in log
+                 if kind == "measure" and not any(psi is post for post in posts)]
+        assert len(first) == 50
+        assert any(len(set(b.tolist())) < q.n_branches for _, q, b in first)
+        for psi, q, branches in first:
+            calls = [j for kind, p, c, j in log if kind == "lueders" and p is psi and c is q]
+            assert calls == sorted(set(branches.tolist()))
+        assert len(posts) == sum(len(set(b.tolist())) for _, _, b in first)
 
     def test_the_suite_fails_on_ks_failures_alone(self, tmp_path, monkeypatch):
         # every smoke test fails while the exact distributions still agree,

@@ -18,12 +18,14 @@ from aqm.ensemble import (
     check_postulate5,
     check_postulate6,
     inverse_cdf,
+    lueders,
     measure_many,
     monte_carlo_mean,
     multinomial_counts,
 )
 from aqm.errors import ImpossibleEventError, IncompatibleObservableError
 from aqm.experiments import (
+    _instance,
     random_degenerate_observable,
     random_density,
     random_hermitian,
@@ -31,7 +33,7 @@ from aqm.experiments import (
 )
 from aqm.rng import stream
 from conftest import SIGMA_X, SIGMA_Z, chi_square_test
-from reference import branch_counts, condition_on_event, projectors, pure
+from reference import branch_counts, condition_on_event, postulate5, projectors, pure
 
 KET0 = pure([1.0, 0.0])
 PLUS = pure([1.0, 1.0])
@@ -77,7 +79,7 @@ def _z_branch(value):
 
 class TestSampleCharacter:
     def test_deterministic_distribution(self):
-        branches = measure_many(KET0, Z_CTX, stream(0).random(50))[0]
+        branches = measure_many(KET0, Z_CTX, stream(0).random(50))
         assert branches.tolist() == [_z_branch(1)] * 50
         # zero-probability branches are never drawn, even when u * total
         # rounds up to the total (u = 1 here)
@@ -93,7 +95,7 @@ class TestSampleCharacter:
 
     def test_replay_with_fixed_seed(self):
         def branches():
-            return [measure_many(PLUS, Z_CTX, stream(42, i).random(1))[0][0]
+            return [measure_many(PLUS, Z_CTX, stream(42, i).random(1))[0]
                     for i in range(20)]
 
         assert branches() == branches()
@@ -121,7 +123,7 @@ def test_evaluate_means_and_postulate5_reject_the_same_pairs():
     pairs = [(PLUS, SIGMA_Z + 1e-9 * SIGMA_X, Z_CTX),
              (pure([0.0, 0.0, 1.0]), np.diag([1.0, 2.0, 3.0]), _FAT)]
     for psi, a, q in pairs:
-        branches = measure_many(psi, q, stream(0).random(100))[0]
+        branches = measure_many(psi, q, stream(0).random(100))
         if q is _FAT:
             assert branches.tolist() == [1] * 100
         for check in (
@@ -137,19 +139,19 @@ def test_evaluate_means_and_postulate5_reject_the_same_pairs():
 class TestMeasure:
     # measuring an observable is measure_many, then evaluate on the drawn branches
     def test_eigenstate(self):
-        branches, posts = measure_many(KET0, Z_CTX, stream(0).random(1))
+        branches = measure_many(KET0, Z_CTX, stream(0).random(1))
         assert evaluate(Z_CTX, SIGMA_Z, branches)[0] == pytest.approx(1.0)
-        assert np.allclose(posts[branches[0]].rho, KET0.rho)
+        assert np.allclose(lueders(KET0, Z_CTX, branches[0]).rho, KET0.rho)
 
     def test_reproducibility(self):
         # column 0 drives the first measurement, column 1 the re-measurement
         u = stream(2).random((200, 2))
-        b1, posts = measure_many(PLUS, Z_CTX, u[:, 0])
+        b1 = measure_many(PLUS, Z_CTX, u[:, 0])
         v1 = evaluate(Z_CTX, SIGMA_Z, b1)
         assert set(v1.tolist()) == {1.0, -1.0}
-        for j, post in posts.items():
+        for j in set(b1.tolist()):
             drawn = b1 == j
-            b2 = measure_many(post, Z_CTX, u[drawn, 1])[0]
+            b2 = measure_many(lueders(PLUS, Z_CTX, j), Z_CTX, u[drawn, 1])
             assert b2.tolist() == [j] * int(np.count_nonzero(drawn))
             assert np.allclose(evaluate(Z_CTX, SIGMA_Z, b2), v1[drawn], rtol=0.0, atol=1e-12)
 
@@ -166,7 +168,7 @@ class TestMeasure:
     def test_checks_the_observable_against_the_context_once(self, monkeypatch):
         # drawing the branch checks no observable; reading its value checks the pair
         calls = _count_contains(monkeypatch)
-        branches = measure_many(PLUS, Z_CTX, [0.5])[0]
+        branches = measure_many(PLUS, Z_CTX, [0.5])
         assert calls == []
         evaluate(Z_CTX, SIGMA_Z, branches)
         assert len(calls) == 1
@@ -196,8 +198,8 @@ class TestMeasure:
         # 20 000 uniforms of stream(3) measure in q, the next 20 000 in qp
         n = 20_000
         u = stream(3).random(2 * n)
-        f1 = np.count_nonzero(evaluate(q, a, measure_many(psi, q, u[:n])[0]) > 0) / n
-        f2 = np.count_nonzero(evaluate(qp, a, measure_many(psi, qp, u[n:])[0]) > 0) / n
+        f1 = np.count_nonzero(evaluate(q, a, measure_many(psi, q, u[:n])) > 0) / n
+        f2 = np.count_nonzero(evaluate(qp, a, measure_many(psi, qp, u[n:])) > 0) / n
         sigma = np.sqrt(expected * (1 - expected) / n)
         assert abs(f1 - expected) <= 4 * sigma + 1e-12
         assert abs(f2 - expected) <= 4 * sigma + 1e-12
@@ -205,7 +207,7 @@ class TestMeasure:
 
 class TestMeasureMany:
     def test_incompatible_raises(self):
-        branches = measure_many(PLUS, Z_CTX, [0.5])[0]
+        branches = measure_many(PLUS, Z_CTX, [0.5])
         with pytest.raises(IncompatibleObservableError):
             evaluate(Z_CTX, SIGMA_X, branches)
 
@@ -213,7 +215,7 @@ class TestMeasureMany:
         # the state sits on branch 0; diag(1, 2, 3) varies only on branch 1,
         # which is never drawn
         ctx = Context(np.eye(3)[:, [2, 0, 1]], (1, 2))
-        branches = measure_many(pure([0.0, 0.0, 1.0]), ctx, [0.5])[0]
+        branches = measure_many(pure([0.0, 0.0, 1.0]), ctx, [0.5])
         assert branches.tolist() == [0]
         with pytest.raises(IncompatibleObservableError, match="not constant on branch 1"):
             evaluate(ctx, np.diag([1.0, 2.0, 3.0]), branches)
@@ -221,7 +223,7 @@ class TestMeasureMany:
     def test_checks_the_observable_against_the_context_once(self, monkeypatch):
         # evaluate checks the pair once for a whole batch of characters
         calls = _count_contains(monkeypatch)
-        branches = measure_many(PLUS, Z_CTX, stream(0).random(100))[0]
+        branches = measure_many(PLUS, Z_CTX, stream(0).random(100))
         assert calls == []
         evaluate(Z_CTX, SIGMA_Z, branches)
         assert len(calls) == 1
@@ -230,6 +232,17 @@ class TestMeasureMany:
     def test_rejects_uniforms_outside_the_unit_interval(self, u):
         with pytest.raises(ValueError):
             measure_many(PLUS, Z_CTX, u)
+
+    def test_builds_no_post_state(self, monkeypatch):
+        # a post-state is built by lueders, for a copy that is measured again
+        def no_state(rho):
+            raise AssertionError("measure_many built a QuantumState")
+
+        monkeypatch.setattr(ensemble, "QuantumState", no_state)
+        rng = np.random.default_rng(12)
+        psi = random_density(4, rng)
+        q = masa_from(random_degenerate_observable(4, rng), refinement=random_unitary(4, rng))
+        assert len(set(measure_many(psi, q, stream(0).random(100)).tolist())) > 1
 
 
 def _sigma(psi: QuantumState, a, n: int) -> float:
@@ -400,6 +413,37 @@ class TestPostulate5:
         assert rep.exact_distance == 0.0  # the bias is in the draws alone
         assert rep.ks_stat >= rep.ks_critical
 
+    def test_biased_born_weights_fail(self, monkeypatch):
+        # the second device puts all weight on branch 0, a value-1 branch, so
+        # each value's mass is 1/2 under q and 1 or 0 under the second device
+        a = np.diag([1.0, 1.0, 2.0, 2.0])
+        q = masa_from(a)
+        psi = QuantumState(np.eye(4) / 4)
+        calls = []
+        born = ensemble.born_distribution
+
+        def biased(psi, ctx):
+            calls.append(ctx)
+            return born(psi, ctx) if len(calls) == 1 else np.array([1.0, 0.0, 0.0, 0.0])
+
+        monkeypatch.setattr(ensemble, "born_distribution", biased)
+        rep = check_postulate5(psi, a, q, q, 2000, stream(2))
+        assert len(calls) == 2
+        assert rep.exact_distance == 0.5
+        assert rep.ks_stat >= rep.ks_critical
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 12, 16, 32])
+    def test_matches_the_oracle_on_the_values_themselves(self, dim):
+        # the oracle compares each context's own pushforward at every value
+        # with a VALUE_TOL shift, and snaps the draws to the nearest grid
+        # value; both must give the same bits, from twin generators
+        for seed in range(12):
+            a, q, qp, psi = _instance(dim, stream(seed, dim))
+            rep = check_postulate5(psi, a, q, qp, 400, stream(seed, 100 + dim))
+            exact, ks = postulate5(psi, a, q, qp, 400, stream(seed, 100 + dim))
+            assert rep.exact_distance == exact
+            assert rep.ks_stat == ks
+
 
 class TestPostulate6:
     def test_pauli_pair(self):
@@ -456,7 +500,7 @@ def test_lueders_post_states_are_exactly_hermitian():
         psi = random_density(dim, rng)
         a = random_degenerate_observable(dim, rng)
         q = masa_from(a, refinement=random_unitary(dim, rng))
-        posts = list(measure_many(psi, q, rng.random(50))[1].values())
+        posts = [lueders(psi, q, j) for j in set(measure_many(psi, q, rng.random(50)).tolist())]
         u = random_unitary(dim, rng)
         k = int(rng.integers(1, dim))
         posts.append(condition_on_event(psi, u[:, :k] @ u[:, :k].conj().T))

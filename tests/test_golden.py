@@ -91,6 +91,13 @@ GOLDEN = {
         0,
         {"result.json": "21b82c1091350b6415382f8550ac96ebaebdf26576717e3df95a5d03fa5cc9cb"},
     ),
+    # at dim 32 an observable often has 8 or more value levels, and np.sum
+    # adds 8 or more terms pairwise: pins how Postulate 5 sums its CDF points
+    "postulates-dim32": (
+        ("postulates", "--dim", "32", "--trials", "10", "--seed", "2"),
+        0,
+        {"result.json": "05d93396f7253217de24d01aaf9af827d336b271bffd5cf2600cffb70f1d3671"},
+    ),
     "khinchin": (
         ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2"),
         0,
@@ -144,7 +151,8 @@ def _replay(name, tmp_path, **env_changes):
 # the real entry point: with OPENBLAS_NUM_THREADS unset the CLI runs BLAS on
 # one thread, and a user's 2 must write the same bytes at these sizes.
 @pytest.mark.parametrize("openblas_threads", [None, "2"], ids=["unset", "2"])
-@pytest.mark.parametrize("name", ["khinchin", "khinchin-dim40", "postulates"])
+@pytest.mark.parametrize("name", ["khinchin", "khinchin-dim40", "postulates",
+                                  "postulates-dim32"])
 def test_cli_process_writes_recorded_digests(name, openblas_threads, tmp_path):
     _replay(name, tmp_path, OPENBLAS_NUM_THREADS=openblas_threads)
 
