@@ -2,9 +2,8 @@
 
 The abstract C*-algebra is modeled as the full matrix algebra M_n(C),
 its elements as square complex arrays.  A measurement device type is a
-Context: an orthonormal basis whose columns are grouped into branches, one
-block of columns per branch (a maximal abelian subalgebra when every
-branch is one column).  A character of a context is one of its branch
+maximal abelian subalgebra, held as a Context: an orthonormal basis whose
+column j is branch j.  A character of a context is one of its branch
 indices: it evaluates every observable diagonal in that context to the
 eigenvalue on that branch.  An elementary state carries one character per
 context, so a batch of n elementary states is one (n,) branch array per
@@ -68,36 +67,23 @@ def _clusters(values: np.ndarray, gap: float) -> list:
 
 @dataclass(frozen=True)
 class Context:
-    """One measurement device type: an orthonormal basis, its columns grouped by branch.
+    """One measurement device type: an orthonormal basis, one branch per column.
 
-    `basis` is a read-only d x d unitary V; branch j is the block of
-    ranks[j] consecutive columns after the first sum(ranks[:j]), and its
-    projector is V_j V_j^dagger.  Maximal (a MASA) when every rank is one.
+    `basis` is a read-only d x d unitary V; branch j is column j, and its
+    projector is the rank-1 V_j V_j^dagger, so the context is a MASA.
     """
 
     basis: np.ndarray
-    ranks: tuple
 
     def __post_init__(self):
         v = as_matrix(self.basis)
-        ranks = np.asarray(self.ranks)
-        if ranks.ndim != 1 or not ranks.size or ranks.dtype.kind not in "iu" or np.any(ranks < 1):
-            raise ValueError(f"branch ranks must be one or more positive integers, got {self.ranks}")
-        if ranks.sum() != len(v):
-            raise ValueError(f"branch ranks {self.ranks} do not sum to the dimension {len(v)}")
         v = _orthonormal(v, len(v), "context basis")
         v.setflags(write=False)
         object.__setattr__(self, "basis", v)
-        object.__setattr__(self, "ranks", tuple(ranks.tolist()))
 
     @property
     def n_branches(self) -> int:
-        return len(self.ranks)
-
-
-def _starts(q: Context) -> np.ndarray:
-    """Index of the first column of each branch of q.basis."""
-    return np.cumsum((0, *q.ranks[:-1]))
+        return len(self.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -143,51 +129,23 @@ def masa_from(a, refinement=None) -> Context:
     for start, stop in _clusters(w, gap):
         block = v[:, start:stop]
         columns.append(block if stop - start == 1 else block @ _gram_schmidt(block.conj().T @ basis))
-    return Context(np.hstack(columns), (1,) * dim)
-
-
-def _in_basis(q: Context, a) -> np.ndarray:
-    """The observable in the context's basis, V^dagger A V."""
-    m = as_matrix(a)
-    _check_same_dim(m, q.basis)
-    return q.basis.conj().T @ m @ q.basis
-
-
-def contains(q: Context, a) -> bool:
-    """True iff the observable commutes with the context.
-
-    It does when V^dagger A V is block-diagonal over the branches: every
-    entry between two branches is within COMMUTE_TOL.
-    """
-    m = _in_basis(q, a)
-    branch = np.repeat(np.arange(q.n_branches), q.ranks)
-    return bool(np.max(np.abs(m[branch[:, None] != branch]), initial=0.0) <= COMMUTE_TOL)
+    return Context(np.hstack(columns))
 
 
 def _branch_values(q: Context, a) -> np.ndarray:
-    """Eigenvalue of the observable on each branch of the context.
+    """Eigenvalue of the observable on each branch of the context: the diagonal of V^dagger A V.
 
     The one test of measurability: raises IncompatibleObservableError
-    unless the observable commutes with the context (see contains) and is
-    constant on every branch: the branch's block of V^dagger A V is its
-    value times the identity, within VALUE_TOL * max(1, |value|).  A
-    commuting observable can still vary inside a rank > 1 branch.
+    unless the observable commutes with the context, that is, unless every
+    off-diagonal entry of V^dagger A V is within COMMUTE_TOL.
     """
-    if not contains(q, a):
+    m = as_matrix(a)
+    _check_same_dim(m, q.basis)
+    m = q.basis.conj().T @ m @ q.basis
+    off_diagonal = np.abs(m[~np.eye(len(m), dtype=bool)])
+    if not np.max(off_diagonal, initial=0.0) <= COMMUTE_TOL:  # a NaN entry fails too
         raise IncompatibleObservableError("observable is not measurable with this context")
-    m = _in_basis(q, a)
-    starts = _starts(q)
-    values = np.add.reduceat(np.diagonal(m).real, starts) / q.ranks
-    # a branch's rows stand in for its block: contains bounds the entries
-    # between branches by COMMUTE_TOL, far below VALUE_TOL
-    drift = np.abs(m - np.diag(np.repeat(values, q.ranks))).max(axis=1)
-    varies = np.flatnonzero(np.maximum.reduceat(drift, starts)
-                            > VALUE_TOL * np.maximum(1.0, np.abs(values)))
-    if varies.size:
-        raise IncompatibleObservableError(
-            f"observable is not constant on branch {varies[0]} of the context"
-        )
-    return values
+    return np.diagonal(m).real
 
 
 def evaluate(q: Context, a, branches) -> np.ndarray:
@@ -197,7 +155,7 @@ def evaluate(q: Context, a, branches) -> np.ndarray:
     ValueError for indices that are not integers (numpy would read booleans
     as a mask) or lie outside [0, k), and IncompatibleObservableError
     when the observable is not measurable with q (see _branch_values): its
-    value would depend on the device type, or on more than the branch.
+    value would depend on the device type.
     """
     branches = np.asarray(branches)
     if branches.size and branches.dtype.kind not in "iu":  # [] is an empty float array

@@ -3,13 +3,13 @@
 A quantum state is a density matrix standing for an equivalence class of
 elementary states.  measure_many draws a branch by the Born rule for each
 of a batch of fresh copies of the state, measured with a device of a given
-context; lueders builds the state a copy is left in, for a caller that
-measures it again, which makes the measurement reproducible.  A
-measurement takes no observable; algebra.evaluate reads an observable's
-value on the drawn branches.  Monte Carlo means converge to tr(rho A) at
-the law-of-large-numbers rate; the postulate checkers below verify
-device-type independence, functional linearity, and reproducibility
-numerically.
+context; lueders builds the state a copy is left in, the pure state of the
+drawn branch's column, for a caller that measures it again, which makes
+the measurement reproducible.  A measurement takes no observable;
+algebra.evaluate reads an observable's value on the drawn branches.  Monte
+Carlo means converge to tr(rho A) at the law-of-large-numbers rate; the
+postulate checkers below verify device-type independence, functional
+linearity, and reproducibility numerically.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from aqm.algebra import (
     _branch_values,
     _check_same_dim,
     _clusters,
-    _starts,
     as_matrix,
     is_hermitian,
 )
@@ -57,15 +56,14 @@ class QuantumState:
 
 
 def born_distribution(psi: QuantumState, q: Context) -> np.ndarray:
-    """Branch probabilities p_j = tr(V_j^dagger rho V_j), clamped to [0, 1] and renormalized.
+    """Branch probabilities p_j = V_j^dagger rho V_j, clamped to [0, 1] and renormalized.
 
-    V_j is branch j's block of the context's basis; p_j sums the diagonal
-    of V^dagger rho V over the block.
+    V_j is branch j's column of the context's basis, so p is the diagonal
+    of V^dagger rho V.
     """
     v = q.basis
     _check_same_dim(psi.rho, v)
-    diagonal = (v.conj() * (psi.rho @ v)).sum(axis=0).real
-    p = np.clip(np.add.reduceat(diagonal, _starts(q)), 0.0, 1.0)
+    p = np.clip((v.conj() * (psi.rho @ v)).sum(axis=0).real, 0.0, 1.0)
     return p / p.sum()
 
 
@@ -100,8 +98,8 @@ def measure_many(psi: QuantumState, q: Context, u) -> np.ndarray:
     """Branch drawn by a projective measurement of a fresh copy of the state, one per uniform in u.
 
     Uniform u_i draws branch inverse_cdf(born_distribution, u_i).  A copy
-    that drew branch j is left in the state lueders(psi, q, j), which is
-    built only for a copy that is measured again.
+    that drew branch j is left in the state lueders(q, j), which is built
+    only for a copy that is measured again.
     """
     u = np.asarray(u, dtype=float)
     if not np.all((u >= 0.0) & (u <= 1.0)):
@@ -109,17 +107,15 @@ def measure_many(psi: QuantumState, q: Context, u) -> np.ndarray:
     return inverse_cdf(born_distribution(psi, q), u)
 
 
-def lueders(psi: QuantumState, q: Context, j: int) -> QuantumState:
-    """Lueders post-state P rho P / tr(rho P) of branch j of q, where P = B B^dagger.
+def lueders(q: Context, j: int) -> QuantumState:
+    """Lueders post-state of branch j of q: the pure state v v^dagger of its column v.
 
-    B is branch j's block of orthonormal columns of the context's basis,
-    and the state is built as B (B^dagger rho B) B^dagger / tr(B^dagger rho B),
-    symmetrized against rounding.
+    For the rank-1 projector P = v v^dagger, P rho P / tr(rho P) is v v^dagger
+    whatever the state rho that drew the branch.  Symmetrized against
+    rounding, so it is exactly Hermitian.
     """
-    start = _starts(q)[j]
-    block = q.basis[:, start:start + q.ranks[j]]
-    inner = block.conj().T @ psi.rho @ block
-    rho = block @ inner @ block.conj().T / np.trace(inner).real
+    v = q.basis[:, j]
+    rho = np.outer(v, v.conj())
     return QuantumState(0.5 * (rho + rho.conj().T))
 
 

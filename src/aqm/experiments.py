@@ -109,7 +109,7 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
         b2 = np.empty_like(b1)
         for j in np.flatnonzero(np.bincount(b1)).tolist():
             drawn = b1 == j
-            b2[drawn] = measure_many(lueders(psi, q, j), qp, u[drawn, 1])
+            b2[drawn] = measure_many(lueders(q, j), qp, u[drawn, 1])
         agreements += int(np.count_nonzero(is_stable(a, (q, qp), (b1, b2))))
     done = n_instances * per_instance
     repro_prob = agreements / done

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from aqm.algebra import _branch_values
+from aqm.errors import IncompatibleObservableError
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -32,3 +35,12 @@ def chi_square_test(observed, expected) -> tuple:
     z = 3.0902  # the 1 - 1e-3 quantile of the standard normal
     critical = df * (1.0 - 2.0 / (9 * df) + z * np.sqrt(2.0 / (9 * df))) ** 3
     return float(np.sum((observed - expected) ** 2 / expected)), float(critical)
+
+
+def measurable(q, a) -> bool:
+    """True iff algebra._branch_values, the package's one measurability test, accepts the pair."""
+    try:
+        _branch_values(q, a)
+    except IncompatibleObservableError:
+        return False
+    return True

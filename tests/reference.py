@@ -1,15 +1,17 @@
 """Dense and one-event-at-a-time references that the tests compare the package with.
 
 No command-line run reaches them.  The package holds a context as one
-orthonormal basis with its columns grouped by branch, conditions the pure
-two-slit source as one amplitude vector, takes the pattern by FFT of its
+orthonormal basis, one column per branch, builds a Lueders post-state as
+the pure state of the drawn branch's column, conditions the pure two-slit
+source as one amplitude vector, takes the pattern by FFT of its
 slit-masked amplitudes, draws photon events in batches of
 event_uniforms rows, draws Born tallies as one multinomial, and compares
 Postulate 5 value distributions on one grid of integer value levels;
-these references hold a context as a (k, d, d) stack of projectors,
-condition and decompose N x N density matrices, draw one event at a time,
-tally Born draws one uniform at a time, and compare each context's own
-value distribution on the values themselves.
+these references hold a context as a (d, d, d) stack of rank-1
+projectors, build a post-state from the state by the block formula of
+any rank, condition and decompose N x N density matrices, draw one event
+at a time, tally Born draws one uniform at a time, and compare each
+context's own value distribution on the values themselves.
 """
 
 from __future__ import annotations
@@ -53,17 +55,17 @@ class MomentumBin:
 
 
 def projectors(q: Context) -> np.ndarray:
-    """(k, d, d) stack of the context's branch projectors V_j V_j^dagger."""
-    blocks = np.split(q.basis, np.cumsum(q.ranks)[:-1], axis=1)
-    return np.array([b @ b.conj().T for b in blocks])
+    """(d, d, d) stack of the context's rank-1 branch projectors V_j V_j^dagger."""
+    return np.array([np.outer(v, v.conj()) for v in q.basis.T])
 
 
 def context_from_projectors(projectors) -> Context:
-    """Context of a complete family of orthogonal projectors, checked as a stack.
+    """Context of a complete family of orthogonal rank-1 projectors, checked as a stack.
 
     Each projector must be Hermitian and idempotent, each pair orthogonal,
     and their sum the identity, every entry within PROJECTOR_TOL.  Branch
-    j's columns are the eigenvectors of projector j with eigenvalue one.
+    j's column is the eigenvector of projector j with eigenvalue one, and
+    a projector with more or fewer such eigenvectors is rejected.
     """
     mats = [as_matrix(p) for p in projectors]
     if not mats:
@@ -79,11 +81,13 @@ def context_from_projectors(projectors) -> Context:
             raise ValueError(f"projectors {i} and {j} are not orthogonal")
     if np.max(np.abs(sum(mats) - np.eye(dim))) > PROJECTOR_TOL:
         raise ValueError("projectors do not sum to the identity")
-    blocks = []
-    for p in mats:
+    columns = []
+    for i, p in enumerate(mats):
         w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
-        blocks.append(v[:, w > 0.5])
-    return Context(np.hstack(blocks), tuple(b.shape[1] for b in blocks))
+        if np.count_nonzero(w > 0.5) != 1:
+            raise ValueError(f"projector {i} has rank {np.count_nonzero(w > 0.5)}, not 1")
+        columns.append(v[:, -1])
+    return Context(np.column_stack(columns))
 
 
 def spectral_decompose(a):
@@ -115,20 +119,24 @@ def stack_branch_values(p: np.ndarray, a) -> np.ndarray:
     """Value tr(P_j A) / tr(P_j) of the observable on each projector of the stack.
 
     Raises IncompatibleObservableError, as algebra._branch_values does,
-    unless stack_contains holds and max |P_j A - value_j P_j| is within
-    VALUE_TOL * max(1, |value_j|) on every branch.
+    unless stack_contains holds.
     """
     if not stack_contains(p, a):
         raise IncompatibleObservableError("observable is not measurable with this context")
     pm = p @ as_matrix(a)
-    values = (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
-    drift = np.abs(pm - values[:, None, None] * p).max(axis=(1, 2))
-    varies = np.flatnonzero(drift > VALUE_TOL * np.maximum(1.0, np.abs(values)))
-    if varies.size:
-        raise IncompatibleObservableError(
-            f"observable is not constant on branch {varies[0]} of the context"
-        )
-    return values
+    return (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
+
+
+def lueders(psi: QuantumState, block: np.ndarray) -> QuantumState:
+    """Lueders post-state P rho P / tr(rho P) of P = B B^dagger, B orthonormal columns.
+
+    Built as B (B^dagger rho B) B^dagger / tr(B^dagger rho B), symmetrized
+    against rounding, for a block B of any rank: the general-rank oracle
+    of ensemble.lueders, whose branches are single columns.
+    """
+    inner = block.conj().T @ psi.rho @ block
+    rho = block @ inner @ block.conj().T / np.trace(inner).real
+    return QuantumState(0.5 * (rho + rho.conj().T))
 
 
 def pushforward(probs: np.ndarray, values: np.ndarray):

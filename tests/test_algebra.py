@@ -3,7 +3,6 @@ import pytest
 
 from aqm.algebra import (
     Context,
-    contains,
     evaluate,
     is_stable,
     masa_from,
@@ -15,7 +14,7 @@ from aqm.errors import (
     NotHermitianError,
 )
 from aqm.experiments import random_hermitian
-from conftest import SIGMA_X, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, measurable
 from reference import context_from_projectors, projectors, spectral_decompose
 
 
@@ -76,13 +75,13 @@ class TestMasaFrom:
         p_minus = 0.5 * (np.eye(2) - SIGMA_X)
         assert np.allclose(projectors(ctx), [p_plus, p_minus], atol=1e-12)
         # both MASAs contain the identity: the contextuality seed
-        assert contains(ctx, np.eye(2)) and contains(masa_from(np.eye(2)), np.eye(2))
+        assert measurable(ctx, np.eye(2)) and measurable(masa_from(np.eye(2)), np.eye(2))
 
     def test_contains_source_observable(self):
         rng = np.random.default_rng(5)
         for dim in (3, 6, 9):
             a = random_hermitian(dim, rng)
-            assert contains(masa_from(a), a)
+            assert measurable(masa_from(a), a)
 
     def test_rejects_bad_refinement(self):
         with pytest.raises(ValueError, match="refinement basis is not orthonormal"):
@@ -104,23 +103,19 @@ class TestContextInvariants:
                 assert np.max(np.abs(p @ q - expect)) <= 1e-10
 
     def test_maximality_flag(self):
-        # a context is maximal when every branch's rank, its projector's trace, is one
-        def traces(ctx):
-            return np.rint(np.trace(projectors(ctx), axis1=1, axis2=2).real).tolist()
-
+        # a context is maximal: every branch's rank, its projector's trace, is one
         masa = masa_from(np.diag([1.0, 1.0, 2.0]))
-        assert masa.ranks == (1, 1, 1) and traces(masa) == [1.0, 1.0, 1.0]
-        fat = Context(np.eye(3), (2, 1))
-        assert fat.ranks == (2, 1) and traces(fat) == [2.0, 1.0]
+        traces = np.rint(np.trace(projectors(masa), axis1=1, axis2=2).real).tolist()
+        assert masa.n_branches == 3 and traces == [1.0, 1.0, 1.0]
 
     def test_rejects_incomplete_family(self):
-        # one branch of one column leaves the second basis vector out
+        # one column leaves the second basis vector out
         with pytest.raises(ValueError):
-            Context(np.eye(2), (1,))
+            Context(np.eye(2)[:, :1])
 
     def test_basis_is_one_read_only_matrix(self):
         source = np.eye(3)
-        ctx = Context(source, (1, 1, 1))
+        ctx = Context(source)
         source[0, 0] = 2.0  # the context holds a copy
         assert ctx.basis.shape == (3, 3) and ctx.basis[0, 0] == 1.0
         assert not ctx.basis.flags.writeable
@@ -143,8 +138,9 @@ _V = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
         ((np.diag(_E[0]), np.diag(_E[1]), np.diag(_E[2]), np.outer(_V, _V)), ValueError,
          "projectors 1 and 3 are not orthogonal"),
         ((np.diag([1.0, 0.0]),), ValueError, "do not sum to the identity"),
+        ((np.diag([1.0, 1.0, 0.0]), np.diag(_E[2])), ValueError, "projector 0 has rank 2, not 1"),
     ],
-    ids=["empty", "not-hermitian", "not-idempotent", "not-orthogonal", "incomplete"],
+    ids=["empty", "not-hermitian", "not-idempotent", "not-orthogonal", "incomplete", "rank-2"],
 )
 def test_context_rejects_bad_projectors(stack, error, message):
     # the reference's projector-stack checks, the oracle for Context's one check
@@ -153,31 +149,24 @@ def test_context_rejects_bad_projectors(stack, error, message):
 
 
 @pytest.mark.parametrize(
-    "basis, ranks, error, message",
+    "basis, error, message",
     [
-        (np.eye(3)[:, :2], (1, 1), DimensionMismatchError, "expected a square matrix"),
-        (np.diag([1.0, 1.0 + 1e-9]), (1, 1), ValueError, "context basis is not orthonormal"),
-        (np.eye(3), (1, 1), ValueError, r"branch ranks \(1, 1\) do not sum to the dimension 3"),
-        (np.eye(3), (2, 0, 1), ValueError, "positive integers"),
-        (np.eye(3), (), ValueError, "one or more positive integers"),
-        (np.eye(3), (1.5, 1.5), ValueError, "positive integers"),
+        (np.eye(3)[:, :2], DimensionMismatchError, "expected a square matrix"),
+        (np.diag([1.0, 1.0 + 1e-9]), ValueError, "context basis is not orthonormal"),
     ],
-    ids=["not-square", "not-unitary", "ranks-not-summing", "zero-rank", "no-branch", "float-ranks"],
+    ids=["not-square", "not-unitary"],
 )
-def test_context_rejects_bad_basis(basis, ranks, error, message):
+def test_context_rejects_bad_basis(basis, error, message):
     with pytest.raises(error, match=message):
-        Context(basis, ranks)
+        Context(basis)
 
 
 class TestContains:
     def test_sigma_z_context_examples(self):
         ctx = masa_from(SIGMA_Z)
-        assert contains(ctx, SIGMA_Z)
-        assert not contains(ctx, SIGMA_X)
-        assert contains(ctx, np.eye(2))
-
-
-_FAT = Context(np.eye(3), (2, 1))
+        assert measurable(ctx, SIGMA_Z)
+        assert not measurable(ctx, SIGMA_X)
+        assert measurable(ctx, np.eye(2))
 
 
 class TestEvaluate:
@@ -208,10 +197,11 @@ class TestEvaluate:
             is_stable(a, (masa_from(a),), (branches,))
 
     def test_no_characters_give_no_values(self):
-        a = np.diag([1.0, 1.0, 3.0])  # constant on both branches of _FAT
+        a = np.diag([1.0, 1.0, 3.0])
+        flipped = masa_from(a, refinement=np.eye(3)[:, ::-1])
         for branches in ([], np.array([], dtype=np.int64)):
             assert evaluate(masa_from(a), a, branches).shape == (0,)
-            assert is_stable(a, (masa_from(a), _FAT), (branches, branches)).shape == (0,)
+            assert is_stable(a, (masa_from(a), flipped), (branches, branches)).shape == (0,)
 
     def test_homomorphism_on_random_context(self):
         rng = np.random.default_rng(11)

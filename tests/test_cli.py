@@ -390,6 +390,26 @@ class TestTwoSlitCommand:
         assert result["sampler_law_residual"] > result["sampler_law_bound"]
         assert not result["passed"]
 
+    def test_a_histogram_off_the_pattern_fails_on_its_tv_distance_alone(self, tmp_path,
+                                                                       monkeypatch):
+        # the split, and so the sampler's exact law, is true, but the drawn
+        # histogram is flat: only the TV check sees it
+        def flat(split, n_events, seed):
+            n = len(split.modes[0])
+            tally = (n_events // 2, n_events - n_events // 2)
+            return np.bincount(np.arange(n_events) % n, minlength=n), tally
+
+        monkeypatch.setattr(two_slit, "sample_screens", flat)
+        out = tmp_path / "run"
+        args = ("two-slit", "--n-sites", "256", "--slit-a", "120,121", "--slit-b", "134,135",
+                "--n", "1000000", "--seed", "1", "--out", str(out))
+        assert run_cli(*args) == 2
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["max_closure_residual"] <= two_slit.CLOSURE_TOL
+        assert result["sampler_law_residual"] <= result["sampler_law_bound"]
+        assert result["tv_distance"] > 10 * result["tv_bound"]
+        assert not result["passed"]
+
     @pytest.mark.parametrize("conds", [
         lambda direct_a, direct_b: (np.full(len(direct_a), 1.0 / len(direct_a)),) * 2,
         lambda direct_a, direct_b: (direct_a / direct_a.sum(), direct_b / direct_b.sum()),
@@ -566,7 +586,15 @@ class TestPostulatesCommand:
 
     def test_reproducibility_fails_without_the_lueders_update(self, tmp_path, monkeypatch):
         # each re-measurement then starts from the state before the first
-        monkeypatch.setattr(experiments, "lueders", lambda psi, q, j: psi)
+        instance, states = experiments._instance, []
+
+        def kept(dim, rng):
+            a, q, qp, psi = instance(dim, rng)
+            states.append(psi)
+            return a, q, qp, psi
+
+        monkeypatch.setattr(experiments, "_instance", kept)
+        monkeypatch.setattr(experiments, "lueders", lambda q, j: states[-1])
         out = tmp_path / "run"
         args = ("postulates", "--dim", "3", "--trials", "2", "--seed", "1", "--out", str(out))
         assert run_cli(*args) == 2
@@ -577,18 +605,16 @@ class TestPostulatesCommand:
     def test_builds_one_post_state_per_drawn_branch(self, monkeypatch):
         # each instance's first measurement is followed by one lueders call
         # for each distinct branch it drew, and the re-measurement by none
-        log = []
-        posts = []
+        measures, builds, posts = [], [], []
         measure, build = experiments.measure_many, experiments.lueders
 
         def measured(psi, q, u):
-            branches = measure(psi, q, u)
-            log.append(("measure", psi, q, branches))
-            return branches
+            measures.append((psi, q, measure(psi, q, u)))
+            return measures[-1][2]
 
-        def built(psi, q, j):
-            posts.append(build(psi, q, j))
-            log.append(("lueders", psi, q, j))
+        def built(q, j):
+            builds.append((q, j))
+            posts.append(build(q, j))
             return posts[-1]
 
         monkeypatch.setattr(experiments, "measure_many", measured)
@@ -596,14 +622,12 @@ class TestPostulatesCommand:
         # two trials per instance, so most instances leave a branch undrawn
         monkeypatch.setattr(experiments, "_REPRODUCIBILITY_TRIALS", 100)
         assert experiments.postulate_suite(dim=4, trials=2, seed=5)["passed"]
-        first = [(psi, q, b) for kind, psi, q, b in log
-                 if kind == "measure" and not any(psi is post for post in posts)]
+        first = [(q, b) for psi, q, b in measures if not any(psi is post for post in posts)]
         assert len(first) == 50
-        assert any(len(set(b.tolist())) < q.n_branches for _, q, b in first)
-        for psi, q, branches in first:
-            calls = [j for kind, p, c, j in log if kind == "lueders" and p is psi and c is q]
-            assert calls == sorted(set(branches.tolist()))
-        assert len(posts) == sum(len(set(b.tolist())) for _, _, b in first)
+        assert any(len(set(b.tolist())) < q.n_branches for q, b in first)
+        for q, branches in first:
+            assert [j for c, j in builds if c is q] == sorted(set(branches.tolist()))
+        assert len(posts) == sum(len(set(b.tolist())) for _, b in first)
 
     def test_the_suite_fails_on_ks_failures_alone(self, tmp_path, monkeypatch):
         # every smoke test fails while the exact distributions still agree,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from aqm import algebra, ensemble
-from aqm.algebra import Context, evaluate, is_stable, masa_from
+from aqm.algebra import evaluate, is_stable, masa_from
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
@@ -101,39 +101,30 @@ class TestSampleCharacter:
         assert branches() == branches()
 
 
-def _count_contains(monkeypatch):
+def _count_checks(monkeypatch):
     calls = []
-    original = algebra.contains
+    original = algebra._branch_values
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(algebra, "contains", counted)
+    monkeypatch.setattr(algebra, "_branch_values", counted)
     return calls
 
 
-_FAT = Context(np.eye(3), (2, 1))
-
-
 def test_evaluate_means_and_postulate5_reject_the_same_pairs():
-    # one measurability rule: a commutator of 1e-9, above COMMUTE_TOL, and
-    # diag(1, 2, 3), which varies inside the rank-2 branch 0 of _FAT while
-    # the state sits on branch 1, where the observable is 3
-    pairs = [(PLUS, SIGMA_Z + 1e-9 * SIGMA_X, Z_CTX),
-             (pure([0.0, 0.0, 1.0]), np.diag([1.0, 2.0, 3.0]), _FAT)]
-    for psi, a, q in pairs:
-        branches = measure_many(psi, q, stream(0).random(100))
-        if q is _FAT:
-            assert branches.tolist() == [1] * 100
-        for check in (
-            lambda: evaluate(q, a, branches),
-            lambda: is_stable(a, (q,), (branches,)),
-            lambda: monte_carlo_mean(psi, a, q, 10, 0, 0),
-            lambda: check_postulate5(psi, a, q, q, 10, stream(0)),
-        ):
-            with pytest.raises(IncompatibleObservableError):
-                check()
+    # one measurability rule: a commutator of 1e-9, above COMMUTE_TOL
+    psi, a, q = PLUS, SIGMA_Z + 1e-9 * SIGMA_X, Z_CTX
+    branches = measure_many(psi, q, stream(0).random(100))
+    for check in (
+        lambda: evaluate(q, a, branches),
+        lambda: is_stable(a, (q,), (branches,)),
+        lambda: monte_carlo_mean(psi, a, q, 10, 0, 0),
+        lambda: check_postulate5(psi, a, q, q, 10, stream(0)),
+    ):
+        with pytest.raises(IncompatibleObservableError):
+            check()
 
 
 class TestMeasure:
@@ -141,7 +132,7 @@ class TestMeasure:
     def test_eigenstate(self):
         branches = measure_many(KET0, Z_CTX, stream(0).random(1))
         assert evaluate(Z_CTX, SIGMA_Z, branches)[0] == pytest.approx(1.0)
-        assert np.allclose(lueders(KET0, Z_CTX, branches[0]).rho, KET0.rho)
+        assert np.allclose(lueders(Z_CTX, branches[0]).rho, KET0.rho)
 
     def test_reproducibility(self):
         # column 0 drives the first measurement, column 1 the re-measurement
@@ -151,7 +142,7 @@ class TestMeasure:
         assert set(v1.tolist()) == {1.0, -1.0}
         for j in set(b1.tolist()):
             drawn = b1 == j
-            b2 = measure_many(lueders(PLUS, Z_CTX, j), Z_CTX, u[drawn, 1])
+            b2 = measure_many(lueders(Z_CTX, j), Z_CTX, u[drawn, 1])
             assert b2.tolist() == [j] * int(np.count_nonzero(drawn))
             assert np.allclose(evaluate(Z_CTX, SIGMA_Z, b2), v1[drawn], rtol=0.0, atol=1e-12)
 
@@ -160,14 +151,9 @@ class TestMeasure:
         with pytest.raises(IncompatibleObservableError, match="not measurable"):
             evaluate(Z_CTX, SIGMA_X, [])
 
-    def test_rejects_observable_varying_inside_a_branch_before_drawing(self):
-        # diag(1, 2, 3) commutes with _FAT but is not constant on its rank-2 branch
-        with pytest.raises(IncompatibleObservableError, match="not constant on branch 0"):
-            evaluate(_FAT, np.diag([1.0, 2.0, 3.0]), [])
-
     def test_checks_the_observable_against_the_context_once(self, monkeypatch):
         # drawing the branch checks no observable; reading its value checks the pair
-        calls = _count_contains(monkeypatch)
+        calls = _count_checks(monkeypatch)
         branches = measure_many(PLUS, Z_CTX, [0.5])
         assert calls == []
         evaluate(Z_CTX, SIGMA_Z, branches)
@@ -211,18 +197,9 @@ class TestMeasureMany:
         with pytest.raises(IncompatibleObservableError):
             evaluate(Z_CTX, SIGMA_X, branches)
 
-    def test_rejects_observable_varying_inside_a_branch(self):
-        # the state sits on branch 0; diag(1, 2, 3) varies only on branch 1,
-        # which is never drawn
-        ctx = Context(np.eye(3)[:, [2, 0, 1]], (1, 2))
-        branches = measure_many(pure([0.0, 0.0, 1.0]), ctx, [0.5])
-        assert branches.tolist() == [0]
-        with pytest.raises(IncompatibleObservableError, match="not constant on branch 1"):
-            evaluate(ctx, np.diag([1.0, 2.0, 3.0]), branches)
-
     def test_checks_the_observable_against_the_context_once(self, monkeypatch):
         # evaluate checks the pair once for a whole batch of characters
-        calls = _count_contains(monkeypatch)
+        calls = _count_checks(monkeypatch)
         branches = measure_many(PLUS, Z_CTX, stream(0).random(100))
         assert calls == []
         evaluate(Z_CTX, SIGMA_Z, branches)
@@ -500,7 +477,7 @@ def test_lueders_post_states_are_exactly_hermitian():
         psi = random_density(dim, rng)
         a = random_degenerate_observable(dim, rng)
         q = masa_from(a, refinement=random_unitary(dim, rng))
-        posts = [lueders(psi, q, j) for j in set(measure_many(psi, q, rng.random(50)).tolist())]
+        posts = [lueders(q, j) for j in set(measure_many(psi, q, rng.random(50)).tolist())]
         u = random_unitary(dim, rng)
         k = int(rng.integers(1, dim))
         posts.append(condition_on_event(psi, u[:, :k] @ u[:, :k].conj().T))

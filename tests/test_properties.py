@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from aqm.algebra import (
     COMMUTE_TOL,
     PROJECTOR_TOL,
-    VALUE_TOL,
     Context,
     _branch_values,
-    contains,
     evaluate,
     is_stable,
     masa_from,
@@ -53,6 +51,7 @@ from reference import (
     decompose_mean,
     event_stream,
     events_csv,
+    lueders as reference_lueders,
     mode_diagonal,
     momentum_projector,
     particle_run,
@@ -121,27 +120,6 @@ def test_characters_are_branch_arrays(seed, dim, n):
     vq, vqp = _branch_values(q, a), _branch_values(qp, a)
     assert evaluate(q, a, b1).tolist() == vq[b1].tolist()
     assert is_stable(a, (q, qp), (b1, b2)).tolist() == (np.abs(vq[b1] - vqp[b2]) <= 1e-8).tolist()
-    # the eigenspaces of a: a context with a rank > 1 branch, on which an
-    # observable diagonal in q may vary
-    fat = context_from_projectors(p for _, p in spectral_decompose(a))
-    coeffs = rng.integers(0, 3, q.n_branches).astype(float)
-    obs = sum(c * p for c, p in zip(coeffs, projectors(q)))
-    inside = np.rint(np.einsum("jab,iba->ji", projectors(fat), projectors(q)).real) == 1
-    varies = [np.ptp(coeffs[row]) > 0 for row in inside]
-    picks = rng.integers(0, fat.n_branches, n)
-    # the observable must be constant on every branch, picked or not
-    if any(varies):
-        with pytest.raises(IncompatibleObservableError, match="not constant on branch"):
-            evaluate(fat, obs, picks)
-    else:
-        got = evaluate(fat, obs, picks)
-        assert np.max(np.abs(got - [coeffs[inside[j]][0] for j in picks.tolist()])) <= 1e-9
-
-
-def _random_context(dim: int, n_cuts: int, rng: np.random.Generator) -> Context:
-    """A random unitary basis cut into n_cuts + 1 branches of random ranks."""
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=n_cuts, replace=False))
-    return Context(random_unitary(dim, rng), tuple(np.diff([0, *cuts, dim]).tolist()))
 
 
 def _pair(dim: int, i: int, j: int, phase: float) -> np.ndarray:
@@ -170,32 +148,18 @@ _SCALE = {"accept": lambda dim: 0.1, "reject": lambda dim: 10.0 * np.sqrt(dim)}
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**31), dim=st.integers(2, 12),
-       where=st.sampled_from(["between", "within"]), verdict=st.sampled_from(sorted(_SCALE)))
-def test_measurability_verdicts_match_the_projector_stack_near_the_tolerances(
-        seed, dim, where, verdict):
-    # an observable constant on every branch, perturbed at one entry pair
-    # of V^dagger A V: between two branches it breaks commutation (against
-    # COMMUTE_TOL), within one it varies on that branch (against VALUE_TOL)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 12), verdict=st.sampled_from(sorted(_SCALE)))
+def test_measurability_verdicts_match_the_projector_stack_near_the_tolerances(seed, dim, verdict):
+    # an observable diagonal in V, perturbed at one entry pair between two
+    # branches of V^dagger A V: it breaks commutation against COMMUTE_TOL
     rng = np.random.default_rng(seed)
-    between = where == "between"
-    q = _random_context(dim, int(rng.integers(1, dim) if between else rng.integers(0, dim - 1)),
-                        rng)
-    branch = np.repeat(np.arange(q.n_branches), q.ranks)
-    values = 3.0 * rng.standard_normal(q.n_branches)
-    if between:
-        i = int(rng.integers(dim))
-        j = int(rng.choice(np.flatnonzero(branch != branch[i])))
-        size = COMMUTE_TOL
-    else:
-        b = int(rng.choice(np.flatnonzero(np.array(q.ranks) > 1)))
-        i, j = rng.choice(np.flatnonzero(branch == b), size=2, replace=False).tolist()
-        size = VALUE_TOL * max(1.0, abs(values[b]))
-    m = np.diag(values[branch]) + _SCALE[verdict](dim) * size * _pair(dim, i, j, rng.uniform(0, 6.3))
+    q = Context(random_unitary(dim, rng))
+    i, j = rng.choice(dim, size=2, replace=False).tolist()
+    m = (np.diag(3.0 * rng.standard_normal(dim))
+         + _SCALE[verdict](dim) * COMMUTE_TOL * _pair(dim, i, j, rng.uniform(0, 6.3)))
     a = q.basis @ m @ q.basis.conj().T
     stack = projectors(q)
-    commutes = verdict == "accept" or not between
-    assert contains(q, a) == stack_contains(stack, a) == commutes
+    assert stack_contains(stack, a) == (verdict == "accept")
     if verdict == "accept":
         got, expected = _branch_values(q, a), stack_branch_values(stack, a)
         assert np.max(np.abs(got - expected)) <= _ROUNDING * np.abs(a).max()
@@ -212,22 +176,21 @@ def test_basis_check_matches_the_projector_stack_near_its_tolerance(seed, dim, v
     # V' = V (I + S) for a Hermitian S at one entry pair: V'^dagger V' - I is
     # 2 S to first order, and the stack's deviations are 2 S in V's basis
     rng = np.random.default_rng(seed)
-    q = _random_context(dim, int(rng.integers(0, dim)), rng)
     i, j = rng.integers(0, dim, 2).tolist()
     s = 0.5 * _SCALE[verdict](dim) * PROJECTOR_TOL * _pair(dim, i, j, rng.uniform(0, 6.3))
-    v = q.basis @ (np.eye(dim) + s)
-    stack = [b @ b.conj().T for b in np.split(v, np.cumsum(q.ranks)[:-1], axis=1)]
-    accepted = _accepts(lambda: Context(v, q.ranks))
+    v = random_unitary(dim, rng) @ (np.eye(dim) + s)
+    stack = [np.outer(c, c.conj()) for c in v.T]
+    accepted = _accepts(lambda: Context(v))
     assert accepted == _accepts(lambda: context_from_projectors(stack)) == (verdict == "accept")
 
 
 def test_contains_rejects_a_single_entry_between_two_branches():
-    # 1e-9 at one entry pair between two branches of V^dagger A V, with
-    # every diagonal block exactly constant
-    for q in (Context(np.eye(3), (2, 1)), masa_from(np.diag([1.0, 2.0, 3.0]))):
-        a = np.diag([1.0, 1.0, 3.0]) + 1e-9 * _pair(3, 1, 2, 0.0)
-        assert not contains(q, a)
-        assert not stack_contains(projectors(q), a)
+    # 1e-9 at one entry pair between two branches of V^dagger A V
+    q = masa_from(np.diag([1.0, 2.0, 3.0]))
+    a = np.diag([1.0, 1.0, 3.0]) + 1e-9 * _pair(3, 1, 2, 0.0)
+    with pytest.raises(IncompatibleObservableError):
+        _branch_values(q, a)
+    assert not stack_contains(projectors(q), a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,20 +202,29 @@ def test_measure_many_is_the_scalar_loop(seed, dim, n):
     psi = random_density(dim, rng)
     for lane, ctx in enumerate(contexts):
         u = stream(seed, lane).random(n)
-        # the reference, one uniform at a time: its Born branch, the
-        # observable's value there, and the Lueders post-state P rho P / tr(rho P)
+        # the reference, one uniform at a time: its Born branch and the
+        # observable's value there
         probs, values = born_distribution(psi, ctx), _branch_values(ctx, a)
         branches = [int(inverse_cdf(probs, x)) for x in u.tolist()]
         got_branches = measure_many(psi, ctx, u)
         assert got_branches.tolist() == branches
         assert evaluate(ctx, a, got_branches).tolist() == [values[b] for b in branches]
-        for b in set(branches):
-            p = projectors(ctx)[b]
-            weight = np.trace(psi.rho @ p).real
-            rho = p @ psi.rho @ p / weight
-            post = lueders(psi, ctx, b)
-            assert np.max(np.abs(post.rho - rho)) <= _ROUNDING / weight
-            assert np.array_equal(post.rho, post.rho.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 8), n=st.integers(1, 50))
+def test_lueders_is_the_block_formula_on_each_drawn_branch(seed, dim, n):
+    # the post-state of a drawn branch is P rho P / tr(rho P), whatever rho
+    # drew it, exactly Hermitian
+    rng = np.random.default_rng(seed)
+    q = masa_from(random_degenerate_observable(dim, rng), refinement=random_unitary(dim, rng))
+    psi = random_density(dim, rng)
+    for j in set(measure_many(psi, q, stream(seed).random(n)).tolist()):
+        block = q.basis[:, [j]]
+        weight = (block.conj().T @ psi.rho @ block).real.item()
+        post = lueders(q, j)
+        assert np.max(np.abs(post.rho - reference_lueders(psi, block).rho)) <= _ROUNDING / weight
+        assert np.array_equal(post.rho, post.rho.conj().T)
 
 
 def test_measure_many_never_draws_a_zero_probability_branch():
