@@ -28,7 +28,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import aqm  # noqa: E402
 from aqm import experiments, interferometer, two_slit  # noqa: E402
-from aqm.errors import ConfigError, ModelViolationError  # noqa: E402
+from aqm.errors import (  # noqa: E402
+    ConfigError,
+    IncompatibleObservableError,
+    ModelViolationError,
+)
 from aqm.serialize import write_json_atomic  # noqa: E402
 
 
@@ -220,7 +224,9 @@ def run(config: dict) -> int:
                 f"cannot create output directory {out_dir!r}: {exc.strerror}"
             ) from exc
         result = _COMMANDS[config["experiment"]].run(config, out_dir)
-    except ModelViolationError as exc:
+    # a run builds its own observables and contexts: one that is not
+    # measurable where the run measures it is a broken invariant
+    except (ModelViolationError, IncompatibleObservableError) as exc:
         write_json_atomic(
             os.path.join(out_dir, "result.json"),
             {"version": aqm.__version__, "config": config, "error": str(exc)},

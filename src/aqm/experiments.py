@@ -12,12 +12,14 @@ from contextlib import nullcontext
 import numpy as np
 
 from aqm import interferometer, two_slit
-from aqm.algebra import is_stable, masa_from
+from aqm.algebra import Context, _adjoint, is_stable, masa_from
 from aqm.ensemble import (
     QuantumState,
+    born_mean_residual,
     check_postulate5,
     check_postulate6,
-    lueders,
+    inverse_cdf,
+    lueders_law,
     measure_many,
     monte_carlo_mean,
 )
@@ -25,93 +27,146 @@ from aqm.errors import ConfigError
 from aqm.rng import chunks, stream
 from aqm.serialize import atomic_open
 
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (m + m.conj().T)
+# Each random_* draw below takes a stack shape: shape () draws one matrix,
+# and a shape S draws S of them, one numpy call per quantity.
 
 
-def random_density(dim: int, rng: np.random.Generator) -> QuantumState:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return QuantumState(rho / np.trace(rho).real)
+def _gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex array of the given shape: standard normal real parts, then imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _haar(g: np.ndarray) -> np.ndarray:
+    """The unitary factor Q of g = QR with R's diagonal made positive: Haar for a Gaussian g."""
     q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_degenerate_observable(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with at least two distinct eigenvalues.
+def random_hermitian(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    m = _gaussian(rng, shape + (dim, dim))
+    return 0.5 * (m + _adjoint(m))
 
-    For dim > 2 one eigenvalue repeats; at dim = 2 none does, and the
-    reproducibility loop of postulate_suite does draw dim = 2.
+
+def random_density(dim: int, rng: np.random.Generator, shape: tuple = ()) -> QuantumState:
+    g = _gaussian(rng, shape + (dim, dim))
+    rho = g @ _adjoint(g)
+    return QuantumState(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
+
+
+def random_unitary(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    return _haar(_gaussian(rng, shape + (dim, dim)))
+
+
+def random_degenerate_spectrum(dim: int, rng: np.random.Generator, shape: tuple = ()):
+    """(u, lam): eigenvectors and eigenvalues of an observable u diag(lam) u^dagger.
+
+    It has at least two distinct eigenvalues.  For dim > 2 one of them
+    repeats; at dim = 2 none does, and the reproducibility check of
+    postulate_suite does draw dim = 2.
     """
-    n_distinct = int(rng.integers(2, max(dim - 1, 2) + 1))
-    levels = rng.standard_normal(n_distinct) * 3
-    values = levels[rng.integers(0, n_distinct, size=dim)]
-    values[0] = levels[0]
-    values[1] = levels[1]  # at least two distinct eigenvalues
+    top = max(dim - 1, 2)
+    n_distinct = rng.integers(2, top + 1, size=shape)
+    levels = rng.standard_normal(shape + (top,)) * 3
+    picks = rng.integers(0, n_distinct[..., None], size=shape + (dim,))
+    lam = np.take_along_axis(levels, picks, axis=-1)
+    lam[..., :2] = levels[..., :2]  # at least two distinct eigenvalues
     if dim > 2:
-        values[2] = levels[0]  # and a genuine degeneracy
-    u = random_unitary(dim, rng)
-    return u @ np.diag(values) @ u.conj().T
+        lam[..., 2] = levels[..., 0]  # and a genuine degeneracy
+    return random_unitary(dim, rng, shape), lam
+
+
+def random_masa(u: np.ndarray, lam: np.ndarray, rng: np.random.Generator) -> Context:
+    """A random maximal context containing u diag(lam) u^dagger, with no eigendecomposition.
+
+    Its basis is u times a Haar unitary on each eigenspace: the QR of a
+    Gaussian masked to the pattern [lam_i == lam_j] keeps that pattern,
+    since Householder reflections of one eigenspace's columns touch only
+    its rows.
+    """
+    same = lam[..., :, None] == lam[..., None, :]
+    return Context(u @ _haar(_gaussian(rng, same.shape) * same))
 
 
 # ---------------------------------------------------------------------------
 # Postulate suite
 
 _KS_DRAWS = 400  # draws per context of each Postulate 5 smoke test
-_REPRODUCIBILITY_TRIALS = 10_000  # re-measurements, over 50 random instances
+_REPRODUCIBILITY_TRIALS = 10_000  # re-measurements, over _REPRODUCIBILITY_INSTANCES instances
+_REPRODUCIBILITY_INSTANCES = 50
+_BORN_MEAN_TOL = 1e-10
+# matrix entries of one block of trials: each block stacks _BLOCK // dim**2
+# trials, so memory does not grow with the number of trials
+_BLOCK = 1 << 16
 
 
-def _instance(dim: int, rng: np.random.Generator):
-    """(a, q, qp, psi): a random_degenerate_observable, two MASAs containing it, a state."""
-    a = random_degenerate_observable(dim, rng)
-    q = masa_from(a, refinement=random_unitary(dim, rng))
-    qp = masa_from(a, refinement=random_unitary(dim, rng))
-    return a, q, qp, random_density(dim, rng)
+def _blocks(n: int, dim: int) -> list:
+    """Sizes of the consecutive blocks of trials that cover n trials at this dim."""
+    size = max(1, _BLOCK // dim**2)
+    return [min(size, n - start) for start in range(0, n, size)]
+
+
+def _instance(dim: int, rng: np.random.Generator, shape: tuple = ()):
+    """(a, q, qp, psi): an observable, two random MASAs containing it, a state; stacked over shape."""
+    u, lam = random_degenerate_spectrum(dim, rng, shape)
+    a = (u * lam[..., None, :]) @ _adjoint(u)
+    return a, random_masa(u, lam, rng), random_masa(u, lam, rng), random_density(dim, rng, shape)
+
+
+def _postulate5_block(dim: int, count: int, rng: np.random.Generator):
+    """(exact distances, KS failures, Born-mean residuals) of one block of Postulate 5 trials."""
+    a, q, qp, psi = _instance(dim, rng, (count,))
+    report = check_postulate5(psi, a, q, qp, n=_KS_DRAWS, rng=rng)
+    failures = int(np.count_nonzero(report.ks_stat >= report.ks_critical))
+    return report.exact_distance, failures, born_mean_residual(psi, a, q)
+
+
+def _reproduced(dim: int, count: int, per_instance: int, rng: np.random.Generator) -> int:
+    """Copies, over one block of instances, whose re-measurement on qp agrees with the first on q."""
+    a, q, qp, psi = _instance(dim, rng, (count,))
+    # u[..., 0] drives each copy's first measurement and u[..., 1] its
+    # second; b1 and b2 are each copy's characters on q and on qp
+    u = rng.random((count, per_instance, 2))
+    b1 = measure_many(psi, q, u[..., 0])
+    # a copy that drew branch j of q is re-measured by row j of the Lueders law
+    law = np.take_along_axis(lueders_law(q, qp), b1[..., None], axis=-2)
+    b2 = inverse_cdf(law, u[..., 1])
+    return int(np.count_nonzero(is_stable(a, (q, qp), (b1, b2))))
 
 
 def postulate_suite(dim: int, trials: int, seed: int) -> dict:
-    """Numerical checks of device independence, linearity, reproducibility."""
-    exact_distances = []
-    ks_failures = 0
+    """Numerical checks of device independence, linearity, the Born mean, reproducibility.
+
+    Each check draws and runs a block of trials at a time as stacked
+    arrays (see _blocks): one numpy call per quantity per block.
+    """
     rng = stream(seed, 0)
-    for _ in range(trials):
-        a, q, qp, psi = _instance(dim, rng)
-        report = check_postulate5(psi, a, q, qp, n=_KS_DRAWS, rng=rng)
-        exact_distances.append(report.exact_distance)
-        if report.ks_stat >= report.ks_critical:
-            ks_failures += 1
-    max_exact = float(max(exact_distances))
+    distances, failures, born_means = zip(
+        *(_postulate5_block(dim, count, rng) for count in _blocks(trials, dim)))
+    max_exact = float(np.max(np.concatenate(distances)))
+    ks_failures = sum(failures)
     p5_pass = max_exact <= 1e-10 and ks_failures <= max(1, trials // 20)
+    max_born = float(np.max(np.concatenate(born_means)))
+    born_pass = max_born <= _BORN_MEAN_TOL
 
     rng = stream(seed, 1)
     p6_residual_pass = all(
-        check_postulate6(random_density(dim, rng), random_hermitian(dim, rng), random_hermitian(dim, rng))
-        for _ in range(trials)
+        np.all(check_postulate6(random_density(dim, rng, (count,)),
+                                random_hermitian(dim, rng, (count,)),
+                                random_hermitian(dim, rng, (count,))))
+        for count in _blocks(trials, dim)
     )
 
-    # Lueders reproducibility: re-measure in a second context containing A
+    # Lueders reproducibility: re-measure in a second context containing A.
+    # The instances' dims are drawn first; the instances of each dim, in
+    # ascending order, are then drawn and run a block at a time.
     rng = stream(seed, 2)
-    agreements = 0
-    n_instances = 50
-    per_instance = _REPRODUCIBILITY_TRIALS // n_instances
-    for _ in range(n_instances):
-        a, q, qp, psi = _instance(int(rng.integers(2, dim + 1)), rng)
-        # column 0 drives the first measurement and column 1 the second;
-        # b1 and b2 are each trial's characters on q and on qp
-        u = rng.random((per_instance, 2))
-        b1 = measure_many(psi, q, u[:, 0])
-        b2 = np.empty_like(b1)
-        for j in np.flatnonzero(np.bincount(b1)).tolist():
-            drawn = b1 == j
-            b2[drawn] = measure_many(lueders(q, j), qp, u[drawn, 1])
-        agreements += int(np.count_nonzero(is_stable(a, (q, qp), (b1, b2))))
-    done = n_instances * per_instance
+    per_instance = _REPRODUCIBILITY_TRIALS // _REPRODUCIBILITY_INSTANCES
+    dims = rng.integers(2, dim + 1, size=_REPRODUCIBILITY_INSTANCES)
+    agreements = sum(_reproduced(d, count, per_instance, rng)
+                     for d, n in zip(*(x.tolist() for x in np.unique(dims, return_counts=True)))
+                     for count in _blocks(n, d))
+    done = _REPRODUCIBILITY_INSTANCES * per_instance
     repro_prob = agreements / done
 
     return {
@@ -123,12 +178,13 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
             "passed": p5_pass,
         },
         "postulate6": {"passed": bool(p6_residual_pass)},
+        "born_mean": {"max_residual": max_born, "bound": _BORN_MEAN_TOL, "passed": born_pass},
         "reproducibility": {
             "trials": done,
             "agreement_probability": repro_prob,
             "passed": repro_prob == 1.0,
         },
-        "passed": bool(p5_pass and p6_residual_pass and repro_prob == 1.0),
+        "passed": bool(p5_pass and p6_residual_pass and born_pass and repro_prob == 1.0),
     }
 
 

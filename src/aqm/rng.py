@@ -13,7 +13,14 @@ is drawn on its own; a photon run walks the fixed ranges of chunks, in
 memory that does not grow with its length.
 
 The addresses each consumer reads:
-- postulate_suite: stream indices 0, 1 and 2;
+- postulate_suite: index 0 for Postulate 5 and the Born mean, index 1 for
+  Postulate 6, index 2 for reproducibility.  Each runs its trials in
+  consecutive blocks and draws each block's quantities as one array each,
+  in order: on index 0 the observables, the two contexts, the states and
+  then the (block, 2, 400) smoke-test uniforms; on index 1 the states and
+  then the two observables; on index 2 first the 50 instance dims, then
+  for each dim in ascending order, block by block, its instances and
+  their (block, 200, 2) uniforms;
 - khinchin_experiment: index 0 for its setup, 2j + 1 and 2j + 2 for seed j,
   each one multinomial draw of a mean's branch counts;
 - two_slit_experiment: index 0 for its binomial slit tally and then its

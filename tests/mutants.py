@@ -41,23 +41,36 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("commutation-check-dropped", "src/aqm/algebra.py",
-           "if not np.max(off_diagonal, initial=0.0) <= COMMUTE_TOL:",
+           "if not _max_abs(off_diagonal) <= COMMUTE_TOL:",
            "if False:",
            ("tests/test_ensemble.py::test_evaluate_means_and_postulate5_reject_the_same_pairs",
             "tests/test_properties.py::test_measurability_verdicts_match_the_projector_stack_near_the_tolerances")),
-    Mutant("lueders-ignores-the-branch", "src/aqm/ensemble.py",
-           "v = q.basis[:, j]",
-           "v = q.basis[:, 0]",
-           ("tests/test_properties.py::test_lueders_is_the_block_formula_on_each_drawn_branch",
-            "tests/test_ensemble.py::TestMeasure::test_reproducibility")),
-    Mutant("lueders-unsymmetrized", "src/aqm/ensemble.py",
-           "return QuantumState(0.5 * (rho + rho.conj().T))",
-           "return QuantumState(rho)",
-           ("tests/test_ensemble.py::test_lueders_post_states_are_exactly_hermitian",
-            "tests/test_properties.py::test_lueders_is_the_block_formula_on_each_drawn_branch")),
+    Mutant("remeasure-ignores-the-branch", "src/aqm/experiments.py",
+           "b1[..., None], axis=-2)",
+           "0 * b1[..., None], axis=-2)",
+           ("tests/test_cli.py::TestPostulatesCommand::test_small_run_passes",
+            "tests/test_cli.py::TestPostulatesCommand::test_remeasures_each_copy_by_the_row_of_its_drawn_branch")),
+    Mutant("lueders-law-transposed", "src/aqm/ensemble.py",
+           "np.abs(_adjoint(q.basis) @ qp.basis) ** 2",
+           "np.abs(_adjoint(qp.basis) @ q.basis) ** 2",
+           ("tests/test_properties.py::test_each_row_of_the_lueders_law_is_the_born_law_of_its_post_state",)),
+    Mutant("born-weights-from-rho-transposed", "src/aqm/ensemble.py",
+           "(psi.rho @ v)",
+           "(psi.rho.swapaxes(-1, -2) @ v)",
+           ("tests/test_cli.py::TestPostulatesCommand::test_small_run_passes",
+            "tests/test_cli.py::TestPostulatesCommand::test_the_suite_fails_on_the_born_mean_alone")),
+    Mutant("validation-reads-slice-0-only", "src/aqm/algebra.py",
+           "return np.abs(x).max(initial=0.0)",
+           "return np.abs(x[(0,) * (x.ndim - 2)]).max(initial=0.0)",
+           ("tests/test_properties.py::test_a_stack_with_one_bad_slice_past_the_first_is_rejected",)),
+    Mutant("equal-eigenvalue-mask-dropped", "src/aqm/experiments.py",
+           "_gaussian(rng, same.shape) * same",
+           "_gaussian(rng, same.shape)",
+           ("tests/test_cli.py::TestPostulatesCommand::test_small_run_passes",
+            "tests/test_properties.py::test_direct_contexts_match_the_masa_from_oracle")),
     Mutant("pair-checked-twice", "src/aqm/algebra.py",
-           "    return _branch_values(q, a)[branches.astype(np.intp, copy=False)]",
-           "    _branch_values(q, a)\n    return _branch_values(q, a)[branches.astype(np.intp, copy=False)]",
+           "    values = _branch_values(q, a)",
+           "    _branch_values(q, a)\n    values = _branch_values(q, a)",
            ("tests/test_ensemble.py::TestMeasure::test_checks_the_observable_against_the_context_once",
             "tests/test_ensemble.py::TestMeasureMany::test_checks_the_observable_against_the_context_once")),
     Mutant("uniforms-reversed", "src/aqm/ensemble.py",
@@ -65,8 +78,8 @@ MUTANTS = (
            "return inverse_cdf(born_distribution(psi, q), u[::-1])",
            ("tests/test_properties.py::test_measure_many_is_the_scalar_loop",)),
     Mutant("inverse-cdf-unclamped", "src/aqm/ensemble.py",
-           'return np.minimum(np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right"), last)',
-           'return np.searchsorted(cdf, np.asarray(u) * cdf[-1], side="right")',
+           "return np.minimum(drawn, last.reshape(shape))",
+           "return drawn",
            ("tests/test_properties.py::test_measure_many_never_draws_a_zero_probability_branch",
             "tests/test_properties.py::test_inverse_cdf_is_the_clamped_searchsorted")),
     Mutant("multinomial-unclamped", "src/aqm/ensemble.py",
@@ -74,12 +87,12 @@ MUTANTS = (
            "counts[:] = gen.multinomial(n, probs)",
            ("tests/test_ensemble.py::test_a_zero_probability_branch_is_never_counted_at_any_n",)),
     Mutant("postulate5-distance-zero", "src/aqm/ensemble.py",
-           "return Postulate5Report(float(np.max(np.abs(c1 - c2))),",
-           "return Postulate5Report(0.0,",
+           "return Postulate5Report(np.max(np.abs(c1 - c2), axis=-1),",
+           "return Postulate5Report(0.0 * np.max(np.abs(c1 - c2), axis=-1),",
            ("tests/test_ensemble.py::TestPostulate5::test_biased_born_weights_fail",)),
     Mutant("ks-failures-never-counted", "src/aqm/experiments.py",
-           "if report.ks_stat >= report.ks_critical:",
-           "if False:",
+           "failures = int(np.count_nonzero(report.ks_stat >= report.ks_critical))",
+           "failures = 0",
            ("tests/test_cli.py::TestPostulatesCommand::test_the_suite_fails_on_ks_failures_alone",)),
     Mutant("ks-failure-gate-true", "src/aqm/experiments.py",
            "ks_failures <= max(1, trials // 20)",

@@ -1,15 +1,16 @@
 """Dense and one-event-at-a-time references that the tests compare the package with.
 
 No command-line run reaches them.  The package holds a context as one
-orthonormal basis, one column per branch, builds a Lueders post-state as
-the pure state of the drawn branch's column, conditions the pure two-slit
+orthonormal basis, one column per branch, re-measures a copy by the
+drawn branch's row of |Q^dagger Q'|^2 without building its post-state,
+conditions the pure two-slit
 source as one amplitude vector, takes the pattern by FFT of its
 slit-masked amplitudes, draws photon events in batches of
 event_uniforms rows, draws Born tallies as one multinomial, and compares
 Postulate 5 value distributions on one grid of integer value levels;
 these references hold a context as a (d, d, d) stack of rank-1
-projectors, build a post-state from the state by the block formula of
-any rank, condition and decompose N x N density matrices, draw one event
+projectors, build each post-state, as the pure state of the drawn
+branch's column and by the block formula of any rank, condition and decompose N x N density matrices, draw one event
 at a time, tally Born draws one uniform at a time, and compare each
 context's own value distribution on the values themselves.
 """
@@ -35,6 +36,7 @@ from aqm.algebra import (
 )
 from aqm.ensemble import QuantumState, born_distribution, inverse_cdf
 from aqm.errors import ImpossibleEventError, IncompatibleObservableError, NotHermitianError
+from aqm.experiments import random_degenerate_spectrum
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
 from aqm.rng import DRAWS_PER_EVENT, LANE_EVENTS, _key
 from aqm.two_slit import SlitGeometry, _slit_masks
@@ -127,16 +129,35 @@ def stack_branch_values(p: np.ndarray, a) -> np.ndarray:
     return (np.trace(pm, axis1=1, axis2=2) / np.trace(p, axis1=1, axis2=2)).real
 
 
-def lueders(psi: QuantumState, block: np.ndarray) -> QuantumState:
+def lueders(q: Context, j: int) -> QuantumState:
+    """Lueders post-state of branch j of q: the pure state v v^dagger of its column v.
+
+    For the rank-1 projector P = v v^dagger, P rho P / tr(rho P) is v v^dagger
+    whatever the state rho that drew the branch.  Symmetrized against
+    rounding, so it is exactly Hermitian.  Its Born law on a context Q' is
+    the package's ensemble.lueders_law(q, Q')[j].
+    """
+    v = q.basis[:, j]
+    rho = np.outer(v, v.conj())
+    return QuantumState(0.5 * (rho + rho.conj().T))
+
+
+def lueders_block(psi: QuantumState, block: np.ndarray) -> QuantumState:
     """Lueders post-state P rho P / tr(rho P) of P = B B^dagger, B orthonormal columns.
 
     Built as B (B^dagger rho B) B^dagger / tr(B^dagger rho B), symmetrized
     against rounding, for a block B of any rank: the general-rank oracle
-    of ensemble.lueders, whose branches are single columns.
+    of lueders, whose branches are single columns.
     """
     inner = block.conj().T @ psi.rho @ block
     rho = block @ inner @ block.conj().T / np.trace(inner).real
     return QuantumState(0.5 * (rho + rho.conj().T))
+
+
+def random_degenerate_observable(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """u diag(lam) u^dagger of one experiments.random_degenerate_spectrum draw."""
+    u, lam = random_degenerate_spectrum(dim, rng)
+    return (u * lam) @ u.conj().T
 
 
 def pushforward(probs: np.ndarray, values: np.ndarray):

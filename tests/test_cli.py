@@ -585,16 +585,21 @@ class TestPostulatesCommand:
         assert (tmp_path / "run" / "result.json").read_bytes() == first
 
     def test_reproducibility_fails_without_the_lueders_update(self, tmp_path, monkeypatch):
-        # each re-measurement then starts from the state before the first
+        # each re-measurement then draws from the Born law of the state before the first
         instance, states = experiments._instance, []
 
-        def kept(dim, rng):
-            a, q, qp, psi = instance(dim, rng)
+        def kept(dim, rng, shape=()):
+            a, q, qp, psi = instance(dim, rng, shape)
             states.append(psi)
             return a, q, qp, psi
 
+        def from_psi(q, qp):
+            # every row: the Born law on qp of the block's states
+            law = ensemble.born_distribution(states[-1], qp)[..., None, :]
+            return np.repeat(law, q.n_branches, axis=-2)
+
         monkeypatch.setattr(experiments, "_instance", kept)
-        monkeypatch.setattr(experiments, "lueders", lambda q, j: states[-1])
+        monkeypatch.setattr(experiments, "lueders_law", from_psi)
         out = tmp_path / "run"
         args = ("postulates", "--dim", "3", "--trials", "2", "--seed", "1", "--out", str(out))
         assert run_cli(*args) == 2
@@ -602,37 +607,46 @@ class TestPostulatesCommand:
         assert reproducibility["agreement_probability"] < 1.0
         assert not reproducibility["passed"]
 
-    def test_builds_one_post_state_per_drawn_branch(self, monkeypatch):
-        # each instance's first measurement is followed by one lueders call
-        # for each distinct branch it drew, and the re-measurement by none
-        measures, builds, posts = [], [], []
-        measure, build = experiments.measure_many, experiments.lueders
+    def test_remeasures_each_copy_by_the_row_of_its_drawn_branch(self, monkeypatch):
+        # each block's first measurement draws b1, and its re-measurement draws
+        # each copy from row b1 of the block's lueders_law: no post-state is built
+        measures, laws, rows, states = [], [], [], []
+        measure, law, draw = experiments.measure_many, experiments.lueders_law, experiments.inverse_cdf
+        state = experiments.QuantumState
 
         def measured(psi, q, u):
-            measures.append((psi, q, measure(psi, q, u)))
-            return measures[-1][2]
+            measures.append(measure(psi, q, u))
+            return measures[-1]
 
-        def built(q, j):
-            builds.append((q, j))
-            posts.append(build(q, j))
-            return posts[-1]
+        def lawed(q, qp):
+            laws.append(law(q, qp))
+            return laws[-1]
+
+        def drawn(probs, u):
+            rows.append(probs)
+            return draw(probs, u)
+
+        def built(rho):
+            states.append(rho)
+            return state(rho)
 
         monkeypatch.setattr(experiments, "measure_many", measured)
-        monkeypatch.setattr(experiments, "lueders", built)
-        # two trials per instance, so most instances leave a branch undrawn
-        monkeypatch.setattr(experiments, "_REPRODUCIBILITY_TRIALS", 100)
+        monkeypatch.setattr(experiments, "lueders_law", lawed)
+        monkeypatch.setattr(experiments, "inverse_cdf", drawn)
+        monkeypatch.setattr(experiments, "QuantumState", built)
+        monkeypatch.setattr(experiments, "_REPRODUCIBILITY_TRIALS", 100)  # two copies per instance
         assert experiments.postulate_suite(dim=4, trials=2, seed=5)["passed"]
-        first = [(q, b) for psi, q, b in measures if not any(psi is post for post in posts)]
-        assert len(first) == 50
-        assert any(len(set(b.tolist())) < q.n_branches for q, b in first)
-        for q, branches in first:
-            assert [j for c, j in builds if c is q] == sorted(set(branches.tolist()))
-        assert len(posts) == sum(len(set(b.tolist())) for _, b in first)
+        assert len(measures) == len(laws) == len(rows) > 1  # one block per instance dim
+        assert sum(len(b) for b in measures) == 50
+        for b1, full, drawn_rows in zip(measures, laws, rows):
+            assert np.array_equal(drawn_rows, full[np.arange(len(b1))[:, None], b1])
+        # one stacked state per block: Postulate 5's, Postulate 6's, and each re-measured one
+        assert len(states) == 2 + len(measures)
 
     def test_the_suite_fails_on_ks_failures_alone(self, tmp_path, monkeypatch):
         # every smoke test fails while the exact distributions still agree,
         # so only the KS-failure gate can fail Postulate 5
-        monkeypatch.setattr(ensemble, "ks_statistic", lambda x, y: 1.0)
+        monkeypatch.setattr(ensemble, "ks_statistic", lambda x, y: np.ones(x.shape[:-1]))
         out = tmp_path / "run"
         args = ("postulates", "--dim", "3", "--trials", "20", "--seed", "1", "--out", str(out))
         assert run_cli(*args) == 2
@@ -641,6 +655,36 @@ class TestPostulatesCommand:
         assert result["postulate5"]["max_exact_distance"] <= 1e-10
         assert not result["postulate5"]["passed"]
         assert result["postulate6"]["passed"] and result["reproducibility"]["passed"]
+        assert result["born_mean"]["passed"]
+
+    def test_the_suite_fails_on_the_born_mean_alone(self, tmp_path, monkeypatch):
+        # Born weights read from rho^T, itself a state: both contexts of a pair
+        # agree and every re-measurement reproduces, so only the comparison
+        # with the state's own mean tr(rho A) can fail
+        born = ensemble.born_distribution
+        monkeypatch.setattr(ensemble, "born_distribution", lambda psi, q: born(
+            ensemble.QuantumState(psi.rho.swapaxes(-1, -2)), q))
+        out = tmp_path / "run"
+        args = ("postulates", "--dim", "3", "--trials", "20", "--seed", "1", "--out", str(out))
+        assert run_cli(*args) == 2
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["born_mean"]["max_residual"] > result["born_mean"]["bound"] == 1e-10
+        assert not result["born_mean"]["passed"]
+        assert result["postulate5"]["passed"] and result["postulate6"]["passed"]
+        assert result["reproducibility"]["passed"]
+
+    def test_a_context_without_its_observable_exits_2_through_the_measurability_gate(
+            self, tmp_path, monkeypatch, capsys):
+        # Haar contexts, blind to the observable's eigenspaces, do not contain it
+        monkeypatch.setattr(experiments, "random_masa", lambda u, lam, rng: algebra.Context(
+            experiments.random_unitary(u.shape[-1], rng, u.shape[:-2])))
+        out = tmp_path / "run"
+        args = ("postulates", "--dim", "4", "--trials", "10", "--seed", "7", "--out", str(out))
+        assert run_cli(*args) == 2
+        result = json.loads((out / "result.json").read_text())
+        assert "not measurable" in result["error"]
+        assert "result" not in result
+        assert "model violation" in capsys.readouterr().err
 
     def test_event_count_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aqm import algebra, ensemble
+from aqm import algebra, ensemble, experiments
 from aqm.algebra import evaluate, is_stable, masa_from
 from aqm.ensemble import (
     QuantumState,
@@ -18,22 +18,23 @@ from aqm.ensemble import (
     check_postulate5,
     check_postulate6,
     inverse_cdf,
-    lueders,
     measure_many,
     monte_carlo_mean,
     multinomial_counts,
 )
 from aqm.errors import ImpossibleEventError, IncompatibleObservableError
-from aqm.experiments import (
-    _instance,
-    random_degenerate_observable,
-    random_density,
-    random_hermitian,
-    random_unitary,
-)
+from aqm.experiments import _instance, random_density, random_hermitian, random_unitary
 from aqm.rng import stream
 from conftest import SIGMA_X, SIGMA_Z, chi_square_test
-from reference import branch_counts, condition_on_event, postulate5, projectors, pure
+from reference import (
+    branch_counts,
+    condition_on_event,
+    lueders,
+    postulate5,
+    projectors,
+    pure,
+    random_degenerate_observable,
+)
 
 KET0 = pure([1.0, 0.0])
 PLUS = pure([1.0, 1.0])
@@ -211,7 +212,8 @@ class TestMeasureMany:
             measure_many(PLUS, Z_CTX, u)
 
     def test_builds_no_post_state(self, monkeypatch):
-        # a post-state is built by lueders, for a copy that is measured again
+        # a copy measured again is re-measured by its branch's row of
+        # lueders_law; no measurement builds its post-state
         def no_state(rho):
             raise AssertionError("measure_many built a QuantumState")
 
@@ -420,6 +422,21 @@ class TestPostulate5:
             exact, ks = postulate5(psi, a, q, qp, 400, stream(seed, 100 + dim))
             assert rep.exact_distance == exact
             assert rep.ks_stat == ks
+
+
+def test_postulate_suite_memory_does_not_grow_with_its_blocks_of_trials():
+    # a block at dim 16 stacks _BLOCK // 256 trials, about 12 MB at its peak;
+    # four blocks, run one after another, peak where one does
+    per_block = experiments._BLOCK // 16**2
+    peaks = []
+    for trials in (per_block, 4 * per_block):
+        tracemalloc.start()
+        try:
+            experiments.postulate_suite(16, trials, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 class TestPostulate6:

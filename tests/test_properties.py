@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from aqm.algebra import (
     COMMUTE_TOL,
     PROJECTOR_TOL,
+    VALUE_TOL,
     Context,
     _branch_values,
     evaluate,
@@ -20,18 +21,23 @@ from aqm.algebra import (
 )
 from aqm import experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
+    QuantumState,
     born_distribution,
+    born_mean_residual,
+    check_postulate5,
+    check_postulate6,
     inverse_cdf,
-    lueders,
+    lueders_law,
     measure_many,
     monte_carlo_mean,
     multinomial_counts,
 )
-from aqm.errors import IncompatibleObservableError, ModelViolationError
+from aqm.errors import IncompatibleObservableError, ModelViolationError, NotHermitianError
 from aqm.experiments import (
-    random_degenerate_observable,
+    random_degenerate_spectrum,
     random_density,
     random_hermitian,
+    random_masa,
     random_unitary,
 )
 from aqm.interferometer import POLICIES
@@ -51,12 +57,14 @@ from reference import (
     decompose_mean,
     event_stream,
     events_csv,
-    lueders as reference_lueders,
+    lueders,
+    lueders_block,
     mode_diagonal,
     momentum_projector,
     particle_run,
     projectors,
     pure,
+    random_degenerate_observable,
     slit_projectors,
     spectral_decompose,
     stack_branch_values,
@@ -223,8 +231,94 @@ def test_lueders_is_the_block_formula_on_each_drawn_branch(seed, dim, n):
         block = q.basis[:, [j]]
         weight = (block.conj().T @ psi.rho @ block).real.item()
         post = lueders(q, j)
-        assert np.max(np.abs(post.rho - reference_lueders(psi, block).rho)) <= _ROUNDING / weight
+        assert np.max(np.abs(post.rho - lueders_block(psi, block).rho)) <= _ROUNDING / weight
         assert np.array_equal(post.rho, post.rho.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 8))
+def test_each_row_of_the_lueders_law_is_the_born_law_of_its_post_state(seed, dim):
+    # row j of |Q^dagger Q'|^2 against the state v_j v_j^dagger, measured on Q'
+    rng = np.random.default_rng(seed)
+    q, qp = (Context(random_unitary(dim, rng)) for _ in range(2))
+    law = lueders_law(q, qp)
+    for j in range(dim):
+        assert np.max(np.abs(law[j] - born_distribution(lueders(q, j), qp))) <= _ROUNDING
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 12))
+def test_direct_contexts_match_the_masa_from_oracle(seed, dim):
+    # for the same A, a context drawn from A's own basis and masa_from's
+    # context hold the same values with the same law
+    rng = np.random.default_rng(seed)
+    u, lam = random_degenerate_spectrum(dim, rng)
+    a = (u * lam) @ u.conj().T
+    direct = random_masa(u, lam, rng)
+    oracle = masa_from(a, refinement=random_unitary(dim, rng))
+    got, want = (np.sort(_branch_values(c, a)) for c in (direct, oracle))
+    assert np.max(np.abs(got - want)) <= VALUE_TOL
+    report = check_postulate5(random_density(dim, rng), a, direct, oracle, 2, rng)
+    assert report.exact_distance <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 6), count=st.integers(1, 4),
+       n=st.integers(1, 30).map(lambda m: 2 * m))
+def test_each_stacked_function_is_its_call_on_each_slice(seed, dim, count, n):
+    # a single call is a batch of one: slice k of a stacked call has the bits
+    # of the call on slice k alone
+    rng = np.random.default_rng(seed)
+    a, q, qp, psi = experiments._instance(dim, rng, (count,))
+    b = random_hermitian(dim, rng, (count,))
+    u = rng.random((count, n))
+    branches = rng.integers(0, dim, (count, 2, n))
+
+    def calls(a, q, qp, psi, b, u, branches, gen):
+        probs = born_distribution(psi, q)
+        report = check_postulate5(psi, a, q, qp, n, gen)
+        return [QuantumState(psi.rho).rho, Context(q.basis).basis, psi.mean(a), probs,
+                _branch_values(q, a), evaluate(q, a, branches[..., 0, :]),
+                is_stable(a, (q, qp), (branches[..., 0, :], branches[..., 1, :])),
+                inverse_cdf(probs, u), measure_many(psi, q, u), lueders_law(q, qp),
+                report.exact_distance, report.ks_stat, check_postulate6(psi, a, b),
+                born_mean_residual(psi, a, q)]
+
+    stacked = calls(a, q, qp, psi, b, u, branches, stream(seed, 0))
+    for k in range(count):
+        # check_postulate5 draws 2n uniforms per slice: slice k's begin at draw 2nk
+        alone = calls(a[k], Context(q.basis[k]), Context(qp.basis[k]), QuantumState(psi.rho[k]),
+                      b[k], u[k], branches[k], stream(seed, 0, start=2 * n * k))
+        for got, want in zip(stacked, alone, strict=True):
+            assert np.array_equal(got[k], want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), dim=st.integers(2, 6), count=st.integers(2, 5), data=st.data())
+def test_a_stack_with_one_bad_slice_past_the_first_is_rejected(seed, dim, count, data):
+    k = data.draw(st.integers(1, count - 1))
+    rng = np.random.default_rng(seed)
+    a, q, _, psi = experiments._instance(dim, rng, (count,))
+
+    def spoiled(stack, bad):
+        stack = stack.copy()
+        stack[k] = bad
+        return stack
+
+    with pytest.raises(ValueError, match="context basis is not orthonormal"):
+        Context(spoiled(q.basis, q.basis[k] * (1.0 + 1e-6)))
+    negative = np.diag(np.r_[1.5, -0.5, np.zeros(dim - 2)])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        QuantumState(spoiled(psi.rho, negative))
+    with pytest.raises(ValueError, match="trace"):
+        QuantumState(spoiled(psi.rho, 2.0 * psi.rho[k]))
+    with pytest.raises(NotHermitianError):
+        QuantumState(spoiled(psi.rho, psi.rho[k] + 1e-6j * np.triu(np.ones((dim, dim)), 1)))
+    # a perturbation of A's own eigenbasis mixes two branches of q
+    with pytest.raises(IncompatibleObservableError):
+        _branch_values(q, spoiled(a, a[k] + 1e-6 * random_hermitian(dim, rng)))
+    with pytest.raises(ValueError, match="uniforms"):
+        measure_many(psi, q, spoiled(rng.random((count, 3)), [0.5, 1.5, 0.5]))
 
 
 def test_measure_many_never_draws_a_zero_probability_branch():
