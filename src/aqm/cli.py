@@ -28,11 +28,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import aqm  # noqa: E402
 from aqm import experiments, interferometer, two_slit  # noqa: E402
-from aqm.errors import (  # noqa: E402
-    ConfigError,
-    IncompatibleObservableError,
-    ModelViolationError,
-)
+from aqm.errors import ConfigError, IncompatibleObservableError  # noqa: E402
 from aqm.serialize import write_json_atomic  # noqa: E402
 
 
@@ -226,7 +222,7 @@ def run(config: dict) -> int:
         result = _COMMANDS[config["experiment"]].run(config, out_dir)
     # a run builds its own observables and contexts: one that is not
     # measurable where the run measures it is a broken invariant
-    except (ModelViolationError, IncompatibleObservableError) as exc:
+    except IncompatibleObservableError as exc:
         write_json_atomic(
             os.path.join(out_dir, "result.json"),
             {"version": aqm.__version__, "config": config, "error": str(exc)},

@@ -25,9 +25,5 @@ class ImpossibleEventError(AqmError, ValueError):
     """Conditioning on an event of probability zero."""
 
 
-class ModelViolationError(AqmError, RuntimeError):
-    """The per-event particle sampler cannot reproduce the ensemble statistics."""
-
-
 class ConfigError(AqmError, ValueError):
     """Malformed run configuration."""

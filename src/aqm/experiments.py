@@ -239,7 +239,7 @@ def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int, p
     With `pattern_path`, also pattern.csv, one row per mode, a block at a time.
     """
     psi_ab = two_slit.prepare_conditioned(two_slit.uniform_source(geom.grid_size), geom)
-    split = two_slit.screen_split(psi_ab, geom)  # an infeasible split fails here
+    split = two_slit.screen_split(psi_ab, geom)
     direct_a, direct_b, cross, probs = split.modes
     histogram, (n_a, n_b) = two_slit.sample_screens(split, n_events, seed)
     if pattern_path is not None:
@@ -265,7 +265,8 @@ def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int, p
         "max_closure_residual": float(closure),
         "sampler_law_residual": law,
         "sampler_law_bound": law_bound,
-        "passed": bool(tv <= tv_bound and closure <= two_slit.CLOSURE_TOL and law <= law_bound),
+        "passed": bool(tv <= tv_bound and closure <= two_slit.CLOSURE_TOL and law <= law_bound
+                       and max(split.clamped) <= split.budget),
     }
 
 

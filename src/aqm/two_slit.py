@@ -9,10 +9,9 @@ mean splits exactly into a slit-a term, a slit-b term and a cross
 (interference) term, per DFT mode from one FFT of each slit's masked
 amplitudes; no N x N matrix is built.  The stacked-screens sampler,
 sample_screens, draws the tallies of events that each localize the
-particle at exactly one slit; the cross term's mass is shared equally
-between the two slit labels, the unique symmetric split consistent with
-the decomposition, and sampler_law_residual checks the sampler's exact
-law against the pattern without a draw.
+particle at exactly one slit, each mode's cross term shared between the
+slits so that no conditional mass is negative (see screen_split), and
+sampler_law_residual checks its exact law against the pattern without a draw.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqm.ensemble import multinomial_counts
-from aqm.errors import ConfigError, ImpossibleEventError, ModelViolationError
+from aqm.errors import ConfigError, ImpossibleEventError
 from aqm.rng import stream
 
 CLOSURE_TOL = 1e-10
-CLAMP_BUDGET = 1e-6  # per lattice site, see screen_split
+CLAMP_BUDGET = 1e-6  # per lattice site: a run that clamps more fails
 LAW_FLOOR = 1e-12  # rounding allowance of sampler_law_residual
 
 
@@ -112,37 +111,44 @@ class ScreenSplit:
     modes: tuple  # per-mode (direct_a, direct_b, cross, total) it was built from
     slit_probs: np.ndarray
     conds: tuple  # momentum distribution given slit a, given slit b
-    clamped: tuple  # negative mass clamped from each, at most `budget`
+    clamped: tuple  # negative mass clamped from each; a run fails above `budget`
     budget: float
+
+
+def cross_shares(direct_a: np.ndarray, direct_b: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Slit a's share of each mode's cross term, by the rule of screen_split."""
+    share = np.full(len(cross), 0.5)
+    dark = cross < 0.0
+    share[dark] = np.clip(0.5, 1.0 + direct_b[dark] / cross[dark], -direct_a[dark] / cross[dark])
+    bright = np.sum(cross[cross > 0.0])
+    share[~dark] -= np.sum((share[dark] - 0.5) * cross[dark]) / bright if bright > 0.0 else 0.0
+    return share
 
 
 def screen_split(psi_ab: np.ndarray, geom: SlitGeometry) -> ScreenSplit:
     """Per-slit conditional momentum distributions of the event sampler.
 
-    The direct term of a slit goes entirely to that slit's label; the
-    cross term is split half and half.  Negative masses (the cross term is
-    not sign-definite) are clamped to zero; if the clamped mass exceeds
-    the per-site budget the split rule cannot reproduce the pattern and a
-    diagnostic error is raised.
+    Slit a takes its direct term plus a share s_k of mode k's cross term,
+    slit b the rest.  Where cross < 0, s_k is the share nearest 1/2 that
+    keeps both masses >= 0, which exists as direct_a + direct_b + cross =
+    |f_a + f_b|^2.  The other modes take 1/2 + tau, the one tau that keeps
+    slit a's total at p_a; disjoint slits give sum(cross) = 0, so |tau| <= 1/2.
+    Where the half split is non-negative, every s_k is exactly 1/2.  Masses
+    negative by rounding are clamped and reported against the per-site budget.
     """
     modes = _mode_statistics(psi_ab, geom)
     direct_a, direct_b, cross, _ = modes
-    budget = CLAMP_BUDGET * len(cross)
+    share = cross_shares(direct_a, direct_b, cross)
     slit_probs = np.array([np.sum((psi_ab.real ** 2 + psi_ab.imag ** 2) * m) for m in geom.masks])
     conds, clamped = [], []
-    for direct in (direct_a, direct_b):
-        mass = direct + 0.5 * cross
+    for direct, s in ((direct_a, share), (direct_b, 1.0 - share)):
+        mass = direct + s * cross
         clamped.append(float(np.sum(np.maximum(-mass, 0.0))))
-        if clamped[-1] > budget:
-            raise ModelViolationError(
-                f"per-event split rule produced negative conditional mass "
-                f"{clamped[-1]:.3e} (budget {budget:.3e}); the kernel "
-                f"sampler cannot reproduce the interference pattern here"
-            )
         mass = np.clip(mass, 0.0, None)
         # a slit of zero Born weight is never sampled: a flat placeholder
         conds.append(mass / mass.sum() if mass.sum() > 0.0 else np.full_like(mass, 1 / len(mass)))
-    return ScreenSplit(modes, slit_probs / slit_probs.sum(), tuple(conds), tuple(clamped), budget)
+    return ScreenSplit(modes, slit_probs / slit_probs.sum(), tuple(conds), tuple(clamped),
+                       CLAMP_BUDGET * len(cross))
 
 
 def sample_screens(split: ScreenSplit, n_events: int, seed: int):
@@ -168,8 +174,8 @@ def sample_screens(split: ScreenSplit, n_events: int, seed: int):
 def sampler_law_residual(split: ScreenSplit) -> tuple:
     """(residual, bound): L1 distance of the sampler's exact law p_a cond_a + p_b cond_b from P.
 
-    With m_s = direct_s + cross/2, c_s >= 0 what the clamp adds and C_s = sum(c_s):
-    sum(m_s) = p_s (Parseval; disjoint slits give sum(cross) = 0), so p_s cond_s =
+    With m_s = direct_s + share_s cross, c_s >= 0 what the clamp adds and C_s = sum(c_s):
+    sum(m_s) = p_s (Parseval, and cross_shares keeps each slit's total), so p_s cond_s =
     p_s (m_s + c_s) / (p_s + C_s) = m_s + c_s - C_s cond_s lies within 2 C_s of m_s
     in L1.  As m_a + m_b = P, the bound is 2 (C_a + C_b), plus LAW_FLOOR for rounding.
     """

@@ -98,6 +98,10 @@ MUTANTS = (
            "ks_failures <= max(1, trials // 20)",
            "True",
            ("tests/test_cli.py::TestPostulatesCommand::test_the_suite_fails_on_ks_failures_alone",)),
+    Mutant("khinchin-band-unbounded", "src/aqm/experiments.py",
+           "lo, hi = 3.0, 33.0",
+           'lo, hi = 0.0, float("inf")',
+           ("tests/test_cli.py::TestKhinchinCommand::test_a_ratio_above_the_band_fails",)),
     Mutant("khinchin-big-mean-from-a-tenth", "src/aqm/experiments.py",
            "monte_carlo_mean(psi, a, q, n_big, seed, 2 * j + 2)",
            "monte_carlo_mean(psi, a, q, n_big // 10, seed, 2 * j + 2)",
@@ -107,9 +111,26 @@ MUTANTS = (
            '"passed": bool(closure',
            ("tests/test_cli.py::TestTwoSlitCommand::test_a_histogram_off_the_pattern_fails_on_its_tv_distance_alone",)),
     Mutant("screen-split-no-cross-term", "src/aqm/two_slit.py",
-           "mass = direct + 0.5 * cross",
+           "mass = direct + s * cross",
            "mass = direct + 0.0 * cross",
            ("tests/test_cli.py::TestTwoSlitCommand::test_the_true_sampler_meets_its_exact_law",)),
+    Mutant("split-share-half", "src/aqm/two_slit.py",
+           "    return share\n",
+           "    return np.full(len(cross), 0.5)\n",
+           ("tests/test_properties.py::test_the_per_mode_split_exists_on_every_geometry",
+            "tests/test_cli.py::TestTwoSlitCommand::test_uneven_slits_run_and_pass")),
+    Mutant("split-share-unclipped", "src/aqm/two_slit.py",
+           "np.clip(0.5, 1.0 + direct_b[dark] / cross[dark], -direct_a[dark] / cross[dark])",
+           "0.5",
+           ("tests/test_properties.py::test_the_per_mode_split_exists_on_every_geometry",
+            "tests/test_two_slit.py::TestStackedScreens::test_uneven_slits_run_and_pass",
+            "tests/test_two_slit.py::TestStackedScreens::"
+            "test_a_split_without_bright_modes_leaves_their_shares_at_half")),
+    Mutant("split-budget-gate-dropped", "src/aqm/experiments.py",
+           "and max(split.clamped) <= split.budget",
+           "and True",
+           ("tests/test_cli.py::TestTwoSlitCommand::"
+            "test_the_half_split_exits_2_through_the_clamp_budget_alone",)),
     Mutant("screen-split-flat-conditionals", "src/aqm/two_slit.py",
            "mass = np.clip(mass, 0.0, None)",
            "mass = np.ones_like(mass)",
@@ -118,6 +139,11 @@ MUTANTS = (
            "np.fft.ifft(m * psi_ab)",
            "np.fft.fft(m * psi_ab)",
            ("tests/test_properties.py::test_fft_mode_statistics_match_the_dense_oracle",)),
+    Mutant("summarize-counts-40-sigma", "src/aqm/interferometer.py",
+           "4.0 * np.sqrt(p_da * p_db / n)",
+           "40.0 * np.sqrt(p_da * p_db / n)",
+           ("tests/test_interferometer.py::TestEquivalenceReport::"
+            "test_a_ten_sigma_deviation_fails_its_four_sigma_tolerance",)),
     Mutant("steered-detector-threshold-half", "src/aqm/interferometer.py",
            "u[:, 1] < _P_STEERED_DB",
            "u[:, 1] < 0.5",

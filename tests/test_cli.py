@@ -444,17 +444,33 @@ class TestTwoSlitCommand:
         assert result["sampler_law_bound"] == two_slit.LAW_FLOOR
         assert result["sampler_law_residual"] <= 1e-15
 
-    def test_infeasible_split_is_exit_2_with_error(self, tmp_path, capsys):
+    def test_uneven_slits_run_and_pass(self, tmp_path):
+        # half of each mode's cross term would leave a negative mass here
         out = tmp_path / "run"
-        code = run_cli(
-            "two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20",
-            "--n", "1000", "--seed", "1", "--out", str(out),
-        )
-        assert code == 2
-        result = json.loads((out / "result.json").read_text())
-        assert "negative conditional mass" in result["error"]
-        assert "result" not in result
-        assert "model violation" in capsys.readouterr().err
+        assert run_cli("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20",
+                       "--n", "1000", "--seed", "1", "--out", str(out)) == 0
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["passed"]
+        assert result["sampler_law_residual"] <= result["sampler_law_bound"]
+        assert len((out / "pattern.csv").read_bytes().splitlines()) == 33
+
+    def test_the_half_split_exits_2_through_the_clamp_budget_alone(self, tmp_path, monkeypatch):
+        # the law gate's bound grows with the clamped mass, so only the
+        # budget sees a split that clamps far more than rounding
+        monkeypatch.setattr(two_slit, "cross_shares",
+                            lambda direct_a, direct_b, cross: np.full(len(cross), 0.5))
+        out = tmp_path / "run"
+        assert run_cli("two-slit", "--n-sites", "256", "--slit-a", "100",
+                       "--slit-b", ",".join(map(str, range(140, 150))),
+                       "--n", "10000", "--seed", "1", "--out", str(out)) == 2
+        result = json.loads((out / "result.json").read_text())["result"]
+        clamp = result["split_clamp"]
+        assert max(clamp["a"], clamp["b"]) > 100 * clamp["budget"]
+        assert result["tv_distance"] <= result["tv_bound"]
+        assert result["max_closure_residual"] <= two_slit.CLOSURE_TOL
+        assert result["sampler_law_residual"] <= result["sampler_law_bound"]
+        assert not result["passed"]
+        assert (out / "pattern.csv").exists()
 
 
 def test_cli_import_does_not_load_numpy_fft():
@@ -711,6 +727,14 @@ class TestKhinchinCommand:
         first = (tmp_path / "run" / "result.json").read_bytes()
         assert run_cli(*args) == code
         assert (tmp_path / "run" / "result.json").read_bytes() == first
+
+    def test_a_ratio_above_the_band_fails(self):
+        # the khinchin-split sizes: the medians of two seeds' errors put the
+        # ratio above 33
+        result = experiments.khinchin_experiment(n_seeds=2, n_small=1000, n_big=524_293,
+                                                 dim=4, seed=5)
+        assert result["ratio"] > result["band"][1] == 33.0
+        assert not result["passed"]
 
 
 @pytest.mark.parametrize(

@@ -44,11 +44,26 @@ GOLDEN = {
             "result.json": "9cbc611229e56fc250ceedd132fac65979f27aa798cf783275f905705f6683a5",
         },
     ),
-    "two-slit-split-violation": (
+    # uneven slits, where half of each mode's cross term would leave a
+    # negative mass: the bright modes' share of slit a is 1/2 + 0.160
+    "two-slit-uneven-slits": (
         ("two-slit", "--n-sites", "32", "--slit-a", "4,5", "--slit-b", "20",
          "--n", "1000", "--seed", "1"),
-        2,
-        {"result.json": "6e58e24ca8e1c695bade66ae680cc99058ceb98bb1f527a2f01bacacb8c494d2"},
+        0,
+        {
+            "pattern.csv": "0e296fc17456dfcbecfe20ec3ad863e17eaaff1c48e41f9d42523a4744febfa2",
+            "result.json": "fe49f92d79a38e5b35959637108a6677649508362fc3d987709863ca9599d08d",
+        },
+    ),
+    # and 1/2 - 0.249
+    "two-slit-uneven-wide": (
+        ("two-slit", "--n-sites", "256", "--slit-a", "100",
+         "--slit-b", "140,141,142,143,144,145,146,147,148,149", "--n", "10000", "--seed", "1"),
+        0,
+        {
+            "pattern.csv": "60c567defb0b5b142c53dcb97b8bf9bceb6313a349e6cfd3e26cf4d7ca3af9a3",
+            "result.json": "97300d5cb583918a1aaa71cff5552ff256d57518f39d0c6c2b89e501958ec901",
+        },
     ),
     "delayed-choice-events": (
         ("delayed-choice", "--m4", "delayed-random", "--n", "2000", "--seed", "1",

@@ -107,6 +107,19 @@ class TestEquivalenceReport:
         report = summarize_counts(count_events(codes))
         assert not report["passed"]
 
+    def test_a_ten_sigma_deviation_fails_its_four_sigma_tolerance(self):
+        # mirror absent: 5,500 of 10,000 events at D_A, 0.05 from the wave
+        # model's 1/2, where one sigma is 0.005
+        counts = np.zeros((2, 2, 2), dtype=np.int64)
+        counts[PATH_A, 0, DETECTOR_A] = 5500
+        counts[PATH_A, 0, DETECTOR_B] = 4500
+        report = summarize_counts(counts)
+        (row,) = report["sub_ensembles"]
+        assert (row["m4_present"], row["n_events"]) == (False, 10_000)
+        assert row["deviation"] == pytest.approx(0.05, abs=1e-12)
+        assert row["tolerance"] == pytest.approx(0.02, abs=1e-12)
+        assert not row["passed"] and not report["passed"]
+
 
 @pytest.mark.parametrize("name", POLICIES)
 def test_events_csv(tmp_path, name):

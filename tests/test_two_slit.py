@@ -7,13 +7,15 @@ import pytest
 
 from aqm import experiments, two_slit
 from aqm.ensemble import QuantumState
-from aqm.errors import ImpossibleEventError, ModelViolationError
+from aqm.errors import ImpossibleEventError
 from aqm.experiments import random_density
 from aqm.rng import stream
 from aqm.two_slit import (
+    CLAMP_BUDGET,
     ScreenSplit,
     SlitGeometry,
     _mode_statistics,
+    cross_shares,
     prepare_conditioned,
     sample_screens,
     screen_split,
@@ -289,12 +291,45 @@ class TestStackedScreens:
             stat, critical = chi_square_test(histograms[sites], tallies[s] * split.conds[s][sites])
             assert stat < critical
 
-    def test_infeasible_split_raises(self):
-        # uneven slits: the equal split of the cross term goes negative
-        # beyond its budget, so no event may be drawn
-        geom = SlitGeometry(32, frozenset({4, 5}), frozenset({20}))
-        with pytest.raises(ModelViolationError, match="negative conditional mass"):
-            experiments.two_slit_experiment(geom, 1000, seed=1)
+    @pytest.mark.parametrize("geom", [
+        SlitGeometry(32, frozenset({4, 5}), frozenset({20})),
+        SlitGeometry(256, frozenset({100}), frozenset(range(140, 150))),
+    ], ids=["uneven-slits", "uneven-wide"])
+    def test_uneven_slits_run_and_pass(self, geom):
+        # the half split of the cross term goes negative beyond its budget
+        # here; the per-mode shares clamp only rounding
+        direct_a, direct_b, cross, _ = _mode_statistics(
+            prepare_conditioned(uniform_source(geom.grid_size), geom), geom)
+        assert max(np.sum(np.maximum(-(direct + 0.5 * cross), 0.0))
+                   for direct in (direct_a, direct_b)) > CLAMP_BUDGET * geom.grid_size
+        result = experiments.two_slit_experiment(geom, 10_000, seed=1)
+        assert result["passed"]
+        assert max(result["split_clamp"]["a"], result["split_clamp"]["b"]) <= 1e-15
+        assert result["sampler_law_residual"] <= result["sampler_law_bound"]
+
+    def test_a_split_without_bright_modes_leaves_their_shares_at_half(self):
+        # no mode has a positive cross term, so no tau can be solved for:
+        # the shares of the other modes stay 1/2, and no division runs
+        share = cross_shares(np.array([0.05, 0.5]), np.array([0.5, 0.5]), np.array([-0.2, 0.0]))
+        assert share.tolist() == [0.25, 0.5]
+
+    @pytest.mark.parametrize("geom", [
+        SlitGeometry(2, frozenset({0}), frozenset({1})),
+        experiments.PRESETS["symmetric64"],
+        SlitGeometry(32, frozenset({4, 5}), frozenset({20, 21})),
+        SlitGeometry(256, frozenset({120, 121}), frozenset({134, 135})),
+    ], ids=["n2", "symmetric64", "custom", "lattice"])
+    def test_where_the_half_split_is_non_negative_it_is_the_split(self, geom):
+        # bit for bit, so these geometries write the bytes they always did
+        psi = prepare_conditioned(uniform_source(geom.grid_size), geom)
+        direct_a, direct_b, cross, _ = _mode_statistics(psi, geom)
+        halves = [direct + 0.5 * cross for direct in (direct_a, direct_b)]
+        assert min(h.min() for h in halves) >= 0.0
+        assert np.all(cross_shares(direct_a, direct_b, cross) == 0.5)
+        split = screen_split(psi, geom)
+        assert split.clamped == (0.0, 0.0)
+        for cond, half in zip(split.conds, halves):
+            assert np.array_equal(cond, half / half.sum())
 
     def test_grid_size_must_match_state(self):
         psi = uniform_source(8)
