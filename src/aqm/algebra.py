@@ -25,7 +25,6 @@ from aqm.errors import (
     DimensionMismatchError,
     IncompatibleObservableError,
     IndeterminateValueError,
-    NotHermitianError,
 )
 
 HERM_TOL = 1e-10
@@ -64,22 +63,6 @@ def is_hermitian(a) -> bool:
     return bool(_max_abs(m - _adjoint(m)) <= HERM_TOL)
 
 
-def _orthonormal(basis, dim: int, what: str) -> np.ndarray:
-    """A complex copy of `basis`, dim x dim matrices each with max |V^dagger V - I| <= PROJECTOR_TOL."""
-    v = np.array(basis, dtype=complex)
-    if v.shape[-2:] != (dim, dim):
-        raise DimensionMismatchError(f"{what} must be {dim}x{dim}, got shape {v.shape}")
-    if not _max_abs(_adjoint(v) @ v - np.eye(dim)) <= PROJECTOR_TOL:  # a NaN entry fails too
-        raise ValueError(f"{what} is not orthonormal")
-    return v
-
-
-def _clusters(values: np.ndarray, gap: float) -> list:
-    """[start, stop) index ranges of sorted values, split where neighbours are over gap apart."""
-    cuts = (np.flatnonzero(np.abs(np.diff(values)) > gap) + 1).tolist()
-    return list(zip([0, *cuts], [*cuts, len(values)]))
-
-
 @dataclass(frozen=True)
 class Context:
     """One measurement device type: an orthonormal basis, one branch per column.
@@ -92,8 +75,9 @@ class Context:
     basis: np.ndarray
 
     def __post_init__(self):
-        v = as_matrix(self.basis)
-        v = _orthonormal(v, v.shape[-1], "context basis")
+        v = np.array(as_matrix(self.basis))
+        if not _max_abs(_adjoint(v) @ v - np.eye(v.shape[-1])) <= PROJECTOR_TOL:  # NaN fails too
+            raise ValueError("context basis is not orthonormal")
         v.setflags(write=False)
         object.__setattr__(self, "basis", v)
 
@@ -104,50 +88,6 @@ class Context:
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def _gram_schmidt(coords: np.ndarray) -> np.ndarray:
-    """Orthonormal r x r coordinates that split a rank-r eigenspace into rank-1 branches.
-
-    Gram-Schmidt on the columns of `coords`, the refinement basis in the
-    eigenspace's coordinates, in order: a column whose remainder has norm
-    1e-8 or less is skipped, a deterministic tie-break for degeneracies.
-    """
-    chosen = []
-    for c in coords.T:
-        for u in chosen:
-            c = c - u * (u.conj() @ c)
-        norm = np.linalg.norm(c)
-        if norm > 1e-8:
-            chosen.append(c / norm)
-            if len(chosen) == len(coords):
-                break
-    return np.column_stack(chosen)
-
-
-def masa_from(a, refinement=None) -> Context:
-    """Maximal abelian context containing the observable.
-
-    Eigenvalues within 1e-8 times the spectral norm of one another form
-    one degenerate eigenspace, which the `refinement` orthonormal basis
-    (default: standard basis), restricted to it, splits into rank-1
-    branches.  Branches follow the eigenvalues in ascending order.
-    """
-    m = as_matrix(a)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"masa_from takes one observable, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise NotHermitianError("a maximal context needs a Hermitian observable")
-    dim = m.shape[0]
-    basis = (np.eye(dim, dtype=complex) if refinement is None
-             else _orthonormal(refinement, dim, "refinement basis"))
-    w, v = np.linalg.eigh(m)
-    gap = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
-    columns = []
-    for start, stop in _clusters(w, gap):
-        block = v[:, start:stop]
-        columns.append(block if stop - start == 1 else block @ _gram_schmidt(block.conj().T @ basis))
-    return Context(np.hstack(columns))
 
 
 def _branch_values(q: Context, a) -> np.ndarray:

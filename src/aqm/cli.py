@@ -21,9 +21,9 @@ from typing import NamedTuple
 # Every BLAS call of a run is small (matrices of side `dim`, a vector dot
 # product in two-slit, 2x2 products in delayed-choice), too small for a
 # second thread to help: OpenBLAS's idle workers only spin.  At large `dim`
-# the thread count also changes the last bits of QR and eigh, so the bytes
-# written would depend on the machine's core count.  This must run before
-# numpy is first imported; a user's own setting wins.
+# the thread count also changes the last bits of QR and matrix products, so
+# the bytes written would depend on the machine's core count.  This must run
+# before numpy is first imported; a user's own setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import aqm  # noqa: E402
@@ -227,7 +227,7 @@ def run(config: dict) -> int:
             os.path.join(out_dir, "result.json"),
             {"version": aqm.__version__, "config": config, "error": str(exc)},
         )
-        print(f"model violation: {exc}", file=sys.stderr)
+        print(f"measurability check failed: {exc}", file=sys.stderr)
         return 2
     except BaseException:
         for path in missing:

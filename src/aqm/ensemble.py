@@ -74,11 +74,13 @@ def born_distribution(psi: QuantumState, q: Context) -> np.ndarray:
     """Branch probabilities p_j = V_j^dagger rho V_j, clamped to [0, 1] and renormalized.
 
     V_j is branch j's column of the context's basis, so p is the diagonal
-    of V^dagger rho V; (..., k) for stacks.
+    of V^dagger rho V; (..., k) for stacks.  Re(conj(V) * rho V) is taken as
+    real products and sums, which numpy's SIMD dispatch cannot fuse.
     """
     v = q.basis
     _check_same_dim(psi.rho, v)
-    return _normalized((v.conj() * (psi.rho @ v)).sum(axis=-2).real)
+    w = psi.rho @ v
+    return _normalized((v.real * w.real + v.imag * w.imag).sum(axis=-2))
 
 
 def lueders_law(q: Context, qp: Context) -> np.ndarray:

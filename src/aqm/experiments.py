@@ -7,14 +7,16 @@ driver also writes its per-mode table, and delayed-choice its photon events.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
 
 from aqm import interferometer, two_slit
-from aqm.algebra import Context, _adjoint, is_stable, masa_from
+from aqm.algebra import Context, _adjoint, _branch_values, is_stable
 from aqm.ensemble import (
     QuantumState,
+    born_distribution,
     born_mean_residual,
     check_postulate5,
     check_postulate6,
@@ -192,36 +194,54 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
 # Khinchin convergence
 
 
-def khinchin_experiment(n_seeds: int, n_small: int, n_big: int, dim: int, seed: int) -> dict:
-    """Monte Carlo error scaling between two sample sizes.
+_KHINCHIN_ALPHA = 1e-6  # false-alarm rate of the khinchin rate check
 
-    The median absolute error should shrink roughly by sqrt(n_big/n_small);
-    the accepted band is [3, 33] around the theoretical 10 for the CLI's
-    default sizes.
+
+def _chi2_upper_tail(s: float, m: int) -> float:
+    """P(X > s) for X chi-square with 2m degrees of freedom: P(Poisson(s/2) < m).
+
+    Summed in log space: exp(-s/2) alone underflows from s of about 1,490 on.
     """
-    setup = stream(seed, 0)
-    a = random_hermitian(dim, setup)
-    q = masa_from(a, refinement=random_unitary(dim, setup))
-    psi = random_density(dim, setup)
-    exact = psi.mean(a)
-    err_small, err_big = [], []
-    for j in range(n_seeds):
-        err_small.append(abs(monte_carlo_mean(psi, a, q, n_small, seed, 2 * j + 1) - exact))
-        err_big.append(abs(monte_carlo_mean(psi, a, q, n_big, seed, 2 * j + 2) - exact))
-    med_s = float(np.median(err_small))
-    med_b = float(np.median(err_big))
+    lam = s / 2
+    logs = [k * math.log(lam) - lam - math.lgamma(k + 1) for k in range(m)]
+    top = max(logs)
+    return math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
+
+
+def khinchin_experiment(n_seeds: int, n_small: int, n_big: int, dim: int, seed: int) -> dict:
+    """Monte Carlo means at two sample sizes, checked against the Born law's rate.
+
+    The setup is one postulate-suite instance.  With mu and sigma^2 the
+    mean and variance of the branch values under the Born weights, a mean
+    of n draws has z^2 = n (mean - mu)^2 / sigma^2, and E z^2 = 1 at any n.
+    The check passes when S = sum z^2 over the 2 n_seeds means has a
+    chi-square(2 n_seeds) upper tail in [alpha/2, 1 - alpha/2]: the large-n
+    law, since Var z^2 = 2 + (mu_4 / sigma^4 - 3) / n.  The median errors
+    and their ratio, near sqrt(n_big / n_small), are diagnostics.
+    """
+    a, q, _, psi = _instance(dim, stream(seed, 0))
+    p, values = born_distribution(psi, q), _branch_values(q, a)
+    mu = math.fsum(p * values)
+    var = math.fsum(p * (values - mu) ** 2)
+    small = [monte_carlo_mean(psi, a, q, n_small, seed, 2 * j + 1) for j in range(n_seeds)]
+    big = [monte_carlo_mean(psi, a, q, n_big, seed, 2 * j + 2) for j in range(n_seeds)]
+    errors = [[x - mu for x in xs] for xs in (small, big)]
+    chi2 = math.fsum(n * e * e / var for n, es in zip((n_small, n_big), errors) for e in es)
+    tail = _chi2_upper_tail(chi2, n_seeds)
+    med_s, med_b = (float(np.median(np.abs(es))) for es in errors)
     ratio = med_s / med_b if med_b > 0 else float("inf")
-    lo, hi = 3.0, 33.0
     return {
         "n_seeds": n_seeds,
         "n_small": n_small,
         "n_big": n_big,
-        "exact_mean": exact,
+        "exact_mean": mu,
         "median_error_small": med_s,
         "median_error_big": med_b,
         "ratio": ratio,
-        "band": [lo, hi],
-        "passed": bool(lo <= ratio <= hi),
+        "chi2": chi2,
+        "chi2_upper_tail": tail,
+        "alpha": _KHINCHIN_ALPHA,
+        "passed": bool(_KHINCHIN_ALPHA / 2 <= tail <= 1 - _KHINCHIN_ALPHA / 2),
     }
 
 

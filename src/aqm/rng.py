@@ -21,8 +21,10 @@ The addresses each consumer reads:
   then the two observables; on index 2 first the 50 instance dims, then
   for each dim in ascending order, block by block, its instances and
   their (block, 200, 2) uniforms;
-- khinchin_experiment: index 0 for its setup, 2j + 1 and 2j + 2 for seed j,
-  each one multinomial draw of a mean's branch counts;
+- khinchin_experiment: index 0 for its setup, one postulate-suite
+  instance: the observable's spectrum, then the two contexts, then the
+  state; 2j + 1 and 2j + 2 for seed j, each one multinomial draw of a
+  mean's branch counts;
 - two_slit_experiment: index 0 for its binomial slit tally and then its
   two per-slit multinomial histograms;
 - a photon run's events: index 0 on LANE_EVENTS, and on LANE_POLICY for

@@ -55,8 +55,8 @@ MUTANTS = (
            "np.abs(_adjoint(qp.basis) @ q.basis) ** 2",
            ("tests/test_properties.py::test_each_row_of_the_lueders_law_is_the_born_law_of_its_post_state",)),
     Mutant("born-weights-from-rho-transposed", "src/aqm/ensemble.py",
-           "(psi.rho @ v)",
-           "(psi.rho.swapaxes(-1, -2) @ v)",
+           "w = psi.rho @ v",
+           "w = psi.rho.swapaxes(-1, -2) @ v",
            ("tests/test_cli.py::TestPostulatesCommand::test_small_run_passes",
             "tests/test_cli.py::TestPostulatesCommand::test_the_suite_fails_on_the_born_mean_alone")),
     Mutant("validation-reads-slice-0-only", "src/aqm/algebra.py",
@@ -67,6 +67,7 @@ MUTANTS = (
            "_gaussian(rng, same.shape) * same",
            "_gaussian(rng, same.shape)",
            ("tests/test_cli.py::TestPostulatesCommand::test_small_run_passes",
+            "tests/test_cli.py::TestKhinchinCommand::test_small_run",
             "tests/test_properties.py::test_direct_contexts_match_the_masa_from_oracle")),
     Mutant("pair-checked-twice", "src/aqm/algebra.py",
            "    values = _branch_values(q, a)",
@@ -98,14 +99,17 @@ MUTANTS = (
            "ks_failures <= max(1, trials // 20)",
            "True",
            ("tests/test_cli.py::TestPostulatesCommand::test_the_suite_fails_on_ks_failures_alone",)),
-    Mutant("khinchin-band-unbounded", "src/aqm/experiments.py",
-           "lo, hi = 3.0, 33.0",
-           'lo, hi = 0.0, float("inf")',
-           ("tests/test_cli.py::TestKhinchinCommand::test_a_ratio_above_the_band_fails",)),
+    Mutant("khinchin-chi2-gate-dropped", "src/aqm/experiments.py",
+           "bool(_KHINCHIN_ALPHA / 2 <= tail <= 1 - _KHINCHIN_ALPHA / 2)",
+           "True",
+           ("tests/test_cli.py::TestKhinchinCommand::"
+            "test_a_sampler_that_draws_a_tenth_of_n_big_exits_2_through_the_chi2_gate",)),
     Mutant("khinchin-big-mean-from-a-tenth", "src/aqm/experiments.py",
            "monte_carlo_mean(psi, a, q, n_big, seed, 2 * j + 2)",
            "monte_carlo_mean(psi, a, q, n_big // 10, seed, 2 * j + 2)",
-           ("tests/test_acceptance.py::test_criterion_7_khinchin_rate",)),
+           ("tests/test_acceptance.py::test_criterion_7_khinchin_rate",
+            "tests/test_cli.py::TestKhinchinCommand::"
+            "test_the_rate_check_passes_300_seeds_at_each_size")),
     Mutant("two-slit-passed-without-tv", "src/aqm/experiments.py",
            '"passed": bool(tv <= tv_bound and closure',
            '"passed": bool(closure',

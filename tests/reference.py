@@ -12,7 +12,9 @@ these references hold a context as a (d, d, d) stack of rank-1
 projectors, build each post-state, as the pure state of the drawn
 branch's column and by the block formula of any rank, condition and decompose N x N density matrices, draw one event
 at a time, tally Born draws one uniform at a time, and compare each
-context's own value distribution on the values themselves.
+context's own value distribution on the values themselves.  The package
+draws each observable together with its contexts; masa_from builds the
+context of a given observable by eigendecomposition instead.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from aqm.algebra import (
     Context,
     _branch_values,
     _check_same_dim,
-    _clusters,
     as_matrix,
     is_hermitian,
 )
@@ -90,6 +91,53 @@ def context_from_projectors(projectors) -> Context:
             raise ValueError(f"projector {i} has rank {np.count_nonzero(w > 0.5)}, not 1")
         columns.append(v[:, -1])
     return Context(np.column_stack(columns))
+
+
+def _clusters(values: np.ndarray, gap: float) -> list:
+    """[start, stop) index ranges of sorted values, split where neighbours are over gap apart."""
+    cuts = (np.flatnonzero(np.abs(np.diff(values)) > gap) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(values)]))
+
+
+def _gram_schmidt(coords: np.ndarray) -> np.ndarray:
+    """Orthonormal r x r coordinates that split a rank-r eigenspace into rank-1 branches.
+
+    Gram-Schmidt on the columns of `coords`, the refinement basis in the
+    eigenspace's coordinates, in order: a column whose remainder has norm
+    1e-8 or less is skipped, a deterministic tie-break for degeneracies.
+    """
+    chosen = []
+    for c in coords.T:
+        for u in chosen:
+            c = c - u * (u.conj() @ c)
+        norm = np.linalg.norm(c)
+        if norm > 1e-8:
+            chosen.append(c / norm)
+            if len(chosen) == len(coords):
+                break
+    return np.column_stack(chosen)
+
+
+def masa_from(a, refinement=None) -> Context:
+    """Maximal abelian context containing the observable, from its eigendecomposition.
+
+    Eigenvalues within 1e-8 times the spectral norm of one another form
+    one degenerate eigenspace, which the `refinement` orthonormal basis
+    (default: standard basis), restricted to it, splits into rank-1
+    branches.  Branches follow the eigenvalues in ascending order.
+    """
+    m = as_matrix(a)
+    if not is_hermitian(m):
+        raise NotHermitianError("a maximal context needs a Hermitian observable")
+    dim = m.shape[0]
+    basis = np.eye(dim, dtype=complex) if refinement is None else Context(refinement).basis
+    w, v = np.linalg.eigh(m)
+    gap = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
+    columns = []
+    for start, stop in _clusters(w, gap):
+        block = v[:, start:stop]
+        columns.append(block if stop - start == 1 else block @ _gram_schmidt(block.conj().T @ basis))
+    return Context(np.hstack(columns))
 
 
 def spectral_decompose(a):

@@ -136,7 +136,9 @@ def test_criterion_7_khinchin_rate():
     report(
         "7 Monte Carlo error scaling",
         result["passed"],
-        f"median error ratio {result['ratio']:.2f} in [3, 33]",
+        f"chi-square {result['chi2']:.1f} on {2 * result['n_seeds']} degrees of freedom, "
+        f"upper tail {result['chi2_upper_tail']:.3g} in [alpha/2, 1 - alpha/2], "
+        f"alpha = {result['alpha']:g}; median error ratio {result['ratio']:.2f}",
     )
 
 

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from aqm.algebra import (
-    Context,
-    evaluate,
-    is_stable,
-    masa_from,
-)
+from aqm.algebra import Context, evaluate, is_stable
 from aqm.errors import (
     DimensionMismatchError,
     IncompatibleObservableError,
@@ -15,7 +10,7 @@ from aqm.errors import (
 )
 from aqm.experiments import random_hermitian
 from conftest import SIGMA_X, SIGMA_Z, measurable
-from reference import context_from_projectors, projectors, spectral_decompose
+from reference import context_from_projectors, masa_from, projectors, spectral_decompose
 
 
 class TestSpectralDecompose:
@@ -57,6 +52,7 @@ class TestSpectralDecompose:
 
 
 class TestMasaFrom:
+    # the reference's context of a given observable, the oracle of the package's direct contexts
     def test_sigma_z_context(self):
         ctx = masa_from(SIGMA_Z)
         assert ctx.n_branches == 2
@@ -82,12 +78,6 @@ class TestMasaFrom:
         for dim in (3, 6, 9):
             a = random_hermitian(dim, rng)
             assert measurable(masa_from(a), a)
-
-    def test_rejects_bad_refinement(self):
-        with pytest.raises(ValueError, match="refinement basis is not orthonormal"):
-            masa_from(np.eye(2), refinement=np.ones((2, 2)))
-        with pytest.raises(ValueError, match=r"refinement basis must be 2x2, got shape \(3, 3\)"):
-            masa_from(np.eye(2), refinement=np.eye(3))
 
 
 class TestContextInvariants:

@@ -700,7 +700,7 @@ class TestPostulatesCommand:
         result = json.loads((out / "result.json").read_text())
         assert "not measurable" in result["error"]
         assert "result" not in result
-        assert "model violation" in capsys.readouterr().err
+        assert "measurability check failed" in capsys.readouterr().err
 
     def test_event_count_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -717,8 +717,8 @@ class TestKhinchinCommand:
             "--seed", "5", "--out", str(out),
         )
         result = json.loads((out / "result.json").read_text())
-        assert "ratio" in result["result"]
-        assert code in (0, 2)  # small sizes may sit outside the band
+        assert "ratio" in result["result"] and "chi2_upper_tail" in result["result"]
+        assert code == 0
 
     def test_replay_is_byte_identical(self, tmp_path):
         args = ["khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000",
@@ -728,13 +728,29 @@ class TestKhinchinCommand:
         assert run_cli(*args) == code
         assert (tmp_path / "run" / "result.json").read_bytes() == first
 
-    def test_a_ratio_above_the_band_fails(self):
-        # the khinchin-split sizes: the medians of two seeds' errors put the
-        # ratio above 33
-        result = experiments.khinchin_experiment(n_seeds=2, n_small=1000, n_big=524_293,
-                                                 dim=4, seed=5)
-        assert result["ratio"] > result["band"][1] == 33.0
+    def test_a_sampler_that_draws_a_tenth_of_n_big_exits_2_through_the_chi2_gate(
+            self, tmp_path, monkeypatch):
+        real = experiments.monte_carlo_mean
+        # stream index 2j + 2 draws seed j's big mean
+        monkeypatch.setattr(experiments, "monte_carlo_mean", lambda psi, a, q, n, seed, index:
+                            real(psi, a, q, n // 10 if index % 2 == 0 else n, seed, index))
+        out = tmp_path / "run"
+        assert run_cli("khinchin", "--seed", "5", "--out", str(out)) == 2
+        result = json.loads((out / "result.json").read_text())["result"]
+        assert result["chi2_upper_tail"] < result["alpha"] / 2
         assert not result["passed"]
+
+    @pytest.mark.parametrize("n_seeds, n_small, n_big, dim", [
+        (50, 10_000, 1_000_000, 8),  # the defaults
+        (4, 1000, 10_000, 8),  # the khinchin golden
+        (2, 1000, 150_000, 40),  # khinchin-dim40
+        (2, 1000, 524_293, 4),  # khinchin-split
+    ])
+    def test_the_rate_check_passes_300_seeds_at_each_size(self, n_seeds, n_small, n_big, dim):
+        # at alpha = 1e-6 a false alarm in 300 runs has probability 3e-4
+        failed = [seed for seed in range(300) if not experiments.khinchin_experiment(
+            n_seeds=n_seeds, n_small=n_small, n_big=n_big, dim=dim, seed=seed)["passed"]]
+        assert failed == []
 
 
 @pytest.mark.parametrize(

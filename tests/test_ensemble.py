@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from aqm import algebra, ensemble, experiments
-from aqm.algebra import evaluate, is_stable, masa_from
+from aqm.algebra import evaluate, is_stable
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
@@ -30,6 +30,7 @@ from reference import (
     branch_counts,
     condition_on_event,
     lueders,
+    masa_from,
     postulate5,
     projectors,
     pure,

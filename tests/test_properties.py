@@ -17,7 +17,6 @@ from aqm.algebra import (
     _branch_values,
     evaluate,
     is_stable,
-    masa_from,
 )
 from aqm import experiments, interferometer, rng, two_slit
 from aqm.ensemble import (
@@ -60,6 +59,7 @@ from reference import (
     events_csv,
     lueders,
     lueders_block,
+    masa_from,
     mode_diagonal,
     momentum_projector,
     particle_run,
