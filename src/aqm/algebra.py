@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.errors import (
-    DimensionMismatchError,
-    IncompatibleObservableError,
-    IndeterminateValueError,
-)
+from aqm.errors import IncompatibleObservableError
 
 HERM_TOL = 1e-10
 COMMUTE_TOL = 1e-10
@@ -37,7 +33,7 @@ def as_matrix(a) -> np.ndarray:
     """Coerce a square array-like, or a stack of them, to a complex ndarray."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -54,7 +50,7 @@ def _max_abs(x: np.ndarray):
 def _check_same_dim(*mats: np.ndarray) -> int:
     dims = {m.shape[-1] for m in mats}
     if len(dims) != 1:
-        raise DimensionMismatchError(f"dimension mismatch: {sorted(dims)}")
+        raise ValueError(f"dimension mismatch: {sorted(dims)}")
     return dims.pop()
 
 
@@ -136,6 +132,6 @@ def is_stable(a, contexts, branches) -> np.ndarray:
     agree when their values span at most VALUE_TOL.
     """
     if not contexts:
-        raise IndeterminateValueError("no context to evaluate the observable in")
+        raise ValueError("no context to evaluate the observable in")
     values = [evaluate(q, a, b) for q, b in zip(contexts, branches, strict=True)]
     return np.ptp(values, axis=0) <= VALUE_TOL

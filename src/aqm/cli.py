@@ -4,8 +4,9 @@ One subcommand per experiment.  A JSON config file may supply any
 parameter; command-line flags win over the file.  Results are written as
 a single result.json (full resolved config echoed back, no timestamps,
 atomic write) plus CSV streams where the experiment produces them.
-Exit codes: 0 success, 1 config error (or a run too large for memory or
-disk), 2 invariant or acceptance failure.
+Exit codes: 0 success; 1 bad input (a ConfigError, or a run too large for
+memory or disk), with nothing written; 2 a broken run, either a failed
+check or any other exception a driver raises, with result.json written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -28,17 +30,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import aqm  # noqa: E402
 from aqm import experiments, interferometer, two_slit  # noqa: E402
-from aqm.errors import ConfigError, IncompatibleObservableError  # noqa: E402
+from aqm.errors import ConfigError  # noqa: E402
 from aqm.serialize import write_json_atomic  # noqa: E402
 
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
@@ -92,6 +94,11 @@ class _Key(NamedTuple):
 
 # binomial and multinomial draws take their number of trials as an int64
 _INT64_MAX = 2**63 - 1
+# the largest sizes whose complex arrays, dim x dim and n_sites long, an
+# int64 byte count still addresses: past them numpy fails other than by
+# MemoryError
+_DIM_MAX = math.isqrt(_INT64_MAX // 16)
+_SITES_MAX = _INT64_MAX // 16
 
 
 def _count(default, minimum: int, flag: str, maximum: int | None = None) -> _Key:
@@ -155,7 +162,7 @@ def _run_driver(name: str):
 _COMMON = {
     "seed": _Key(0, lambda v: _is_int(v) and 0 <= v < 2**64,
                  "seed must be an integer in [0, 2**64), got {value!r}", "--seed", {"type": int}),
-    "out": _Key("results", lambda v: isinstance(v, str) and v != "",
+    "out": _Key("results", lambda v: isinstance(v, str) and v != "" and "\0" not in v,
                 "out must be a non-empty path, got {value!r}", "--out",
                 {"help": "output directory"}),
 }
@@ -167,7 +174,7 @@ _COMMANDS = {
         "preset": _Key("symmetric64", lambda v: isinstance(v, str) and v in experiments.PRESETS,
                        "unknown preset {value!r}", "--preset",
                        {"choices": list(experiments.PRESETS)}),
-        "n_sites": _count(None, 2, "--n-sites"),
+        "n_sites": _count(None, 2, "--n-sites", _SITES_MAX),
         "slit_a": _sites("--slit-a", help="comma-separated site indices"),
         "slit_b": _sites("--slit-b"),
     }),
@@ -187,7 +194,7 @@ _COMMANDS = {
     }),
     "postulates": _Command("postulate verification suite", _run_driver("postulate_suite"), {
         **_COMMON,
-        "dim": _count(8, 2, "--dim"),
+        "dim": _count(8, 2, "--dim", _DIM_MAX),
         "trials": _count(100, 1, "--trials"),
     }),
     "khinchin": _Command("Monte Carlo convergence-rate check",
@@ -196,7 +203,7 @@ _COMMANDS = {
         "n_seeds": _count(50, 1, "--n-seeds"),
         "n_small": _count(10_000, 1, "--n-small", _INT64_MAX),
         "n_big": _count(1_000_000, 1, "--n-big", _INT64_MAX),
-        "dim": _count(8, 2, "--dim"),
+        "dim": _count(8, 2, "--dim", _DIM_MAX),
     }),
 }
 
@@ -204,7 +211,10 @@ _COMMANDS = {
 def run(config: dict) -> int:
     """Execute one experiment and write result.json; returns the exit code.
 
-    A run that raises removes the directories it created for --out.
+    A ConfigError or MemoryError is raised on, after removing the
+    directories created for --out.  Any other exception is a broken run:
+    its type and message are written as result.json's error, and the exit
+    code is 2.
     """
     out_dir = config["out"]
     missing = []  # directories --out needs that do not exist yet, deepest first
@@ -220,16 +230,13 @@ def run(config: dict) -> int:
                 f"cannot create output directory {out_dir!r}: {exc.strerror}"
             ) from exc
         result = _COMMANDS[config["experiment"]].run(config, out_dir)
-    # a run builds its own observables and contexts: one that is not
-    # measurable where the run measures it is a broken invariant
-    except IncompatibleObservableError as exc:
-        write_json_atomic(
-            os.path.join(out_dir, "result.json"),
-            {"version": aqm.__version__, "config": config, "error": str(exc)},
-        )
-        print(f"measurability check failed: {exc}", file=sys.stderr)
-        return 2
-    except BaseException:
+    except BaseException as exc:
+        if isinstance(exc, Exception) and not isinstance(exc, (ConfigError, MemoryError)):
+            error = f"{type(exc).__name__}: {exc}"
+            write_json_atomic(os.path.join(out_dir, "result.json"),
+                              {"version": aqm.__version__, "config": config, "error": error})
+            print(f"run failed: {error}", file=sys.stderr)
+            return 2
         for path in missing:
             with contextlib.suppress(OSError):  # one that is not empty stays
                 os.rmdir(path)
@@ -267,7 +274,7 @@ def main(argv=None) -> int:
         file_config = _load_config_file(config_path) if config_path else {}
         config = resolve_config(experiment, file_config, args)
         return run(config)
-    except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # sizes too large for this machine; no result.json is written

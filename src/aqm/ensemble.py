@@ -34,7 +34,6 @@ from aqm.algebra import (
     as_matrix,
     is_hermitian,
 )
-from aqm.errors import NotHermitianError
 from aqm.rng import stream
 
 STATE_TOL = 1e-10
@@ -49,7 +48,7 @@ class QuantumState:
     def __post_init__(self):
         m = np.array(as_matrix(self.rho), dtype=complex)
         if not is_hermitian(m):
-            raise NotHermitianError("density matrix must be Hermitian")
+            raise ValueError("density matrix must be Hermitian")
         trace = np.trace(m, axis1=-2, axis2=-1).real
         if not _max_abs(trace - 1.0) <= STATE_TOL:
             worst = trace.flat[np.argmax(np.abs(trace - 1.0))]

@@ -1,29 +1,16 @@
-"""Exception types shared across the package."""
+"""The two exception types a caller tells apart.
+
+Every other fault raises a plain ValueError.  The CLI tells a
+ConfigError (bad input: exit 1, nothing written) from any other exception
+(a broken run: exit 2 with an error result.json).  Measurability tests
+tell an IncompatibleObservableError (an observable that its context does
+not contain) from a malformed operand.
+"""
 
 
-class AqmError(Exception):
-    """Base class for all package errors."""
-
-
-class DimensionMismatchError(AqmError, ValueError):
-    """Operands have incompatible matrix dimensions."""
-
-
-class NotHermitianError(AqmError, ValueError):
-    """A matrix required to be Hermitian is not, within tolerance."""
-
-
-class IncompatibleObservableError(AqmError, ValueError):
-    """Observable is not diagonal in the requested context (wrong device type)."""
-
-
-class IndeterminateValueError(AqmError, ValueError):
-    """No context was given to evaluate an observable in."""
-
-
-class ImpossibleEventError(AqmError, ValueError):
-    """Conditioning on an event of probability zero."""
-
-
-class ConfigError(AqmError, ValueError):
+class ConfigError(ValueError):
     """Malformed run configuration."""
+
+
+class IncompatibleObservableError(ValueError):
+    """Observable is not diagonal in the requested context (wrong device type)."""

@@ -35,28 +35,29 @@ DETECTOR_A, DETECTOR_B = 0, 1
 _MIN_EVENTS = 1000  # smallest run summarize_counts compares with the wave model
 
 
-# transmission and reflection amplitudes of a 50/50 half-silvered mirror
-_T, _R = 1 / np.sqrt(2), 1j / np.sqrt(2)
-_SPLITTER = np.array([[_T, _R], [_R, _T]])
+# a 50/50 half-silvered mirror scaled by sqrt(2): transmission 1, reflection
+# i.  After k of them each amplitude is g / sqrt(2)**k with g a Gaussian
+# integer, so each probability |g|**2 / 2**k is exact in a double.
+_SPLITTER = np.array([[1, 1j], [1j, 1]])
 
 
 def wave_probabilities(m4_present: bool):
     """Detector probabilities (D_A, D_B) of the wave model.
 
-    Mirror absent -> (0.5, 0.5), mirror present -> (0, 1).
+    Mirror absent -> (0.5, 0.5), mirror present -> (0, 1), both exact.
     """
-    amp = _SPLITTER @ np.array([1.0, 0.0])  # (path A, path B) after M1
-    amp = 1j * amp  # full mirrors M2, M3: one reflection on each path
+    g = _SPLITTER @ np.array([1.0, 0.0])  # (path A, path B) after M1
+    g = 1j * g  # full mirrors M2, M3: one reflection on each path
     if m4_present:
-        amp = _SPLITTER @ amp
-    p = np.abs(amp) ** 2
+        g = _SPLITTER @ g
+    p = (g.real ** 2 + g.imag ** 2) / (4 if m4_present else 2)  # 2**k after k splitters
     return float(p[0]), float(p[1])
 
 
 # A uniform below _P_PATH_A puts the particle model's kernel on path A,
 # and with the mirror present the detector is B with the wave model's
 # probability _P_STEERED_DB.
-_P_PATH_A = abs(_T) ** 2
+_P_PATH_A = abs(_SPLITTER[0, 0]) ** 2 / 2
 _P_STEERED_DB = wave_probabilities(True)[1]
 
 
@@ -124,9 +125,7 @@ def summarize_counts(counts: np.ndarray) -> dict:
         f_da = int(counts[int(m4), DETECTOR_A]) / n
         f_db = 1.0 - f_da
         dev = max(abs(f_da - p_da), abs(f_db - p_db))
-        # floor covers float noise in the wave probabilities when the
-        # outcome is deterministic (binomial tolerance would be zero)
-        tol = max(4.0 * np.sqrt(p_da * p_db / n), 1e-12)
+        tol = 4.0 * np.sqrt(p_da * p_db / n)
         rows.append({
             "m4_present": m4,
             "n_events": n,

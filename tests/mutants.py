@@ -152,6 +152,29 @@ MUTANTS = (
            "u[:, 1] < _P_STEERED_DB",
            "u[:, 1] < 0.5",
            ("tests/test_interferometer.py::TestParticleRun::test_mirror_present_always_db",)),
+    Mutant("steered-detector-threshold-rounded", "src/aqm/interferometer.py",
+           "_P_STEERED_DB = wave_probabilities(True)[1]",
+           "_P_STEERED_DB = 0.9999999999999996",
+           ("tests/test_interferometer.py::TestParticleRun::"
+            "test_no_uniform_below_1_steers_a_photon_to_da",)),
+    Mutant("path-threshold-rounded", "src/aqm/interferometer.py",
+           "_P_PATH_A = abs(_SPLITTER[0, 0]) ** 2 / 2",
+           "_P_PATH_A = 0.4999999999999999",
+           ("tests/test_interferometer.py::TestParticleRun::test_the_path_splits_at_exactly_one_half",)),
+    Mutant("herm-tol-times-10", "src/aqm/algebra.py",
+           "HERM_TOL = 1e-10",
+           "HERM_TOL = 1e-9",
+           ("tests/test_ensemble.py::TestQuantumState::test_hermiticity_is_checked_to_herm_tol",)),
+    Mutant("state-tol-times-10", "src/aqm/ensemble.py",
+           "STATE_TOL = 1e-10",
+           "STATE_TOL = 1e-9",
+           ("tests/test_ensemble.py::TestQuantumState::test_trace_is_checked_to_state_tol",
+            "tests/test_ensemble.py::TestQuantumState::test_eigenvalues_are_checked_to_state_tol")),
+    Mutant("projector-tol-times-10", "src/aqm/algebra.py",
+           "PROJECTOR_TOL = 1e-10",
+           "PROJECTOR_TOL = 1e-9",
+           ("tests/test_algebra.py::TestContextInvariants::"
+            "test_orthonormality_is_checked_to_projector_tol",)),
 )
 
 

@@ -36,7 +36,7 @@ from aqm.algebra import (
     is_hermitian,
 )
 from aqm.ensemble import QuantumState, born_distribution, inverse_cdf
-from aqm.errors import ImpossibleEventError, IncompatibleObservableError, NotHermitianError
+from aqm.errors import IncompatibleObservableError
 from aqm.experiments import random_degenerate_spectrum
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
 from aqm.rng import DRAWS_PER_EVENT, LANE_EVENTS, _key
@@ -76,7 +76,7 @@ def context_from_projectors(projectors) -> Context:
     dim = _check_same_dim(*mats)
     for i, p in enumerate(mats):
         if np.max(np.abs(p - p.conj().T)) > PROJECTOR_TOL:
-            raise NotHermitianError(f"projector {i} is not Hermitian")
+            raise ValueError(f"projector {i} is not Hermitian")
         if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
             raise ValueError(f"projector {i} is not idempotent")
     for i, j in zip(*np.triu_indices(len(mats), 1)):
@@ -128,7 +128,7 @@ def masa_from(a, refinement=None) -> Context:
     """
     m = as_matrix(a)
     if not is_hermitian(m):
-        raise NotHermitianError("a maximal context needs a Hermitian observable")
+        raise ValueError("a maximal context needs a Hermitian observable")
     dim = m.shape[0]
     basis = np.eye(dim, dtype=complex) if refinement is None else Context(refinement).basis
     w, v = np.linalg.eigh(m)
@@ -148,7 +148,7 @@ def spectral_decompose(a):
     """
     m = as_matrix(a)
     if not is_hermitian(m):
-        raise NotHermitianError("spectral decomposition requires a Hermitian matrix")
+        raise ValueError("spectral decomposition requires a Hermitian matrix")
     w, v = np.linalg.eigh(m)
     gap = 1e-8 * max(np.max(np.abs(w)), 1e-12) if w.size else 1e-12
     out = []
@@ -281,7 +281,7 @@ def condition_on_event(psi: QuantumState, event) -> QuantumState:
         raise ValueError("event must be a Hermitian projector")
     weight = np.trace(psi.rho @ e).real
     if weight <= 1e-12:
-        raise ImpossibleEventError("conditioning on an event of probability zero")
+        raise ValueError("conditioning on an event of probability zero")
     rho = e @ psi.rho @ e / weight
     return QuantumState(0.5 * (rho + rho.conj().T))
 

@@ -29,7 +29,7 @@ def report(name, passed, detail):
 def test_criterion_1_mirror_present_certain_db():
     t0 = time.time()
     p_da, p_db = wave_probabilities(True)
-    wave_ok = abs(p_db - 1.0) <= 1e-12 and abs(p_da) <= 1e-12
+    wave_ok = (p_da, p_db) == (0.0, 1.0)
     _, _, detector = event_bits(run_events(POLICIES["present"](0.5, 7, 100_000, 0), seed=7))
     at_db = detector == DETECTOR_B
     particle_ok = bool(np.all(at_db))

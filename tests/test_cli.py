@@ -123,6 +123,71 @@ def test_any_config_file_resolves_or_is_a_config_error(tmp_path_factory, experim
     assert err.getvalue().startswith("config error: ") if code else err.getvalue() == ""
 
 
+# values at or just past the bounds of each key, with sizes at which every
+# driver runs in milliseconds: no larger size is drawn, so no run takes long
+_SMALL_RUNS = {
+    "two-slit": {"n_events": st.integers(0, 3000),
+                 "preset": st.sampled_from([*experiments.PRESETS, "bogus"])},
+    "delayed-choice": {"n_events": st.integers(990, 3000),
+                       "m4": st.sampled_from([*interferometer.POLICIES, "bogus"]),
+                       "p": st.floats(-0.1, 1.1), "write_events": st.booleans()},
+    "postulates": {"dim": st.integers(1, 5), "trials": st.integers(0, 4)},
+    "khinchin": {"n_seeds": st.integers(0, 3), "n_small": st.integers(0, 300),
+                 "n_big": st.integers(0, 3000), "dim": st.integers(1, 5)},
+}
+# a custom two-slit geometry: all three keys, or none
+_SMALL_GEOMETRY = st.just({}) | st.fixed_dictionaries({
+    "n_sites": st.integers(1, 12), "slit_a": st.lists(st.integers(-1, 12), max_size=2),
+    "slit_b": st.lists(st.integers(-1, 12), max_size=2)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("experiment", cli._COMMANDS)
+def test_any_small_run_exits_0_1_or_2_and_writes_result_json_unless_1(tmp_path_factory,
+                                                                       experiment, data):
+    # the drivers run unstubbed: a run ends in a result, a config error or an error result
+    file_config = data.draw(st.fixed_dictionaries({}, optional={
+        **_SMALL_RUNS[experiment], "seed": st.integers(-1, 2**64)}))
+    if experiment == "two-slit":
+        file_config.update(data.draw(_SMALL_GEOMETRY))
+    work = tmp_path_factory.mktemp("run")
+    (work / "cfg.json").write_text(json.dumps(file_config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([experiment, "--config", str(work / "cfg.json"), "--out", str(work / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (work / "out" / "result.json").exists() == (code != 1)
+    if code == 1:
+        assert err.getvalue().startswith("config error: ")
+        assert not (work / "out").exists()
+
+
+_DRIVERS = {"two-slit": "two_slit_experiment", "delayed-choice": "delayed_choice_experiment",
+            "postulates": "postulate_suite", "khinchin": "khinchin_experiment"}
+
+
+@pytest.mark.parametrize("fault", [ValueError, KeyError, RuntimeError, ZeroDivisionError],
+                         ids=lambda fault: fault.__name__)
+@pytest.mark.parametrize("experiment", _DRIVERS)
+def test_a_fault_in_any_driver_exits_2_with_an_error_result(tmp_path, monkeypatch, capsys,
+                                                            experiment, fault):
+    def broken(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(experiments, _DRIVERS[experiment], broken)
+    out = tmp_path / "run"
+    assert run_cli(experiment, "--out", str(out)) == 2
+    error = f"{fault.__name__}: {fault('injected')}"
+    assert capsys.readouterr().err == f"run failed: {error}\n"
+    payload = json.loads((out / "result.json").read_text())
+    assert payload == {"version": aqm.__version__,
+                       "config": resolve_config(experiment, {}, {"out": str(out)}),
+                       "error": error}
+    assert [p.name for p in out.iterdir()] == ["result.json"]
+
+
 class TestConfigResolution:
     def test_defaults_fill_in(self):
         cfg = resolve_config("delayed-choice", {}, {})
@@ -249,11 +314,12 @@ class TestEventsFile:
 
         monkeypatch.setattr(interferometer, "run_events", fails_on_chunk_2)
         out = tmp_path / "run"
-        with pytest.raises(RuntimeError, match="killed midway"):
-            run_cli("delayed-choice", "--m4", "delayed-random", "--n", "140001",
-                    "--write-events", "--out", str(out))
+        assert run_cli("delayed-choice", "--m4", "delayed-random", "--n", "140001",
+                       "--write-events", "--out", str(out)) == 2
         assert starts == [0, 1 << 16]  # the first chunk was written to the temporary file
-        assert not out.exists()
+        assert [p.name for p in out.iterdir()] == ["result.json"]
+        assert json.loads((out / "result.json").read_text())["error"] == (
+            "RuntimeError: killed midway")
 
     @pytest.mark.parametrize("n, seed", [(1000, 0), (2000, 7), (100_003, 123_456_789)])
     def test_the_disk_check_knows_the_exact_size(self, tmp_path, monkeypatch, capsys, n, seed):
@@ -322,11 +388,11 @@ class TestTwoSlitCommand:
 
         monkeypatch.setattr(experiments, "atomic_open", failing_open)
         out = tmp_path / "run"
-        with pytest.raises(OSError, match="disk full"):
-            run_cli("two-slit", "--n-sites", str(2**17), "--slit-a", "1000", "--slit-b", "1010",
-                    "--n", "2000", "--seed", "3", "--out", str(out))
+        assert run_cli("two-slit", "--n-sites", str(2**17), "--slit-a", "1000",
+                       "--slit-b", "1010", "--n", "2000", "--seed", "3", "--out", str(out)) == 2
         assert len(writes) == 3 and writes[1].count("\r\n") == 2**16
-        assert not out.exists()
+        assert [p.name for p in out.iterdir()] == ["result.json"]
+        assert json.loads((out / "result.json").read_text())["error"] == "OSError: disk full"
 
     def test_decomposition_fields_present(self, tmp_path):
         out = tmp_path / "run"
@@ -700,7 +766,8 @@ class TestPostulatesCommand:
         result = json.loads((out / "result.json").read_text())
         assert "not measurable" in result["error"]
         assert "result" not in result
-        assert "measurability check failed" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "run failed: IncompatibleObservableError: observable is not measurable")
 
     def test_event_count_is_an_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -764,11 +831,42 @@ class TestKhinchinCommand:
         (("khinchin", "--dim", "1"), "dim"),
         (("khinchin", "--n-small", str(2**63)), "n_small"),
         (("khinchin", "--n-big", str(2**63)), "n_big"),
+        # sizes whose arrays no int64 byte count addresses
+        (("two-slit", "--n-sites", "2000000000000000000", "--slit-a", "0", "--slit-b", "1"),
+         "n_sites"),
+        (("two-slit", "--n-sites", str(cli._SITES_MAX + 1), "--slit-a", "0", "--slit-b", "1"),
+         "n_sites"),
+        (("postulates", "--dim", "10000000000000000000"), "dim"),
+        (("postulates", "--dim", str(cli._DIM_MAX + 1)), "dim"),
+        (("khinchin", "--dim", "10000000000000000000"), "dim"),
     ],
 )
 def test_bad_experiment_size_is_config_error(tmp_path, capsys, argv, key):
     assert run_cli(*argv, "--out", str(tmp_path / "run")) == 1
-    assert f"config error: {key} must be an integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be an integer")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_size_maxima_are_the_largest_an_int64_byte_count_addresses():
+    # a complex dim x dim matrix, and a complex array of n_sites entries
+    assert 16 * cli._DIM_MAX**2 <= 2**63 - 1 < 16 * (cli._DIM_MAX + 1) ** 2
+    assert 16 * cli._SITES_MAX <= 2**63 - 1 < 16 * (cli._SITES_MAX + 1)
+    for experiment in ("postulates", "khinchin"):
+        assert resolve_config(experiment, {"dim": cli._DIM_MAX}, {})["dim"] == cli._DIM_MAX
+    geometry = {"n_sites": cli._SITES_MAX, "slit_a": [0], "slit_b": [1]}
+    assert resolve_config("two-slit", geometry, {})["n_sites"] == cli._SITES_MAX
+
+
+def test_the_largest_lattice_fails_for_memory_alone(tmp_path, capsys):
+    # its first array, 8 EiB, is past any address space: numpy raises MemoryError at once
+    out = tmp_path / "run"
+    assert run_cli("two-slit", "--n-sites", str(cli._SITES_MAX), "--slit-a", "0",
+                   "--slit-b", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: not enough memory for this run: Unable to allocate")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**128 + 9])
@@ -813,12 +911,13 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
         ("delayed-choice", {"m4": ["x"]}, "unknown m4 policy ['x']"),
         ("delayed-choice", {"write_events": "no"}, "write_events must be a boolean"),
         ("postulates", {"out": 5}, "out must be a non-empty path"),
+        ("postulates", {"out": "run\u0000"}, "out must be a non-empty path"),
         ("postulates", {"out": "cfg.json"}, "cannot create output directory 'cfg.json'"),
         ("two-slit", {"n_sites": 8, "slit_a": [1], "slit_b": [1]}, "slits overlap on sites [1]"),
         ("two-slit", {"n_sites": 8, "slit_a": [1], "slit_b": [8]}, "slit site index out of range"),
         ("two-slit", {"n_sites": 8, "slit_a": [], "slit_b": [5]}, "both slits must be non-empty"),
         ("two-slit", {"n_sites": 2**64, "slit_a": [1], "slit_b": [5]},
-         "a lattice of 18446744073709551616 sites is larger than an array can index"),
+         f"n_sites must be an integer in [2, {(2**63 - 1) // 16}], got {2**64}"),
         ("two-slit", {"preset": "bogus"}, "unknown preset 'bogus'"),
         ("two-slit", {"preset": "bogus", "n_sites": 8, "slit_a": [1], "slit_b": [5]},
          "unknown preset 'bogus'"),
@@ -826,7 +925,7 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
          "unknown preset 5"),
     ],
     ids=["slit-int", "n-sites-str", "n-sites-float", "slit-float", "p-str", "p-null",
-         "m4-list", "write-events-str", "out-int", "out-is-a-file", "slits-overlap",
+         "m4-list", "write-events-str", "out-int", "out-nul", "out-is-a-file", "slits-overlap",
          "slit-out-of-range", "slit-empty", "n-sites-2**64", "preset-bogus", "preset-bogus-custom",
          "preset-int-custom"],
 )
@@ -901,6 +1000,23 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert run_cli("two-slit", "--config", str(bad), "--out", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("content, message", [
+        (b"{nope", "Expecting property name"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b'{"seed": 1' + b"0" * 5000 + b"}", "Exceeds the limit"),
+    ], ids=["malformed", "nested-100000-deep", "not-utf-8", "5001-digit-int"])
+    def test_a_file_that_is_not_json_is_a_config_error(self, tmp_path, capsys, content,
+                                                       message):
+        (tmp_path / "cfg.json").write_bytes(content)
+        out = tmp_path / "run"
+        assert run_cli("postulates", "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config file is not valid JSON: ")
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -22,7 +22,7 @@ from aqm.ensemble import (
     monte_carlo_mean,
     multinomial_counts,
 )
-from aqm.errors import ImpossibleEventError, IncompatibleObservableError
+from aqm.errors import IncompatibleObservableError
 from aqm.experiments import _instance, random_density, random_hermitian, random_unitary
 from aqm.rng import stream
 from conftest import SIGMA_X, SIGMA_Z, chi_square_test
@@ -51,6 +51,22 @@ class TestQuantumState:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             QuantumState(np.diag([1.5, -0.5]))
+
+    # each bound is 1e-10: a state 0.9e-10 off is inside it, one 1.1e-10 off is past it
+    def test_hermiticity_is_checked_to_herm_tol(self):
+        QuantumState(np.diag([0.5, 0.5]) + np.diag([0.9e-10j], 1))
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            QuantumState(np.diag([0.5, 0.5]) + np.diag([1.1e-10j], 1))
+
+    def test_trace_is_checked_to_state_tol(self):
+        QuantumState(np.diag([0.5, 0.5 + 0.9e-10]))
+        with pytest.raises(ValueError, match="trace is"):
+            QuantumState(np.diag([0.5, 0.5 + 1.1e-10]))
+
+    def test_eigenvalues_are_checked_to_state_tol(self):
+        QuantumState(np.diag([1.0 + 0.9e-10, -0.9e-10]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            QuantumState(np.diag([1.0 + 1.1e-10, -1.1e-10]))
 
     def test_pure_normalizes(self):
         psi = pure([3.0, 0.0])
@@ -471,7 +487,7 @@ class TestConditionOnEvent:
         assert np.allclose(out.rho, np.diag([1.0, 0.0]))
 
     def test_impossible_event(self):
-        with pytest.raises(ImpossibleEventError):
+        with pytest.raises(ValueError, match="probability zero"):
             condition_on_event(KET0, np.diag([0.0, 1.0]))
 
     def test_conditioned_event_has_unit_mean(self):

@@ -71,7 +71,7 @@ GOLDEN = {
         0,
         {
             "events.csv": "66af57e1c14961dd83dd37a7d97edb25fb00220239f344fd7f2af81e526dff84",
-            "result.json": "64d1eb0af6f43d9a02b00daa9d10b60ae66c6a203188f3767ba48a5188d48eff",
+            "result.json": "055fdcab1810535074c8bdbc351b48bcd7ec18facd16a7621bb7c7c8248bf9c1",
         },
     ),
     # three chunks of photons, the last one partial, with 5- and 6-digit
@@ -82,24 +82,24 @@ GOLDEN = {
         0,
         {
             "events.csv": "ba1b228494cc26751414780b44f62dcc5bb5d1cad8b794d6111091b43aa1f9fb",
-            "result.json": "c27b331b71a110f258138b2cfb1db30476d5ca09b508b42367c2641f0815bb08",
+            "result.json": "4e23eb1262f12b2dfe3e105431b54290ba7794024dc1214dfcf03386352896e8",
         },
     ),
     # one sub-ensemble each, and both
     "delayed-choice-present": (
         ("delayed-choice", "--m4", "present", "--n", "3000", "--seed", "4"),
         0,
-        {"result.json": "f3e5436fb3ac6fae2cb3e4d21fb31c012a29ac51a9fdff2edc0875631d2d2252"},
+        {"result.json": "68265775e86dec88ffb6c92acddc0beccee7f01b3b36cc65e741ef512826754b"},
     ),
     "delayed-choice-absent": (
         ("delayed-choice", "--m4", "absent", "--n", "3000", "--seed", "4"),
         0,
-        {"result.json": "513f1658a96f7b74a5033ffa132aaa8cfb8ca87c357f4b9cbe80b97ca2d74325"},
+        {"result.json": "ee318dda9c15784eca0774a97037f0696d8ad5a23f5844f45457a905abfe0a17"},
     ),
     "delayed-choice-alternating": (
         ("delayed-choice", "--m4", "delayed-alternating", "--n", "3000", "--seed", "4"),
         0,
-        {"result.json": "6ec99be26ac4be3efc6682f20a5fe297e736cb81f99d8926130993cf1ab5bf79"},
+        {"result.json": "0434fb5167243a7594677463fc332ee9f18b26345750a18847e15cccbfea96fd"},
     ),
     "postulates": (
         ("postulates", "--dim", "4", "--trials", "10", "--seed", "3"),

@@ -3,11 +3,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from aqm import interferometer
 from aqm.experiments import delayed_choice_experiment
 from aqm.interferometer import (
     DETECTOR_A,
     DETECTOR_B,
     PATH_A,
+    PATH_B,
     POLICIES,
     count_events,
     run_events,
@@ -26,14 +28,10 @@ def decide(name: str, n: int, seed: int = 6, p: float = 0.5) -> np.ndarray:
 
 class TestWaveProbabilities:
     def test_mirror_absent_splits_evenly(self):
-        p_da, p_db = wave_probabilities(False)
-        assert p_da == pytest.approx(0.5, abs=1e-12)
-        assert p_db == pytest.approx(0.5, abs=1e-12)
+        assert wave_probabilities(False) == (0.5, 0.5)
 
     def test_mirror_present_is_dark_at_da(self):
-        p_da, p_db = wave_probabilities(True)
-        assert p_da == pytest.approx(0.0, abs=1e-12)
-        assert p_db == pytest.approx(1.0, abs=1e-12)
+        assert wave_probabilities(True) == (0.0, 1.0)
 
 
 class TestParticleRun:
@@ -50,6 +48,20 @@ class TestParticleRun:
     def test_mirror_present_always_db(self):
         _, _, detector = event_bits(run_events(decide("present", 20_000), seed=2))
         assert np.all(detector == DETECTOR_B)
+
+    def test_no_uniform_below_1_steers_a_photon_to_da(self, monkeypatch):
+        # the largest uniform numpy draws is nextafter(1, 0): with the mirror present,
+        # it too lands on D_B, so one event cannot fail a run's exact tolerance
+        u = np.array([[0.0, np.nextafter(1.0, 0.0), 0.0, 0.0]])
+        monkeypatch.setattr(interferometer, "event_uniforms", lambda seed, n, start=0: u)
+        _, _, detector = event_bits(run_events(np.ones(1, dtype=bool), seed=0))
+        assert detector.tolist() == [DETECTOR_B]
+
+    def test_the_path_splits_at_exactly_one_half(self, monkeypatch):
+        u = np.array([[np.nextafter(0.5, 0.0), 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
+        monkeypatch.setattr(interferometer, "event_uniforms", lambda seed, n, start=0: u)
+        path, _, _ = event_bits(run_events(np.zeros(2, dtype=bool), seed=0))
+        assert path.tolist() == [PATH_A, PATH_B]
 
     def test_kernel_locality_when_absent(self):
         path, _, detector = event_bits(run_events(decide("absent", 5000), seed=3))
@@ -91,7 +103,7 @@ class TestDelayedChoiceIndifference:
 class TestEquivalenceReport:
     def test_always_present_is_exact(self):
         report = delayed_choice_experiment("present", 10_000, seed=8, p=0.5)
-        assert report["max_deviation"] <= 1e-12
+        assert report["max_deviation"] == 0.0
         assert report["passed"]
 
     def test_always_absent_within_binomial_bound(self):

@@ -31,7 +31,7 @@ from aqm.ensemble import (
     monte_carlo_mean,
     multinomial_counts,
 )
-from aqm.errors import IncompatibleObservableError, NotHermitianError
+from aqm.errors import IncompatibleObservableError
 from aqm.experiments import (
     random_degenerate_spectrum,
     random_density,
@@ -313,7 +313,7 @@ def test_a_stack_with_one_bad_slice_past_the_first_is_rejected(seed, dim, count,
         QuantumState(spoiled(psi.rho, negative))
     with pytest.raises(ValueError, match="trace"):
         QuantumState(spoiled(psi.rho, 2.0 * psi.rho[k]))
-    with pytest.raises(NotHermitianError):
+    with pytest.raises(ValueError, match="must be Hermitian"):
         QuantumState(spoiled(psi.rho, psi.rho[k] + 1e-6j * np.triu(np.ones((dim, dim)), 1)))
     # a perturbation of A's own eigenbasis mixes two branches of q
     with pytest.raises(IncompatibleObservableError):

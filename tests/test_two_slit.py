@@ -7,7 +7,6 @@ import pytest
 
 from aqm import experiments, two_slit
 from aqm.ensemble import QuantumState
-from aqm.errors import ImpossibleEventError
 from aqm.experiments import random_density
 from aqm.rng import stream
 from aqm.two_slit import (
@@ -130,7 +129,7 @@ class TestPrepareConditioned:
 
     def test_orthogonal_source_is_impossible(self):
         geom = SlitGeometry(4, frozenset({0}), frozenset({2}))
-        with pytest.raises(ImpossibleEventError):
+        with pytest.raises(ValueError, match="probability zero"):
             prepare_conditioned(np.array([0.0, 1.0, 0.0, 0.0]), geom)
 
 
