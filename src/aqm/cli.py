@@ -4,6 +4,8 @@ One subcommand per experiment.  A JSON config file may supply any
 parameter; command-line flags win over the file.  Results are written as
 a single result.json (full resolved config echoed back, no timestamps,
 atomic write) plus CSV streams where the experiment produces them.
+Every bad input is decided here, before --out is created: the drivers
+assume a resolved config.
 Exit codes: 0 success; 1 bad input (a ConfigError, or a run too large for
 memory or disk), with nothing written; 2 a broken run, either a failed
 check or any other exception a driver raises, with result.json written.
@@ -16,6 +18,7 @@ import contextlib
 import json
 import math
 import os
+import shutil
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -66,12 +69,10 @@ def resolve_config(experiment: str, file_config: dict, flags: dict) -> dict:
         if not spec.ok(config[key]):
             raise ConfigError(spec.message.format(key=key, value=config[key]))
     if experiment == "two-slit":
-        custom = [config["n_sites"], config["slit_a"], config["slit_b"]]
-        if any(v is not None for v in custom) and not all(v is not None for v in custom):
-            raise ConfigError("custom geometry needs n_sites, slit_a, and slit_b")
-        _geometry(config)  # a bad slit set fails before --out is created
-        if config["n_sites"] is not None:
-            del config["preset"]  # echo only the geometry that runs
+        try:
+            _geometry(config)  # a bad slit set fails before --out is created
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if experiment == "delayed-choice":
         # a file's 1 and the flag's 1.0 must echo, and so write, the same bytes
         config["p"] = float(config["p"])
@@ -101,17 +102,17 @@ _DIM_MAX = math.isqrt(_INT64_MAX // 16)
 _SITES_MAX = _INT64_MAX // 16
 
 
-def _count(default, minimum: int, flag: str, maximum: int | None = None) -> _Key:
-    """An integer key in [minimum, maximum]; None too, when that is its default."""
+def _count(default: int, minimum: int, flag: str, maximum: int | None = None) -> _Key:
+    """An integer key in [minimum, maximum]."""
     bounds = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
     return _Key(default, lambda v: _is_int(v) and minimum <= v
-                and (maximum is None or v <= maximum) or v is None is default,
+                and (maximum is None or v <= maximum),
                 f"{{key}} must be an integer {bounds}, got {{value!r}}", flag, {"type": int})
 
 
-def _sites(flag: str, **options) -> _Key:
-    """An optional list of lattice sites, given to the flag comma-separated."""
-    return _Key(None, lambda v: v is None or isinstance(v, list) and all(map(_is_int, v)),
+def _sites(default: list, flag: str, **options) -> _Key:
+    """A list of lattice sites, given to the flag comma-separated."""
+    return _Key(default, lambda v: isinstance(v, list) and all(map(_is_int, v)),
                 "{key} must be a list of integer sites, got {value!r}", flag,
                 {"type": _parse_sites, **options})
 
@@ -124,13 +125,8 @@ def _parse_sites(value: str) -> list:
 
 
 def _geometry(config: dict) -> two_slit.SlitGeometry:
-    if config["n_sites"] is not None:
-        return two_slit.SlitGeometry(
-            grid_size=config["n_sites"],
-            slit_a=frozenset(config["slit_a"]),
-            slit_b=frozenset(config["slit_b"]),
-        )
-    return experiments.PRESETS[config["preset"]]
+    return two_slit.SlitGeometry(grid_size=config["n_sites"], slit_a=frozenset(config["slit_a"]),
+                                 slit_b=frozenset(config["slit_b"]))
 
 
 def _run_two_slit(config: dict, out_dir: str) -> dict:
@@ -171,16 +167,13 @@ _COMMANDS = {
     "two-slit": _Command("two-slit scattering experiment", _run_two_slit, {
         **_COMMON,
         "n_events": _count(100_000, 1, "--n", _INT64_MAX),
-        "preset": _Key("symmetric64", lambda v: isinstance(v, str) and v in experiments.PRESETS,
-                       "unknown preset {value!r}", "--preset",
-                       {"choices": list(experiments.PRESETS)}),
-        "n_sites": _count(None, 2, "--n-sites", _SITES_MAX),
-        "slit_a": _sites("--slit-a", help="comma-separated site indices"),
-        "slit_b": _sites("--slit-b"),
+        "n_sites": _count(64, 2, "--n-sites", _SITES_MAX),
+        "slit_a": _sites([16], "--slit-a", help="comma-separated site indices"),
+        "slit_b": _sites([48], "--slit-b"),
     }),
     "delayed-choice": _Command("delayed-choice interferometer", _run_delayed_choice, {
         **_COMMON,
-        "n_events": _count(100_000, 1, "--n"),
+        "n_events": _count(100_000, interferometer.MIN_EVENTS, "--n"),
         "m4": _Key("present", lambda v: isinstance(v, str) and v in interferometer.POLICIES,
                    "unknown m4 policy {value!r}", "--m4",
                    {"choices": list(interferometer.POLICIES)}),
@@ -208,13 +201,37 @@ _COMMANDS = {
 }
 
 
+def _check_outputs(config: dict, existing: str) -> None:
+    """Refuse, as a ConfigError, an output file that the run could not write.
+
+    An output name in --out that is a directory is refused, and so is an
+    events.csv larger than the free space of `existing`, the nearest
+    directory of --out that exists.
+    """
+    names = ["result.json"]
+    if config["experiment"] == "two-slit":
+        names.append("pattern.csv")
+    if config.get("write_events"):
+        names.append("events.csv")
+        size = interferometer.events_csv_bytes(config["n_events"], config["seed"])
+        free = shutil.disk_usage(existing).free
+        if size > free:
+            raise ConfigError(f"not enough disk space for events.csv: it needs {size} bytes "
+                              f"and {existing!r} has {free} free")
+    for name in names:
+        path = os.path.join(config["out"], name)
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {name}: {path!r} is a directory")
+
+
 def run(config: dict) -> int:
     """Execute one experiment and write result.json; returns the exit code.
 
-    A ConfigError or MemoryError is raised on, after removing the
-    directories created for --out.  Any other exception is a broken run:
-    its type and message are written as result.json's error, and the exit
-    code is 2.
+    An output it could not write is a ConfigError before --out is created.
+    A ConfigError or MemoryError raised later is raised on, after removing
+    the directories created for --out.  Any other exception is a broken
+    run: its type and message are written as result.json's error, and the
+    exit code is 2.
     """
     out_dir = config["out"]
     missing = []  # directories --out needs that do not exist yet, deepest first
@@ -222,6 +239,7 @@ def run(config: dict) -> int:
     while not os.path.exists(path):
         missing.append(path)
         path = os.path.dirname(path)
+    _check_outputs(config, path)
     try:
         try:
             os.makedirs(out_dir, exist_ok=True)

@@ -1,10 +1,11 @@
 """The two exception types a caller tells apart.
 
-Every other fault raises a plain ValueError.  The CLI tells a
-ConfigError (bad input: exit 1, nothing written) from any other exception
-(a broken run: exit 2 with an error result.json).  Measurability tests
-tell an IncompatibleObservableError (an observable that its context does
-not contain) from a malformed operand.
+Every other fault raises a plain ValueError.  A ConfigError is raised
+only by aqm.cli, which decides every bad input before --out is created
+and tells a ConfigError (bad input: exit 1, nothing written) from any
+other exception (a broken run: exit 2 with an error result.json).
+Measurability tests tell an IncompatibleObservableError (an observable
+that its context does not contain) from a malformed operand.
 """
 
 

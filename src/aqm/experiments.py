@@ -25,7 +25,6 @@ from aqm.ensemble import (
     measure_many,
     monte_carlo_mean,
 )
-from aqm.errors import ConfigError
 from aqm.rng import chunks, stream
 from aqm.serialize import atomic_open
 
@@ -249,10 +248,6 @@ def khinchin_experiment(n_seeds: int, n_small: int, n_big: int, dim: int, seed: 
 # Two-slit
 
 
-# name -> geometry of each named two-slit lattice
-PRESETS = {"symmetric64": two_slit.SlitGeometry(64, frozenset({16}), frozenset({48}))}
-
-
 def two_slit_experiment(geom: two_slit.SlitGeometry, n_events: int, seed: int, pattern_path=None) -> dict:
     """Summary dict of the pattern, its decomposition and the event sampler.
 
@@ -300,20 +295,13 @@ def delayed_choice_experiment(
     """Summary dict of one run; with `events_path`, its events.csv too.
 
     The photons are drawn, counted and written one chunk at a time, so no
-    array grows with n_events.  Every check, including that the CSV fits
-    on its disk, runs before the first draw; the CSV is renamed into place
-    only when all of it is written.
+    array grows with n_events.  The CSV is renamed into place only when
+    all of it is written.  The CLI checks the run's input, the CSV's fit
+    on its disk included, before it calls this.
     """
-    if policy_name not in interferometer.POLICIES:
-        raise ConfigError(f"unknown choice policy {policy_name!r}")
-    interferometer.check_event_count(n_events)
     decide = interferometer.POLICIES[policy_name]
     counts = np.zeros((2, 2, 2), dtype=np.int64)
-    if events_path is None:
-        sink = nullcontext()
-    else:
-        size = interferometer.events_csv_bytes(n_events, seed)
-        sink = atomic_open(events_path, "wb", size=size)
+    sink = nullcontext() if events_path is None else atomic_open(events_path, "wb")
     with sink as fh:
         for start, count in chunks(n_events):
             codes = interferometer.run_events(decide(p, seed, count, start), seed, start)

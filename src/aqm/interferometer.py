@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from aqm.errors import ConfigError
 from aqm.rng import LANE_POLICY, event_uniforms
 
 # Path and detector bits of an event code.  They coincide because, with
@@ -32,7 +31,7 @@ from aqm.rng import LANE_POLICY, event_uniforms
 PATH_A, PATH_B = 0, 1
 DETECTOR_A, DETECTOR_B = 0, 1
 
-_MIN_EVENTS = 1000  # smallest run summarize_counts compares with the wave model
+MIN_EVENTS = 1000  # smallest run summarize_counts compares with the wave model
 
 
 # a 50/50 half-silvered mirror scaled by sqrt(2): transmission 1, reflection
@@ -97,24 +96,19 @@ def count_events(codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes, minlength=8).reshape(2, 2, 2)
 
 
-def check_event_count(n: int) -> None:
-    """Reject a run too small for summarize_counts, before anything is drawn."""
-    if n < _MIN_EVENTS:
-        raise ConfigError(
-            f"need at least {_MIN_EVENTS} events for a meaningful comparison, got {n}"
-        )
-
-
 def summarize_counts(counts: np.ndarray) -> dict:
     """Compare particle-model detector frequencies against the wave model.
 
     `counts` is count_events' (2, 2, 2) array, summed over a run.  Per mirror
     sub-ensemble: deviation of the empirical detector frequencies from the
     wave probabilities, passed at a 4-sigma binomial tolerance (exact
-    agreement required for deterministic outcomes).  Fewer than 1000
+    agreement required for deterministic outcomes).  Fewer than MIN_EVENTS
     events are rejected.  Returns the comparison as result.json reports it.
     """
-    check_event_count(int(counts.sum()))
+    total = int(counts.sum())
+    if total < MIN_EVENTS:
+        raise ValueError(
+            f"need at least {MIN_EVENTS} events for a meaningful comparison, got {total}")
     counts = counts.sum(axis=0)  # [m4 at arrival, detector]
     rows = []
     for m4 in (False, True):

@@ -10,30 +10,19 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 from contextlib import contextmanager
 
-from aqm.errors import ConfigError
-
 
 @contextmanager
-def atomic_open(path, mode: str = "w", size: int | None = None, newline: str | None = None):
+def atomic_open(path, mode: str = "w", newline: str | None = None):
     """Open a temporary file beside `path`; rename it into place on success.
 
     On any error, the temporary file is removed and `path` is left as it
-    was.  With `size`, a ConfigError is raised before anything is created
-    if the file system holding `path` has fewer than `size` bytes free.
+    was.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    if size is not None:
-        free = shutil.disk_usage(directory).free
-        if size > free:
-            raise ConfigError(
-                f"not enough disk space for {os.path.basename(path)}: it needs "
-                f"{size} bytes and {directory!r} has {free} free"
-            )
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, mode, newline=newline) as fh:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from aqm.ensemble import multinomial_counts
-from aqm.errors import ConfigError
 from aqm.rng import stream
 
 CLOSURE_TOL = 1e-10
@@ -41,11 +40,11 @@ class SlitGeometry:
         a = frozenset(int(i) for i in self.slit_a)
         b = frozenset(int(i) for i in self.slit_b)
         if not a or not b:
-            raise ConfigError("both slits must be non-empty")
+            raise ValueError("both slits must be non-empty")
         if a & b:
-            raise ConfigError(f"slits overlap on sites {sorted(a & b)}")
+            raise ValueError(f"slits overlap on sites {sorted(a & b)}")
         if any(i < 0 or i >= self.grid_size for i in a | b):
-            raise ConfigError("slit site index out of range")
+            raise ValueError("slit site index out of range")
         object.__setattr__(self, "slit_a", a)
         object.__setattr__(self, "slit_b", b)
 

@@ -161,6 +161,17 @@ MUTANTS = (
            "_P_PATH_A = abs(_SPLITTER[0, 0]) ** 2 / 2",
            "_P_PATH_A = 0.4999999999999999",
            ("tests/test_interferometer.py::TestParticleRun::test_the_path_splits_at_exactly_one_half",)),
+    Mutant("delayed-choice-minimum-999", "src/aqm/interferometer.py",
+           "MIN_EVENTS = 1000",
+           "MIN_EVENTS = 999",
+           ("tests/test_cli.py::TestDelayedChoiceCommand::test_too_few_events_is_exit_1",
+            "tests/test_cli.py::TestEventsFile::test_too_few_events_fail_before_any_draw",
+            "tests/test_interferometer.py::TestEquivalenceReport::"
+            "test_fewer_than_1000_events_are_refused")),
+    Mutant("disk-check-needs-a-spare-byte", "src/aqm/cli.py",
+           "if size > free:",
+           "if size >= free:",
+           ("tests/test_cli.py::TestEventsFile::test_the_disk_check_knows_the_exact_size",)),
     Mutant("herm-tol-times-10", "src/aqm/algebra.py",
            "HERM_TOL = 1e-10",
            "HERM_TOL = 1e-9",

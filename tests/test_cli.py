@@ -101,7 +101,7 @@ _JSON = st.recursive(
 # values near the accepted ones, so that some configs resolve
 _NEAR_VALID = (st.integers(-2, 70) | st.floats(-0.5, 1.5)
                | st.lists(st.integers(-1, 70), max_size=3)
-               | st.sampled_from(["symmetric64", "present", "delayed-random", "run", ""]))
+               | st.sampled_from(["present", "delayed-random", "run", ""]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,8 +126,9 @@ def test_any_config_file_resolves_or_is_a_config_error(tmp_path_factory, experim
 # values at or just past the bounds of each key, with sizes at which every
 # driver runs in milliseconds: no larger size is drawn, so no run takes long
 _SMALL_RUNS = {
-    "two-slit": {"n_events": st.integers(0, 3000),
-                 "preset": st.sampled_from([*experiments.PRESETS, "bogus"])},
+    "two-slit": {"n_events": st.integers(0, 3000), "n_sites": st.integers(1, 64),
+                 "slit_a": st.lists(st.integers(-1, 64), max_size=2),
+                 "slit_b": st.lists(st.integers(-1, 64), max_size=2)},
     "delayed-choice": {"n_events": st.integers(990, 3000),
                        "m4": st.sampled_from([*interferometer.POLICIES, "bogus"]),
                        "p": st.floats(-0.1, 1.1), "write_events": st.booleans()},
@@ -135,10 +136,6 @@ _SMALL_RUNS = {
     "khinchin": {"n_seeds": st.integers(0, 3), "n_small": st.integers(0, 300),
                  "n_big": st.integers(0, 3000), "dim": st.integers(1, 5)},
 }
-# a custom two-slit geometry: all three keys, or none
-_SMALL_GEOMETRY = st.just({}) | st.fixed_dictionaries({
-    "n_sites": st.integers(1, 12), "slit_a": st.lists(st.integers(-1, 12), max_size=2),
-    "slit_b": st.lists(st.integers(-1, 12), max_size=2)})
 
 
 @settings(max_examples=50, deadline=None)
@@ -149,8 +146,6 @@ def test_any_small_run_exits_0_1_or_2_and_writes_result_json_unless_1(tmp_path_f
     # the drivers run unstubbed: a run ends in a result, a config error or an error result
     file_config = data.draw(st.fixed_dictionaries({}, optional={
         **_SMALL_RUNS[experiment], "seed": st.integers(-1, 2**64)}))
-    if experiment == "two-slit":
-        file_config.update(data.draw(_SMALL_GEOMETRY))
     work = tmp_path_factory.mktemp("run")
     (work / "cfg.json").write_text(json.dumps(file_config))
     err = io.StringIO()
@@ -210,14 +205,15 @@ class TestConfigResolution:
             resolve_config("delayed-choice", {"m4": "maybe"}, {})
 
     def test_partial_geometry_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_config("two-slit", {"n_sites": 8}, {})
+        with pytest.raises(ConfigError, match="slit site index out of range"):
+            resolve_config("two-slit", {"n_sites": 8}, {})  # default slit 16 is off the lattice
 
-    def test_custom_geometry_echoes_no_preset(self):
-        custom = {"n_sites": 8, "slit_a": [1], "slit_b": [5]}
-        assert "preset" not in resolve_config("two-slit", custom, {})
-        assert "preset" not in resolve_config("two-slit", {**custom, "preset": "symmetric64"}, {})
-        assert resolve_config("two-slit", {}, {})["preset"] == "symmetric64"
+    def test_each_geometry_key_left_out_takes_its_default(self):
+        geometry = ("n_sites", "slit_a", "slit_b")
+        cfg = resolve_config("two-slit", {}, {})
+        assert [cfg[key] for key in geometry] == [64, [16], [48]]
+        cfg = resolve_config("two-slit", {"slit_a": [20]}, {})
+        assert [cfg[key] for key in geometry] == [64, [20], [48]]
 
     def test_config_file_and_flag_write_the_same_bytes(self, tmp_path, monkeypatch):
         # an integer p in the file echoes as the float the flag parses to
@@ -239,7 +235,7 @@ class TestConfigResolution:
     ("delayed-choice", "--m4", "delayed-random", "--n", "2000", "--write-events"),
     ("postulates", "--dim", "4", "--trials", "10", "--seed", "3"),
     ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2"),
-], ids=["two-slit-preset", "two-slit-custom", "delayed-choice", "postulates", "khinchin"])
+], ids=["two-slit-default", "two-slit-custom", "delayed-choice", "postulates", "khinchin"])
 def test_the_echoed_config_replays_every_file(tmp_path, monkeypatch, argv):
     # result.json's config, fed back through --config into the same --out
     monkeypatch.chdir(tmp_path)
@@ -278,7 +274,7 @@ class TestDelayedChoiceCommand:
     def test_too_few_events_is_exit_1(self, tmp_path, capsys):
         code = run_cli("delayed-choice", "--n", "500", "--out", str(tmp_path / "run"))
         assert code == 1
-        assert "need at least 1000 events" in capsys.readouterr().err
+        assert "n_events must be an integer >= 1000, got 500" in capsys.readouterr().err
 
 
 def _no_draw(*args, **kwargs):
@@ -290,18 +286,28 @@ class TestEventsFile:
         monkeypatch.setattr(interferometer, "run_events", _no_draw)
         out = tmp_path / "run"
         assert run_cli("delayed-choice", "--n", "999", "--write-events", "--out", str(out)) == 1
-        assert "need at least 1000 events" in capsys.readouterr().err
+        assert "n_events must be an integer >= 1000, got 999" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_a_failed_run_keeps_an_existing_out_and_removes_what_it_created(self, tmp_path):
+    def test_a_failed_run_keeps_an_existing_out_and_removes_what_it_created(self, tmp_path,
+                                                                            monkeypatch):
+        reached = []
+
+        def exhausted(*args, events_path, **kwargs):  # as numpy fails to allocate
+            reached.append(os.path.isdir(os.path.dirname(events_path)))  # --out was created
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(experiments, "delayed_choice_experiment", exhausted)
         out = tmp_path / "run"
         out.mkdir()
         (out / "notes.txt").write_text("kept")
-        assert run_cli("delayed-choice", "--n", "10", "--out", str(out)) == 1
+        assert run_cli("delayed-choice", "--write-events", "--out", str(out)) == 1
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "kept"
-        assert run_cli("delayed-choice", "--n", "10", "--out", str(tmp_path / "new" / "run")) == 1
+        assert run_cli("delayed-choice", "--write-events",
+                       "--out", str(tmp_path / "new" / "run")) == 1
         assert list(tmp_path.iterdir()) == [out]
+        assert reached == [True, True]
 
     def test_a_run_that_fails_midway_leaves_no_events_file(self, tmp_path, monkeypatch):
         run_events, starts = interferometer.run_events, []
@@ -345,8 +351,7 @@ class TestTwoSlitCommand:
     def test_replay_is_byte_identical(self, tmp_path):
         out = tmp_path / "run"
         args = [
-            "two-slit", "--preset", "symmetric64", "--n", "20000", "--seed", "7",
-            "--out", str(out),
+            "two-slit", "--n", "20000", "--seed", "7", "--out", str(out),
         ]
         assert run_cli(*args) == 0
         first = (out / "result.json").read_bytes()
@@ -918,16 +923,10 @@ def test_usage_error_is_config_error(tmp_path, capsys, argv, message):
         ("two-slit", {"n_sites": 8, "slit_a": [], "slit_b": [5]}, "both slits must be non-empty"),
         ("two-slit", {"n_sites": 2**64, "slit_a": [1], "slit_b": [5]},
          f"n_sites must be an integer in [2, {(2**63 - 1) // 16}], got {2**64}"),
-        ("two-slit", {"preset": "bogus"}, "unknown preset 'bogus'"),
-        ("two-slit", {"preset": "bogus", "n_sites": 8, "slit_a": [1], "slit_b": [5]},
-         "unknown preset 'bogus'"),
-        ("two-slit", {"preset": 5, "n_sites": 8, "slit_a": [1], "slit_b": [5]},
-         "unknown preset 5"),
     ],
     ids=["slit-int", "n-sites-str", "n-sites-float", "slit-float", "p-str", "p-null",
          "m4-list", "write-events-str", "out-int", "out-nul", "out-is-a-file", "slits-overlap",
-         "slit-out-of-range", "slit-empty", "n-sites-2**64", "preset-bogus", "preset-bogus-custom",
-         "preset-int-custom"],
+         "slit-out-of-range", "slit-empty", "n-sites-2**64"],
 )
 def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experiment,
                                           file_config, message):
@@ -938,6 +937,23 @@ def test_bad_config_value_is_config_error(tmp_path, monkeypatch, capsys, experim
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # nothing run
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("postulates", "--dim", "2", "--trials", "1"), "result.json"),
+    (("delayed-choice", "--n", "1000", "--write-events"), "events.csv"),
+    (("two-slit", "--n", "1000"), "pattern.csv"),
+], ids=["result.json", "events.csv", "pattern.csv"])
+def test_an_output_name_that_is_a_directory_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                              argv, name):
+    monkeypatch.setattr(experiments, _DRIVERS[argv[0]], _no_draw)  # refused before the run
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {name}: {str(out / name)!r} is a directory\n")
+    assert [p.name for p in out.iterdir()] == [name]
+    assert list((out / name).iterdir()) == []
 
 
 def test_two_slit_takes_any_int64_number_of_particles_and_no_more(tmp_path, capsys):

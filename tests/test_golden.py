@@ -17,12 +17,12 @@ import aqm
 from aqm.cli import main
 
 GOLDEN = {
-    "two-slit-preset": (
-        ("two-slit", "--preset", "symmetric64", "--n", "20000", "--seed", "7"),
+    "two-slit-default": (
+        ("two-slit", "--n", "20000", "--seed", "7"),
         0,
         {
             "pattern.csv": "b2bd7eb9099a14b23b5fbca4fb2f1ba90aed200259c7b7808be0ef4ef50542db",
-            "result.json": "81f5361fd38d85fc72d054b79a961a6e5b2a8d45cfa337918eeb9f307cfd3bbf",
+            "result.json": "06dfe16a2d4a39ebab8af285dc18b23200cf7bf75678ebfd4b45fdaf8690bcbe",
         },
     ),
     "two-slit-custom": (

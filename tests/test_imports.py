@@ -39,6 +39,33 @@ def test_an_unused_import_is_reported():
     assert _unused_imports(source) == ["chunks", "os"]
 
 
+def _names_config_error(source: str) -> bool:
+    """Whether the source imports, reads or defines ConfigError; prose does not count."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for a in node.names for part in (a.name.rpartition(".")[2], a.asname)]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None)]
+        if "ConfigError" in names:
+            return True
+    return False
+
+
+def test_only_the_cli_decides_bad_input():
+    # the CLI refuses bad input before --out exists; the library raises ValueError
+    modules = sorted(Path(aqm.__file__).parent.glob("*.py"))
+    naming = [m.name for m in modules if _names_config_error(m.read_text())]
+    assert naming == ["cli.py", "errors.py"]
+
+
+def test_a_config_error_outside_the_cli_is_reported():
+    assert _names_config_error("from aqm.errors import ConfigError as Bad\n")
+    assert _names_config_error("from aqm import errors\nraise errors.ConfigError('x')\n")
+    assert _names_config_error("class ConfigError(ValueError):\n    pass\n")
+    assert not _names_config_error('"""Not a ConfigError: a ValueError."""\nraise ValueError()\n')
+
+
 def _unread_private_names(sources: list) -> list:
     """Module-level names with one leading underscore that no source reads."""
     defined, read = set(), set()

@@ -132,6 +132,15 @@ class TestEquivalenceReport:
         assert row["tolerance"] == pytest.approx(0.02, abs=1e-12)
         assert not row["passed"] and not report["passed"]
 
+    def test_fewer_than_1000_events_are_refused(self):
+        counts = np.zeros((2, 2, 2), dtype=np.int64)
+        counts[PATH_A, 0, DETECTOR_A] = 999
+        with pytest.raises(ValueError, match="need at least 1000 events") as exc:
+            summarize_counts(counts)
+        assert type(exc.value) is ValueError
+        counts[PATH_A, 0, DETECTOR_B] = 1
+        assert summarize_counts(counts)["sub_ensembles"][0]["n_events"] == 1000
+
 
 @pytest.mark.parametrize("name", POLICIES)
 def test_events_csv(tmp_path, name):
