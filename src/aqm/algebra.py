@@ -12,7 +12,9 @@ context.
 Contexts, observables and the functions below also take stacks: arrays of
 shape (..., d, d), one matrix per slice, with branch arrays of shape
 (..., n).  A single matrix is a stack of none, through the same code, and
-every check holds on every slice.
+every check holds on every slice.  Malformed operands raise ValueError; an
+observable that its context does not contain raises the subclass
+IncompatibleObservableError.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from aqm.errors import IncompatibleObservableError
-
 HERM_TOL = 1e-10
 COMMUTE_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 VALUE_TOL = 1e-8  # values this close are one value of an observable
+
+
+class IncompatibleObservableError(ValueError):
+    """Observable is not diagonal in the requested context (wrong device type)."""
 
 
 def as_matrix(a) -> np.ndarray:

@@ -4,8 +4,9 @@ One subcommand per experiment.  A JSON config file may supply any
 parameter; command-line flags win over the file.  Results are written as
 a single result.json (full resolved config echoed back, no timestamps,
 atomic write) plus CSV streams where the experiment produces them.
-Every bad input is decided here, before --out is created: the drivers
-assume a resolved config.
+Every bad input is decided here, as a ConfigError, before --out is
+created: the drivers assume a resolved config.  run is the one function
+that creates directories: --out, removed again on exit 1.
 Exit codes: 0 success; 1 bad input (a ConfigError, or a run too large for
 memory or disk), with nothing written; 2 a broken run, either a failed
 check or any other exception a driver raises, with result.json written.
@@ -33,8 +34,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import aqm  # noqa: E402
 from aqm import experiments, interferometer, two_slit  # noqa: E402
-from aqm.errors import ConfigError  # noqa: E402
 from aqm.serialize import write_json_atomic  # noqa: E402
+
+
+class ConfigError(ValueError):
+    """Malformed run configuration: exit 1, with nothing written."""
 
 
 def _load_config_file(path: str) -> dict:

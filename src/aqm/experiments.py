@@ -96,15 +96,15 @@ _KS_DRAWS = 400  # draws per context of each Postulate 5 smoke test
 _REPRODUCIBILITY_TRIALS = 10_000  # re-measurements, over _REPRODUCIBILITY_INSTANCES instances
 _REPRODUCIBILITY_INSTANCES = 50
 _BORN_MEAN_TOL = 1e-10
-# matrix entries of one block of trials: each block stacks _BLOCK // dim**2
-# trials, so memory does not grow with the number of trials
+# matrix entries of one block of trials.  A trial also holds (_KS_DRAWS,)
+# arrays whatever its dim, so a block stacks _BLOCK // dim**2 trials but at
+# most 1024, the count at dim 8; memory does not grow with the number of trials
 _BLOCK = 1 << 16
 
 
-def _blocks(n: int, dim: int) -> list:
-    """Sizes of the consecutive blocks of trials that cover n trials at this dim."""
-    size = max(1, _BLOCK // dim**2)
-    return [min(size, n - start) for start in range(0, n, size)]
+def _block_size(dim: int) -> int:
+    """Trials per block at this dim."""
+    return max(1, min(1024, _BLOCK // dim**2))
 
 
 def _instance(dim: int, rng: np.random.Generator, shape: tuple = ()):
@@ -139,15 +139,18 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
     """Numerical checks of device independence, linearity, the Born mean, reproducibility.
 
     Each check draws and runs a block of trials at a time as stacked
-    arrays (see _blocks): one numpy call per quantity per block.
+    arrays (see _block_size): one numpy call per quantity per block.
+    Postulate 5 keeps running totals over its blocks, so no array grows
+    with the number of trials.
     """
     rng = stream(seed, 0)
-    distances, failures, born_means = zip(
-        *(_postulate5_block(dim, count, rng) for count in _blocks(trials, dim)))
-    max_exact = float(np.max(np.concatenate(distances)))
-    ks_failures = sum(failures)
+    max_exact, ks_failures, max_born = 0.0, 0, 0.0
+    for _, count in chunks(trials, _block_size(dim)):
+        distances, failures, born_means = _postulate5_block(dim, count, rng)
+        max_exact = float(np.max(distances, initial=max_exact))  # a NaN stays NaN
+        ks_failures += failures
+        max_born = float(np.max(born_means, initial=max_born))
     p5_pass = max_exact <= 1e-10 and ks_failures <= max(1, trials // 20)
-    max_born = float(np.max(np.concatenate(born_means)))
     born_pass = max_born <= _BORN_MEAN_TOL
 
     rng = stream(seed, 1)
@@ -155,7 +158,7 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
         np.all(check_postulate6(random_density(dim, rng, (count,)),
                                 random_hermitian(dim, rng, (count,)),
                                 random_hermitian(dim, rng, (count,))))
-        for count in _blocks(trials, dim)
+        for _, count in chunks(trials, _block_size(dim))
     )
 
     # Lueders reproducibility: re-measure in a second context containing A.
@@ -166,7 +169,7 @@ def postulate_suite(dim: int, trials: int, seed: int) -> dict:
     dims = rng.integers(2, dim + 1, size=_REPRODUCIBILITY_INSTANCES)
     agreements = sum(_reproduced(d, count, per_instance, rng)
                      for d, n in zip(*(x.tolist() for x in np.unique(dims, return_counts=True)))
-                     for count in _blocks(n, d))
+                     for _, count in chunks(n, _block_size(d)))
     done = _REPRODUCIBILITY_INSTANCES * per_instance
     repro_prob = agreements / done
 

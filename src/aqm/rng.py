@@ -85,11 +85,12 @@ def event_uniforms(
     return gen.random(DRAWS_PER_EVENT * n_events).reshape(n_events, DRAWS_PER_EVENT)
 
 
-# Events per chunk of a photon run.
+# Events per chunk of a photon run: the default size of chunks.
 _CHUNK = 1 << 16
 
 
-def chunks(n: int):
-    """(start, count) of the consecutive chunks that cover 0..n-1."""
-    for start in range(0, n, _CHUNK):
-        yield start, min(_CHUNK, n - start)
+def chunks(n: int, size: int | None = None):
+    """(start, count) of the consecutive chunks of `size`, by default _CHUNK, that cover 0..n-1."""
+    size = size or _CHUNK  # read at each call, so a patched _CHUNK takes effect
+    for start in range(0, n, size):
+        yield start, min(size, n - start)

@@ -19,10 +19,9 @@ def atomic_open(path, mode: str = "w", newline: str | None = None):
     """Open a temporary file beside `path`; rename it into place on success.
 
     On any error, the temporary file is removed and `path` is left as it
-    was.
+    was.  The directory must exist: this creates none.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, mode, newline=newline) as fh:

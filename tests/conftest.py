@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from aqm.algebra import _branch_values
-from aqm.errors import IncompatibleObservableError
+from aqm.algebra import IncompatibleObservableError, _branch_values
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 

@@ -95,6 +95,14 @@ MUTANTS = (
            "failures = int(np.count_nonzero(report.ks_stat >= report.ks_critical))",
            "failures = 0",
            ("tests/test_cli.py::TestPostulatesCommand::test_the_suite_fails_on_ks_failures_alone",)),
+    Mutant("postulate5-max-of-the-last-block", "src/aqm/experiments.py",
+           "float(np.max(distances, initial=max_exact))",
+           "float(np.max(distances))",
+           ("tests/test_ensemble.py::test_postulate_suite_totals_every_block",)),
+    Mutant("postulate-block-uncapped", "src/aqm/experiments.py",
+           "max(1, min(1024, _BLOCK // dim**2))",
+           "max(1, _BLOCK // dim**2)",
+           ("tests/test_ensemble.py::test_a_block_stacks_at_most_1024_trials",)),
     Mutant("ks-failure-gate-true", "src/aqm/experiments.py",
            "ks_failures <= max(1, trials // 20)",
            "True",
@@ -168,6 +176,10 @@ MUTANTS = (
             "tests/test_cli.py::TestEventsFile::test_too_few_events_fail_before_any_draw",
             "tests/test_interferometer.py::TestEquivalenceReport::"
             "test_fewer_than_1000_events_are_refused")),
+    Mutant("atomic-open-makes-directories", "src/aqm/serialize.py",
+           "    fd, tmp = tempfile.mkstemp(",
+           "    os.makedirs(directory, exist_ok=True)\n    fd, tmp = tempfile.mkstemp(",
+           ("tests/test_serialize.py::test_atomic_open_creates_no_directory",)),
     Mutant("disk-check-needs-a-spare-byte", "src/aqm/cli.py",
            "if size > free:",
            "if size >= free:",

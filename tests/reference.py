@@ -30,13 +30,13 @@ from aqm.algebra import (
     PROJECTOR_TOL,
     VALUE_TOL,
     Context,
+    IncompatibleObservableError,
     _branch_values,
     _check_same_dim,
     as_matrix,
     is_hermitian,
 )
 from aqm.ensemble import QuantumState, born_distribution, inverse_cdf
-from aqm.errors import IncompatibleObservableError
 from aqm.experiments import random_degenerate_spectrum
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
 from aqm.rng import DRAWS_PER_EVENT, LANE_EVENTS, _key

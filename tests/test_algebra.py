@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from aqm.algebra import Context, evaluate, is_stable
-from aqm.errors import IncompatibleObservableError
+from aqm.algebra import Context, IncompatibleObservableError, evaluate, is_stable
 from aqm.experiments import random_hermitian
 from conftest import SIGMA_X, SIGMA_Z, measurable
 from reference import context_from_projectors, masa_from, projectors, spectral_decompose

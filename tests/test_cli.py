@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 import aqm
 from aqm import algebra, cli, ensemble, experiments, interferometer, rng, serialize, two_slit
-from aqm.cli import main, resolve_config
-from aqm.errors import ConfigError
+from aqm.cli import ConfigError, main, resolve_config
 
 
 def run_cli(*argv):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from aqm import algebra, ensemble, experiments
-from aqm.algebra import evaluate, is_stable
+from aqm.algebra import IncompatibleObservableError, evaluate, is_stable
 from aqm.ensemble import (
     QuantumState,
     born_distribution,
@@ -22,7 +22,6 @@ from aqm.ensemble import (
     monte_carlo_mean,
     multinomial_counts,
 )
-from aqm.errors import IncompatibleObservableError
 from aqm.experiments import _instance, random_density, random_hermitian, random_unitary
 from aqm.rng import stream
 from conftest import SIGMA_X, SIGMA_Z, chi_square_test
@@ -441,19 +440,70 @@ class TestPostulate5:
             assert rep.ks_stat == ks
 
 
+def _suite_peak(dim: int, trials: int) -> int:
+    """Peak traced bytes of postulate_suite(dim, trials, 1)."""
+    tracemalloc.start()
+    try:
+        experiments.postulate_suite(dim, trials, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_postulate_suite_memory_does_not_grow_with_its_blocks_of_trials():
     # a block at dim 16 stacks _BLOCK // 256 trials, about 12 MB at its peak;
     # four blocks, run one after another, peak where one does
     per_block = experiments._BLOCK // 16**2
-    peaks = []
-    for trials in (per_block, 4 * per_block):
-        tracemalloc.start()
-        try:
-            experiments.postulate_suite(16, trials, 1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_suite_peak(16, trials) for trials in (per_block, 4 * per_block)]
     assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_postulate_suite_memory_does_not_grow_with_its_number_of_blocks(monkeypatch):
+    # one trial per block: only running totals outlive a block, so 700
+    # blocks peak where 100 do
+    monkeypatch.setattr(experiments, "_BLOCK", 4)
+    experiments.postulate_suite(2, 10, 1)  # warm-up: first-call allocations are not the run's
+    peaks = [_suite_peak(2, trials) for trials in (100, 700)]
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_a_block_stacks_at_most_1024_trials():
+    # each trial holds (_KS_DRAWS,)-long arrays whatever its dim, so at dim 2
+    # a block of _BLOCK // 4 trials would peak near 65 MB; capped at dim 8's
+    # 1024 trials, it peaks below a dim-8 block
+    assert _suite_peak(2, 4096) <= _suite_peak(8, 1024)
+
+
+def test_postulate_suite_totals_every_block(monkeypatch):
+    # 40 blocks of 50 trials at dim 3: the result is the max, sum and max of
+    # the blocks' largest exact distances, KS failures and Born-mean residuals
+    monkeypatch.setattr(experiments, "_BLOCK", 3**2 * 50)
+    real_p5, real_born = experiments.check_postulate5, experiments.born_mean_residual
+    blocks = []
+
+    def recorded_p5(*args, **kwargs):
+        report = real_p5(*args, **kwargs)
+        blocks.append([report.exact_distance.max(),
+                       int(np.count_nonzero(report.ks_stat >= report.ks_critical))])
+        return report
+
+    def recorded_born(*args):
+        residuals = real_born(*args)
+        blocks[-1].append(residuals.max())
+        return residuals
+
+    monkeypatch.setattr(experiments, "check_postulate5", recorded_p5)
+    monkeypatch.setattr(experiments, "born_mean_residual", recorded_born)
+    result = experiments.postulate_suite(3, 2000, 0)
+    distances, failures, residuals = zip(*blocks)
+    # neither maximum is the last block's, and two blocks fail KS, so a
+    # total that keeps one block is caught
+    assert len(blocks) == 40
+    assert max(distances) > distances[-1] and max(residuals) > residuals[-1]
+    assert np.count_nonzero(failures) >= 2
+    assert result["postulate5"]["max_exact_distance"] == max(distances)
+    assert result["postulate5"]["ks_failures"] == sum(failures)
+    assert result["born_mean"]["max_residual"] == max(residuals)
 
 
 class TestPostulate6:

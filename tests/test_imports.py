@@ -56,7 +56,7 @@ def test_only_the_cli_decides_bad_input():
     # the CLI refuses bad input before --out exists; the library raises ValueError
     modules = sorted(Path(aqm.__file__).parent.glob("*.py"))
     naming = [m.name for m in modules if _names_config_error(m.read_text())]
-    assert naming == ["cli.py", "errors.py"]
+    assert naming == ["cli.py"]
 
 
 def test_a_config_error_outside_the_cli_is_reported():

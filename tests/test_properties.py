@@ -14,6 +14,7 @@ from aqm.algebra import (
     PROJECTOR_TOL,
     VALUE_TOL,
     Context,
+    IncompatibleObservableError,
     _branch_values,
     evaluate,
     is_stable,
@@ -31,7 +32,6 @@ from aqm.ensemble import (
     monte_carlo_mean,
     multinomial_counts,
 )
-from aqm.errors import IncompatibleObservableError
 from aqm.experiments import (
     random_degenerate_spectrum,
     random_density,

@@ -2,6 +2,8 @@ import json
 import os
 import stat
 
+import pytest
+
 from aqm.serialize import atomic_open, write_json_atomic
 
 
@@ -10,6 +12,15 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     write_json_atomic(path, {"b": 1, "a": [True, None]})
     assert json.loads(path.read_text()) == {"a": [True, None], "b": 1}
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_open_creates_no_directory(tmp_path):
+    # only cli.run creates --out, and removes it again on exit 1
+    missing = tmp_path / "missing"
+    with pytest.raises(FileNotFoundError):
+        with atomic_open(missing / "result.json") as fh:
+            fh.write("{}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_written_files_get_the_mode_open_would_give(tmp_path):
