@@ -88,11 +88,12 @@ def lueders_law(q: Context, qp: Context) -> np.ndarray:
     For the rank-1 projector P = v v^dagger of branch j, P rho P / tr(rho P)
     is the pure state v v^dagger whatever the state rho that drew the
     branch, and its weight on branch i of qp is |v^dagger v'_i|^2.  So the
-    law is row j of |Q^dagger Q'|^2, clamped and renormalized as in
-    born_distribution.
+    law is row j of |Q^dagger Q'|^2, taken as real products, clamped and
+    renormalized as in born_distribution.
     """
     _check_same_dim(q.basis, qp.basis)
-    return _normalized(np.abs(_adjoint(q.basis) @ qp.basis) ** 2)
+    w = _adjoint(q.basis) @ qp.basis
+    return _normalized(w.real * w.real + w.imag * w.imag)
 
 
 def inverse_cdf(probs, u):
@@ -119,17 +120,21 @@ def inverse_cdf(probs, u):
     return np.minimum(drawn, last.reshape(shape))
 
 
-def multinomial_counts(gen: np.random.Generator, n: int, probs) -> np.ndarray:
-    """(k,) int64 tally of n iid draws from the distribution `probs`, in one draw.
+def multinomial_counts(gen: np.random.Generator, n: int, probs: np.ndarray) -> np.ndarray:
+    """(..., k) int64 tallies of n iid draws from each distribution in `probs`, in one draw.
 
-    The tally is Multinomial(n, probs), which gen draws by conditional
-    binomials in O(k), whatever n.  As in inverse_cdf, the last branch
-    with positive probability takes the mass that rounding leaves over, so
-    a zero-probability branch is never counted, at any n.
+    Each tally is Multinomial(n, probs), which gen draws by conditional
+    binomials in O(k), whatever n, a slice at a time.  As in inverse_cdf,
+    the last branch with positive probability takes the mass that rounding
+    leaves over, so a zero-probability branch is never counted, at any n.
     """
-    last = np.flatnonzero(probs)[-1]
-    counts = np.zeros(len(probs), dtype=np.int64)
-    counts[: last + 1] = gen.multinomial(n, probs[: last + 1])
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] != 0, axis=-1)
+    top = int(last.max()) + 1
+    drawn = gen.multinomial(n, probs[..., :top])
+    counts = np.zeros(probs.shape, dtype=np.int64)
+    # numpy leaves the remainder in column top - 1; each slice's last positive branch takes it
+    counts[..., : top - 1] = drawn[..., :-1]
+    counts += (np.arange(probs.shape[-1]) == last[..., None]) * drawn[..., -1:]
     return counts
 
 
@@ -180,34 +185,27 @@ def _tally(level: np.ndarray, n_levels: int, weights=None) -> np.ndarray:
     return counts.reshape(lead + (n_levels,))
 
 
-def _cdf(level: np.ndarray, values: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """CDF at levels 0..2k-1 of the distribution putting probs[..., j] on level[..., j].
-
-    A level's mass adds its branches one by one in ascending value order;
-    a CDF point is one np.sum of the masses of the held levels up to it,
-    taken for every slice at once, one prefix length at a time.
-    """
-    n_levels = 2 * level.shape[-1]
+def _level_mass(level: np.ndarray, values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """(..., 2k) masses of levels 0..2k-1: probs[..., j] added to level[..., j] in value order."""
     order = np.argsort(values, axis=-1)
     level, probs = (np.take_along_axis(x, order, axis=-1) for x in (level, probs))
+    return _tally(level, 2 * level.shape[-1], probs)
+
+
+def _cdf(level: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """CDF at levels 0..2k-1 of the level masses `mass`, for branches on levels `level`.
+
+    A CDF point is one np.sum of the masses of the held levels (those a
+    branch is on) up to it, for every slice at once, a prefix at a time.
+    """
+    n_levels = mass.shape[-1]
     held = _tally(level, n_levels) > 0
-    mass = _tally(level, n_levels, probs)
     mass = np.take_along_axis(mass, np.argsort(~held, axis=-1, kind="stable"), axis=-1)
     below = np.cumsum(held, axis=-1)  # held levels up to each level
     prefix = np.zeros(mass.shape[:-1] + (n_levels + 1,))
     for m in range(1, int(below.max(initial=0)) + 1):
         prefix[..., m] = np.sum(mass[..., :m], axis=-1)
     return np.take_along_axis(prefix, below, axis=-1)
-
-
-def ks_statistic(x: np.ndarray, y: np.ndarray):
-    """Two-sample Kolmogorov-Smirnov statistic of two samples of levels, small non-negative ints.
-
-    Samples are (..., n): one statistic per slice.
-    """
-    n_levels = int(max(x.max(), y.max())) + 1
-    cx, cy = (np.cumsum(_tally(s, n_levels), axis=-1) / s.shape[-1] for s in (x, y))
-    return np.max(np.abs(cx - cy), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -227,9 +225,10 @@ def check_postulate5(psi: QuantumState, a, q: Context, qp: Context, n: int,
     over one grid of value levels, which Postulate 5 needs within 1e-10,
     and, as a smoke test, a two-sample KS statistic on the levels of n
     draws per context with its critical value at alpha = 0.01.
-    postulate_suite decides from both.  For stacks, each slice is one
-    pair of contexts; the draws are one rng.random((..., 2, n)), the
-    first n of a slice for q and the next n for qp.
+    postulate_suite decides from both.  The statistic reads the draws only
+    through their level tallies, Multinomial(n, level masses): for stacks,
+    each slice is one pair of contexts, and one multinomial_counts call
+    draws each slice's q tally and then its qp tally.
     """
     values = [_branch_values(c, a) for c in (q, qp)]
     probs = [born_distribution(psi, c) for c in (q, qp)]
@@ -240,12 +239,13 @@ def check_postulate5(psi: QuantumState, a, q: Context, qp: Context, n: int,
     # a value's level: the number of cluster starts at or below it, less one
     levels = [np.count_nonzero(starts[..., None, :] & (grid[..., None, :] <= v[..., None]),
                                axis=-1) - 1 for v in values]
-    c1, c2 = (_cdf(lv, v, p) for lv, v, p in zip(levels, values, probs))
-    u = rng.random(np.shape(c1)[:-1] + (2, n))
-    x, y = (np.take_along_axis(lv, inverse_cdf(p, u[..., i, :]), axis=-1)
-            for i, (lv, p) in enumerate(zip(levels, probs)))
+    masses = [_level_mass(lv, v, p) for lv, v, p in zip(levels, values, probs)]
+    c1, c2 = (_cdf(lv, m) for lv, m in zip(levels, masses))
+    tallies = multinomial_counts(rng, n, np.stack(masses, axis=-2))
+    ecdf = np.cumsum(tallies, axis=-1) / n  # each context's sample CDF
+    ks = np.max(np.abs(ecdf[..., 0, :] - ecdf[..., 1, :]), axis=-1)
     critical = 1.6276 * np.sqrt(2.0 / n)  # alpha = 0.01
-    return Postulate5Report(np.max(np.abs(c1 - c2), axis=-1), ks_statistic(x, y), float(critical))
+    return Postulate5Report(np.max(np.abs(c1 - c2), axis=-1), ks, float(critical))
 
 
 def check_postulate6(psi: QuantumState, a, b):

@@ -96,15 +96,14 @@ _KS_DRAWS = 400  # draws per context of each Postulate 5 smoke test
 _REPRODUCIBILITY_TRIALS = 10_000  # re-measurements, over _REPRODUCIBILITY_INSTANCES instances
 _REPRODUCIBILITY_INSTANCES = 50
 _BORN_MEAN_TOL = 1e-10
-# matrix entries of one block of trials.  A trial also holds (_KS_DRAWS,)
-# arrays whatever its dim, so a block stacks _BLOCK // dim**2 trials but at
-# most 1024, the count at dim 8; memory does not grow with the number of trials
+# matrix entries of one block of trials: a block stacks _BLOCK // dim**2
+# trials, so memory does not grow with the number of trials
 _BLOCK = 1 << 16
 
 
 def _block_size(dim: int) -> int:
     """Trials per block at this dim."""
-    return max(1, min(1024, _BLOCK // dim**2))
+    return max(1, _BLOCK // dim**2)
 
 
 def _instance(dim: int, rng: np.random.Generator, shape: tuple = ()):

@@ -17,7 +17,7 @@ The addresses each consumer reads:
   Postulate 6, index 2 for reproducibility.  Each runs its trials in
   consecutive blocks and draws each block's quantities as one array each,
   in order: on index 0 the observables, the two contexts, the states and
-  then the (block, 2, 400) smoke-test uniforms; on index 1 the states and
+  then the smoke-test tallies, one multinomial draw; on index 1 the states and
   then the two observables; on index 2 first the 50 instance dims, then
   for each dim in ascending order, block by block, its instances and
   their (block, 200, 2) uniforms;

@@ -51,8 +51,8 @@ MUTANTS = (
            ("tests/test_cli.py::TestPostulatesCommand::test_small_run_passes",
             "tests/test_cli.py::TestPostulatesCommand::test_remeasures_each_copy_by_the_row_of_its_drawn_branch")),
     Mutant("lueders-law-transposed", "src/aqm/ensemble.py",
-           "np.abs(_adjoint(q.basis) @ qp.basis) ** 2",
-           "np.abs(_adjoint(qp.basis) @ q.basis) ** 2",
+           "w = _adjoint(q.basis) @ qp.basis",
+           "w = _adjoint(qp.basis) @ q.basis",
            ("tests/test_properties.py::test_each_row_of_the_lueders_law_is_the_born_law_of_its_post_state",)),
     Mutant("born-weights-from-rho-transposed", "src/aqm/ensemble.py",
            "w = psi.rho @ v",
@@ -84,12 +84,20 @@ MUTANTS = (
            ("tests/test_properties.py::test_measure_many_never_draws_a_zero_probability_branch",
             "tests/test_properties.py::test_inverse_cdf_is_the_clamped_searchsorted")),
     Mutant("multinomial-unclamped", "src/aqm/ensemble.py",
-           "counts[: last + 1] = gen.multinomial(n, probs[: last + 1])",
-           "counts[:] = gen.multinomial(n, probs)",
+           "drawn = gen.multinomial(n, probs[..., :top])",
+           "return gen.multinomial(n, probs)",
            ("tests/test_ensemble.py::test_a_zero_probability_branch_is_never_counted_at_any_n",)),
+    Mutant("multinomial-remainder-not-folded", "src/aqm/ensemble.py",
+           "counts += (np.arange(probs.shape[-1]) == last[..., None]) * drawn[..., -1:]",
+           "counts[..., top - 1] = drawn[..., -1]",
+           ("tests/test_ensemble.py::test_a_stack_counts_no_zero_probability_branch_at_any_n",)),
     Mutant("postulate5-distance-zero", "src/aqm/ensemble.py",
            "return Postulate5Report(np.max(np.abs(c1 - c2), axis=-1),",
            "return Postulate5Report(0.0 * np.max(np.abs(c1 - c2), axis=-1),",
+           ("tests/test_ensemble.py::TestPostulate5::test_biased_born_weights_fail",)),
+    Mutant("ks-tallies-from-the-first-context", "src/aqm/ensemble.py",
+           "np.stack(masses, axis=-2)",
+           "np.stack(masses[:1] * 2, axis=-2)",
            ("tests/test_ensemble.py::TestPostulate5::test_biased_born_weights_fail",)),
     Mutant("ks-failures-never-counted", "src/aqm/experiments.py",
            "failures = int(np.count_nonzero(report.ks_stat >= report.ks_critical))",
@@ -99,10 +107,6 @@ MUTANTS = (
            "float(np.max(distances, initial=max_exact))",
            "float(np.max(distances))",
            ("tests/test_ensemble.py::test_postulate_suite_totals_every_block",)),
-    Mutant("postulate-block-uncapped", "src/aqm/experiments.py",
-           "max(1, min(1024, _BLOCK // dim**2))",
-           "max(1, _BLOCK // dim**2)",
-           ("tests/test_ensemble.py::test_a_block_stacks_at_most_1024_trials",)),
     Mutant("ks-failure-gate-true", "src/aqm/experiments.py",
            "ks_failures <= max(1, trials // 20)",
            "True",

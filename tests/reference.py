@@ -36,7 +36,7 @@ from aqm.algebra import (
     as_matrix,
     is_hermitian,
 )
-from aqm.ensemble import QuantumState, born_distribution, inverse_cdf
+from aqm.ensemble import QuantumState, born_distribution
 from aqm.experiments import random_degenerate_spectrum
 from aqm.interferometer import DETECTOR_A, DETECTOR_B, PATH_A, PATH_B, _P_PATH_A, _P_STEERED_DB
 from aqm.rng import DRAWS_PER_EVENT, LANE_EVENTS, _key
@@ -239,9 +239,10 @@ def postulate5(psi: QuantumState, a, q: Context, qp: Context, n: int, rng: np.ra
     """(exact_distance, ks_stat) of ensemble.check_postulate5, on the values themselves.
 
     Each context's value distribution is its own pushforward, compared at
-    every value of either with a VALUE_TOL shift; the n draws per context
-    are snapped to the nearest point of one merged value grid before the
-    KS statistic.
+    every value of either with a VALUE_TOL shift.  The n draws per context
+    are one multinomial tally over one merged value grid, each value
+    snapped to its nearest grid point, and are expanded back into values
+    for the KS statistic.
     """
     values, values_p = _branch_values(q, a), _branch_values(qp, a)
     probs, probs_p = born_distribution(psi, q), born_distribution(psi, qp)
@@ -254,11 +255,14 @@ def postulate5(psi: QuantumState, a, q: Context, qp: Context, n: int, rng: np.ra
     def snap(vals):
         idx = np.clip(np.searchsorted(grid, vals), 0, len(grid) - 1)
         left = np.clip(idx - 1, 0, len(grid) - 1)
-        use_left = np.abs(grid[left] - vals) < np.abs(grid[idx] - vals)
-        return grid[np.where(use_left, left, idx)]
+        return np.where(np.abs(grid[left] - vals) < np.abs(grid[idx] - vals), left, idx)
 
-    x = snap(values)[inverse_cdf(probs, rng.random(n))]
-    y = snap(values_p)[inverse_cdf(probs_p, rng.random(n))]
+    tallies = []
+    for v, p in ((v1, p1), (v2, p2)):
+        mass = np.zeros(len(grid))
+        np.add.at(mass, snap(v), p)
+        tallies.append(rng.multinomial(n, mass))
+    x, y = (np.repeat(grid, t) for t in tallies)
     return exact, sample_ks_statistic(x, y)
 
 

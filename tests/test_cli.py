@@ -732,7 +732,13 @@ class TestPostulatesCommand:
     def test_the_suite_fails_on_ks_failures_alone(self, tmp_path, monkeypatch):
         # every smoke test fails while the exact distributions still agree,
         # so only the KS-failure gate can fail Postulate 5
-        monkeypatch.setattr(ensemble, "ks_statistic", lambda x, y: np.ones(x.shape[:-1]))
+        def apart(gen, n, probs):
+            # every q tally on the lowest level, every qp tally on the highest
+            counts = np.zeros(probs.shape, dtype=np.int64)
+            counts[..., 0, 0] = counts[..., 1, -1] = n
+            return counts
+
+        monkeypatch.setattr(ensemble, "multinomial_counts", apart)
         out = tmp_path / "run"
         args = ("postulates", "--dim", "3", "--trials", "20", "--seed", "1", "--out", str(out))
         assert run_cli(*args) == 2

@@ -111,7 +111,7 @@ GOLDEN = {
     "postulates-dim32": (
         ("postulates", "--dim", "32", "--trials", "10", "--seed", "2"),
         0,
-        {"result.json": "778b8058eca1247ee80a49e0de904162a2a4540698841c75b525b719276f7de2"},
+        {"result.json": "b862fc5ace785597d996b78938fd0e5fb2705a451c776dd1ee2f87f9cc502489"},
     ),
     "khinchin": (
         ("khinchin", "--n-seeds", "4", "--n-small", "1000", "--n-big", "10000", "--seed", "2"),
